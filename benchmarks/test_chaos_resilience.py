@@ -16,7 +16,7 @@ Marked ``chaos`` so CI can run it as its own smoke job.
 
 import pytest
 
-from repro.cli import run_chaos_scenario
+from repro.bench.chaos import run_chaos_scenario
 
 pytestmark = pytest.mark.chaos
 

@@ -22,7 +22,7 @@ from bench_utils import emit, emit_json
 
 from repro.bench.configs import load_engine
 from repro.bench.report import format_table
-from repro.cli import run_scrub_scenario
+from repro.bench.scrub import run_scrub_scenario
 from repro.tpch.runner import power_run
 
 SCALE_FACTOR = 0.1

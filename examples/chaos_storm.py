@@ -17,7 +17,7 @@ Run with:  python examples/chaos_storm.py
 import argparse
 
 from repro.bench.report import format_table
-from repro.cli import run_chaos_scenario
+from repro.bench.chaos import run_chaos_scenario
 
 
 def main() -> None:

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.checksum import crc32c
 from repro.core.aimd import AimdConfig, AimdUploadController
 from repro.core.cache_policy import make_policy
-from repro.objectstore.client import RetryingObjectClient
+from repro.objectstore.client import COALESCE_MAX_RUN, RetryingObjectClient
 from repro.objectstore.errors import CircuitOpenError, DegradedCacheMissError
 from repro.sim.crashpoints import crash_point, register_crash_point
 from repro.sim.devices import DeviceProfile, QueueingDevice
@@ -44,7 +44,7 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import DeterministicRng
 from repro.sim.tracing import NULL_TRACER
 from repro.storage.dbspace import ObjectIO
-from repro.storage.keys import object_key_from_name
+from repro.storage.keys import group_adjacent
 
 CP_WRITE_THROUGH_BEFORE_PUT = register_crash_point(
     "ocm.write_through.before_put",
@@ -214,11 +214,8 @@ class ObjectCacheManager(ObjectIO):
         self._was_degraded = False
         jobs, self._anonymous_pending = self._anonymous_pending, []
         for job in jobs:
-            self._schedule_upload(job)
-            entry = self._entries.get(job.name)
-            if entry is not None:
-                entry.uploaded = True
-                entry.in_lru = True
+            self._schedule_batch([job])
+            self._mark_uploaded([job])
         if jobs:
             self.metrics.counter("degraded_drained_uploads").increment(len(jobs))
         self.metrics.counter("degraded_recoveries").increment()
@@ -319,7 +316,7 @@ class ObjectCacheManager(ObjectIO):
         for jobs in list(self._pending.values()) + [self._anonymous_pending]:
             for job in jobs:
                 if job.name == name:
-                    done = self._schedule_upload(job)
+                    done = self._schedule_batch([job])
                     self.clock.advance_to(max(self.clock.now(), done))
                     jobs.remove(job)
                     entry = self._entries.get(name)
@@ -714,12 +711,9 @@ class ObjectCacheManager(ObjectIO):
             job = self._pop_oldest_pending()
             if job is None:
                 break
-            done = self._schedule_upload(job)
+            done = self._schedule_batch([job])
             self.clock.advance_to(max(self.clock.now(), done))
-            entry = self._entries.get(job.name)
-            if entry is not None:
-                entry.uploaded = True
-                entry.in_lru = True
+            self._mark_uploaded([job])
             self.metrics.counter("backpressure_stalls").increment()
             stalled = True
         if stalled:
@@ -799,76 +793,36 @@ class ObjectCacheManager(ObjectIO):
             start = max(start, heapq.heappop(self._upload_inflight))
         return start
 
-    def _schedule_upload(self, job: _PendingUpload) -> float:
-        start = max(job.enqueue_time, self.clock.now())
+    def _schedule_batch(self, batch: "List[_PendingUpload]") -> float:
+        """Upload one batch through one slot of the live window.
+
+        A batch of one is a plain PUT; an adjacent-key run becomes one
+        ranged multi-put billed as a single request.  Either way it
+        occupies one slot, so the AIMD controller bounds *requests* in
+        flight, coalesced or not.
+        """
+        start = max(max(job.enqueue_time for job in batch), self.clock.now())
         start = self._acquire_upload_slot(start)
         retries_before = self._put_retries() if self._aimd is not None else 0.0
         # Queued write-backs drain on the commit/recovery path, where the
         # data must reach the store: bypass the breaker's fail-fast.
-        done = self.client.put_at(job.name, job.data, start,
-                                  bypass_breaker=True)
-        heapq.heappush(self._upload_inflight, done)
-        self._feed_aimd(start, done, retries_before)
-        return done
-
-    def _schedule_batch(self, batch: "List[_PendingUpload]") -> float:
-        """Upload a coalesced batch through one window slot.
-
-        A batch of one rides the plain single-PUT path; larger batches
-        become one ranged multi-put billed as a single request.  Either
-        way the batch occupies one slot of the live window, so the AIMD
-        controller bounds *requests* in flight, coalesced or not.
-        """
-        if len(batch) == 1:
-            return self._schedule_upload(batch[0])
-        start = max(max(job.enqueue_time for job in batch), self.clock.now())
-        start = self._acquire_upload_slot(start)
-        retries_before = self._put_retries() if self._aimd is not None else 0.0
-        done = self.client.put_batch_at(
+        done = self.client.put_many_at(
             [(job.name, job.data) for job in batch], start,
             bypass_breaker=True,
         )
         heapq.heappush(self._upload_inflight, done)
         self._feed_aimd(start, done, retries_before)
-        self.metrics.counter("batched_flush_uploads").increment(len(batch))
+        if len(batch) > 1:
+            self.metrics.counter("batched_flush_uploads").increment(len(batch))
         return done
 
-    def _group_adjacent(
-        self, jobs: "List[_PendingUpload]"
-    ) -> "List[List[_PendingUpload]]":
-        """Pack queued jobs into adjacent-key runs for coalesced upload.
-
-        Mirrors the client's read-side ``_coalesce_runs``: fresh page
-        keys are allocated monotonically, so a transaction's queue is
-        dominated by adjacency runs.  Jobs whose names do not carry a
-        parseable key — and everything when the client has coalescing
-        disabled — stay as singleton batches.
-        """
-        if not self.client.coalesce_puts:
-            return [[job] for job in jobs]
-        max_run = self.client.coalesce_max_run
-        keyed: "List[Tuple[int, _PendingUpload]]" = []
-        batches: "List[List[_PendingUpload]]" = []
-        for job in jobs:
-            try:
-                keyed.append((object_key_from_name(job.name), job))
-            except ValueError:
-                batches.append([job])
-        keyed.sort(key=lambda pair: pair[0])
-        run: "List[_PendingUpload]" = []
-        previous_key: "Optional[int]" = None
-        for key, job in keyed:
-            if (run and previous_key is not None
-                    and key == previous_key + 1 and len(run) < max_run):
-                run.append(job)
-            else:
-                if run:
-                    batches.append(run)
-                run = [job]
-            previous_key = key
-        if run:
-            batches.append(run)
-        return batches
+    def _mark_uploaded(self, batch: "List[_PendingUpload]") -> None:
+        """Insert-after-upload: the pages may now join the eviction list."""
+        for job in batch:
+            entry = self._entries.get(job.name)
+            if entry is not None:
+                entry.uploaded = True
+                entry.in_lru = True
 
     def flush_for_commit(self, txn_id: int) -> None:
         """Promote and drain the transaction's queued uploads (Section 4).
@@ -881,26 +835,21 @@ class ObjectCacheManager(ObjectIO):
         with self.tracer.span("flush_for_commit", "ocm",
                               txn_id=txn_id, jobs=len(jobs)):
             last = self.clock.now()
-            if self.config.group_commit_flush:
-                for batch in self._group_adjacent(jobs):
-                    crash_point(CP_BATCH_FLUSH_BEFORE_UPLOAD)
-                    done = self._schedule_batch(batch)
-                    last = max(last, done)
-                    for job in batch:
-                        entry = self._entries.get(job.name)
-                        if entry is not None:
-                            entry.uploaded = True
-                            entry.in_lru = True
-                    crash_point(CP_BATCH_FLUSH_AFTER_UPLOAD)
+            grouped = self.config.group_commit_flush
+            if grouped and self.client.coalesce_puts:
+                # Fresh page keys are allocated monotonically, so the
+                # queue is dominated by adjacency runs.
+                batches = group_adjacent(jobs, COALESCE_MAX_RUN,
+                                         name=lambda job: job.name)
             else:
-                for job in jobs:
-                    crash_point(CP_FLUSH_BEFORE_UPLOAD)
-                    done = self._schedule_upload(job)
-                    last = max(last, done)
-                    entry = self._entries.get(job.name)
-                    if entry is not None:
-                        entry.uploaded = True
-                        entry.in_lru = True
+                batches = [[job] for job in jobs]
+            for batch in batches:
+                crash_point(CP_BATCH_FLUSH_BEFORE_UPLOAD if grouped
+                            else CP_FLUSH_BEFORE_UPLOAD)
+                last = max(last, self._schedule_batch(batch))
+                self._mark_uploaded(batch)
+                if grouped:
+                    crash_point(CP_BATCH_FLUSH_AFTER_UPLOAD)
             self.clock.advance_to(last)
             if jobs:
                 self.metrics.counter("flush_for_commit_jobs").increment(
@@ -926,12 +875,8 @@ class ObjectCacheManager(ObjectIO):
             jobs, self._anonymous_pending = self._anonymous_pending, []
             last = self.clock.now()
             for job in jobs:
-                done = self._schedule_upload(job)
-                last = max(last, done)
-                entry = self._entries.get(job.name)
-                if entry is not None:
-                    entry.uploaded = True
-                    entry.in_lru = True
+                last = max(last, self._schedule_batch([job]))
+                self._mark_uploaded([job])
             self.clock.advance_to(last)
 
     # ------------------------------------------------------------------ #

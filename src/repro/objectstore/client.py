@@ -36,7 +36,7 @@ This is the storage subsystem's view of the bucket:
 - **GET coalescing** (optional): bulk loads consume monotonically
   sequential 64-bit keys, so a scan's ``get_many`` is dominated by runs
   of adjacent keys.  With ``coalesce_gets`` the client groups each run
-  (up to ``coalesce_max_run`` keys) into one ranged multi-get that
+  (up to ``COALESCE_MAX_RUN`` keys) into one ranged multi-get that
   charges a single request against the store's per-prefix token buckets
   — the connector-level request reduction Stocator popularised, cutting
   both the bill and throttle stalls.  A transient failure retries the
@@ -65,6 +65,13 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.pipes import Pipe
 from repro.sim.rng import DeterministicRng
 from repro.sim.tracing import NULL_TRACER
+from repro.storage.keys import group_adjacent
+
+# Longest adjacent-key run one ranged request may carry: one lost range
+# never stalls more than this many pages behind a retry.
+COALESCE_MAX_RUN = 16
+# Whole-range attempts before a coalesced PUT degrades to per-key PUTs.
+PUT_RANGE_ATTEMPTS = 2
 
 CP_PUT_BEFORE_REQUEST = register_crash_point(
     "client.put.before_request",
@@ -274,19 +281,13 @@ class RetryingObjectClient:
         hedge: "Optional[HedgePolicy]" = None,
         rng: "Optional[DeterministicRng]" = None,
         coalesce_gets: bool = False,
-        coalesce_max_run: int = 16,
         coalesce_puts: bool = False,
-        put_range_attempts: int = 2,
         verify_reads: bool = False,
     ) -> None:
         if policy.max_attempts < 1:
             raise ValueError("retry policy must allow at least one attempt")
         if parallel_window < 1:
             raise ValueError("parallel window must be at least 1")
-        if coalesce_max_run < 2:
-            raise ValueError("coalesce_max_run must be at least 2")
-        if put_range_attempts < 1:
-            raise ValueError("put_range_attempts must be at least 1")
         self.store = store
         self.policy = policy
         self.enforce_unique_keys = enforce_unique_keys
@@ -296,9 +297,7 @@ class RetryingObjectClient:
         self.bandwidth = bandwidth
         self.node_id = node_id
         self.coalesce_gets = coalesce_gets
-        self.coalesce_max_run = coalesce_max_run
         self.coalesce_puts = coalesce_puts
-        self.put_range_attempts = put_range_attempts
         # Verified reads: recompute CRC-32C over every served payload and
         # compare against the store's recorded checksum.  A mismatch never
         # reaches the caller — it retries as its own category (and under a
@@ -368,13 +367,8 @@ class RetryingObjectClient:
         return self.breaker.state_at(self.clock.now() if now is None else now)
 
     # ------------------------------------------------------------------ #
-    # retry plumbing
+    # the one retry loop and the one window scheduler
     # ------------------------------------------------------------------ #
-
-    def _next_backoff(self, attempt: int,
-                      previous: "Optional[float]") -> float:
-        return self.policy.backoff(attempt, rng=self._backoff_rng,
-                                   previous=previous)
 
     def _check_deadline(self, key: str, op_start: float, next_start: float,
                         attempts: int) -> None:
@@ -383,64 +377,215 @@ class RetryingObjectClient:
             self.metrics.counter("deadline_expirations").increment()
             raise RetriesExhaustedError(key, attempts, deadline=deadline)
 
-    def _admit(self, key: str, now: float, bypass: bool) -> None:
-        if self.breaker is not None and not bypass:
-            self.breaker.admit(key, now)
+    def _retry(self, span_name: str, key: str, now: float, request,
+               retry_counters: "Sequence[str]", *,
+               bypass_breaker: bool = False,
+               op_start: "Optional[float]" = None,
+               max_attempts: "Optional[int]" = None,
+               judge=None, exhausted=None, describe=None, **span_attrs):
+        """Run one logical operation; return ``(result, completion)``.
 
-    def _note_failure(self, when: float) -> None:
-        if self.breaker is not None:
-            self.breaker.record_failure(when)
+        Every verb feeds this loop — breaker admit → attempt → note
+        failure/success → backoff → deadline → trace — and differs only in
+        the policy it passes:
 
-    def _note_success(self, when: float) -> None:
-        if self.breaker is not None:
-            self.breaker.record_success(when)
+        - ``request(when) -> (result, completion)`` issues one attempt; a
+          :class:`TransientRequestError` bumps ``retry_counters`` and
+          retries from the error's ``failed_at``;
+        - ``judge(result, when, done, attempt)`` may reject a served
+          response by returning a retry reason (GET: ``"not_found"``,
+          ``"checksum_mismatch"``); ``None`` accepts it;
+        - ``describe(result)`` adds attributes to the finished span;
+        - ``exhausted(when, op_start) -> (result, completion, span_attrs)``
+          takes over once ``max_attempts`` (default: the policy's) are
+          spent; the default raises :class:`RetriesExhaustedError`.
+
+        ``op_start`` is when the *logical* operation began (default:
+        ``now``).  The deadline budget runs from there, so a fallback
+        chained behind a failed range request gets what is left of the
+        budget, not a fresh one.
+        """
+        span = self.tracer.begin(span_name, "client", start=now, key=key,
+                                 **span_attrs)
+        if op_start is None:
+            op_start = now
+        breaker = self.breaker
+        when = now
+        previous: "Optional[float]" = None
+        try:
+            for attempt in range(
+                1, (max_attempts or self.policy.max_attempts) + 1
+            ):
+                if breaker is not None and not bypass_breaker:
+                    breaker.admit(key, when)
+                reason = None
+                try:
+                    result, done = request(when)
+                except TransientRequestError as error:
+                    done = error.failed_at
+                    if breaker is not None:
+                        breaker.record_failure(done)
+                    for name in retry_counters:
+                        self._bump(name)
+                else:
+                    if breaker is not None:
+                        breaker.record_success(done)
+                    if judge is not None:
+                        reason = judge(result, when, done, attempt)
+                    if reason is None:
+                        attrs = {} if describe is None else describe(result)
+                        self.tracer.finish(span, end=done, attempts=attempt,
+                                           **attrs)
+                        span = None
+                        return result, done
+                previous = self.policy.backoff(
+                    attempt, rng=self._backoff_rng, previous=previous
+                )
+                when = done + previous
+                # A checksum mismatch is on the trace as its verify span.
+                if reason != "checksum_mismatch":
+                    attrs = {} if reason is None else {"reason": reason}
+                    self.tracer.record("backoff", "retry", done, when,
+                                       key=key, attempt=attempt, **attrs)
+                self._check_deadline(key, op_start, when, attempt)
+            if exhausted is None:
+                raise RetriesExhaustedError(key, self.policy.max_attempts)
+            result, done, attrs = exhausted(when, op_start)
+            self.tracer.finish(span, end=done, **attrs)
+            span = None
+            return result, done
+        finally:
+            if span is not None:
+                self.tracer.finish(span, end=when, error="failed")
+
+    def _windowed(self, jobs: "Iterable", window: "Optional[int]",
+                  now: float, issue) -> float:
+        """Keep up to ``window`` requests in flight, starting at ``now``.
+
+        ``issue(job, start)`` sends one request and returns its completion
+        time; the last completion is returned.  Never touches the clock.
+        """
+        width = window or self.parallel_window
+        inflight: "List[float]" = []  # min-heap of completion times
+        last_completion = now
+        for job in jobs:
+            start = now
+            if len(inflight) >= width:
+                start = max(now, heapq.heappop(inflight))
+            done = issue(job, start)
+            heapq.heappush(inflight, done)
+            last_completion = max(last_completion, done)
+        return last_completion
 
     # ------------------------------------------------------------------ #
-    # timed single-object operations (never advance the clock)
+    # PUT (timed: never advances the clock)
     # ------------------------------------------------------------------ #
+
+    def _check_unwritten(self, items: "Sequence[Tuple[str, bytes]]") -> None:
+        if self.enforce_unique_keys:
+            for key, __ in items:
+                if key in self._written_keys:
+                    raise OverwriteForbiddenError(key)
+
+    def _store_put(self, items: "Sequence[Tuple[str, bytes]]", when: float):
+        """One store PUT; accepted keys enter the never-write-twice ledger."""
+        done = self.store.put_range_at(items, when, bandwidth=self.bandwidth,
+                                       node=self.node_id)
+        if self.enforce_unique_keys:
+            self._written_keys.update(key for key, __ in items)
+        return None, done
 
     def put_at(self, key: str, data: bytes, now: float,
-               bypass_breaker: bool = False) -> float:
+               bypass_breaker: bool = False,
+               op_start: "Optional[float]" = None) -> float:
         """Upload with retry on transient failures; return completion time.
 
         The never-write-twice ledger records ``key`` only after the store
         accepted the write: a put that exhausted its retries leaves the
         key unwritten, so a later legitimate re-put may succeed.
         """
-        if self.enforce_unique_keys and key in self._written_keys:
-            raise OverwriteForbiddenError(key)
+        items = [(key, data)]
+        self._check_unwritten(items)
         crash_point(CP_PUT_BEFORE_REQUEST)
-        span = self.tracer.begin("put", "client", start=now,
-                                 key=key, nbytes=len(data))
-        when = now
-        previous: "Optional[float]" = None
-        try:
-            for attempt in range(1, self.policy.max_attempts + 1):
-                self._admit(key, when, bypass_breaker)
-                try:
-                    done = self.store.put_at(key, data, when,
-                                             bandwidth=self.bandwidth,
-                                             node=self.node_id)
-                except TransientRequestError as error:
-                    failed_at = error.failed_at  # type: ignore[attr-defined]
-                    self._note_failure(failed_at)
-                    self._bump("put_retries")
-                    previous = self._next_backoff(attempt, previous)
-                    when = failed_at + previous
-                    self.tracer.record("backoff", "retry", failed_at, when,
-                                       key=key, attempt=attempt)
-                    self._check_deadline(key, now, when, attempt)
-                    continue
-                self._note_success(done)
-                if self.enforce_unique_keys:
-                    self._written_keys.add(key)
-                self.tracer.finish(span, end=done, attempts=attempt)
-                span = None
-                return done
-            raise RetriesExhaustedError(key, self.policy.max_attempts)
-        finally:
-            if span is not None:
-                self.tracer.finish(span, end=when, error="failed")
+        return self._retry(
+            "put", key, now, lambda when: self._store_put(items, when),
+            ("put_retries",), bypass_breaker=bypass_breaker,
+            op_start=op_start, nbytes=len(data),
+        )[1]
+
+    def _put_range_at(self, items: "Sequence[Tuple[str, bytes]]", now: float,
+                      bypass_breaker: bool) -> float:
+        """One coalesced multi-key PUT; return the batch completion time.
+
+        The batch is a single store request billed as one PUT.  Transient
+        failures retry the *whole* range up to ``PUT_RANGE_ATTEMPTS``
+        times; after that the batch degrades to per-key single PUTs, each
+        carrying the full retry schedule within what is left of the
+        batch's deadline — a lost range never strands its pages behind an
+        unbounded range-retry loop.  Never-write-twice is preserved on
+        both paths: every key in the run is fresh (checked against the
+        ledger up front), a failed range landed nothing, and keys enter
+        the ledger only after the store accepted them.
+        """
+        self._check_unwritten(items)
+        crash_point(CP_PUT_RANGE_BEFORE_REQUEST)
+
+        def request(when: float):
+            outcome = self._store_put(items, when)
+            self.metrics.counter("coalesced_put_batches").increment()
+            self.metrics.counter("coalesced_put_keys").increment(len(items))
+            return outcome
+
+        def per_key_fallback(when: float, op_start: float):
+            self.metrics.counter("put_range_fallbacks").increment()
+            last = self._windowed(
+                items, len(items), when,
+                lambda item, start: self.put_at(
+                    item[0], item[1], start, bypass_breaker, op_start
+                ),
+            )
+            return None, last, {"outcome": "per_key_fallback"}
+
+        return self._retry(
+            "put_range", items[0][0], now, request,
+            ("put_retries", "put_range_retries"),
+            bypass_breaker=bypass_breaker, max_attempts=PUT_RANGE_ATTEMPTS,
+            exhausted=per_key_fallback, count=len(items),
+            nbytes=sum(len(data) for __, data in items),
+        )[1]
+
+    def put_many_at(
+        self, items: "Iterable[Tuple[str, bytes]]", now: float,
+        window: "Optional[int]" = None, bypass_breaker: bool = False,
+    ) -> float:
+        """Upload starting at ``now`` with up to ``window`` requests in
+        flight; return the last completion time.
+
+        With ``coalesce_puts`` enabled, runs of adjacent fresh keys are
+        packed into ranged multi-puts (capped at ``COALESCE_MAX_RUN``);
+        each run occupies one slot of the request window, so the window
+        bounds *requests* in flight, coalesced or not.
+        """
+        items = list(items)
+        if self.coalesce_puts and (
+            len({key for key, __ in items}) == len(items)
+        ):
+            runs = group_adjacent(items, COALESCE_MAX_RUN,
+                                  name=lambda item: item[0])
+        else:
+            runs = [[item] for item in items]
+
+        def issue(run, start: float) -> float:
+            if len(run) == 1:
+                return self.put_at(run[0][0], run[0][1], start,
+                                   bypass_breaker)
+            return self._put_range_at(run, start, bypass_breaker)
+
+        return self._windowed(runs, window, now, issue)
+
+    # ------------------------------------------------------------------ #
+    # GET (timed: never advances the clock)
+    # ------------------------------------------------------------------ #
 
     def _latency_histogram(self):
         """Observed GET latencies for the current backing region.
@@ -458,18 +603,12 @@ class RetryingObjectClient:
             return max(latencies.percentile(self.hedge.quantile), 1e-9)
         return self.hedge.initial_delay
 
-    def _store_get(
-        self, key: str, when: float
-    ) -> "Tuple[Optional[bytes], Optional[int], float]":
-        """One raw store GET, with the expected checksum when verifying."""
-        if self.verify_reads and hasattr(self.store, "try_get_verified_at"):
-            return self.store.try_get_verified_at(
-                key, when, bandwidth=self.bandwidth, node=self.node_id
-            )
-        data, done = self.store.try_get_at(key, when,
-                                           bandwidth=self.bandwidth,
-                                           node=self.node_id)
-        return data, None, done
+    def _store_get(self, key: str, when: float):
+        """One raw store GET: ``((data_or_None, expected_crc), done)``."""
+        results, done = self.store.get_range_at(
+            [key], when, bandwidth=self.bandwidth, node=self.node_id
+        )
+        return results[key], done
 
     def _mismatched(self, data: "Optional[bytes]",
                     expected: "Optional[int]") -> bool:
@@ -478,65 +617,52 @@ class RetryingObjectClient:
             and expected is not None and crc32c(data) != expected
         )
 
-    def _try_get_once(
-        self, key: str, when: float
-    ) -> "Tuple[Optional[bytes], Optional[int], float]":
+    def _try_get_once(self, key: str, when: float):
         """One (possibly hedged) GET attempt against the store."""
         latencies = self._latency_histogram()
         if self.hedge is None:
-            data, expected, done = self._store_get(key, when)
+            served, done = self._store_get(key, when)
             latencies.observe(done - when)
-            return data, expected, done
+            return served, done
         delay = self._hedge_delay()
         primary_error: "Optional[TransientRequestError]" = None
-        data: "Optional[bytes]" = None
-        expected: "Optional[int]" = None
+        served = (None, None)
         try:
-            data, expected, done = self._store_get(key, when)
+            served, done = self._store_get(key, when)
         except TransientRequestError as error:
             primary_error = error
-            done = error.failed_at  # type: ignore[attr-defined]
+            done = error.failed_at
         if done - when <= delay:
             if primary_error is not None:
                 raise primary_error
             latencies.observe(done - when)
-            return data, expected, done
+            return served, done
         # The primary response would land past the hedge delay: fire the
         # hedge and take whichever completion comes first.
         self._bump("hedged_gets")
         try:
-            hedge_data, hedge_expected, hedge_done = self._store_get(
-                key, when + delay
-            )
+            hedge_served, hedge_done = self._store_get(key, when + delay)
         except TransientRequestError:
             if primary_error is not None:
                 raise primary_error
             latencies.observe(done - when)
-            return data, expected, done
-        if primary_error is not None or hedge_done < done:
-            # The hedge won the race — but never hand up a corrupt winner
-            # when the slower primary completion is clean.
-            if (
-                primary_error is None
-                and self._mismatched(hedge_data, hedge_expected)
-                and not self._mismatched(data, expected)
-            ):
-                self._bump("hedge_mismatch")
-                latencies.observe(done - when)
-                return data, expected, done
-            self._bump("hedge_wins")
-            latencies.observe(hedge_done - when)
-            return hedge_data, hedge_expected, hedge_done
-        # The primary won the race: same guard, mirrored.
+            return served, done
+        winner, loser = (served, done), (hedge_served, hedge_done)
+        hedge_won = primary_error is not None or hedge_done < done
+        if hedge_won:
+            winner, loser = loser, winner
+        # Never hand up a corrupt winner when the slower completion is
+        # clean.
         if (
-            self._mismatched(data, expected)
-            and not self._mismatched(hedge_data, hedge_expected)
+            primary_error is None and self._mismatched(*winner[0])
+            and not self._mismatched(*loser[0])
         ):
             self._bump("hedge_mismatch")
-            latencies.observe(hedge_done - when)
-            return hedge_data, hedge_expected, hedge_done
-        latencies.observe(done - when)
-        return data, expected, done
+            winner = loser
+        elif hedge_won:
+            self._bump("hedge_wins")
+        latencies.observe(winner[1] - when)
+        return winner
 
     def _attempt_read_repair(self, key: str, when: float) -> int:
         """Ask a replicated store to heal ``key`` from a healthy region."""
@@ -551,7 +677,16 @@ class RetryingObjectClient:
         self.tracer.finish(span, end=when, repaired=repaired)
         return repaired
 
-    def get_at(self, key: str, now: float) -> "Tuple[bytes, float]":
+    def _note_mismatch(self, key: str, when: float, done: float,
+                       attempt: int, **attrs: object) -> None:
+        """A served payload failed its checksum: count, trace, repair."""
+        self._bump("checksum_mismatches")
+        self.tracer.record("verify", "checksum_mismatch", when, done,
+                           key=key, attempt=attempt, **attrs)
+        self._attempt_read_repair(key, done)
+
+    def get_at(self, key: str, now: float,
+               op_start: "Optional[float]" = None) -> "Tuple[bytes, float]":
         """Read with retry on "no such key" and transient failures.
 
         With ``verify_reads`` on, a served payload whose CRC-32C does not
@@ -562,123 +697,125 @@ class RetryingObjectClient:
         Corrupt bytes are *never* returned; exhausting the budget on
         mismatches raises :class:`CorruptObjectError`.
         """
-        span = self.tracer.begin("get", "client", start=now, key=key)
-        when = now
-        previous: "Optional[float]" = None
-        last_mismatch: "Optional[Tuple[Optional[int], int]]" = None
-        try:
-            for attempt in range(1, self.policy.max_attempts + 1):
-                self._admit(key, when, bypass=False)
-                try:
-                    data, expected, done = self._try_get_once(key, when)
-                except TransientRequestError as error:
-                    failed_at = error.failed_at  # type: ignore[attr-defined]
-                    self._note_failure(failed_at)
-                    self._bump("get_retries")
-                    previous = self._next_backoff(attempt, previous)
-                    when = failed_at + previous
-                    self.tracer.record("backoff", "retry", failed_at, when,
-                                       key=key, attempt=attempt)
-                    self._check_deadline(key, now, when, attempt)
-                    continue
-                self._note_success(done)
-                if data is not None:
-                    if self._mismatched(data, expected):
-                        actual = crc32c(data)
-                        last_mismatch = (expected, actual)
-                        self._bump("checksum_mismatches")
-                        self.tracer.record(
-                            "verify", "checksum_mismatch", when, done,
-                            key=key, attempt=attempt,
-                            expected=expected, actual=actual,
-                        )
-                        self._attempt_read_repair(key, done)
-                        previous = self._next_backoff(attempt, previous)
-                        when = done + previous
-                        self._check_deadline(key, now, when, attempt)
-                        continue
-                    self.tracer.finish(span, end=done, attempts=attempt,
-                                       nbytes=len(data))
-                    span = None
-                    return data, done
+        last_mismatch: "List[Optional[int]]" = []
+
+        def judge(served, when: float, done: float, attempt: int):
+            data, expected = served
+            if data is None:
                 self._bump("not_found_retries")
-                previous = self._next_backoff(attempt, previous)
-                when = done + previous
-                self.tracer.record("backoff", "retry", done, when,
-                                   key=key, attempt=attempt,
-                                   reason="not_found")
-                self._check_deadline(key, now, when, attempt)
-            if last_mismatch is not None:
-                raise CorruptObjectError(key, last_mismatch[0],
-                                         last_mismatch[1],
+                return "not_found"
+            if not self._mismatched(data, expected):
+                return None
+            last_mismatch[:] = [expected, crc32c(data)]
+            self._note_mismatch(key, when, done, attempt,
+                                expected=expected, actual=last_mismatch[1])
+            return "checksum_mismatch"
+
+        def exhausted(when: float, op_start: float):
+            if last_mismatch:
+                raise CorruptObjectError(key, *last_mismatch,
                                          self.policy.max_attempts)
             raise RetriesExhaustedError(key, self.policy.max_attempts)
-        finally:
-            if span is not None:
-                self.tracer.finish(span, end=when, error="failed")
+
+        (data, __), done = self._retry(
+            "get", key, now, lambda when: self._try_get_once(key, when),
+            ("get_retries",), op_start=op_start, judge=judge,
+            exhausted=exhausted,
+            describe=lambda served: {"nbytes": len(served[0])},
+        )
+        return data, done
+
+    def _get_range_at(self, names: "Sequence[str]",
+                      now: float) -> "Tuple[Dict[str, bytes], float]":
+        """One ranged multi-get, then single GETs for what it left out.
+
+        The range is a single store request: a transient failure fails
+        (and retries) the whole range.  Keys it could not serve — not yet
+        visible, or (with ``verify_reads``) failing their checksum, after
+        a read-repair attempt — fall back to single GETs, which carry the
+        not-found / verified retry schedule within what is left of the
+        range's deadline.
+        """
+        def request(when: float):
+            return self.store.get_range_at(
+                names, when, bandwidth=self.bandwidth, node=self.node_id
+            )
+
+        def demote_mismatches(served, when: float, done: float, attempt: int):
+            for name in names:
+                if self._mismatched(*served[name]):
+                    self._note_mismatch(name, when, done, attempt)
+                    served[name] = (None, None)
+
+        served, done = self._retry(
+            "get_range", names[0], now, request, ("get_retries",),
+            judge=demote_mismatches, count=len(names),
+        )
+        self.metrics.counter("coalesced_get_batches").increment()
+        self.metrics.counter("coalesced_get_keys").increment(len(names))
+        results = {name: served[name][0] for name in names}
+
+        def refetch(name: str, start: float) -> float:
+            results[name], single_done = self.get_at(name, start,
+                                                     op_start=now)
+            return single_done
+
+        missing = [name for name in names if results[name] is None]
+        return results, self._windowed(missing, 1, done, refetch)
+
+    def get_many_at(
+        self, keys: "Iterable[str]", now: float,
+        window: "Optional[int]" = None,
+    ) -> "Tuple[Dict[str, bytes], float]":
+        """Fetch starting at ``now`` with up to ``window`` requests in
+        flight; return ``(results, last_completion)``.
+
+        With ``coalesce_gets`` enabled, runs of adjacent keys (capped at
+        ``COALESCE_MAX_RUN``, so one lost range never stalls an unbounded
+        number of pages behind a retry) are served by ranged multi-gets;
+        each run occupies one slot of the request window.
+        """
+        keys = list(keys)
+        if self.coalesce_gets:
+            runs = group_adjacent(keys, COALESCE_MAX_RUN)
+        else:
+            runs = [[key] for key in keys]
+        results: "Dict[str, bytes]" = {}
+
+        def issue(run: "List[str]", start: float) -> float:
+            if len(run) == 1:
+                results[run[0]], done = self.get_at(run[0], start)
+            else:
+                fetched, done = self._get_range_at(run, start)
+                results.update(fetched)
+            return done
+
+        return results, self._windowed(runs, window, now, issue)
+
+    # ------------------------------------------------------------------ #
+    # DELETE / HEAD (timed: never advance the clock)
+    # ------------------------------------------------------------------ #
 
     def delete_at(self, key: str, now: float) -> float:
         """Delete with retry on transient failures (GC batches)."""
         crash_point(CP_DELETE_BEFORE_REQUEST)
-        span = self.tracer.begin("delete", "client", start=now, key=key)
-        when = now
-        previous: "Optional[float]" = None
-        try:
-            for attempt in range(1, self.policy.max_attempts + 1):
-                self._admit(key, when, bypass=False)
-                try:
-                    done = self.store.delete_at(key, when, node=self.node_id)
-                except TransientRequestError as error:
-                    failed_at = error.failed_at  # type: ignore[attr-defined]
-                    self._note_failure(failed_at)
-                    self._bump("delete_retries")
-                    previous = self._next_backoff(attempt, previous)
-                    when = failed_at + previous
-                    self.tracer.record("backoff", "retry", failed_at, when,
-                                       key=key, attempt=attempt)
-                    self._check_deadline(key, now, when, attempt)
-                    continue
-                self._note_success(done)
-                self.tracer.finish(span, end=done, attempts=attempt)
-                span = None
-                return done
-            raise RetriesExhaustedError(key, self.policy.max_attempts)
-        finally:
-            if span is not None:
-                self.tracer.finish(span, end=when, error="failed")
+        return self._retry(
+            "delete", key, now,
+            lambda when: (None, self.store.delete_at(key, when,
+                                                     node=self.node_id)),
+            ("delete_retries",),
+        )[1]
 
     def exists_at(self, key: str, now: float) -> "Tuple[bool, float]":
         """Visibility probe with retry on transient failures (restart GC)."""
-        span = self.tracer.begin("head", "client", start=now, key=key)
-        when = now
-        previous: "Optional[float]" = None
-        try:
-            for attempt in range(1, self.policy.max_attempts + 1):
-                self._admit(key, when, bypass=False)
-                try:
-                    visible, done = self.store.exists_at(key, when,
-                                                         node=self.node_id)
-                except TransientRequestError as error:
-                    failed_at = error.failed_at  # type: ignore[attr-defined]
-                    self._note_failure(failed_at)
-                    self._bump("head_retries")
-                    previous = self._next_backoff(attempt, previous)
-                    when = failed_at + previous
-                    self.tracer.record("backoff", "retry", failed_at, when,
-                                       key=key, attempt=attempt)
-                    self._check_deadline(key, now, when, attempt)
-                    continue
-                self._note_success(done)
-                self.tracer.finish(span, end=done, attempts=attempt)
-                span = None
-                return visible, done
-            raise RetriesExhaustedError(key, self.policy.max_attempts)
-        finally:
-            if span is not None:
-                self.tracer.finish(span, end=when, error="failed")
+        return self._retry(
+            "head", key, now,
+            lambda when: self.store.exists_at(key, when, node=self.node_id),
+            ("head_retries",),
+        )
 
     # ------------------------------------------------------------------ #
-    # synchronous wrappers (advance the clock)
+    # synchronous wrappers: call the timed form, advance the clock
     # ------------------------------------------------------------------ #
 
     def put(self, key: str, data: bytes) -> None:
@@ -697,321 +834,13 @@ class RetryingObjectClient:
         self.clock.advance_to(done)
         return visible
 
-    # ------------------------------------------------------------------ #
-    # windowed parallel batches (advance the clock to the last completion)
-    # ------------------------------------------------------------------ #
-
-    def _run_window_at(
-        self,
-        jobs: "Sequence[Tuple[str, Optional[bytes]]]",
-        window: "Optional[int]",
-        now: float,
-        bypass_breaker: bool = False,
-    ) -> "Tuple[Dict[str, bytes], float]":
-        """Timed core of the windowed batch APIs: run get (data=None) /
-        put jobs with bounded outstanding requests starting at ``now``;
-        return ``(results, last_completion)`` without touching the clock."""
-        width = window or self.parallel_window
-        inflight: "List[float]" = []  # min-heap of completion times
-        results: "Dict[str, bytes]" = {}
-        last_completion = now
-        for key, payload in jobs:
-            start = now
-            if len(inflight) >= width:
-                start = max(now, heapq.heappop(inflight))
-            if payload is None:
-                data, done = self.get_at(key, start)
-                results[key] = data
-            else:
-                done = self.put_at(key, payload, start,
-                                   bypass_breaker=bypass_breaker)
-            heapq.heappush(inflight, done)
-            last_completion = max(last_completion, done)
-        return results, last_completion
-
-    def _run_window(
-        self,
-        jobs: "Sequence[Tuple[str, Optional[bytes]]]",
-        window: "Optional[int]",
-        bypass_breaker: bool = False,
-    ) -> "Dict[str, bytes]":
-        """Run get (data=None) / put jobs with bounded outstanding requests."""
-        results, last_completion = self._run_window_at(
-            jobs, window, self.clock.now(), bypass_breaker=bypass_breaker
-        )
-        self.clock.advance_to(last_completion)
-        return results
-
-    # ------------------------------------------------------------------ #
-    # GET coalescing (adjacent-key runs become ranged multi-gets)
-    # ------------------------------------------------------------------ #
-
-    def _coalesce_runs(self, keys: "Sequence[str]") -> "List[List[str]]":
-        """Group object names into runs of adjacent 64-bit keys.
-
-        Names that do not parse as hashed page-object names (catalog
-        blobs, test fixtures) are returned as single-name runs.  Runs are
-        capped at ``coalesce_max_run`` so one lost range never stalls an
-        unbounded number of pages behind a retry.
-        """
-        from repro.storage.keys import object_key_from_name
-
-        parsed: "List[Tuple[int, str]]" = []
-        singles: "List[List[str]]" = []
-        for name in keys:
-            try:
-                parsed.append((object_key_from_name(name), name))
-            except ValueError:
-                singles.append([name])
-        parsed.sort()
-        runs: "List[List[str]]" = []
-        current: "List[str]" = []
-        previous_key: "Optional[int]" = None
-        for numeric, name in parsed:
-            if (current and previous_key is not None
-                    and numeric == previous_key + 1
-                    and len(current) < self.coalesce_max_run):
-                current.append(name)
-            else:
-                if current:
-                    runs.append(current)
-                current = [name]
-            previous_key = numeric
-        if current:
-            runs.append(current)
-        return runs + singles
-
-    def _get_range(self, names: "Sequence[str]",
-                   now: float) -> "Tuple[Dict[str, Optional[bytes]], float]":
-        """One ranged multi-get with retry on transient failures.
-
-        The range is a single store request: a transient failure fails
-        (and retries) the whole range.  Per-key "not yet visible" results
-        come back as ``None`` — the caller falls back to single GETs for
-        those, which carry the usual not-found retry schedule.  With
-        ``verify_reads`` on, keys whose payload fails its checksum are
-        demoted to ``None`` the same way (after a read-repair attempt):
-        the single-GET fallback carries the full verified-retry schedule.
-        """
-        anchor = names[0]
-        span = self.tracer.begin("get_range", "client", start=now,
-                                 key=anchor, count=len(names))
-        when = now
-        previous: "Optional[float]" = None
-        verified = (self.verify_reads
-                    and hasattr(self.store, "get_range_verified_at"))
-        try:
-            for attempt in range(1, self.policy.max_attempts + 1):
-                self._admit(anchor, when, bypass=False)
-                try:
-                    if verified:
-                        results, expectations, done = (
-                            self.store.get_range_verified_at(
-                                names, when, bandwidth=self.bandwidth,
-                                node=self.node_id,
-                            )
-                        )
-                        for name in names:
-                            data = results.get(name)
-                            if self._mismatched(data,
-                                                expectations.get(name)):
-                                self._bump("checksum_mismatches")
-                                self.tracer.record(
-                                    "verify", "checksum_mismatch",
-                                    when, done, key=name, attempt=attempt,
-                                )
-                                self._attempt_read_repair(name, done)
-                                results[name] = None
-                    else:
-                        results, done = self.store.get_range_at(
-                            names, when, bandwidth=self.bandwidth,
-                            node=self.node_id,
-                        )
-                except TransientRequestError as error:
-                    failed_at = error.failed_at  # type: ignore[attr-defined]
-                    self._note_failure(failed_at)
-                    self._bump("get_retries")
-                    previous = self._next_backoff(attempt, previous)
-                    when = failed_at + previous
-                    self.tracer.record("backoff", "retry", failed_at, when,
-                                       key=anchor, attempt=attempt)
-                    self._check_deadline(anchor, now, when, attempt)
-                    continue
-                self._note_success(done)
-                self.metrics.counter("coalesced_get_batches").increment()
-                self.metrics.counter("coalesced_get_keys").increment(
-                    len(names)
-                )
-                self.tracer.finish(span, end=done, attempts=attempt)
-                span = None
-                return results, done
-            raise RetriesExhaustedError(anchor, self.policy.max_attempts)
-        finally:
-            if span is not None:
-                self.tracer.finish(span, end=when, error="failed")
-
-    # ------------------------------------------------------------------ #
-    # PUT coalescing (adjacent fresh-key runs become ranged multi-puts)
-    # ------------------------------------------------------------------ #
-
-    def put_batch_at(self, items: "Sequence[Tuple[str, bytes]]", now: float,
-                     bypass_breaker: bool = False) -> float:
-        """One coalesced multi-key PUT; return the batch completion time.
-
-        The batch is a single store request billed as one PUT.  Transient
-        failures retry the *whole* range up to ``put_range_attempts``
-        times; after that the batch degrades to per-key single PUTs, each
-        carrying the full retry schedule — a lost range never strands its
-        pages behind an unbounded range-retry loop.  Never-write-twice is
-        preserved on both paths: every key in the run is fresh (checked
-        against the ledger up front), a failed range landed nothing, and
-        keys enter the ledger only after the store accepted them.
-        """
-        if not items:
-            raise ValueError("put_batch_at requires at least one item")
-        if self.enforce_unique_keys:
-            for key, __ in items:
-                if key in self._written_keys:
-                    raise OverwriteForbiddenError(key)
-        crash_point(CP_PUT_RANGE_BEFORE_REQUEST)
-        anchor = items[0][0]
-        total = sum(len(data) for __, data in items)
-        span = self.tracer.begin("put_range", "client", start=now,
-                                 key=anchor, count=len(items), nbytes=total)
-        when = now
-        previous: "Optional[float]" = None
-        try:
-            for attempt in range(1, self.put_range_attempts + 1):
-                self._admit(anchor, when, bypass_breaker)
-                try:
-                    done = self.store.put_range_at(items, when,
-                                                   bandwidth=self.bandwidth,
-                                                   node=self.node_id)
-                except TransientRequestError as error:
-                    failed_at = error.failed_at  # type: ignore[attr-defined]
-                    self._note_failure(failed_at)
-                    self._bump("put_retries")
-                    self._bump("put_range_retries")
-                    previous = self._next_backoff(attempt, previous)
-                    when = failed_at + previous
-                    self.tracer.record("backoff", "retry", failed_at, when,
-                                       key=anchor, attempt=attempt)
-                    continue
-                self._note_success(done)
-                if self.enforce_unique_keys:
-                    for key, __ in items:
-                        self._written_keys.add(key)
-                self.metrics.counter("coalesced_put_batches").increment()
-                self.metrics.counter("coalesced_put_keys").increment(
-                    len(items)
-                )
-                self.tracer.finish(span, end=done, attempts=attempt)
-                span = None
-                return done
-            # The range budget is spent: fall back to per-key PUTs (full
-            # retry schedule each) from the time the last attempt failed.
-            self.metrics.counter("put_range_fallbacks").increment()
-            __, last = self._run_window_at(
-                [(key, data) for key, data in items], len(items), when,
-                bypass_breaker=bypass_breaker,
-            )
-            self.tracer.finish(span, end=last, outcome="per_key_fallback")
-            span = None
-            return last
-        finally:
-            if span is not None:
-                self.tracer.finish(span, end=when, error="failed")
-
-    def put_many_at(
-        self, items: "Sequence[Tuple[str, bytes]]", now: float,
-        window: "Optional[int]" = None, bypass_breaker: bool = False,
-    ) -> float:
-        """Timed ``put_many``: upload starting at ``now``; return the last
-        completion time without advancing the clock.
-
-        With ``coalesce_puts`` enabled, runs of adjacent fresh keys are
-        packed into ranged multi-puts (capped at ``coalesce_max_run``);
-        each run occupies one slot of the request window, so the live
-        window bounds *requests* in flight, coalesced or not.
-        """
-        items = list(items)
-        names = [key for key, __ in items]
-        if not self.coalesce_puts or len(set(names)) != len(names):
-            __, last = self._run_window_at(items, window, now,
-                                           bypass_breaker=bypass_breaker)
-            return last
-        data_by_name = dict(items)
-        width = window or self.parallel_window
-        inflight: "List[float]" = []
-        last_completion = now
-        for run in self._coalesce_runs(names):
-            start = now
-            if len(inflight) >= width:
-                start = max(now, heapq.heappop(inflight))
-            if len(run) == 1:
-                done = self.put_at(run[0], data_by_name[run[0]], start,
-                                   bypass_breaker=bypass_breaker)
-            else:
-                done = self.put_batch_at(
-                    [(name, data_by_name[name]) for name in run], start,
-                    bypass_breaker=bypass_breaker,
-                )
-            heapq.heappush(inflight, done)
-            last_completion = max(last_completion, done)
-        return last_completion
-
-    def get_many_at(
-        self, keys: "Iterable[str]", now: float,
-        window: "Optional[int]" = None,
-    ) -> "Tuple[Dict[str, bytes], float]":
-        """Timed ``get_many``: fetch starting at ``now``; return
-        ``(results, last_completion)`` without advancing the clock.
-
-        With ``coalesce_gets`` enabled, runs of adjacent keys are served
-        by ranged multi-gets; each run occupies one slot of the request
-        window.
-        """
-        keys = list(keys)
-        if not self.coalesce_gets:
-            return self._run_window_at([(key, None) for key in keys],
-                                       window, now)
-        width = window or self.parallel_window
-        inflight: "List[float]" = []
-        results: "Dict[str, bytes]" = {}
-        last_completion = now
-        for run in self._coalesce_runs(keys):
-            start = now
-            if len(inflight) >= width:
-                start = max(now, heapq.heappop(inflight))
-            if len(run) == 1:
-                data, done = self.get_at(run[0], start)
-                results[run[0]] = data
-            else:
-                fetched, done = self._get_range(run, start)
-                for name in run:
-                    data = fetched.get(name)
-                    if data is None:
-                        # Not yet visible in the ranged read: fall back to
-                        # a single GET, which retries "no such key".
-                        data, single_done = self.get_at(name, done)
-                        done = max(done, single_done)
-                    results[name] = data
-            heapq.heappush(inflight, done)
-            last_completion = max(last_completion, done)
-        return results, last_completion
-
     def get_many(
         self, keys: "Iterable[str]", window: "Optional[int]" = None
     ) -> "Dict[str, bytes]":
         """Fetch many objects with up to ``window`` outstanding requests."""
-        keys = list(keys)
-        if self.coalesce_gets:
-            results, last_completion = self.get_many_at(
-                keys, self.clock.now(), window
-            )
-            self.clock.advance_to(last_completion)
-            return results
-        return self._run_window([(key, None) for key in keys], window)
+        results, done = self.get_many_at(keys, self.clock.now(), window)
+        self.clock.advance_to(done)
+        return results
 
     def put_many(
         self,
@@ -1019,30 +848,18 @@ class RetryingObjectClient:
         window: "Optional[int]" = None,
         bypass_breaker: bool = False,
     ) -> None:
-        jobs = [(key, data) for key, data in items]
-        if self.coalesce_puts:
-            last = self.put_many_at(jobs, self.clock.now(), window=window,
-                                    bypass_breaker=bypass_breaker)
-            self.clock.advance_to(last)
-            return
-        self._run_window(jobs, window, bypass_breaker=bypass_breaker)
+        self.clock.advance_to(self.put_many_at(
+            items, self.clock.now(), window=window,
+            bypass_breaker=bypass_breaker,
+        ))
 
     def delete_many(
         self, keys: "Iterable[str]", window: "Optional[int]" = None
     ) -> None:
         """Delete many objects in parallel (GC batches)."""
-        width = window or self.parallel_window
-        now = self.clock.now()
-        inflight: "List[float]" = []
-        last_completion = now
-        for key in keys:
-            start = now
-            if len(inflight) >= width:
-                start = max(now, heapq.heappop(inflight))
-            done = self.delete_at(key, start)
-            heapq.heappush(inflight, done)
-            last_completion = max(last_completion, done)
-        self.clock.advance_to(last_completion)
+        self.clock.advance_to(
+            self._windowed(keys, window, self.clock.now(), self.delete_at)
+        )
 
     def was_written(self, key: str) -> bool:
         """Whether this client wrote ``key`` (never-write-twice ledger)."""

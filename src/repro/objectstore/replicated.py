@@ -46,7 +46,7 @@ from repro.objectstore.faults import (
     NO_FAULT,
     OutageWindow,
 )
-from repro.objectstore.s3sim import SimulatedObjectStore
+from repro.objectstore.s3sim import SimulatedObjectStore, run_and_advance
 from repro.sim.clock import VirtualClock
 from repro.sim.crashpoints import crash_point, register_crash_point
 from repro.sim.metrics import MetricsRegistry
@@ -507,14 +507,6 @@ class ReplicatedObjectStore:
     # timed store API: pump, delegate to the primary, enqueue on ack
     # ------------------------------------------------------------------ #
 
-    def put_at(self, key: str, data: bytes, now: float,
-               bandwidth: "Optional[Pipe]" = None,
-               node: "Optional[str]" = None) -> float:
-        self.pump(now)
-        done = self.primary.put_at(key, data, now, bandwidth, node)
-        self._enqueue(key, data, op_time=done)
-        return done
-
     def put_range_at(self, items: "Sequence[Tuple[str, bytes]]", now: float,
                      bandwidth: "Optional[Pipe]" = None,
                      node: "Optional[str]" = None) -> float:
@@ -524,29 +516,11 @@ class ReplicatedObjectStore:
             self._enqueue(key, data, op_time=done)
         return done
 
-    def try_get_at(self, key: str, now: float,
-                   bandwidth: "Optional[Pipe]" = None,
-                   node: "Optional[str]" = None):
-        self.pump(now)
-        return self.primary.try_get_at(key, now, bandwidth, node)
-
     def get_range_at(self, keys: "Sequence[str]", now: float,
                      bandwidth: "Optional[Pipe]" = None,
                      node: "Optional[str]" = None):
         self.pump(now)
         return self.primary.get_range_at(keys, now, bandwidth, node)
-
-    def try_get_verified_at(self, key: str, now: float,
-                            bandwidth: "Optional[Pipe]" = None,
-                            node: "Optional[str]" = None):
-        self.pump(now)
-        return self.primary.try_get_verified_at(key, now, bandwidth, node)
-
-    def get_range_verified_at(self, keys: "Sequence[str]", now: float,
-                              bandwidth: "Optional[Pipe]" = None,
-                              node: "Optional[str]" = None):
-        self.pump(now)
-        return self.primary.get_range_verified_at(keys, now, bandwidth, node)
 
     def delete_at(self, key: str, now: float,
                   node: "Optional[str]" = None) -> float:
@@ -565,28 +539,14 @@ class ReplicatedObjectStore:
     # ------------------------------------------------------------------ #
 
     def put(self, key: str, data: bytes) -> None:
-        try:
-            done = self.put_at(key, data, self.clock.now())
-        except Exception as error:
-            failed_at = getattr(error, "failed_at", None)
-            if failed_at is not None:
-                self.clock.advance_to(failed_at)
-            raise
-        self.clock.advance_to(done)
+        run_and_advance(self.clock, self.put_range_at, [(key, data)])
 
     def get(self, key: str) -> bytes:
         self.pump(self.clock.now())
         return self.primary.get(key)
 
     def delete(self, key: str) -> None:
-        try:
-            done = self.delete_at(key, self.clock.now())
-        except Exception as error:
-            failed_at = getattr(error, "failed_at", None)
-            if failed_at is not None:
-                self.clock.advance_to(failed_at)
-            raise
-        self.clock.advance_to(done)
+        run_and_advance(self.clock, self.delete_at, key)
 
     def exists(self, key: str) -> bool:
         self.pump(self.clock.now())

@@ -17,14 +17,16 @@ an in-memory version history:
 - every accepted PUT records the CRC-32C of the *intended* payload (the
   store's ETag) keyed by version op-time; scheduled corruption events
   (:class:`~repro.objectstore.faults.BitRot` and friends) damage the
-  stored or served bytes *without* touching that record, so verified
-  readers (``try_get_verified_at``), the background scrubber and
-  ``repro fsck --deep`` can detect — and under replication repair — the
-  damage.
+  stored or served bytes *without* touching that record, so verifying
+  readers (every GET result carries the expected checksum), the background
+  scrubber and ``repro fsck --deep`` can detect — and under replication
+  repair — the damage.
 
-Two APIs are exposed: the *timed* API (``put_at``/``try_get_at``/...)
-returns virtual completion times and never touches the clock — the engine's
-I/O scheduler uses it to model parallel requests — and the plain
+Two APIs are exposed: the *timed* API — one batch-first method per verb
+(``put_range_at``/``get_range_at``/``delete_at``/``exists_at``; a single
+request is a batch of one) — returns virtual completion times and never
+touches the clock — the engine's I/O scheduler uses it to model parallel
+requests — and the plain
 :class:`~repro.objectstore.base.ObjectStore` API which advances the shared
 clock to each operation's completion (convenient in tests and examples).
 """
@@ -89,13 +91,44 @@ class TransientRequestError(Exception):
 
     ``kind`` distinguishes the failure source: ``"transient"`` for the
     profile's uniform background rate, ``"outage"``/``"storm"`` for
-    scheduled fault events.
+    scheduled fault events.  ``failed_at`` is the virtual time the failed
+    attempt completed (it was still billed and still took time).
     """
 
-    def __init__(self, key: str, kind: str = "transient") -> None:
+    def __init__(self, key: str, kind: str = "transient",
+                 failed_at: float = 0.0) -> None:
         super().__init__(f"{kind} failure on key {key!r}")
         self.key = key
         self.kind = kind
+        self.failed_at = failed_at
+
+
+# verb -> (token-bucket class, profile latency, billing class, stream of
+# the background failure draw).  Delete/HEAD failures draw from their own
+# substream so they never perturb the put/get draws of an existing run.
+_VERBS = {
+    "put": ("put", "put_latency", "puts", "_failure_rng"),
+    "get": ("get", "get_latency", "gets", "_failure_rng"),
+    "delete": ("put", "delete_latency", "deletes", "_aux_failure_rng"),
+    "head": ("get", "get_latency", "gets", "_aux_failure_rng"),
+}
+
+
+def run_and_advance(clock: VirtualClock, timed, *args):
+    """Run one timed request at ``clock.now()`` and advance the clock to
+    its completion — or, on a transient failure, to ``failed_at``.
+
+    ``timed`` returns either a completion time or ``(value, completion)``;
+    the value (``None`` for the former) is returned.
+    """
+    try:
+        outcome = timed(*args, clock.now())
+    except TransientRequestError as error:
+        clock.advance_to(error.failed_at)
+        raise
+    value, done = outcome if isinstance(outcome, tuple) else (None, outcome)
+    clock.advance_to(done)
+    return value
 
 
 class SimulatedObjectStore(ObjectStore):
@@ -137,10 +170,6 @@ class SimulatedObjectStore(ObjectStore):
         # key -> {version op_time -> CRC-32C of the *intended* payload},
         # recorded at PUT admission before any at-rest damage is applied.
         self._checksums: "Dict[str, Dict[float, int]]" = {}
-        # Expected checksum(s) of the last GET's served version(s);
-        # read back by the *_verified_at wrappers.
-        self._served_checksum: "Optional[int]" = None
-        self._served_checksums: "Dict[str, Optional[int]]" = {}
         self._prefix_put_buckets: Dict[str, TokenBucket] = {}
         self._prefix_get_buckets: Dict[str, TokenBucket] = {}
 
@@ -152,35 +181,20 @@ class SimulatedObjectStore(ObjectStore):
     def _prefix(key: str) -> str:
         return key.split("/", 1)[0]
 
-    def _put_bucket(self, prefix: str) -> TokenBucket:
-        if prefix not in self._prefix_put_buckets:
-            rate = self.profile.per_prefix_put_rate
-            self._prefix_put_buckets[prefix] = TokenBucket(
-                rate, rate, name=f"put/{prefix}"
-            )
-        return self._prefix_put_buckets[prefix]
-
-    def _get_bucket(self, prefix: str) -> TokenBucket:
-        if prefix not in self._prefix_get_buckets:
-            rate = self.profile.per_prefix_get_rate
-            self._prefix_get_buckets[prefix] = TokenBucket(
-                rate, rate, name=f"get/{prefix}"
-            )
-        return self._prefix_get_buckets[prefix]
+    def _bucket(self, kind: str, prefix: str) -> TokenBucket:
+        """The per-prefix token bucket of one request class (put/get)."""
+        buckets = (self._prefix_put_buckets if kind == "put"
+                   else self._prefix_get_buckets)
+        if prefix not in buckets:
+            rate = (self.profile.per_prefix_put_rate if kind == "put"
+                    else self.profile.per_prefix_get_rate)
+            buckets[prefix] = TokenBucket(rate, rate, name=f"{kind}/{prefix}")
+        return buckets[prefix]
 
     def _jittered(self, latency: float) -> float:
         if self.profile.latency_jitter <= 0:
             return latency
         return latency * self._jitter_rng.lognormal(0.0, self.profile.latency_jitter)
-
-    def _transient_failure(self) -> bool:
-        p = self.profile.transient_failure_probability
-        return p > 0 and self._failure_rng.random() < p
-
-    def _aux_transient_failure(self) -> bool:
-        """Background failure draw for delete/HEAD (own substream)."""
-        p = self.profile.transient_failure_probability
-        return p > 0 and self._aux_failure_rng.random() < p
 
     def _consult_schedule(self, op: str, key: str, now: float,
                           node: "Optional[str]") -> FaultDecision:
@@ -212,10 +226,6 @@ class SimulatedObjectStore(ObjectStore):
         """Record a version's clean checksum (replication applies use this
         to preserve the primary's checksum verbatim)."""
         self._checksums.setdefault(key, {})[op_time] = value
-
-    def _record_payload_checksum(self, key: str, op_time: float,
-                                 payload: bytes) -> None:
-        self._checksums.setdefault(key, {})[op_time] = crc32c(payload)
 
     def _checksum_for(self, key: str, op_time: float,
                       data: "Optional[bytes]") -> "Optional[int]":
@@ -354,115 +364,90 @@ class SimulatedObjectStore(ObjectStore):
         self.tracer.record(op, "store", start, end, **attrs)
 
     # ------------------------------------------------------------------ #
-    # timed API (never advances the clock)
+    # timed API (never advances the clock): one batch-first method per verb
     # ------------------------------------------------------------------ #
 
-    def put_at(self, key: str, data: bytes, now: float,
-               bandwidth: "Optional[Pipe]" = None,
-               node: "Optional[str]" = None) -> float:
-        """Upload ``data``; return virtual completion time.
+    def _begin_request(self, op: str, keys: "Sequence[str]", now: float,
+                       node: "Optional[str]",
+                       upload: "Optional[Tuple[Pipe, int]]" = None,
+                       ) -> "Tuple[FaultDecision, float]":
+        """The prologue every request shares; returns ``(fault, ready)``.
 
-        ``bandwidth`` lets a caller route the transfer through its own NIC
-        pipe (multiplex nodes each have one); the store's default pipe is
-        used otherwise.  ``node`` tags the request for node-scoped fault
-        events.  Raises :class:`TransientRequestError` on a (simulated)
-        retryable failure; the failed attempt is still billed and still
-        takes time — the error carries the completion time in its
-        ``failed_at`` attribute.
+        Fault schedule → per-prefix token bucket → (PUT only) upload
+        transfer → jittered latency → request counters → billing →
+        failure draw.  The schedule, the bucket, the latency, the bill and
+        the failure draw all apply *once*, to the first key of the batch.
+        ``ready`` is when the store answers.  A (simulated) retryable failure raises :class:`TransientRequestError`
+        — the failed attempt is still billed and still takes time, which
+        the error carries in ``failed_at``.
         """
-        if not isinstance(data, (bytes, bytearray)):
-            raise TypeError(f"object data must be bytes, got {type(data)!r}")
-        fault = self._consult_schedule("put", key, now, node)
-        start = self._put_bucket(self._prefix(key)).request(
+        bucket, latency, billed, failure_rng = _VERBS[op]
+        anchor = keys[0]
+        name = op if len(keys) == 1 else f"{op}_range"
+        fault = self._consult_schedule(op, anchor, now, node)
+        start = self._bucket(bucket, self._prefix(anchor)).request(
             now, 1.0 / fault.throttle_factor
         )
-        __, uploaded = (bandwidth or self._bandwidth).request(start, float(len(data)))
-        completion = uploaded + (
-            self._jittered(self.profile.put_latency) * fault.latency_multiplier
+        nbytes = 0
+        if upload is not None:
+            pipe, nbytes = upload
+            __, start = pipe.request(start, float(nbytes))
+        ready = start + (
+            self._jittered(getattr(self.profile, latency))
+            * fault.latency_multiplier
         )
-        self.metrics.counter("put_requests").increment()
-        self.metrics.counter("put_bytes").increment(len(data))
-        # Recorded at transfer completion: the bandwidth curve then shows
-        # what the pipe actually sustained (Figure 8).
-        self.metrics.series("net_bytes").record(uploaded, len(data))
-        self._record_requests(puts=1)
+        self.metrics.counter(f"{op}_requests").increment()
+        if len(keys) > 1:
+            self.metrics.counter(f"ranged_{op}_requests").increment()
+            self.metrics.counter(f"ranged_{op}_keys").increment(len(keys))
+        if upload is not None:
+            self.metrics.counter("put_bytes").increment(nbytes)
+            # Recorded at transfer completion: the bandwidth curve then
+            # shows what the pipe actually sustained (Figure 8).
+            self.metrics.series("net_bytes").record(start, nbytes)
+        self._record_requests(**{billed: 1})
         kind = self._scheduled_failure(fault)
-        if kind is None and self._transient_failure():
+        p = self.profile.transient_failure_probability
+        if kind is None and p > 0 and getattr(self, failure_rng).random() < p:
             kind = "transient"
-        self._trace_request("put", key, now, completion,
-                            nbytes=len(data), fault=kind, puts=1)
+        # A successful GET ends after its download; get_range_at records it.
+        if kind is not None or op != "get":
+            self._trace_request(name, anchor, now, ready, nbytes=nbytes,
+                                fault=kind, **{billed: 1})
         if kind is not None:
-            error = TransientRequestError(key, kind=kind)
-            error.failed_at = completion  # type: ignore[attr-defined]
-            raise error
-        lag = self.profile.consistency.sample_lag(self._lag_rng)
-        if lag > 0:
-            self.metrics.counter("delayed_visibility_puts").increment()
-        versioned = self._objects.setdefault(key, VersionedObject())
-        if versioned.latest_data() is not None:
-            self.metrics.counter("overwrites").increment()
-        payload = bytes(data)
-        # The checksum of the *intended* payload is recorded at admission
-        # — before any scheduled corruption damages the stored bytes —
-        # exactly like a real store's ETag.
-        self._record_payload_checksum(key, completion, payload)
-        if fault.corrupting:
-            payload = self._corrupt_stored(payload, fault)
-        versioned.add_version(completion + lag, payload,
-                              op_time=completion)
-        return completion
+            raise TransientRequestError(anchor, kind=kind, failed_at=ready)
+        return fault, ready
 
     def put_range_at(self, items: "Sequence[Tuple[str, bytes]]", now: float,
                      bandwidth: "Optional[Pipe]" = None,
                      node: "Optional[str]" = None) -> float:
-        """Upload a run of adjacent keys as ONE billed multipart-style PUT.
+        """Upload ``[(key, data)]`` as ONE billed PUT; return completion time.
 
-        The write-side mirror of :meth:`get_range_at`: the coalescing
-        client (``coalesce_puts``) packs runs of freshly keyed pages into
-        a single request — one token against the first key's per-prefix
-        PUT bucket, one request latency, one billed PUT, with the fault
-        schedule, failure draw and throttling applying once to the whole
-        batch.  Transfer time is charged for the combined payload.  A
+        A single item is a plain PUT.  A run of adjacent keys (the
+        coalescing client's ``coalesce_puts``) is a multipart-style request:
+        one token against the first key's per-prefix bucket, one request
+        latency, one billed PUT, transfer time for the combined payload.  A
         failure means *nothing* landed (the request never completed), so
         the client's per-key fallback cannot double-write.  On success
-        every key gets its own visibility lag draw, exactly as if it had
-        been PUT alone.  Returns the completion time.
+        every key gets its own visibility lag draw.
+
+        ``bandwidth`` lets a caller route the transfer through its own NIC
+        pipe (multiplex nodes each have one); the store's default pipe is
+        used otherwise.  ``node`` tags the request for node-scoped fault
+        events.
         """
         if not items:
             raise ValueError("put_range_at requires at least one item")
-        anchor = items[0][0]
-        total = 0
-        for key, data in items:
+        for __, data in items:
             if not isinstance(data, (bytes, bytearray)):
                 raise TypeError(
                     f"object data must be bytes, got {type(data)!r}"
                 )
-            total += len(data)
-        fault = self._consult_schedule("put", anchor, now, node)
-        start = self._put_bucket(self._prefix(anchor)).request(
-            now, 1.0 / fault.throttle_factor
+        total = sum(len(data) for __, data in items)
+        fault, completion = self._begin_request(
+            "put", [key for key, __ in items], now, node,
+            upload=(bandwidth or self._bandwidth, total),
         )
-        __, uploaded = (bandwidth or self._bandwidth).request(
-            start, float(total)
-        )
-        completion = uploaded + (
-            self._jittered(self.profile.put_latency) * fault.latency_multiplier
-        )
-        self.metrics.counter("put_requests").increment()
-        self.metrics.counter("ranged_put_requests").increment()
-        self.metrics.counter("ranged_put_keys").increment(len(items))
-        self.metrics.counter("put_bytes").increment(total)
-        self.metrics.series("net_bytes").record(uploaded, total)
-        self._record_requests(puts=1)
-        kind = self._scheduled_failure(fault)
-        if kind is None and self._transient_failure():
-            kind = "transient"
-        self._trace_request("put_range", anchor, now, completion,
-                            nbytes=total, fault=kind, puts=1)
-        if kind is not None:
-            error = TransientRequestError(anchor, kind=kind)
-            error.failed_at = completion  # type: ignore[attr-defined]
-            raise error
         for key, data in items:
             lag = self.profile.consistency.sample_lag(self._lag_rng)
             if lag > 0:
@@ -471,109 +456,40 @@ class SimulatedObjectStore(ObjectStore):
             if versioned.latest_data() is not None:
                 self.metrics.counter("overwrites").increment()
             payload = bytes(data)
-            self._record_payload_checksum(key, completion, payload)
+            # The checksum of the *intended* payload is recorded at
+            # admission — before any scheduled corruption damages the
+            # stored bytes — exactly like a real store's ETag.
+            self.record_checksum(key, completion, crc32c(payload))
             if fault.corrupting:
                 payload = self._corrupt_stored(payload, fault)
             versioned.add_version(completion + lag, payload,
                                   op_time=completion)
         return completion
 
-    def try_get_at(self, key: str, now: float,
-                   bandwidth: "Optional[Pipe]" = None,
-                   node: "Optional[str]" = None) -> "Tuple[Optional[bytes], float]":
-        """Attempt a read; return ``(data_or_None, completion_time)``.
+    def get_range_at(
+        self, keys: "Sequence[str]", now: float,
+        bandwidth: "Optional[Pipe]" = None, node: "Optional[str]" = None,
+    ) -> "Tuple[Dict[str, Tuple[Optional[bytes], Optional[int]]], float]":
+        """Serve ``[key]`` as ONE billed GET.
 
-        ``None`` data means the object is not visible at service time — the
-        eventually-consistent "no such key" case.  Stale reads (possible only
-        for overwritten keys) return the stale bytes and bump a counter.
-        """
-        self._served_checksum = None
-        fault = self._consult_schedule("get", key, now, node)
-        start = self._get_bucket(self._prefix(key)).request(
-            now, 1.0 / fault.throttle_factor
-        )
-        served_at = start + (
-            self._jittered(self.profile.get_latency) * fault.latency_multiplier
-        )
-        self.metrics.counter("get_requests").increment()
-        self._record_requests(gets=1)
-        kind = self._scheduled_failure(fault)
-        if kind is None and self._transient_failure():
-            kind = "transient"
-        if kind is not None:
-            self._trace_request("get", key, now, served_at,
-                                fault=kind, gets=1)
-            error = TransientRequestError(key, kind=kind)
-            error.failed_at = served_at  # type: ignore[attr-defined]
-            raise error
-        versioned = self._objects.get(key)
-        version = (self._visible_version(versioned, served_at)
-                   if versioned is not None else None)
-        data = version[2] if version is not None else None
-        if data is None:
-            self.metrics.counter("get_misses").increment()
-            self._trace_request("get", key, now, served_at,
-                                fault="not_visible", gets=1)
-            return None, served_at
-        if versioned is not None and versioned.is_stale_read(served_at):
-            self.metrics.counter("stale_reads").increment()
-        # The checksum the store *advertises* is the visible version's
-        # (its ETag) — corruption below changes the bytes, not the ETag,
-        # which is precisely what a verified reader detects.
-        self._served_checksum = self._checksum_for(key, version[0], data)
-        if fault.corrupting:
-            data = self._corrupt_served(versioned, version[0], data, fault)
-        __, downloaded = (bandwidth or self._bandwidth).request(
-            served_at, float(len(data))
-        )
-        self.metrics.counter("get_bytes").increment(len(data))
-        self.metrics.series("net_bytes").record(downloaded, len(data))
-        self._trace_request("get", key, now, downloaded,
-                            nbytes=len(data), gets=1)
-        return data, downloaded
-
-    def get_range_at(self, keys: "Sequence[str]", now: float,
-                     bandwidth: "Optional[Pipe]" = None,
-                     node: "Optional[str]" = None,
-                     ) -> "Tuple[Dict[str, Optional[bytes]], float]":
-        """Serve a ranged multi-get of adjacent keys as ONE billed request.
-
-        The coalescing client (``coalesce_gets``) batches runs of adjacent
-        64-bit page keys into a single request: one token against the first
-        key's per-prefix GET bucket, one request latency, one billed GET —
-        the fault schedule, failure draw and throttling all apply once, to
-        the whole range (a transient failure fails, and later retries, the
-        entire range).  Per-key visibility still applies: keys not visible
-        at service time come back as ``None`` (the client falls back to
-        single GETs for those).  Transfer time is charged for the combined
-        visible payload.  Returns ``({key: data_or_None}, completion)``.
+        Returns ``({key: (data_or_None, expected_crc)}, completion)``.  A
+        single key is a plain GET; a run of adjacent keys (the coalescing
+        client's ``coalesce_gets``) is a ranged multi-get — a transient
+        failure fails, and later retries, the entire range.  Visibility is
+        per key: ``None`` data means the object is not visible at service
+        time, the eventually-consistent "no such key" case.  Stale reads
+        (possible only for overwritten keys) return the stale bytes and
+        bump a counter.  ``expected_crc`` is the checksum the store
+        *advertises* for the served version (its ETag): corruption changes
+        the bytes, not the ETag, which is what a verifying caller detects
+        by comparing ``crc32c(data)`` against it.  Transfer time is charged
+        for the combined visible payload.
         """
         if not keys:
             raise ValueError("get_range_at requires at least one key")
-        anchor = keys[0]
-        fault = self._consult_schedule("get", anchor, now, node)
-        start = self._get_bucket(self._prefix(anchor)).request(
-            now, 1.0 / fault.throttle_factor
-        )
-        served_at = start + (
-            self._jittered(self.profile.get_latency) * fault.latency_multiplier
-        )
-        self.metrics.counter("get_requests").increment()
-        self.metrics.counter("ranged_get_requests").increment()
-        self.metrics.counter("ranged_get_keys").increment(len(keys))
-        self._record_requests(gets=1)
-        kind = self._scheduled_failure(fault)
-        if kind is None and self._transient_failure():
-            kind = "transient"
-        if kind is not None:
-            self._trace_request("get_range", anchor, now, served_at,
-                                fault=kind, gets=1)
-            error = TransientRequestError(anchor, kind=kind)
-            error.failed_at = served_at  # type: ignore[attr-defined]
-            raise error
-        results: "Dict[str, Optional[bytes]]" = {}
-        self._served_checksums = {}
-        total = 0
+        fault, served_at = self._begin_request("get", keys, now, node)
+        results: "Dict[str, Tuple[Optional[bytes], Optional[int]]]" = {}
+        served = total = 0
         for key in keys:
             versioned = self._objects.get(key)
             version = (self._visible_version(versioned, served_at)
@@ -581,52 +497,48 @@ class SimulatedObjectStore(ObjectStore):
             data = version[2] if version is not None else None
             if data is None:
                 self.metrics.counter("get_misses").increment()
-                results[key] = None
-                self._served_checksums[key] = None
+                results[key] = (None, None)
                 continue
             if versioned.is_stale_read(served_at):
                 self.metrics.counter("stale_reads").increment()
-            self._served_checksums[key] = self._checksum_for(
-                key, version[0], data
-            )
+            expected = self._checksum_for(key, version[0], data)
             if fault.corrupting:
                 data = self._corrupt_served(versioned, version[0], data, fault)
-            results[key] = data
+            results[key] = (data, expected)
+            served += 1
             total += len(data)
         completion = served_at
-        if total:
-            __, downloaded = (bandwidth or self._bandwidth).request(
+        if served:
+            __, completion = (bandwidth or self._bandwidth).request(
                 served_at, float(total)
             )
             self.metrics.counter("get_bytes").increment(total)
-            self.metrics.series("net_bytes").record(downloaded, total)
-            completion = downloaded
-        self._trace_request("get_range", anchor, now, completion,
-                            nbytes=total, gets=1)
+            self.metrics.series("net_bytes").record(completion, total)
+        self._trace_request(
+            "get" if len(keys) == 1 else "get_range", keys[0], now,
+            completion, nbytes=total, gets=1,
+            fault="not_visible" if len(keys) == 1 and not served else None,
+        )
         return results, completion
 
-    def try_get_verified_at(self, key: str, now: float,
-                            bandwidth: "Optional[Pipe]" = None,
-                            node: "Optional[str]" = None,
-                            ) -> "Tuple[Optional[bytes], Optional[int], float]":
-        """:meth:`try_get_at` plus the served version's expected checksum.
+    def delete_at(self, key: str, now: float,
+                  node: "Optional[str]" = None) -> float:
+        """Delete (tombstone) the object; return completion time."""
+        __, completion = self._begin_request("delete", [key], now, node)
+        lag = self.profile.consistency.sample_lag(self._lag_rng)
+        versioned = self._objects.get(key)
+        if versioned is not None and versioned.latest_data() is not None:
+            versioned.add_version(completion + lag, None,
+                                  op_time=completion)
+        return completion
 
-        Returns ``(data_or_None, expected_crc_or_None, completion)``.  The
-        caller compares ``crc32c(data)`` against the expected value; a
-        mismatch means the bytes were damaged in flight or at rest.
-        """
-        data, completion = self.try_get_at(key, now,
-                                           bandwidth=bandwidth, node=node)
-        return data, self._served_checksum, completion
-
-    def get_range_verified_at(self, keys: "Sequence[str]", now: float,
-                              bandwidth: "Optional[Pipe]" = None,
-                              node: "Optional[str]" = None,
-                              ) -> "Tuple[Dict[str, Optional[bytes]], Dict[str, Optional[int]], float]":
-        """:meth:`get_range_at` plus per-key expected checksums."""
-        results, completion = self.get_range_at(keys, now,
-                                                bandwidth=bandwidth, node=node)
-        return results, dict(self._served_checksums), completion
+    def exists_at(self, key: str, now: float,
+                  node: "Optional[str]" = None) -> "Tuple[bool, float]":
+        """HEAD-style visibility probe; billed as a GET."""
+        __, served_at = self._begin_request("head", [key], now, node)
+        versioned = self._objects.get(key)
+        visible = versioned is not None and versioned.visible_data(served_at) is not None
+        return visible, served_at
 
     # ------------------------------------------------------------------ #
     # repair surface (scrubber / read-repair / deep audit)
@@ -703,102 +615,25 @@ class SimulatedObjectStore(ObjectStore):
         versioned._versions[idx] = (op_time, visible_at, bytes(damaged))
         return True
 
-    def delete_at(self, key: str, now: float,
-                  node: "Optional[str]" = None) -> float:
-        """Delete (tombstone) the object; return completion time.
-
-        Like writes, deletes can fail transiently (background rate or a
-        scheduled fault); the error carries ``failed_at``.
-        """
-        fault = self._consult_schedule("delete", key, now, node)
-        start = self._put_bucket(self._prefix(key)).request(
-            now, 1.0 / fault.throttle_factor
-        )
-        completion = start + (
-            self._jittered(self.profile.delete_latency) * fault.latency_multiplier
-        )
-        self.metrics.counter("delete_requests").increment()
-        self._record_requests(deletes=1)
-        kind = self._scheduled_failure(fault)
-        if kind is None and self._aux_transient_failure():
-            kind = "transient"
-        self._trace_request("delete", key, now, completion,
-                            fault=kind, deletes=1)
-        if kind is not None:
-            error = TransientRequestError(key, kind=kind)
-            error.failed_at = completion  # type: ignore[attr-defined]
-            raise error
-        lag = self.profile.consistency.sample_lag(self._lag_rng)
-        versioned = self._objects.get(key)
-        if versioned is not None and versioned.latest_data() is not None:
-            versioned.add_version(completion + lag, None,
-                                  op_time=completion)
-        return completion
-
-    def exists_at(self, key: str, now: float,
-                  node: "Optional[str]" = None) -> "Tuple[bool, float]":
-        """HEAD-style visibility probe; billed as a GET."""
-        fault = self._consult_schedule("head", key, now, node)
-        start = self._get_bucket(self._prefix(key)).request(
-            now, 1.0 / fault.throttle_factor
-        )
-        served_at = start + (
-            self._jittered(self.profile.get_latency) * fault.latency_multiplier
-        )
-        self.metrics.counter("head_requests").increment()
-        self._record_requests(gets=1)
-        kind = self._scheduled_failure(fault)
-        if kind is None and self._aux_transient_failure():
-            kind = "transient"
-        self._trace_request("head", key, now, served_at,
-                            fault=kind, gets=1)
-        if kind is not None:
-            error = TransientRequestError(key, kind=kind)
-            error.failed_at = served_at  # type: ignore[attr-defined]
-            raise error
-        versioned = self._objects.get(key)
-        visible = versioned is not None and versioned.visible_data(served_at) is not None
-        return visible, served_at
-
     # ------------------------------------------------------------------ #
     # plain ObjectStore API (advances the shared clock)
     # ------------------------------------------------------------------ #
 
     def put(self, key: str, data: bytes) -> None:
-        try:
-            done = self.put_at(key, data, self.clock.now())
-        except TransientRequestError as error:
-            self.clock.advance_to(error.failed_at)  # type: ignore[attr-defined]
-            raise
-        self.clock.advance_to(done)
+        run_and_advance(self.clock, self.put_range_at, [(key, data)])
 
     def get(self, key: str) -> bytes:
-        try:
-            data, done = self.try_get_at(key, self.clock.now())
-        except TransientRequestError as error:
-            self.clock.advance_to(error.failed_at)  # type: ignore[attr-defined]
-            raise
-        self.clock.advance_to(done)
+        results = run_and_advance(self.clock, self.get_range_at, [key])
+        data, __ = results[key]
         if data is None:
             raise NoSuchKeyError(key)
         return data
 
     def delete(self, key: str) -> None:
-        try:
-            done = self.delete_at(key, self.clock.now())
-        except TransientRequestError as error:
-            self.clock.advance_to(error.failed_at)  # type: ignore[attr-defined]
-            raise
-        self.clock.advance_to(done)
+        run_and_advance(self.clock, self.delete_at, key)
 
     def exists(self, key: str) -> bool:
-        try:
-            visible, done = self.exists_at(key, self.clock.now())
-        except TransientRequestError as error:
-            self.clock.advance_to(error.failed_at)  # type: ignore[attr-defined]
-            raise
-        self.clock.advance_to(done)
-        return visible
+        return run_and_advance(self.clock, self.exists_at, key)
 
     def list_keys(self, prefix: str = "") -> "Iterator[str]":
         now = self.clock.now()

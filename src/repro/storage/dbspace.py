@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
+)
 
 from repro.blockstore.device import BlockDevice
 from repro.blockstore.freelist import Freelist
 from repro.checksum import open_page, seal_page
-from repro.objectstore.client import RetryingObjectClient
 from repro.sim.crashpoints import crash_point, register_crash_point
 from repro.storage.keys import hashed_object_name, object_key_from_name
 from repro.storage.locator import (
@@ -33,6 +34,9 @@ from repro.storage.locator import (
     is_object_key,
     make_block_locator,
 )
+
+if TYPE_CHECKING:  # the client imports storage.keys: no import at run time
+    from repro.objectstore.client import RetryingObjectClient
 
 CP_WRITE_PAGE_BEFORE_PUT = register_crash_point(
     "dbspace.write_page.before_put",

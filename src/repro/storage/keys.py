@@ -12,7 +12,11 @@ original 64-bit key is recoverable from the name (used by GC polling).
 
 from __future__ import annotations
 
+from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+
 from repro.storage.locator import OBJECT_KEY_BASE
+
+T = TypeVar("T")
 
 _MASK64 = (1 << 64) - 1
 
@@ -52,3 +56,38 @@ def object_key_from_name(name: str) -> int:
     if not OBJECT_KEY_BASE <= key < (1 << 64):
         raise ValueError(f"name {name!r} does not carry a valid object key")
     return key
+
+
+def group_adjacent(items: "Sequence[T]", max_run: int,
+                   name: "Optional[Callable[[T], str]]" = None,
+                   ) -> "List[List[T]]":
+    """Group items into runs of adjacent 64-bit keys, at most ``max_run`` long.
+
+    Bulk loads consume monotonically sequential keys, so a scan's reads and
+    a transaction's write-back queue are dominated by adjacency runs; each
+    run can travel as one ranged request.  ``name(item)`` is the item's
+    object name (default: the item itself).  Runs come back in key order;
+    items whose names do not carry a key (catalog blobs, test fixtures)
+    follow as singleton runs, in input order.
+    """
+    keyed: "List[Tuple[int, T]]" = []
+    singles: "List[List[T]]" = []
+    for item in items:
+        try:
+            keyed.append(
+                (object_key_from_name(item if name is None else name(item)),
+                 item)
+            )
+        except ValueError:
+            singles.append([item])
+    keyed.sort(key=lambda pair: pair[0])
+    runs: "List[List[T]]" = []
+    previous_key: "Optional[int]" = None
+    for key, item in keyed:
+        if (runs and key == previous_key + 1
+                and len(runs[-1]) < max_run):
+            runs[-1].append(item)
+        else:
+            runs.append([item])
+        previous_key = key
+    return runs + singles

@@ -103,7 +103,7 @@ def test_chaos_bitrot_scenario_detects_everything():
     """The CLI-level acceptance gate: a seeded bitrot run over a
     3-region store finishes with zero silent mismatches and zero
     unrepairable corrupt reads."""
-    from repro.cli import run_chaos_scenario
+    from repro.bench.chaos import run_chaos_scenario
 
     result = run_chaos_scenario("bitrot", seed=0, regions=3)
     assert result["verify_reads"] is True
@@ -113,7 +113,7 @@ def test_chaos_bitrot_scenario_detects_everything():
 
 
 def test_scrub_scenario_repairs_and_deep_fsck_is_clean():
-    from repro.cli import run_scrub_scenario
+    from repro.bench.scrub import run_scrub_scenario
 
     result = run_scrub_scenario(seed=3, regions=3, damage=5, flips=2)
     assert result["damaged"] == 5

@@ -10,7 +10,7 @@ registry and the rendered report.
 
 import pytest
 
-from repro.cli import run_chaos_scenario
+from repro.bench.chaos import run_chaos_scenario
 from repro.sim.metrics import labeled_histograms, merged_histogram
 
 

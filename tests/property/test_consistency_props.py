@@ -47,10 +47,11 @@ def test_unique_keys_never_yield_wrong_data(seed, lag_probability,
     written = {}
     for serial, (__, data) in enumerate(writes):
         key = f"k/{serial}"  # never reused
-        store.put_at(key, data, float(serial))
+        store.put_range_at([(key, data)], float(serial))
         written[key] = data
     for key, data in written.items():
-        observed, __ = store.try_get_at(key, 1e9)  # far future: all visible
+        results, __ = store.get_range_at([key], 1e9)  # far future: all visible
+        observed, __ = results[key]
         assert observed == data
     assert store.metrics.snapshot().get("stale_reads", 0) == 0
 
@@ -65,8 +66,9 @@ def test_overwrites_can_serve_stale_data(seed, overwrites):
     """The ablation scenario: rewriting one key risks stale reads."""
     store = make_store(seed, lag_probability=1.0, mean_lag=10.0)
     for i, data in enumerate(overwrites):
-        store.put_at("same/key", data, float(i))
-    observed, __ = store.try_get_at("same/key", float(len(overwrites)))
+        store.put_range_at([("same/key", data)], float(i))
+    results, __ = store.get_range_at(["same/key"], float(len(overwrites)))
+    observed, __ = results["same/key"]
     # Whatever is observed is one of the written versions (or nothing) —
     # but never arbitrary bytes.
     assert observed is None or observed in overwrites

@@ -20,6 +20,8 @@ from repro.objectstore import (
 from repro.objectstore.s3sim import ObjectStoreProfile
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import DeterministicRng
+from repro.storage.keys import hashed_object_name
+from repro.storage.locator import OBJECT_KEY_BASE
 
 
 def make_client(consistency=STRONG, failure_probability=0.0,
@@ -224,6 +226,52 @@ def test_deadline_budget_bounds_retry_time():
     # Far fewer than max_attempts ran: the budget cut the loop short.
     assert client.metrics.snapshot()["not_found_retries"] < 100
     assert client.clock.now() == start  # timed API never advanced the clock
+
+
+def _adjacent_names(count):
+    return [hashed_object_name(OBJECT_KEY_BASE + 100 + i)
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("coalesce", [False, True])
+def test_deadline_is_per_logical_put_not_per_fallback(coalesce):
+    """A coalesced batch and its per-key fallback share ONE deadline
+    budget: coalescing must not buy a PUT extra retry time."""
+    client = make_client(
+        policy=RetryPolicy(deadline=2.5, initial_backoff=1.0,
+                           max_backoff=1.0),
+        schedule=FaultSchedule([OutageWindow(0.0, 100.0, ops=("put",))]),
+    )
+    client.coalesce_puts = coalesce
+    items = [(name, b"x") for name in _adjacent_names(4)]
+    with pytest.raises(RetriesExhaustedError) as info:
+        client.put_many_at(items, 0.0, window=1)
+    assert info.value.deadline == pytest.approx(2.5)
+    # Three requests (~0, ~1 and ~2 virtual seconds in) fit the budget;
+    # the fourth would start past it.
+    assert client.store.metrics.snapshot()["put_requests"] == 3
+    assert client.metrics.snapshot()["deadline_expirations"] == 1
+
+
+def test_range_get_fallback_inherits_the_deadline():
+    lagging = ConsistencyModel(invisible_probability=1.0,
+                               mean_lag_seconds=10_000.0)
+    client = make_client(
+        consistency=lagging,
+        policy=RetryPolicy(max_attempts=1000, initial_backoff=0.5,
+                           max_backoff=0.5, deadline=2.0),
+        schedule=FaultSchedule([OutageWindow(1.0, 2.4, ops=("get",))]),
+    )
+    client.coalesce_gets = True
+    names = _adjacent_names(3)
+    for name in names:
+        client.put(name, b"x")
+    with pytest.raises(RetriesExhaustedError) as info:
+        client.get_many_at(names, 1.0)
+    assert info.value.deadline == pytest.approx(2.0)
+    # The range spent ~1.5 s of the budget riding out the outage; the
+    # single-GET fallback for the invisible keys only gets the remainder.
+    assert client.metrics.snapshot()["not_found_retries"] <= 2
 
 
 def test_decorrelated_jitter_stays_within_bounds():

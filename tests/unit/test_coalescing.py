@@ -2,9 +2,8 @@
 
 import math
 
-import pytest
-
 from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
+from repro.objectstore.client import COALESCE_MAX_RUN
 from repro.objectstore.consistency import STRONG, ConsistencyModel
 from repro.objectstore.faults import FaultSchedule, OutageWindow
 from repro.objectstore.s3sim import ObjectStoreProfile
@@ -48,10 +47,15 @@ def test_adjacent_keys_coalesce_into_ranged_gets():
 
 
 def test_coalescing_honours_max_run():
-    client, store, __ = make_client(coalesce=True, coalesce_max_run=4)
-    names = load_run(store, 10)
+    client, store, __ = make_client(coalesce=True)
+    names = load_run(store, 2 * COALESCE_MAX_RUN + 1)
     client.get_many(names)
-    assert store.metrics.snapshot()["get_requests"] == math.ceil(10 / 4)
+    # Two full runs and the one key that did not fit: no request carries
+    # more than COALESCE_MAX_RUN keys.
+    snapshot = store.metrics.snapshot()
+    assert snapshot["get_requests"] == 3
+    assert snapshot["ranged_get_requests"] == 2
+    assert snapshot["ranged_get_keys"] == 2 * COALESCE_MAX_RUN
 
 
 def test_key_gaps_split_runs():
@@ -146,8 +150,3 @@ def test_invisible_keys_fall_back_to_single_get():
 def test_get_many_off_by_default():
     client, __, __ = make_client(coalesce=False)
     assert client.coalesce_gets is False
-
-
-def test_coalesce_max_run_validation():
-    with pytest.raises(ValueError):
-        make_client(coalesce=True, coalesce_max_run=1)

@@ -111,10 +111,10 @@ def test_schedule_horizon_and_named_schedules():
 def test_outage_fails_every_matching_request():
     store = make_store(FaultSchedule([OutageWindow(0.0, 10.0)]))
     with pytest.raises(TransientRequestError) as info:
-        store.put_at("a/1", b"x", 1.0)
+        store.put_range_at([("a/1", b"x")], 1.0)
     assert info.value.kind == "outage"
     # After the window the same key writes fine.
-    done = store.put_at("a/1", b"x", 10.0)
+    done = store.put_range_at([("a/1", b"x")], 10.0)
     assert done > 10.0
     assert store.metrics.snapshot()["fault_outage_failures"] == 1
 
@@ -122,9 +122,10 @@ def test_outage_fails_every_matching_request():
 def test_outage_scoped_to_node_spares_other_nodes():
     store = make_store(FaultSchedule([OutageWindow(0.0, 10.0, node="w1")]))
     with pytest.raises(TransientRequestError):
-        store.put_at("a/1", b"x", 1.0, node="w1")
-    store.put_at("a/2", b"x", 1.0, node="coordinator")
-    store.put_at("a/3", b"x", 1.0)  # untagged requests are spared too
+        store.put_range_at([("a/1", b"x")], 1.0, node="w1")
+    store.put_range_at([("a/2", b"x")], 1.0, node="coordinator")
+    # Untagged requests are spared too.
+    store.put_range_at([("a/3", b"x")], 1.0)
 
 
 def test_error_storm_is_probabilistic_and_deterministic():
@@ -137,7 +138,7 @@ def test_error_storm_is_probabilistic_and_deterministic():
         now = 0.0
         for i in range(200):
             try:
-                now = store.put_at("a/%d" % i, b"x", now)
+                now = store.put_range_at([("a/%d" % i, b"x")], now)
             except TransientRequestError as error:
                 assert error.kind == "storm"
                 now = error.failed_at
@@ -154,8 +155,8 @@ def test_error_storm_is_probabilistic_and_deterministic():
 def test_latency_spike_slows_requests():
     plain = make_store()
     spiked = make_store(FaultSchedule([LatencySpike(0.0, 10.0, multiplier=8.0)]))
-    __, base = plain.try_get_at("a/1", 0.0)
-    __, slow = spiked.try_get_at("a/1", 0.0)
+    __, base = plain.get_range_at(["a/1"], 0.0)
+    __, slow = spiked.get_range_at(["a/1"], 0.0)
     assert slow == pytest.approx(base * 8.0)
     assert spiked.metrics.snapshot()["fault_latency_spikes"] == 1
 
@@ -170,7 +171,7 @@ def test_throttle_storm_cuts_per_prefix_rate():
     def drain(store):
         done = 0.0
         for i in range(300):
-            __, finished = store.try_get_at("hot/%d" % i, 0.0)
+            __, finished = store.get_range_at(["hot/%d" % i], 0.0)
             done = max(done, finished)
         return done
     # 300 requests at 100/s burst-100: ~2 s normally, ~10x under the clamp.
@@ -188,7 +189,7 @@ def test_schedule_attachment_does_not_perturb_unrelated_rng_draws():
         times = []
         now = 0.0
         for i in range(20):
-            now = store.put_at("a/%d" % i, b"payload", now)
+            now = store.put_range_at([("a/%d" % i, b"payload")], now)
             times.append(now)
         return times
 

@@ -52,6 +52,12 @@ def make_store(schedule=None, seed=11):
     )
 
 
+def get_one(store, key, now):
+    """A batch-of-one GET: ``((data, expected_crc), completion)``."""
+    results, done = store.get_range_at([key], now)
+    return results[key], done
+
+
 def make_replicated(regions=("a", "b"), mean_lag=0.1, horizon=5.0, seed=7,
                     schedule=None):
     primary = SimulatedObjectStore(
@@ -166,7 +172,7 @@ class TestCorruptionEvents:
 class TestStoreIntegrity:
     def test_checksum_recorded_at_put(self):
         store = make_store()
-        store.put_at("k", b"payload", 0.0)
+        store.put_range_at([("k", b"payload")], 0.0)
         assert store.recorded_checksum("k") == crc32c(b"payload")
         assert store.verify_at_rest("k") is True
 
@@ -174,12 +180,12 @@ class TestStoreIntegrity:
         schedule = FaultSchedule([BitRot(0.0, 10.0, ops="put",
                                          probability=1.0, flips=2)])
         store = make_store(schedule)
-        done = store.put_at("k", b"intended bytes", 0.0)
+        done = store.put_range_at([("k", b"intended bytes")], 0.0)
         # The write "succeeded" — no error — but the stored bytes rotted
         # while the recorded checksum still names the intended payload.
         assert store.verify_at_rest("k") is False
         assert store.recorded_checksum("k") == crc32c(b"intended bytes")
-        data, expected, __ = store.try_get_verified_at("k", done + 11.0)
+        (data, expected), __ = get_one(store, "k", done + 11.0)
         assert data != b"intended bytes"
         assert crc32c(data) != expected
 
@@ -187,19 +193,19 @@ class TestStoreIntegrity:
         schedule = FaultSchedule([BitRot(0.0, 5.0, ops="get",
                                          probability=1.0)])
         store = make_store(schedule)
-        done = store.put_at("k", b"clean", 0.0)
-        corrupt, expected, __ = store.try_get_verified_at("k", done)
+        done = store.put_range_at([("k", b"clean")], 0.0)
+        (corrupt, expected), __ = get_one(store, "k", done)
         assert crc32c(corrupt) != expected
         assert store.verify_at_rest("k") is True  # at rest: untouched
-        clean, expected, __ = store.try_get_verified_at("k", 6.0)
+        (clean, expected), __ = get_one(store, "k", 6.0)
         assert clean == b"clean" and crc32c(clean) == expected
 
     def test_truncated_read_detected(self):
         schedule = FaultSchedule([TruncatedObject(0.0, 5.0, ops="get",
                                                   probability=1.0)])
         store = make_store(schedule)
-        done = store.put_at("k", b"0123456789" * 10, 0.0)
-        data, expected, __ = store.try_get_verified_at("k", done)
+        done = store.put_range_at([("k", b"0123456789" * 10)], 0.0)
+        (data, expected), __ = get_one(store, "k", done)
         assert len(data) < 100
         assert crc32c(data) != expected
 
@@ -207,15 +213,15 @@ class TestStoreIntegrity:
         schedule = FaultSchedule([StaleRead(0.0, 60.0, ops="get",
                                             probability=1.0)])
         store = make_store(schedule)
-        t1 = store.put_at("k", b"v1", 0.0)
-        t2 = store.put_at("k", b"v2", t1 + 1.0)
-        data, expected, __ = store.try_get_verified_at("k", t2 + 1.0)
+        t1 = store.put_range_at([("k", b"v1")], 0.0)
+        t2 = store.put_range_at([("k", b"v2")], t1 + 1.0)
+        (data, expected), __ = get_one(store, "k", t2 + 1.0)
         assert data == b"v1"
         assert expected == crc32c(b"v2")
 
     def test_inject_damage_and_overwrite_latest_repair(self):
         store = make_store()
-        store.put_at("k", b"clean bytes", 0.0)
+        store.put_range_at([("k", b"clean bytes")], 0.0)
         assert store.inject_damage("k", flips=3)
         assert store.verify_at_rest("k") is False
         assert store.overwrite_latest("k", b"clean bytes")
@@ -231,13 +237,14 @@ class TestStoreIntegrity:
         store = make_store()
         done = 0.0
         for i in range(3):
-            done = store.put_at(f"r/{i}", b"x%d" % i, done)
-        results, checksums, __ = store.get_range_verified_at(
+            done = store.put_range_at([(f"r/{i}", b"x%d" % i)], done)
+        results, __ = store.get_range_at(
             ["r/0", "r/1", "r/2", "r/9"], done
         )
         for i in range(3):
-            assert checksums[f"r/{i}"] == crc32c(results[f"r/{i}"])
-        assert results["r/9"] is None and checksums["r/9"] is None
+            data, expected = results[f"r/{i}"]
+            assert expected == crc32c(data)
+        assert results["r/9"] == (None, None)
 
 
 # --------------------------------------------------------------------- #
@@ -247,7 +254,7 @@ class TestStoreIntegrity:
 class TestClientVerification:
     def test_unverified_client_serves_rot_silently(self):
         store = make_store()
-        store.put_at("k", b"data", 0.0)
+        store.put_range_at([("k", b"data")], 0.0)
         store.inject_damage("k")
         client = RetryingObjectClient(store, verify_reads=False)
         data, __ = client.get_at("k", 1.0)
@@ -255,7 +262,7 @@ class TestClientVerification:
 
     def test_unrepairable_corruption_raises_corrupt_object_error(self):
         store = make_store()
-        store.put_at("k", b"data", 0.0)
+        store.put_range_at([("k", b"data")], 0.0)
         store.inject_damage("k")
         client = RetryingObjectClient(
             store, policy=RetryPolicy(max_attempts=4), verify_reads=True
@@ -274,7 +281,7 @@ class TestClientVerification:
         schedule = FaultSchedule([BitRot(0.0, 0.2, ops="get",
                                          probability=1.0)])
         store = make_store(schedule)
-        store.put_at("k", b"payload", 0.0)
+        store.put_range_at([("k", b"payload")], 0.0)
         client = RetryingObjectClient(
             store,
             policy=RetryPolicy(max_attempts=8, initial_backoff=0.1,
@@ -287,7 +294,7 @@ class TestClientVerification:
 
     def test_read_repair_through_replicated_store(self):
         store = make_replicated()
-        done = store.put_at("k", b"replicated", 0.0)
+        done = store.put_range_at([("k", b"replicated")], 0.0)
         store.pump(done + 5.0)  # both regions hold the version
         store.inject_damage("k", flips=2)
         client = RetryingObjectClient(
@@ -307,12 +314,11 @@ class TestClientVerification:
             def __init__(self):
                 self.calls = 0
 
-            def try_get_verified_at(self, key, now, bandwidth=None,
-                                    node=None):
+            def get_range_at(self, keys, now, bandwidth=None, node=None):
                 self.calls += 1
                 if self.calls == 1:
-                    return b"clean", crc32c(b"clean"), now + 1.0
-                return b"rot!!", crc32c(b"clean"), now + 0.01
+                    return {keys[0]: (b"clean", crc32c(b"clean"))}, now + 1.0
+                return {keys[0]: (b"rot!!", crc32c(b"clean"))}, now + 0.01
 
         store = TwoFacedStore()
         client = RetryingObjectClient(
@@ -335,7 +341,7 @@ class TestClientVerification:
 class TestReplicatedIntegrity:
     def test_apply_preserves_primary_checksum(self):
         store = make_replicated()
-        done = store.put_at("k", b"bytes", 0.0)
+        done = store.put_range_at([("k", b"bytes")], 0.0)
         store.pump(done + 5.0)
         secondary = store.store_for("b")
         assert secondary.recorded_checksum("k") == crc32c(b"bytes")
@@ -345,14 +351,14 @@ class TestReplicatedIntegrity:
         # The secondary has not applied the version yet, but the queue
         # entry holds the clean acknowledged bytes at the same op-time.
         store = make_replicated(mean_lag=3.0)
-        done = store.put_at("k", b"queued", 0.0)
+        done = store.put_range_at([("k", b"queued")], 0.0)
         store.inject_damage("k")
         assert store.read_repair("k", done + 0.1) >= 1
         assert store.verify_at_rest("k") is True
 
     def test_repair_fails_when_every_copy_is_damaged(self):
         store = make_replicated()
-        done = store.put_at("k", b"doomed", 0.0)
+        done = store.put_range_at([("k", b"doomed")], 0.0)
         store.pump(done + 5.0)
         for region in store.regions:
             store.store_for(region).inject_damage("k")
@@ -363,9 +369,9 @@ class TestReplicatedIntegrity:
 
     def test_lagging_secondary_is_not_treated_as_corrupt(self):
         store = make_replicated(mean_lag=3.0)
-        t1 = store.put_at("k", b"v1", 0.0)
+        t1 = store.put_range_at([("k", b"v1")], 0.0)
         store.pump(t1 + 10.0)  # v1 lands everywhere
-        t2 = store.put_at("k", b"v2", t1 + 10.5)
+        t2 = store.put_range_at([("k", b"v2")], t1 + 10.5)
         # v2 is queued for "b": the secondary legitimately holds v1.
         # Repair must not "fix" the lagging region with v2's bytes.
         assert store.read_repair("k", t2 + 0.1) == 0

@@ -1,5 +1,7 @@
 """Unit tests for object stores: memory, consistency model, S3 simulator."""
 
+import inspect
+
 import pytest
 
 from repro.costs.meter import CostMeter
@@ -7,6 +9,7 @@ from repro.objectstore import (
     ConsistencyModel,
     InMemoryObjectStore,
     NoSuchKeyError,
+    ReplicatedObjectStore,
     SimulatedObjectStore,
     STRONG,
 )
@@ -114,8 +117,9 @@ class TestSimulatedStore:
         model = ConsistencyModel(invisible_probability=1.0,
                                  mean_lag_seconds=10.0)
         store = make_store(consistency=model)
-        done = store.put_at("k/1", b"x", 0.0)
-        data, __ = store.try_get_at("k/1", done)
+        done = store.put_range_at([("k/1", b"x")], 0.0)
+        results, __ = store.get_range_at(["k/1"], done)
+        data, __ = results["k/1"]
         assert data is None
         assert store.metrics.snapshot()["get_misses"] == 1
 
@@ -123,8 +127,9 @@ class TestSimulatedStore:
         model = ConsistencyModel(invisible_probability=1.0,
                                  mean_lag_seconds=0.01)
         store = make_store(consistency=model)
-        store.put_at("k/1", b"x", 0.0)
-        data, __ = store.try_get_at("k/1", 1000.0)
+        store.put_range_at([("k/1", b"x")], 0.0)
+        results, __ = store.get_range_at(["k/1"], 1000.0)
+        data, __ = results["k/1"]
         assert data == b"x"
 
     def test_overwrite_counted(self):
@@ -137,7 +142,7 @@ class TestSimulatedStore:
         store = make_store(per_prefix_put_rate=10.0)
         last = 0.0
         for i in range(50):
-            last = store.put_at("same/%d" % i, b"x", 0.0)
+            last = store.put_range_at([("same/%d" % i, b"x")], 0.0)
         # 50 puts on one prefix at 10/s: several seconds of throttle.
         assert last > 3.0
         assert store.throttled_requests() > 0
@@ -146,7 +151,7 @@ class TestSimulatedStore:
         store = make_store(per_prefix_put_rate=10.0)
         last = 0.0
         for i in range(50):
-            last = store.put_at("p%d/k" % i, b"x", 0.0)
+            last = store.put_range_at([("p%d/k" % i, b"x")], 0.0)
         assert last < 1.0
 
     def test_request_costs_metered(self):
@@ -177,3 +182,25 @@ class TestSimulatedStore:
         store.put("b/2", b"y")
         store.delete("b/2")
         assert list(store.list_keys()) == ["a/1"]
+
+
+def _timed_api(cls):
+    """``{name: parameters}`` of a store class's public ``*_at`` methods."""
+    return {
+        name: [
+            (param.name, param.kind, param.default)
+            for param in inspect.signature(member).parameters.values()
+        ]
+        for name, member in inspect.getmembers(cls, inspect.isfunction)
+        if name.endswith("_at") and not name.startswith("_")
+    }
+
+
+def test_replicated_store_mirrors_the_timed_api():
+    """A verb added to one store class cannot be forgotten on the other:
+    the client talks to either through the same four timed methods."""
+    simulated = _timed_api(SimulatedObjectStore)
+    assert sorted(simulated) == [
+        "delete_at", "exists_at", "get_range_at", "put_range_at",
+    ]
+    assert _timed_api(ReplicatedObjectStore) == simulated
