@@ -1,5 +1,7 @@
 """Unit tests for the buffer manager (Section 3.1)."""
 
+import random
+
 import pytest
 
 from repro.core.buffer import BufferError, BufferManager, ObjectHandle
@@ -42,10 +44,10 @@ def make_txn(txn_id=1):
     return Transaction(txn_id, FakeNode(), begin_seq=0, snapshot={})
 
 
-def make_handle(dbspace, txn=None, version=0, blockmap=None):
+def make_handle(dbspace, txn=None, version=0, blockmap=None, object_id=1):
     writable = txn is not None
     return ObjectHandle(
-        object_id=1,
+        object_id=object_id,
         name="t",
         dbspace=dbspace,
         blockmap=blockmap or Blockmap(dbspace, fanout=8),
@@ -208,6 +210,88 @@ def test_prefetch_skips_cached_and_unmapped():
     # read it once), page 99 unmapped.
     buffer.get_page(reader, 0)
     assert buffer.prefetch(reader, [0, 99]) == 0
+
+
+def W(txn_id):
+    return ("w", txn_id)
+
+
+def test_interleaved_txns_pin_eviction_and_promotion_order():
+    """Characterisation: LRU order survives promote/drop of working frames.
+
+    Two interleaved writers share a 10-frame pool (so it evicts), the tail
+    leaves txn 1's working frames *touched out of insertion order*, then
+    txn 1 commits and txn 2 rolls back.  Every evicted key and the frame
+    order after each step are pinned: promoted frames must re-enter the
+    LRU list in their previous relative order, because that order decides
+    later evictions and with them ``core.buffer.*`` and virtual time.
+    """
+    buffer, dbspace, __ = make_env(capacity=10 * 1024)
+    handles = {
+        txn_id: make_handle(dbspace, make_txn(txn_id), object_id=txn_id)
+        for txn_id in (1, 2, 3)
+    }
+    written = {1: set(), 2: set(), 3: set()}
+    evicted = []
+
+    def step(txn_id, page, write, fill):
+        before = list(buffer._frames)
+        if write:
+            buffer.write_page(handles[txn_id], page, bytes([fill]) * 1024)
+            written[txn_id].add(page)
+        else:
+            buffer.get_page(handles[txn_id], page)
+        evicted.extend(key for key in before if key not in buffer._frames)
+
+    rng = random.Random(7)
+    for n in range(80):
+        txn_id = rng.choice((1, 2))
+        page = rng.randrange(9)
+        step(txn_id, page,
+             page not in written[txn_id] or rng.random() < 0.5, n)
+    for txn_id, page, write in [
+        (1, 0, True), (1, 1, True), (2, 0, True), (1, 2, True), (1, 3, True),
+        (2, 1, True), (1, 2, False), (1, 0, False), (2, 0, False),
+    ]:
+        step(txn_id, page, write, 200 + page)
+
+    assert evicted == [
+        (1, 5, W(1)), (1, 8, W(1)), (2, 1, W(2)), (2, 0, W(2)), (1, 3, W(1)),
+        (1, 6, W(1)), (1, 4, W(1)), (2, 2, W(2)), (2, 3, W(2)), (2, 8, W(2)),
+        (1, 5, W(1)), (2, 6, W(2)), (1, 1, W(1)), (1, 4, W(1)), (1, 0, W(1)),
+        (2, 7, W(2)), (2, 5, W(2)), (2, 1, W(2)), (2, 8, W(2)), (2, 6, 0),
+        (2, 3, W(2)), (1, 2, W(1)), (1, 4, W(1)), (1, 6, 0), (2, 2, 0),
+        (2, 6, W(2)), (1, 3, W(1)), (1, 7, W(1)), (2, 0, W(2)), (1, 6, W(1)),
+        (2, 5, 0), (2, 1, W(2)), (2, 4, W(2)), (2, 2, 0), (1, 8, W(1)),
+        (1, 4, 0), (1, 5, 0), (2, 3, 0), (1, 3, 0), (2, 0, 0), (2, 7, W(2)),
+        (2, 5, W(2)),
+    ]
+    assert list(buffer._frames) == [
+        (2, 3, W(2)), (1, 7, 0), (2, 1, 0), (1, 6, 0), (1, 1, W(1)),
+        (1, 3, W(1)), (2, 1, W(2)), (1, 2, W(1)), (1, 0, W(1)), (2, 0, W(2)),
+    ]
+
+    buffer.flush_txn(1)
+    buffer.promote_txn_frames(1, {1: 1})
+    # Promoted frames keep their LRU order 1, 3, 2, 0 — not 0, 1, 2, 3.
+    assert list(buffer._frames) == [
+        (2, 3, W(2)), (1, 7, 0), (2, 1, 0), (1, 6, 0), (2, 1, W(2)),
+        (2, 0, W(2)), (1, 1, 1), (1, 3, 1), (1, 2, 1), (1, 0, 1),
+    ]
+    assert buffer.drop_txn_frames(2) == 3
+    assert list(buffer._frames) == [
+        (1, 7, 0), (2, 1, 0), (1, 6, 0), (1, 1, 1), (1, 3, 1), (1, 2, 1),
+        (1, 0, 1),
+    ]
+
+    del evicted[:]
+    for page in range(8):
+        step(3, page, True, 100 + page)
+    assert evicted == [(1, 7, 0), (2, 1, 0), (1, 6, 0), (1, 1, 1), (1, 3, 1)]
+    assert buffer.metrics.snapshot() == {
+        "hits": 17.0, "misses": 13.0, "evictions": 47.0,
+        "dirty_flushes": 36.0,
+    }
 
 
 def test_capacity_validation():

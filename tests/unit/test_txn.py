@@ -72,6 +72,43 @@ def test_object_created_later_not_visible(db):
     db.rollback(txn)
 
 
+def test_begin_snapshot_is_current_versions_and_private(db):
+    """Characterisation of ``begin()``: the snapshot is exactly
+    ``{object_id: current version}`` over created, dropped and re-published
+    objects, and later catalog changes never leak into it."""
+    ids = {name: db.create_object(name) for name in ("zeta", "alpha", "mid", "gone")}
+    for name, commits in (("alpha", 2), ("mid", 1)):
+        for __ in range(commits):
+            writer = db.begin()
+            write_pages(db, writer, name, [0])
+            db.commit(writer)
+    db.catalog.drop_object(ids["gone"])
+
+    txn = db.begin()
+    assert txn.snapshot == {ids["zeta"]: 0, ids["alpha"]: 2, ids["mid"]: 1}
+    assert txn.snapshot == {
+        db.catalog.object_id(name): db.catalog.current(db.catalog.object_id(name)).version
+        for name in db.catalog.object_names()
+    }
+    before = dict(txn.snapshot)
+
+    late = db.create_object("late")
+    writer = db.begin()
+    write_pages(db, writer, "alpha", [1])
+    db.commit(writer)
+    assert db.catalog.current(ids["alpha"]).version == 3
+    assert txn.snapshot == before
+    assert late not in txn.snapshot
+    with pytest.raises(TransactionError):
+        db.read_page(txn, "late", 0)
+    # Two open transactions never share one snapshot dict.
+    other = db.begin()
+    assert other.snapshot[ids["alpha"]] == 3 and late in other.snapshot
+    assert other.snapshot is not txn.snapshot
+    db.rollback(other)
+    db.rollback(txn)
+
+
 def test_rollback_deletes_allocations(db):
     db.create_object("t")
     txn = db.begin()
