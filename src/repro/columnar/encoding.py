@@ -36,27 +36,45 @@ def bits_needed(span: int) -> int:
     return max(1, span.bit_length())
 
 
+#: Values per packing chunk: 64 fields of any width fill a whole number of
+#: bytes, so chunks pack and unpack independently and every big-int stays
+#: at most ``64 * width`` bits long — linear time in the page size.
+_CHUNK = 64
+
+
 def _pack_nbit(values: "Sequence[int]", width: int) -> bytes:
-    """Pack non-negative ints into ``width``-bit fields (big chunks)."""
-    acc = 0
-    for value in values:
-        acc = (acc << width) | value
-    total_bits = width * len(values)
-    nbytes = (total_bits + 7) // 8
-    acc <<= nbytes * 8 - total_bits  # left-align the last partial byte
-    return acc.to_bytes(nbytes, "big") if nbytes else b""
+    """Pack non-negative ints into big-endian ``width``-bit fields.
+
+    The last partial byte is left-aligned (padded with zero bits).
+    """
+    parts = []
+    for start in range(0, len(values), _CHUNK):
+        chunk = values[start:start + _CHUNK]
+        acc = 0
+        for value in chunk:
+            acc = (acc << width) | value
+        bits = width * len(chunk)
+        nbytes = (bits + 7) // 8
+        parts.append((acc << (nbytes * 8 - bits)).to_bytes(nbytes, "big"))
+    return b"".join(parts)
+
 
 def _unpack_nbit(payload: bytes, width: int, count: int) -> "List[int]":
-    if count == 0:
-        return []
-    acc = int.from_bytes(payload, "big")
-    total_bits = width * count
-    acc >>= len(payload) * 8 - total_bits
+    """Invert :func:`_pack_nbit` for ``count`` fields."""
+    if len(payload) * 8 < width * count:
+        raise EncodingError("truncated n-bit payload")
+    out: "List[int]" = []
     mask = (1 << width) - 1
-    out = [0] * count
-    for i in range(count - 1, -1, -1):
-        out[i] = acc & mask
-        acc >>= width
+    step = _CHUNK * width // 8
+    for start in range(0, count, _CHUNK):
+        fields = min(_CHUNK, count - start)
+        offset = start * width // 8
+        chunk = payload[offset:offset + step]
+        acc = int.from_bytes(chunk, "big") >> (len(chunk) * 8 - fields * width)
+        out.extend([
+            (acc >> shift) & mask
+            for shift in range((fields - 1) * width, -1, -width)
+        ])
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from collections import OrderedDict
+from itertools import compress
 
 from repro.columnar import vec
 from repro.columnar.blob import read_blob
@@ -581,13 +582,10 @@ class QueryContext:
                 if mask[i] and (base_row + i) in deleted:
                     mask[i] = False
         for column in columns:
-            values = page_values[column]
-            out[column].extend(
-                value for value, keep in zip(values, mask) if keep
-            )
+            out[column].extend(compress(page_values[column], mask))
         if with_rowids:
             out[ROWID].extend(
-                base_row + i for i, keep in enumerate(mask) if keep
+                compress(range(base_row, base_row + count), mask)
             )
 
     def _materialize_page_vec(

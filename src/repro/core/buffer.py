@@ -117,6 +117,9 @@ class BufferManager:
         self._used_bytes = 0
         # txn_id -> ordered set of dirty frame keys (flush order at commit)
         self._txn_dirty: "Dict[int, OrderedDict[Tuple[int, int, FrameTag], None]]" = {}
+        # txn_id -> its working frames, in the same relative (LRU) order as
+        # in ``_frames``, so commit and rollback never scan the pool.
+        self._txn_frames: "Dict[int, OrderedDict[Tuple[int, int, FrameTag], Frame]]" = {}
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -131,6 +134,8 @@ class BufferManager:
 
     def _touch(self, key: "Tuple[int, int, FrameTag]") -> None:
         self._frames.move_to_end(key)
+        if isinstance(key[2], tuple):
+            self._txn_frames[key[2][1]].move_to_end(key)
 
     def _insert(self, key: "Tuple[int, int, FrameTag]", frame: Frame) -> None:
         existing = self._frames.pop(key, None)
@@ -138,12 +143,21 @@ class BufferManager:
             self._used_bytes -= existing.size
         self._frames[key] = frame
         self._used_bytes += frame.size
+        if isinstance(key[2], tuple):
+            index = self._txn_frames.setdefault(key[2][1], OrderedDict())
+            index[key] = frame
+            index.move_to_end(key)
         self._evict_if_needed()
 
     def _remove(self, key: "Tuple[int, int, FrameTag]") -> "Optional[Frame]":
         frame = self._frames.pop(key, None)
         if frame is not None:
             self._used_bytes -= frame.size
+            if isinstance(key[2], tuple):
+                index = self._txn_frames[key[2][1]]
+                del index[key]
+                if not index:
+                    del self._txn_frames[key[2][1]]
         return frame
 
     def _evict_if_needed(self) -> None:
@@ -423,12 +437,10 @@ class BufferManager:
         ``versions`` maps object_id to the newly committed version number so
         readers of that version immediately hit the cache.
         """
-        working = [
-            (key, frame) for key, frame in list(self._frames.items())
-            if key[2] == ("w", txn_id)
-        ]
-        for (object_id, page_no, __), frame in working:
-            self._remove((object_id, page_no, ("w", txn_id)))
+        working = list(self._txn_frames.get(txn_id, {}).items())
+        for key, frame in working:
+            object_id, page_no, __ = key
+            self._remove(key)
             if frame.dirty:
                 raise BufferError(
                     f"dirty frame survived commit flush: object {object_id} "
@@ -441,7 +453,7 @@ class BufferManager:
 
     def drop_txn_frames(self, txn_id: int) -> int:
         """Discard a rolled-back transaction's working frames."""
-        victims = [key for key in self._frames if key[2] == ("w", txn_id)]
+        victims = list(self._txn_frames.get(txn_id, ()))
         for key in victims:
             self._remove(key)
         self._txn_dirty.pop(txn_id, None)
@@ -451,6 +463,7 @@ class BufferManager:
         """Drop every frame (node crash simulation)."""
         self._frames.clear()
         self._txn_dirty.clear()
+        self._txn_frames.clear()
         self._used_bytes = 0
 
     def stats(self) -> "Dict[str, float]":

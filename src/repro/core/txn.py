@@ -294,14 +294,8 @@ class TransactionManager:
 
     def begin(self, node: NodeContext) -> Transaction:
         """Start a transaction pinning the current committed versions."""
-        snapshot = {
-            identity.object_id: identity.version
-            for identity in (
-                self.catalog.current(self.catalog.object_id(name))
-                for name in self.catalog.object_names()
-            )
-        }
-        txn = Transaction(self._next_txn_id, node, self._commit_seq, snapshot)
+        txn = Transaction(self._next_txn_id, node, self._commit_seq,
+                          self.catalog.current_versions())
         self._next_txn_id += 1
         self._active[txn.txn_id] = txn
         return txn

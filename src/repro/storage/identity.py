@@ -96,6 +96,11 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"unknown storage object id {object_id}") from None
 
+    def current_versions(self) -> "Dict[int, int]":
+        """``object_id -> current version`` of every object, as a private
+        copy: later publishes and drops do not show in it."""
+        return self._current_version.copy()
+
     def identity(self, object_id: int, version: int) -> IdentityObject:
         try:
             return self._identities[object_id][version]

@@ -1,5 +1,8 @@
 """Property tests: CRC-32C and the sealed-page trailer catch every
-single-bit flip (and then some)."""
+single-bit flip (and then some), and the word-stride kernel computes the
+same function as the byte-at-a-time reference kept here as its oracle."""
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,81 @@ from repro.checksum import (
 )
 
 payloads = st.binary(min_size=1, max_size=4096)
+
+
+def _reference_table():
+    table = []
+    for index in range(256):
+        crc = index
+        for __ in range(8):
+            crc = (crc >> 1) ^ 0x82F63B78 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_REFERENCE_TABLE = _reference_table()
+
+
+def reference_crc32c(data, value=0):
+    """The byte-at-a-time loop ``repro.checksum`` shipped before the
+    four-byte-stride kernel; every recorded checksum was made by it."""
+    crc = value ^ 0xFFFFFFFF
+    for byte in data:
+        crc = _REFERENCE_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
+    return crc ^ 0xFFFFFFFF
+
+
+@pytest.mark.parametrize("payload, expected", [
+    (b"", 0),
+    (b"123456789", 0xE3069283),
+    # RFC 3720 appendix B.4
+    (bytes(32), 0x8A9136AA),
+    (b"\xff" * 32, 0x62A8AB43),
+    (bytes(range(32)), 0x46DD794E),
+    (bytes(range(31, -1, -1)), 0x113FDB5C),
+])
+def test_crc32c_known_answers(payload, expected):
+    assert crc32c(payload) == expected
+    assert reference_crc32c(payload) == expected
+
+
+def test_every_short_length_and_every_split_point():
+    """Lengths 0..70 cover every head/tail alignment of the word loop;
+    continuing from any split point equals the one-shot value."""
+    data = bytes((37 * i + 11) & 0xFF for i in range(70))
+    for length in range(len(data) + 1):
+        whole = reference_crc32c(data[:length])
+        assert crc32c(data[:length]) == whole
+        for split in range(length + 1):
+            head = crc32c(data[:split])
+            assert head == reference_crc32c(data[:split])
+            assert crc32c(data[split:length], head) == whole
+
+
+def test_buffer_types_agree():
+    data = bytes(range(256)) * 3 + b"tail"
+    expected = reference_crc32c(data)
+    assert crc32c(data) == expected
+    assert crc32c(bytearray(data)) == expected
+    assert crc32c(memoryview(data)) == expected
+    # An unaligned slice of a larger buffer, with no copy made.
+    padded = b"x" + data + b"yz"
+    assert crc32c(memoryview(padded)[1:-2]) == expected
+    assert crc32c(memoryview(bytearray(padded))[1:-2]) == expected
+
+
+def test_kernel_matches_reference_on_a_64_kib_payload():
+    data = random.Random(0).getrandbits(8 * (64 * 1024 + 3)).to_bytes(
+        64 * 1024 + 3, "big")
+    assert crc32c(data) == reference_crc32c(data)
+    assert crc32c(data[1:], 0xDEADBEEF) == reference_crc32c(data[1:], 0xDEADBEEF)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(max_size=64 * 1024), st.integers(0, 0xFFFFFFFF))
+def test_kernel_matches_reference_on_random_payloads(payload, value):
+    assert crc32c(payload) == reference_crc32c(payload)
+    assert crc32c(payload, value) == reference_crc32c(payload, value)
 
 
 @given(payloads)

@@ -1,9 +1,20 @@
-"""Property tests: column encodings are exact round trips."""
+"""Property tests: column encodings are exact round trips, and the chunked
+n-bit kernels are byte-identical to the single-big-int reference kept here
+as their oracle."""
 
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar.encoding import decode_values, encode_values
+from repro.columnar.encoding import (
+    EncodingError,
+    _pack_nbit,
+    _unpack_nbit,
+    decode_values,
+    encode_values,
+)
 
 ints = st.lists(
     st.integers(min_value=-(2 ** 47), max_value=2 ** 47 - 1), max_size=300
@@ -47,3 +58,78 @@ def test_narrow_ints_encode_compactly(values):
     payload = encode_values("int", values)
     # 2 bits per value plus ~16 bytes of header.
     assert len(payload) <= len(values) // 4 + 20
+
+
+# --------------------------------------------------------------------- #
+# n-bit kernels against the reference they replaced
+# --------------------------------------------------------------------- #
+
+
+def reference_pack_nbit(values, width):
+    """One ever-growing big-int: what wrote every page before chunking."""
+    acc = 0
+    for value in values:
+        acc = (acc << width) | value
+    total_bits = width * len(values)
+    nbytes = (total_bits + 7) // 8
+    acc <<= nbytes * 8 - total_bits  # left-align the last partial byte
+    return acc.to_bytes(nbytes, "big") if nbytes else b""
+
+
+def reference_unpack_nbit(payload, width, count):
+    if count == 0:
+        return []
+    acc = int.from_bytes(payload, "big")
+    acc >>= len(payload) * 8 - width * count
+    mask = (1 << width) - 1
+    out = [0] * count
+    for i in range(count - 1, -1, -1):
+        out[i] = acc & mask
+        acc >>= width
+    return out
+
+
+@pytest.mark.parametrize("width", range(1, 65))
+def test_nbit_kernels_byte_identical_to_reference(width):
+    rng = random.Random(width)
+    for count in (0, 1, 63, 64, 65, 127, 1024, 1100):
+        values = [rng.getrandbits(width) for __ in range(count)]
+        if count:
+            values[rng.randrange(count)] = (1 << width) - 1
+        payload = _pack_nbit(values, width)
+        assert payload == reference_pack_nbit(values, width)
+        assert _unpack_nbit(payload, width, count) == values
+        assert reference_unpack_nbit(payload, width, count) == values
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64).flatmap(lambda width: st.tuples(
+    st.just(width),
+    st.lists(st.integers(0, (1 << width) - 1), max_size=400),
+)))
+def test_nbit_kernels_match_reference_on_random_values(case):
+    width, values = case
+    payload = _pack_nbit(values, width)
+    assert payload == reference_pack_nbit(values, width)
+    assert _unpack_nbit(payload, width, len(values)) == values
+
+
+def test_unpack_takes_tuples_and_rejects_short_payloads():
+    values = tuple(range(100))
+    payload = _pack_nbit(values, 7)
+    assert payload == reference_pack_nbit(values, 7)
+    assert _unpack_nbit(memoryview(payload), 7, 100) == list(values)
+    with pytest.raises(EncodingError):
+        _unpack_nbit(payload[:-1], 7, 100)
+
+
+def test_numpy_unpack_agrees_with_the_chunked_kernel():
+    vec = pytest.importorskip("repro.columnar.vec")
+    pytest.importorskip("numpy")
+    rng = random.Random(5)
+    for width in (1, 3, 8, 13, 31, 32, 33, 40):
+        for count in (1, 63, 64, 65, 1100):
+            values = [rng.getrandbits(width) for __ in range(count)]
+            payload = _pack_nbit(values, width)
+            assert vec.unpack_nbit(payload, width, count).tolist() == \
+                _unpack_nbit(payload, width, count) == values

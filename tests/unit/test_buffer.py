@@ -1,10 +1,11 @@
 """Unit tests for the buffer manager (Section 3.1)."""
 
 import random
+from collections import OrderedDict
 
 import pytest
 
-from repro.core.buffer import BufferError, BufferManager, ObjectHandle
+from repro.core.buffer import BufferError, BufferManager, Frame, ObjectHandle
 from repro.core.txn import Transaction
 from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
 from repro.objectstore.consistency import STRONG
@@ -292,6 +293,53 @@ def test_interleaved_txns_pin_eviction_and_promotion_order():
         "hits": 17.0, "misses": 13.0, "evictions": 47.0,
         "dirty_flushes": 36.0,
     }
+
+
+class _NoPoolScan(OrderedDict):
+    """A frame table that refuses whole-pool iteration."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("commit/rollback iterated the whole frame pool")
+
+    __iter__ = items = keys = values = _refuse
+
+
+@pytest.mark.parametrize("finish", ["promote", "drop"])
+def test_commit_and_rollback_touch_only_the_transactions_frames(finish):
+    """Scaling guard by call count: 5 000 frames of other versions in the
+    pool, and ending a 3-frame transaction removes and inserts 3 frames
+    without walking the rest."""
+    buffer, dbspace, __ = make_env(capacity=64 << 20)
+    for page in range(5000):
+        buffer._insert((9, page, 0), Frame(data=b"other", page_no=page))
+    txn = make_txn()
+    handle = make_handle(dbspace, txn)
+    for page in range(3):
+        buffer.write_page(handle, page, b"mine-%d" % page)
+    buffer.flush_txn(txn.txn_id)
+
+    calls = {"_insert": 0, "_remove": 0}
+    for name in calls:
+        original = getattr(buffer, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        setattr(buffer, name, counted)
+    buffer._frames = _NoPoolScan(buffer._frames)
+
+    if finish == "promote":
+        buffer.promote_txn_frames(txn.txn_id, {1: 1})
+        assert calls == {"_remove": 3, "_insert": 3}
+        assert buffer.frame_count() == 5003
+        assert list(OrderedDict.keys(buffer._frames))[-3:] == [
+            (1, 0, 1), (1, 1, 1), (1, 2, 1)]
+    else:
+        assert buffer.drop_txn_frames(txn.txn_id) == 3
+        assert calls == {"_remove": 3, "_insert": 0}
+        assert buffer.frame_count() == 5000
+    assert buffer._txn_frames == {}
 
 
 def test_capacity_validation():

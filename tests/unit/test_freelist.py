@@ -1,5 +1,7 @@
 """Unit tests for the freelist bitmap allocator."""
 
+import random
+
 import pytest
 
 from repro.blockstore.freelist import Freelist, FreelistError
@@ -90,6 +92,78 @@ def test_copy_is_independent():
     clone.allocate(4)
     assert freelist.used_blocks == 4
     assert clone.used_blocks == 8
+
+
+def test_copy_scans_from_block_zero_like_a_checkpoint_round_trip():
+    freelist = Freelist(32)
+    freelist.allocate(4)
+    freelist.allocate(4)
+    freelist.free(0, 4)
+    # The original continues next-fit from its cursor; a copy, like a
+    # restored checkpoint, starts again at block 0.
+    assert freelist.copy().allocate(2) == 0
+    assert Freelist.from_bytes(freelist.to_bytes()).allocate(2) == 0
+    assert freelist.allocate(2) == 8
+
+
+def test_from_bytes_rejects_bits_past_total_blocks():
+    """Regression: padding-bit garbage used to restore used 16 of 10."""
+    header = (10).to_bytes(8, "big")
+    with pytest.raises(FreelistError, match="bits set past total_blocks"):
+        Freelist.from_bytes(header + b"\xff\xff")
+    with pytest.raises(FreelistError, match="bits set past total_blocks"):
+        Freelist.from_bytes(header + b"\x00\x04")
+    # The highest legal block is fine, and so is a byte-aligned device.
+    restored = Freelist.from_bytes(header + b"\xff\x03")
+    assert (restored.used_blocks, restored.free_blocks) == (10, 0)
+    assert Freelist.from_bytes((16).to_bytes(8, "big") + b"\xff\xff").used_blocks == 16
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_restored_used_count_matches_per_byte_popcount(seed):
+    """The bulk count equals the per-byte reference on arbitrary bitmaps
+    (mixed bytes as well as the 0x00/0xFF bytes it skips in C)."""
+    rng = random.Random(seed)
+    total = rng.randrange(1, 4000)
+    body = bytearray(
+        rng.choice((0x00, 0xFF, rng.randrange(256))) for __ in range((total + 7) // 8)
+    )
+    if total & 7:
+        body[-1] &= (1 << (total & 7)) - 1
+    restored = Freelist.from_bytes(total.to_bytes(8, "big") + bytes(body))
+    assert restored.used_blocks == sum(bin(byte).count("1") for byte in body)
+    assert restored.to_bytes() == total.to_bytes(8, "big") + bytes(body)
+    assert restored.copy().to_bytes() == restored.to_bytes()
+
+
+def test_device_sized_freelist_round_trips_without_per_block_work():
+    """Scaling guard: 2**26 blocks (an 8 MiB bitmap) with a few thousand
+    scattered runs goes through to_bytes/from_bytes/copy in well under a
+    second; one Python call per bitmap byte made this take half a minute."""
+    total = 1 << 26
+    rng = random.Random(3)
+    freelist = Freelist(total)
+    runs = []
+    for slot in range(3000):
+        start = slot * (total // 3000) + 1 + rng.randrange(1000)
+        count = rng.randrange(1, 17)
+        freelist.mark_used(start, count)
+        runs.append((start, count))
+    used = sum(count for __, count in runs)
+    payload = freelist.to_bytes()
+    assert len(payload) == 8 + total // 8
+    restored = Freelist.from_bytes(payload)
+    clone = restored.copy()
+    for candidate in (restored, clone):
+        assert candidate.total_blocks == total
+        assert candidate.used_blocks == used
+        for start, count in runs[::97]:
+            assert not candidate.is_used(start - 1)
+            assert candidate.is_used(start) and candidate.is_used(start + count - 1)
+            assert not candidate.is_used(start + count)
+    assert clone.to_bytes() == payload
+    clone.mark_free(*runs[0])
+    assert restored.used_blocks == used and clone.used_blocks == used - runs[0][1]
 
 
 def test_bounds_checking():

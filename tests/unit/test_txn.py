@@ -109,6 +109,35 @@ def test_begin_snapshot_is_current_versions_and_private(db):
     db.rollback(txn)
 
 
+def test_begin_makes_constant_catalog_calls_whatever_the_catalog_size(monkeypatch):
+    """Scaling guard by call count: ``begin()`` takes its snapshot as one
+    bulk copy, not per-object ``object_id``/``current`` lookups."""
+    from repro.storage.identity import Catalog
+
+    calls = {"current": 0, "object_id": 0, "object_names": 0}
+    for name in calls:
+        original = getattr(Catalog, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Catalog, name, counted)
+
+    per_size = {}
+    for size in (50, 2000):
+        db = make_db()
+        for index in range(size):
+            db.catalog.register_object(f"obj{index}", "user")
+        for name in calls:
+            calls[name] = 0
+        txn = db.begin()
+        per_size[size] = sum(calls.values())
+        assert len(txn.snapshot) == size
+        db.rollback(txn)
+    assert per_size[50] == per_size[2000] <= 2
+
+
 def test_rollback_deletes_allocations(db):
     db.create_object("t")
     txn = db.begin()
