@@ -128,13 +128,13 @@ class BlockDevice:
     # windowed parallel batches
     # ------------------------------------------------------------------ #
 
-    def read_many(
-        self, starts: "Iterable[int]", window: int = 32
-    ) -> "Dict[int, bytes]":
-        """Read several runs with up to ``window`` outstanding requests."""
+    def read_many_at(
+        self, starts: "Iterable[int]", now: float, window: int = 32
+    ) -> "Tuple[Dict[int, bytes], float]":
+        """Read several runs with up to ``window`` outstanding requests,
+        the first ones issued at ``now``; return (results, completion)."""
         if window < 1:
             raise BlockDeviceError("window must be at least 1")
-        now = self.clock.now()
         inflight: "List[float]" = []
         results: "Dict[int, bytes]" = {}
         last = now
@@ -146,7 +146,13 @@ class BlockDevice:
             results[start] = data
             heapq.heappush(inflight, done)
             last = max(last, done)
-        self.clock.advance_to(last)
+        return results, last
+
+    def read_many(
+        self, starts: "Iterable[int]", window: int = 32
+    ) -> "Dict[int, bytes]":
+        results, done = self.read_many_at(starts, self.clock.now(), window)
+        self.clock.advance_to(done)
         return results
 
     def write_many(

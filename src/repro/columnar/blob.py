@@ -25,7 +25,7 @@ def write_blob(buffer, handle, payload: bytes, page_size: int) -> int:
     return len(chunks)
 
 
-def read_blob(buffer, handle, window: int = 32, scan: bool = False) -> bytes:
+def read_blob(buffer, handle, scan: bool = False) -> bytes:
     """Read back a blob written by :func:`write_blob`.
 
     ``scan`` marks the reads as part of a bulk scan so scan-resistant
@@ -35,8 +35,7 @@ def read_blob(buffer, handle, window: int = 32, scan: bool = False) -> bytes:
     first = buffer.get_page(handle, 0)
     (count,) = _HEADER.unpack_from(first)
     if count > 1:
-        buffer.prefetch(handle, list(range(1, count)), window=window,
-                        scan_hint=scan)
+        buffer.prefetch(handle, list(range(1, count)), scan_hint=scan)
     parts = [first[_HEADER.size:]]
     for page_no in range(1, count):
         parts.append(buffer.get_page(handle, page_no)[_HEADER.size:])

@@ -121,7 +121,13 @@ class DecodedBatchCache:
 
 
 class QueryContext:
-    """One transaction's view for query execution."""
+    """One transaction's view for query execution.
+
+    ``prefetch_window`` sizes the batches of a pipelined scan (pages per
+    column fetched ahead of the decode) and nothing else: the number of
+    requests in flight is ``OcmConfig.read_window`` / the client's
+    ``parallel_window``.
+    """
 
     def __init__(self, session, txn=None, prefetch_window: int = 32,
                  pipelined: "Optional[bool]" = None,
@@ -245,8 +251,7 @@ class QueryContext:
         key = (object_name, handle.version)
         cached = cache.get(key)
         if cached is None:
-            payload = read_blob(self.buffer, handle,
-                                window=self.prefetch_window)
+            payload = read_blob(self.buffer, handle)
             cached = parse(payload)
             # Evict entries for superseded versions of this object: each
             # commit bumps the version, and without this the cache grows
@@ -374,10 +379,8 @@ class QueryContext:
             p for p in pages if not self._have_decoded(object_name, p)
         ]
         if missing:
-            self.buffer.prefetch(
-                self._handle(object_name), missing,
-                window=self.prefetch_window, scan_hint=scan_hint
-            )
+            self.buffer.prefetch(self._handle(object_name), missing,
+                                 scan_hint=scan_hint)
 
     def _issue_batch(self, schema, needed: "Sequence[str]", partition: int,
                      batch: "Sequence[int]") -> float:

@@ -27,7 +27,7 @@ from repro.sim.metrics import MetricsRegistry
 from repro.sim.tracing import NULL_TRACER
 from repro.storage.blockmap import Blockmap
 from repro.storage.compression import PageCodec, codec_by_name
-from repro.storage.dbspace import PageStore
+from repro.storage.dbspace import PageStore, Wait
 from repro.storage.locator import NULL_LOCATOR
 from repro.storage.page import PageConfig
 
@@ -213,59 +213,74 @@ class BufferManager:
                     f"object {handle.name!r} v{handle.version} has no page "
                     f"{page_no}"
                 )
-            payload = handle.dbspace.read_page(locator)
-            data = self.codec.decompress(payload)
-            frame = Frame(data=data, locator=locator, dirty=False, fresh=False,
-                          page_no=page_no)
-            self._insert((handle.object_id, page_no, handle.version), frame)
-            return data
+            clock = handle.dbspace.clock
+            self._read_missing([(handle, (page_no,), (locator,))],
+                               clock.now(), False, clock.advance_to)
+            return self._frames[
+                (handle.object_id, page_no, handle.version)].data
 
-    def _missing_pages(
-        self, handle: ObjectHandle, page_nos: "Iterable[int]"
-    ) -> "Tuple[List[int], List[int]]":
-        """Pages not yet framed, with their locators (prefetch planning)."""
-        missing: List[int] = []
-        locators: List[int] = []
-        for page_no in page_nos:
-            if any(key in self._frames for key in self._lookup_keys(handle, page_no)):
-                continue
-            locator = handle.blockmap.lookup(page_no)
-            if locator == NULL_LOCATOR:
-                continue
-            missing.append(page_no)
-            locators.append(locator)
-        return missing, locators
+    def _plan(self, requests: "Iterable[Tuple[ObjectHandle, Iterable[int]]]"):
+        """``(handle, page_nos, locators)`` per object with unframed pages."""
+        plans = []
+        for handle, page_nos in requests:
+            missing, locators = [], []
+            for page_no in page_nos:
+                if any(key in self._frames for key in self._lookup_keys(handle, page_no)):
+                    continue
+                locator = handle.blockmap.lookup(page_no)
+                if locator != NULL_LOCATOR:
+                    missing.append(page_no)
+                    locators.append(locator)
+            if missing:
+                plans.append((handle, missing, locators))
+        return plans
+
+    def _read_missing(self, plans, now: float, scan_hint: bool,
+                      wait: "Optional[Wait]") -> float:
+        """The one miss routine: read, decompress and frame planned pages.
+
+        All planned objects' pages go out together, ONE timed read per
+        dbspace from ``now`` — so a scan batch covering several column
+        objects reaches the object client as a single key list, where
+        adjacent keys (columns loaded side by side) coalesce into ranged
+        multi-gets.  ``wait`` is the blocking reader's wait, ``None`` for
+        a pipelined one (see :meth:`PageStore.read_pages_at`).
+        """
+        by_space: "Dict[PageStore, List[int]]" = {}
+        for handle, __, locators in plans:
+            by_space.setdefault(handle.dbspace, []).extend(locators)
+        done = now
+        payloads: "Dict[PageStore, Dict[int, bytes]]" = {}
+        for dbspace, locators in by_space.items():
+            payloads[dbspace], space_done = dbspace.read_pages_at(
+                locators, now, scan_hint, wait)
+            done = max(done, space_done)
+        for handle, page_nos, locators in plans:
+            pages = payloads[handle.dbspace]
+            for page_no, locator in zip(page_nos, locators):
+                data = self.codec.decompress(pages[locator])
+                frame = Frame(data=data, locator=locator, page_no=page_no)
+                self._insert((handle.object_id, page_no, handle.version),
+                             frame)
+        return done
 
     def prefetch(self, handle: ObjectHandle, page_nos: "Iterable[int]",
-                 window: int = 32, scan_hint: bool = False) -> int:
+                 scan_hint: bool = False) -> int:
         """Bring missing pages into cache with parallel I/O; returns count."""
-        missing, locators = self._missing_pages(handle, page_nos)
-        if not missing:
+        plans = self._plan([(handle, page_nos)])
+        if not plans:
             return 0
+        count = len(plans[0][1])
         with self.tracer.span("prefetch", "buffer",
-                              object=handle.name, pages=len(missing)):
-            payloads = handle.dbspace.read_pages(locators,
-                                                 scan_hint=scan_hint)
-            for page_no, locator in zip(missing, locators):
-                data = self.codec.decompress(payloads[locator])
-                frame = Frame(data=data, locator=locator, page_no=page_no)
-                self._insert((handle.object_id, page_no, handle.version), frame)
-        self.metrics.counter("prefetched").increment(len(missing))
-        return len(missing)
+                              object=handle.name, pages=count):
+            clock = handle.dbspace.clock
+            self._read_missing(plans, clock.now(), scan_hint,
+                               clock.advance_to)
+        self.metrics.counter("prefetched").increment(count)
+        return count
 
-    def prefetch_issue(self, handle: ObjectHandle,
-                       page_nos: "Iterable[int]", now: float,
-                       scan_hint: bool = False) -> float:
-        """Issue a prefetch for one object; see :meth:`prefetch_issue_many`."""
-        return self.prefetch_issue_many([(handle, page_nos)], now,
-                                        scan_hint=scan_hint)
-
-    def prefetch_issue_many(
-        self,
-        requests: "Iterable[Tuple[ObjectHandle, Iterable[int]]]",
-        now: float,
-        scan_hint: bool = False,
-    ) -> float:
+    def prefetch_issue_many(self, requests, now: float,
+                            scan_hint: bool = False) -> float:
         """Issue prefetches WITHOUT waiting: the pipelined scan path.
 
         Charges the I/O path from ``now`` and returns the batch's
@@ -274,44 +289,14 @@ class BufferManager:
         completion before consuming the pages.  Frames are inserted
         immediately (available once the caller has waited).  The recorded
         ``prefetch_issue`` span keeps its real end time, so traces show
-        it overlapping the caller's decode spans.
-
-        All requested objects' misses are issued together, grouped per
-        dbspace into ONE timed read — so a scan batch covering several
-        column objects reaches the object client as a single key list,
-        where adjacent keys (columns loaded side by side) coalesce into
-        ranged multi-gets.
+        it overlapping the caller's decode spans.  ``requests`` pairs each
+        handle with the page numbers wanted from it.
         """
-        plans: "List[Tuple[ObjectHandle, List[int], List[int]]]" = []
-        by_space: "Dict[int, Tuple[PageStore, List[int]]]" = {}
-        for handle, page_nos in requests:
-            missing, locators = self._missing_pages(handle, page_nos)
-            if not missing:
-                continue
-            plans.append((handle, missing, locators))
-            space = by_space.setdefault(
-                id(handle.dbspace), (handle.dbspace, [])
-            )
-            space[1].extend(locators)
+        plans = self._plan(requests)
         if not plans:
             return now
-        done = now
-        payload_maps: "Dict[int, Dict[int, bytes]]" = {}
-        for space_id, (dbspace, locators) in by_space.items():
-            payloads, space_done = dbspace.read_pages_at(
-                locators, now, scan_hint=scan_hint
-            )
-            payload_maps[space_id] = payloads
-            done = max(done, space_done)
-        total = 0
-        for handle, missing, locators in plans:
-            payloads = payload_maps[id(handle.dbspace)]
-            for page_no, locator in zip(missing, locators):
-                data = self.codec.decompress(payloads[locator])
-                frame = Frame(data=data, locator=locator, page_no=page_no)
-                self._insert((handle.object_id, page_no, handle.version),
-                             frame)
-            total += len(missing)
+        done = self._read_missing(plans, now, scan_hint, None)
+        total = sum(len(missing) for __, missing, __ in plans)
         self.metrics.counter("prefetched").increment(total)
         self.metrics.counter("pipelined_prefetches").increment(total)
         self.tracer.record("prefetch_issue", "buffer", now, done,

@@ -43,7 +43,7 @@ from repro.sim.devices import DeviceProfile, QueueingDevice
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import DeterministicRng
 from repro.sim.tracing import NULL_TRACER
-from repro.storage.dbspace import ObjectIO
+from repro.storage.dbspace import ObjectIO, Wait
 from repro.storage.keys import group_adjacent
 
 CP_WRITE_THROUGH_BEFORE_PUT = register_crash_point(
@@ -255,14 +255,12 @@ class ObjectCacheManager(ObjectIO):
         self._policy.on_insert(name, entry.size, scan_hint)
         self._evict_if_needed()
 
-    def _verified_entry(self, name: str,
-                        entry: "Optional[_CacheEntry]",
-                        ) -> "Optional[_CacheEntry]":
-        """Drop (and report) a cached entry whose bytes no longer match
-        their fill-time CRC; the caller falls through to the miss path."""
-        if entry is None or entry.crc is None:
-            return entry
-        if crc32c(entry.data) == entry.crc:
+    def _verified_entry(self, name: str) -> "Optional[_CacheEntry]":
+        """The cached entry — dropped (and reported) if its bytes no longer
+        match their fill-time CRC, so the caller falls through to a miss."""
+        entry = self._entries.get(name)
+        if (entry is None or entry.crc is None
+                or crc32c(entry.data) == entry.crc):
             return entry
         self.metrics.counter("cache_verify_failures").increment()
         self.tracer.record("verify", "cache_checksum_mismatch",
@@ -276,9 +274,6 @@ class ObjectCacheManager(ObjectIO):
             self._used -= entry.size
             self._policy.on_remove(name, evicted)
         return entry
-
-    def _touch(self, name: str, scan_hint: bool = False) -> None:
-        self._policy.on_access(name, scan_hint)
 
     def _evict_if_needed(self) -> None:
         """Policy-ordered eviction; only uploaded, listed entries are victims.
@@ -344,216 +339,120 @@ class ObjectCacheManager(ObjectIO):
         rate = pipe.rate if pipe is not None else store.profile.default_bandwidth
         return store.profile.get_latency + nbytes / rate
 
-    def _should_reroute(self, nbytes: int, now: float) -> bool:
-        if not self.config.adaptive_read_routing:
-            return False
-        return self._ssd_read_estimate(nbytes, now) > self._store_read_estimate(
-            nbytes
+    def _should_reroute(self, entry: _CacheEntry, now: float) -> bool:
+        """Adaptive routing: is the SSD so saturated with asynchronous
+        fills that the store would serve this uploaded hit sooner?"""
+        return (
+            self.config.adaptive_read_routing and entry.uploaded
+            and self._ssd_read_estimate(entry.size, now)
+            > self._store_read_estimate(entry.size)
         )
 
-    def get(self, name: str, scan_hint: bool = False) -> bytes:
-        self._track_degradation()
-        with self.tracer.span("get", "ocm", key=name) as span:
-            data, outcome = self._get_inner(name, scan_hint)
-            if span is not None:
-                span.attrs["outcome"] = outcome
-                span.attrs["nbytes"] = len(data)
-            return data
-
-    def _get_inner(self, name: str, scan_hint: bool = False) -> "Tuple[bytes, str]":
-        now = self.clock.now()
-        degraded = self.degraded()
-        entry = self._verified_entry(name, self._entries.get(name))
-        if entry is not None:
-            if degraded:
-                # Degraded mode: the store is fenced off; serve the hit
-                # from the SSD without considering adaptive rerouting.
-                done = self.device.read(entry.size, now)
-                self.tracer.record("read", "ssd", now, done,
-                                   key=name, nbytes=entry.size)
-                self.clock.advance_to(done)
-                self._touch(name, scan_hint)
-                self.metrics.counter("hits").increment()
-                self.metrics.counter("degraded_reads").increment()
-                return entry.data, "degraded_hit"
-            if entry.uploaded and self._should_reroute(entry.size, now):
-                # Adaptive routing: the SSD is saturated with asynchronous
-                # fills; serve this hit from the object store instead.
-                data, done = self.client.get_at(name, now)
-                self.clock.advance_to(done)
-                self._touch(name, scan_hint)
-                self.metrics.counter("hits").increment()
-                self.metrics.counter("rerouted_reads").increment()
-                return data, "rerouted_hit"
-            # Cache hit: read from the local SSD.  The shared bandwidth
-            # pipe means queued asynchronous fills delay this read.
-            done = self.device.read(entry.size, now)
-            self.tracer.record("read", "ssd", now, done,
-                               key=name, nbytes=entry.size)
-            self.clock.advance_to(done)
-            self._touch(name, scan_hint)
-            self.metrics.counter("hits").increment()
-            return entry.data, "hit"
-        self.metrics.counter("misses").increment()
-        try:
-            data, done = self.client.get_at(name, now)
-        except CircuitOpenError as exc:
-            if degraded:
-                self.metrics.counter("degraded_miss_failures").increment()
-                raise DegradedCacheMissError(name, exc.retry_at) from exc
-            raise
-        self.clock.advance_to(done)
-        # Read-through: return to the caller and cache asynchronously.
-        fill_start = self.clock.now()
-        fill_done = self.device.write(len(data), fill_start)
-        self.tracer.record("fill", "ssd", fill_start, fill_done,
-                           key=name, nbytes=len(data))
-        self._insert(name, data, uploaded=True, in_lru=True,
-                     scan_hint=scan_hint)
-        return data, "miss"
-
-    def get_many(self, names: "Sequence[str]",
-                 scan_hint: bool = False) -> "Dict[str, bytes]":
-        """Parallel read: SSD hits and object store misses overlap."""
-        self._track_degradation()
-        t0 = self.clock.now()
-        degraded = self.degraded()
-        span = self.tracer.begin("get_many", "ocm", count=len(names))
-        results: Dict[str, bytes] = {}
-        hit_last = t0
-        hit_count = 0
-        misses: List[str] = []
-        rerouted: List[str] = []
-        try:
-            for name in names:
-                entry = self._verified_entry(name, self._entries.get(name))
-                if entry is not None:
-                    if degraded:
-                        done = self.device.read(entry.size, t0)
-                        self.tracer.record("read", "ssd", t0, done,
-                                           key=name, nbytes=entry.size)
-                        hit_last = max(hit_last, done)
-                        self._touch(name, scan_hint)
-                        hit_count += 1
-                        self.metrics.counter("hits").increment()
-                        self.metrics.counter("degraded_reads").increment()
-                        results[name] = entry.data
-                        continue
-                    if entry.uploaded and self._should_reroute(entry.size, t0):
-                        rerouted.append(name)
-                        self._touch(name, scan_hint)
-                        hit_count += 1
-                        self.metrics.counter("hits").increment()
-                        self.metrics.counter("rerouted_reads").increment()
-                        results[name] = entry.data
-                        continue
-                    done = self.device.read(entry.size, t0)
-                    self.tracer.record("read", "ssd", t0, done,
-                                       key=name, nbytes=entry.size)
-                    hit_last = max(hit_last, done)
-                    self._touch(name, scan_hint)
-                    hit_count += 1
-                    self.metrics.counter("hits").increment()
-                    results[name] = entry.data
-                else:
-                    misses.append(name)
-            if rerouted:
-                # Rerouted hits cost object-store reads (timing only; the
-                # data is already in hand from the cache entries).
-                for name in rerouted:
-                    __, done = self.client.get_at(name, t0)
-                    hit_last = max(hit_last, done)
-            if misses:
-                self.metrics.counter("misses").increment(len(misses))
-                try:
-                    fetched = self.client.get_many(
-                        misses, window=self.config.read_window
-                    )
-                except CircuitOpenError as exc:
-                    if degraded:
-                        self.metrics.counter(
-                            "degraded_miss_failures"
-                        ).increment(len(misses))
-                        raise DegradedCacheMissError(
-                            misses[0], exc.retry_at
-                        ) from exc
-                    raise
-                fill_time = self.clock.now()
-                for name in misses:
-                    data = fetched[name]
-                    fill_done = self.device.write(len(data), fill_time)
-                    self.tracer.record("fill", "ssd", fill_time, fill_done,
-                                       key=name, nbytes=len(data))
-                    self._insert(name, data, uploaded=True, in_lru=True,
-                                 scan_hint=scan_hint)
-                    results[name] = data
-            self.clock.advance_to(max(self.clock.now(), hit_last))
-            return results
-        finally:
-            self.tracer.finish(span, hits=hit_count, misses=len(misses))
-
     def get_many_at(self, names: "Sequence[str]", now: float,
-                    scan_hint: bool = False,
+                    scan_hint: bool = False, wait: "Optional[Wait]" = None,
                     ) -> "Tuple[Dict[str, bytes], float]":
-        """Timed variant of :meth:`get_many` for pipelined prefetch.
+        """The one read: SSD hits and object-store misses overlap from ``now``.
 
-        Charges the SSD device and the object-store pipes from ``now``
-        and returns ``(results, completion_time)`` WITHOUT advancing the
-        shared clock — the caller overlaps its own CPU work with the
-        in-flight I/O and waits for ``completion_time`` when it needs
-        the data.  Entries are inserted immediately (the simulation's
-        usual convention for asynchronously arriving state).
+        Hits charge the SSD and are touched at issue.  A blocking reader
+        (``wait`` = ``clock.advance_to``) sits out the fetch of its misses
+        and *then* fills the SSD and lists the entries; a pipelined one
+        (``wait=None``) cannot wait: it charges the fills at the fetch's
+        completion, lists the entries at once (the simulation's usual
+        convention for asynchronously arriving state) and never moves the
+        shared clock.  Filling early when blocking is wrong under sessions:
+        the SSD pipe is FIFO in call order, so a fill charged at a future
+        time delays other sessions' earlier reads, and an early insert
+        turns their misses into hits.
         """
         self._track_degradation()
         degraded = self.degraded()
+        count = len(names)
+        span = self.tracer.begin("get_many", "ocm", start=now, count=count)
         results: Dict[str, bytes] = {}
-        hit_last = now
-        hit_count = 0
         misses: List[str] = []
+        rerouted: List[str] = []
+        missed = 0
+        done = now
+        span_end: "Optional[float]" = now  # a failed read's span is empty
+        try:
+            for name in names:
+                entry = self._verified_entry(name)
+                if entry is None:
+                    misses.append(name)
+                    continue
+                # Degraded mode: the store is fenced off; serve the hit
+                # from the SSD without considering adaptive rerouting.
+                if not degraded and self._should_reroute(entry, now):
+                    rerouted.append(name)
+                    self.metrics.counter("rerouted_reads").increment()
+                else:
+                    # Cache hit: read from the local SSD.  The shared
+                    # bandwidth pipe means queued asynchronous fills
+                    # delay this read.
+                    read_done = self.device.read(entry.size, now)
+                    self.tracer.record("read", "ssd", now, read_done,
+                                       key=name, nbytes=entry.size)
+                    if read_done > done:
+                        done = read_done
+                    if degraded:
+                        self.metrics.counter("degraded_reads").increment()
+                self._policy.on_access(name, scan_hint)
+                self.metrics.counter("hits").increment()
+                results[name] = entry.data
+            # Rerouted hits are object-store reads, bytes included.
+            for name in rerouted:
+                results[name], store_done = self.client.get_at(name, now)
+                done = max(done, store_done)
+            missed = len(misses)
+            if missed:
+                self.metrics.counter("misses").increment(missed)
+                try:
+                    if missed == 1:  # one request needs no window
+                        data, fetch_done = self.client.get_at(misses[0], now)
+                        fetched = {misses[0]: data}
+                    else:
+                        fetched, fetch_done = self.client.get_many_at(
+                            misses, now, window=self.config.read_window)
+                except CircuitOpenError as exc:
+                    if not degraded:
+                        raise
+                    self.metrics.counter("degraded_miss_failures").increment(
+                        missed)
+                    raise DegradedCacheMissError(misses[0],
+                                                 exc.retry_at) from exc
+                if fetch_done > done:
+                    done = fetch_done
+                if wait is not None:
+                    fetch_done = wait(fetch_done)
+                # Read-through: return to the caller, cache asynchronously.
+                self._fill(misses, fetched, fetch_done, scan_hint)
+                for name in misses:
+                    results[name] = fetched[name]
+            # A fill may itself have waited (lru_insert_before_upload
+            # forces an upload to evict): never wait for the past.
+            if wait is not None and done > self.clock.now():
+                wait(done)
+            span_end = done if wait is None else None  # None: clock.now()
+            return results, done
+        finally:
+            self.tracer.finish(span, end=span_end, hits=count - missed,
+                               misses=missed)
+
+    def _fill(self, names: "Sequence[str]", fetched: "Dict[str, bytes]",
+              when: float, scan_hint: bool = False) -> float:
+        """Charge asynchronous SSD fills of fetched objects at ``when`` and
+        list them; returns the last fill's completion for a caller who waits."""
+        last = when
         for name in names:
-            entry = self._verified_entry(name, self._entries.get(name))
-            if entry is None:
-                misses.append(name)
-                continue
-            done = self.device.read(entry.size, now)
-            self.tracer.record("read", "ssd", now, done,
-                               key=name, nbytes=entry.size)
-            hit_last = max(hit_last, done)
-            self._touch(name, scan_hint)
-            hit_count += 1
-            self.metrics.counter("hits").increment()
-            if degraded:
-                self.metrics.counter("degraded_reads").increment()
-            results[name] = entry.data
-        miss_done = now
-        if misses:
-            self.metrics.counter("misses").increment(len(misses))
-            try:
-                fetched, miss_done = self.client.get_many_at(
-                    misses, now, window=self.config.read_window
-                )
-            except CircuitOpenError as exc:
-                if degraded:
-                    self.metrics.counter(
-                        "degraded_miss_failures"
-                    ).increment(len(misses))
-                    raise DegradedCacheMissError(
-                        misses[0], exc.retry_at
-                    ) from exc
-                raise
-            for name in misses:
-                data = fetched[name]
-                fill_done = self.device.write(len(data), miss_done)
-                self.tracer.record("fill", "ssd", miss_done, fill_done,
-                                   key=name, nbytes=len(data))
-                self._insert(name, data, uploaded=True, in_lru=True,
-                             scan_hint=scan_hint)
-                results[name] = data
-        done = max(hit_last, miss_done)
-        self.tracer.record("get_many_issue", "ocm", now, done,
-                           count=len(names), hits=hit_count,
-                           misses=len(misses))
-        return results, done
+            data = fetched[name]
+            fill_done = self.device.write(len(data), when)
+            self.tracer.record("fill", "ssd", when, fill_done,
+                               key=name, nbytes=len(data))
+            self._insert(name, data, uploaded=True, in_lru=True,
+                         scan_hint=scan_hint)
+            if fill_done > last:
+                last = fill_done
+        return last
 
     # ------------------------------------------------------------------ #
     # pre-warm export / bulk admission (autoscale scale-out)
@@ -600,21 +499,9 @@ class ObjectCacheManager(ObjectIO):
         if not todo:
             return 0
         with self.tracer.span("bulk_admit", "ocm", count=len(todo)):
-            fetched = self.client.get_many(
-                todo, window=self.config.read_window
-            )
-            fill_start = self.clock.now()
-            last = fill_start
-            admitted_bytes = 0
-            for name in todo:
-                data = fetched[name]
-                fill_done = self.device.write(len(data), fill_start)
-                self.tracer.record("fill", "ssd", fill_start, fill_done,
-                                   key=name, nbytes=len(data))
-                self._insert(name, data, uploaded=True, in_lru=True)
-                admitted_bytes += len(data)
-                last = max(last, fill_done)
-            self.clock.advance_to(last)
+            fetched = self.client.get_many(todo, window=self.config.read_window)
+            self.clock.advance_to(self._fill(todo, fetched, self.clock.now()))
+        admitted_bytes = sum(len(fetched[name]) for name in todo)
         self.metrics.counter("prewarm_admitted").increment(len(todo))
         self.metrics.counter("prewarm_bytes").increment(admitted_bytes)
         return len(todo)

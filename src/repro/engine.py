@@ -706,14 +706,6 @@ class Database:
             handle = self.open_for_read(txn, name)
             return self.buffer.get_page(handle, page_no)
 
-    def prefetch(self, txn: Transaction, name: str,
-                 page_nos: "List[int]") -> int:
-        with self.tracer.span("prefetch", "engine",
-                              object=name, pages=len(page_nos)):
-            handle = self.open_for_read(txn, name)
-            return self.buffer.prefetch(handle, page_nos,
-                                        window=self.config.parallel_window)
-
     # ------------------------------------------------------------------ #
     # checkpointing, crash, restart
     # ------------------------------------------------------------------ #

@@ -6,7 +6,7 @@ inside :class:`~repro.objectstore.s3sim.SimulatedObjectStore`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.checksum import crc32c
 from repro.objectstore.base import ObjectStore
@@ -37,11 +37,6 @@ class InMemoryObjectStore(ObjectStore):
             return self._objects[key]
         except KeyError:
             raise NoSuchKeyError(key) from None
-
-    def get_verified(self, key: str) -> "Tuple[bytes, int]":
-        """Return ``(data, expected_crc32c)`` for verified readers."""
-        data = self.get(key)
-        return data, self._checksums.get(key, crc32c(data))
 
     def recorded_checksum(self, key: str) -> "Optional[int]":
         return self._checksums.get(key)

@@ -37,7 +37,7 @@ region's in-flight orphan (DESIGN.md §12).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checksum import crc32c
 from repro.objectstore.consistency import VersionedObject
@@ -541,20 +541,8 @@ class ReplicatedObjectStore:
     def put(self, key: str, data: bytes) -> None:
         run_and_advance(self.clock, self.put_range_at, [(key, data)])
 
-    def get(self, key: str) -> bytes:
-        self.pump(self.clock.now())
-        return self.primary.get(key)
-
     def delete(self, key: str) -> None:
         run_and_advance(self.clock, self.delete_at, key)
-
-    def exists(self, key: str) -> bool:
-        self.pump(self.clock.now())
-        return self.primary.exists(key)
-
-    def list_keys(self, prefix: str = "") -> "Iterator[str]":
-        self.pump(self.clock.now())
-        return self.primary.list_keys(prefix)
 
     # ------------------------------------------------------------------ #
     # introspection (auditor, fencing, tests)

@@ -17,10 +17,9 @@ A *dbspace* is SAP IQ's unit of physical storage.  This module provides:
 
 from __future__ import annotations
 
-import heapq
 from abc import ABC, abstractmethod
 from typing import (
-    TYPE_CHECKING, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple,
 )
 
 from repro.blockstore.device import BlockDevice
@@ -37,6 +36,9 @@ from repro.storage.locator import (
 
 if TYPE_CHECKING:  # the client imports storage.keys: no import at run time
     from repro.objectstore.client import RetryingObjectClient
+
+# A blocking reader's wait: ``clock.advance_to`` (returns the time after).
+Wait = Callable[[float], float]
 
 CP_WRITE_PAGE_BEFORE_PUT = register_crash_point(
     "dbspace.write_page.before_put",
@@ -78,6 +80,8 @@ class ObjectIO(ABC):
 
     ``txn_id`` attributes writes to a transaction so the OCM can promote
     them on FlushForCommit; ``commit_mode`` selects write-through.
+    Every read takes one route, :meth:`get_many_at`: implementations
+    provide it and ``self.clock``, the blocking forms live here.
     """
 
     @abstractmethod
@@ -86,26 +90,27 @@ class ObjectIO(ABC):
         ...
 
     @abstractmethod
-    def get(self, name: str) -> bytes:
-        ...
+    def get_many_at(self, names: "Sequence[str]", now: float,
+                    scan_hint: bool = False, wait: "Optional[Wait]" = None,
+                    ) -> "Tuple[Dict[str, bytes], float]":
+        """Windowed-parallel read from ``now``: ``(results, completion)``.
 
-    @abstractmethod
+        ``scan_hint`` marks bulk-scan traffic so a scan-resistant cache
+        policy can apply its admission rule; cacheless implementations
+        ignore it.  ``wait`` is called with each completion a blocking
+        reader has to sit out: what such a reader does after its wait
+        (the OCM's SSD fill) happens after that call.  ``wait=None`` is
+        pipelined prefetch: the shared clock never moves, the caller
+        overlaps its own work and waits for ``completion`` itself.
+        """
+
     def get_many(self, names: "Sequence[str]",
                  scan_hint: bool = False) -> "Dict[str, bytes]":
-        """Windowed-parallel read.  ``scan_hint`` marks bulk-scan traffic
-        so a scan-resistant cache policy can apply its admission rule;
-        cacheless implementations ignore it."""
-        ...
+        return self.get_many_at(names, self.clock.now(), scan_hint,
+                                self.clock.advance_to)[0]
 
-    def get_many_at(self, names: "Sequence[str]", now: float,
-                    scan_hint: bool = False,
-                    ) -> "Tuple[Dict[str, bytes], float]":
-        """Timed ``get_many`` for pipelined prefetch: charge the I/O path
-        from ``now`` and return ``(results, completion)`` without
-        advancing the shared clock."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support pipelined reads"
-        )
+    def get(self, name: str, scan_hint: bool = False) -> bytes:
+        return self.get_many([name], scan_hint)[name]
 
     @abstractmethod
     def put_many(self, items: "Sequence[Tuple[str, bytes]]",
@@ -139,22 +144,19 @@ class DirectObjectIO(ObjectIO):
 
     def __init__(self, client: RetryingObjectClient) -> None:
         self.client = client
+        self.clock = client.clock
 
     def put(self, name: str, data: bytes, txn_id: "Optional[int]" = None,
             commit_mode: bool = False) -> None:
         self.client.put(name, data)
 
-    def get(self, name: str) -> bytes:
-        return self.client.get(name)
-
-    def get_many(self, names: "Sequence[str]",
-                 scan_hint: bool = False) -> "Dict[str, bytes]":
-        return self.client.get_many(names)
-
     def get_many_at(self, names: "Sequence[str]", now: float,
-                    scan_hint: bool = False,
+                    scan_hint: bool = False, wait: "Optional[Wait]" = None,
                     ) -> "Tuple[Dict[str, bytes], float]":
-        return self.client.get_many_at(names, now)
+        results, done = self.client.get_many_at(names, now)
+        if wait is not None:
+            wait(done)
+        return results, done
 
     def put_many(self, items: "Sequence[Tuple[str, bytes]]",
                  txn_id: "Optional[int]" = None,
@@ -180,7 +182,8 @@ class PageStore(ABC):
     ``page_size_limit`` optionally overrides the engine-wide page size for
     objects living on this dbspace (the paper's future-work item of
     per-dbspace page sizes; the uniform-size requirement came from shared
-    block devices and does not apply to object stores).
+    block devices and does not apply to object stores).  Implementations
+    provide :meth:`read_pages_at` and ``self.clock`` for the blocking reads.
     """
 
     def __init__(self, name: str,
@@ -211,26 +214,23 @@ class PageStore(ABC):
         """
 
     @abstractmethod
-    def read_page(self, locator: int) -> bytes:
-        """Read one page image."""
-
-    @abstractmethod
-    def read_pages(self, locators: "Sequence[int]",
-                   scan_hint: bool = False) -> "Dict[int, bytes]":
-        """Windowed-parallel read of several page images (prefetching).
+    def read_pages_at(self, locators: "Sequence[int]", now: float,
+                      scan_hint: bool = False, wait: "Optional[Wait]" = None,
+                      ) -> "Tuple[Dict[int, bytes], float]":
+        """Windowed-parallel page read from ``now``: ``(pages, completion)``.
 
         ``scan_hint`` marks bulk-scan traffic for scan-resistant cache
-        policies down the I/O path; block dbspaces ignore it."""
+        policies down the I/O path; block dbspaces ignore it.  ``wait``
+        is as in :meth:`ObjectIO.get_many_at` (``None``: prefetching).
+        """
 
-    def read_pages_at(self, locators: "Sequence[int]", now: float,
-                      scan_hint: bool = False,
-                      ) -> "Tuple[Dict[int, bytes], float]":
-        """Timed ``read_pages`` for pipelined prefetch: charge the I/O
-        path from ``now``; return ``(pages, completion)`` without
-        advancing the shared clock."""
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support pipelined reads"
-        )
+    def read_pages(self, locators: "Sequence[int]",
+                   scan_hint: bool = False) -> "Dict[int, bytes]":
+        return self.read_pages_at(locators, self.clock.now(), scan_hint,
+                                  self.clock.advance_to)[0]
+
+    def read_page(self, locator: int) -> bytes:
+        return self.read_pages([locator])[locator]
 
     @abstractmethod
     def write_pages(
@@ -264,6 +264,7 @@ class BlockDbspace(PageStore):
                  freelist: "Optional[Freelist]" = None) -> None:
         super().__init__(name)
         self.device = device
+        self.clock = device.clock
         self.freelist = freelist or Freelist(device.total_blocks)
         if self.freelist.total_blocks != device.total_blocks:
             raise DbspaceError(
@@ -304,32 +305,14 @@ class BlockDbspace(PageStore):
         self.device.write(start, payload)
         return locator
 
-    def read_page(self, locator: int) -> bytes:
-        start, __ = block_range(locator)
-        return self.device.read(start)
-
-    def read_pages(self, locators: "Sequence[int]",
-                   scan_hint: bool = False) -> "Dict[int, bytes]":
-        starts = {block_range(loc)[0]: loc for loc in locators}
-        raw = self.device.read_many(list(starts))
-        return {starts[start]: data for start, data in raw.items()}
-
     def read_pages_at(self, locators: "Sequence[int]", now: float,
-                      scan_hint: bool = False,
+                      scan_hint: bool = False, wait: "Optional[Wait]" = None,
                       ) -> "Tuple[Dict[int, bytes], float]":
         starts = {block_range(loc)[0]: loc for loc in locators}
-        inflight: "List[float]" = []
-        results: "Dict[int, bytes]" = {}
-        last = now
-        for start in starts:
-            begin = now
-            if len(inflight) >= 32:
-                begin = max(now, heapq.heappop(inflight))
-            data, done = self.device.read_at(start, begin)
-            results[starts[start]] = data
-            heapq.heappush(inflight, done)
-            last = max(last, done)
-        return results, last
+        raw, done = self.device.read_many_at(starts, now)
+        if wait is not None:
+            wait(done)
+        return {starts[start]: data for start, data in raw.items()}, done
 
     def write_pages(
         self,
@@ -385,6 +368,7 @@ class CloudDbspace(PageStore):
     ) -> None:
         super().__init__(name, page_size_limit)
         self.io = io
+        self.clock = io.clock
         self.key_source = key_source
         self.prefix_bits = prefix_bits
         self.encryptor = encryptor
@@ -431,25 +415,13 @@ class CloudDbspace(PageStore):
         crash_point(CP_WRITE_PAGE_AFTER_PUT)
         return key
 
-    def read_page(self, locator: int) -> bytes:
-        return self._open(self.io.get(self.object_name(locator)))
-
-    def read_pages(self, locators: "Sequence[int]",
-                   scan_hint: bool = False) -> "Dict[int, bytes]":
-        names = {self.object_name(loc): loc for loc in locators}
-        raw = self.io.get_many(list(names), scan_hint=scan_hint)
-        return {names[name]: self._open(data) for name, data in raw.items()}
-
     def read_pages_at(self, locators: "Sequence[int]", now: float,
-                      scan_hint: bool = False,
+                      scan_hint: bool = False, wait: "Optional[Wait]" = None,
                       ) -> "Tuple[Dict[int, bytes], float]":
         names = {self.object_name(loc): loc for loc in locators}
-        raw, done = self.io.get_many_at(list(names), now,
-                                        scan_hint=scan_hint)
-        return (
-            {names[name]: self._open(data) for name, data in raw.items()},
-            done,
-        )
+        raw, done = self.io.get_many_at(list(names), now, scan_hint, wait)
+        pages = {names[name]: self._open(data) for name, data in raw.items()}
+        return pages, done
 
     def write_pages(
         self,

@@ -75,3 +75,48 @@ def test_adaptive_routing_preserves_correctness():
         ocm.client.put(f"cold/{i}", b"c" * 200_000)
     ocm.get_many([f"cold/{i}" for i in range(20)])
     assert ocm.get_many(list(payloads)) == payloads
+
+
+def saturate(ocm) -> None:
+    ocm.client.put("hot/1", b"h" * 10_000)
+    ocm.get("hot/1")
+    for i in range(20):
+        ocm.client.put(f"cold/{i}", b"c" * 200_000)
+    ocm.get_many([f"cold/{i}" for i in range(20)])
+
+
+def test_pipelined_reads_reroute_too():
+    """``get_many_at`` used to skip the routing check: with pipelined
+    prefetch on, hits queued behind a saturated SSD regardless."""
+    ocm = make_ocm(adaptive=True)
+    saturate(ocm)
+    now = ocm.clock.now()
+    assert ocm.device.backlog(now) > ocm._store_read_estimate(10_000)
+    ssd_reads = ocm.device.metrics.snapshot().get("read_ops", 0)
+    twin = make_ocm(adaptive=True)
+    saturate(twin)
+    __, store_done = twin.client.get_at("hot/1", now)
+
+    results, done = ocm.get_many_at(["hot/1"], now)
+    assert results == {"hot/1": b"h" * 10_000}
+    assert ocm.stats().get("rerouted_reads", 0) == 1
+    assert done == store_done  # the store's time, not the SSD queue's
+    assert ocm.device.metrics.snapshot().get("read_ops", 0) == ssd_reads
+    assert ocm.clock.now() == now  # still pipelined: nobody waited
+
+
+def test_all_three_read_forms_route_alike():
+    latencies = {}
+    for form in ("get", "get_many", "get_many_at"):
+        ocm = make_ocm(adaptive=True)
+        saturate(ocm)
+        start = ocm.clock.now()
+        if form == "get":
+            ocm.get("hot/1")
+        elif form == "get_many":
+            ocm.get_many(["hot/1"])
+        else:
+            ocm.clock.advance_to(ocm.get_many_at(["hot/1"], start)[1])
+        assert ocm.stats().get("rerouted_reads", 0) == 1, form
+        latencies[form] = ocm.clock.now() - start
+    assert len(set(latencies.values())) == 1, latencies
