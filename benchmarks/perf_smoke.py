@@ -1,9 +1,11 @@
 """Perf-smoke guard: fail CI when scan virtual time regresses.
 
-Runs a small cold TPC-H scan workload (Q1 + Q6 at SF 0.004, default
-engine config — no PR 3 feature flags) on the deterministic virtual
-clock and compares the scan virtual time and object-store GET count
-against the committed baseline in ``perf_smoke_baseline.json``.
+Runs a small cold TPC-H scan workload (Q1 + Q6 at SF 0.004, the engine
+as shipped: ``arc2q``, pipelined prefetch, ranged GETs) on the
+deterministic virtual clock and compares the scan virtual time and
+object-store GET count against the committed baseline in
+``perf_smoke_baseline.json`` (``DatabaseConfig.paper()`` measures 225.4 s
+and 202 GETs on the same workload).
 
 The simulation is deterministic, so the baseline is exact on any host;
 the comparison still allows a small tolerance so that intentional,

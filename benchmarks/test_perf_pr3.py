@@ -3,11 +3,11 @@
 The workload interleaves append churn on a fact table with full-scan
 TPC-H queries (Q1/Q6) over ``lineitem``, with the OCM sized below the
 scan working set — the regime in which the paper's single-LRU cache
-cycles and every round re-misses.  The optimized configuration enables
-the PR 3 read-path stack (``arc2q`` scan-resistant eviction, pipelined
-prefetch, adjacent-key GET coalescing) and must beat the seed
-configuration by >=20% on scan virtual time and >=30% on object-store
-GET requests.
+cycles and every round re-misses.  The optimized configuration is the
+engine as shipped (``arc2q`` scan-resistant eviction, pipelined prefetch,
+adjacent-key GET coalescing), the seed one ``DatabaseConfig.paper()``;
+the default must win by >=20% on scan virtual time and >=30% on
+object-store GET requests.
 
 Emits ``results/BENCH_pr3.json`` with virtual seconds, wall seconds,
 request counts and USD per workload for both configurations.

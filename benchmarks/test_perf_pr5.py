@@ -12,10 +12,10 @@ Two environments, both loading the same data with the same seed:
   PUT costs inflated tokens, so five-fold fewer PUTs is a shorter
   critical path through the token buckets.
 
-The optimized configuration is ``WRITE_PATH_OPTIMIZED`` (AIMD upload
-window + PUT coalescing + group commit flush) and must cut billed PUTs
-by >=20% (it achieves ~80%) and measurably cut throttled load virtual
-time.  Emits ``results/BENCH_pr5.json`` with load vtime, billed PUTs and
+The optimized configuration is the engine as shipped (PUT coalescing +
+group commit flush), the seed one ``DatabaseConfig.paper()``; the default
+must cut billed PUTs by >=20% (it achieves ~80%) and measurably cut
+throttled load virtual time.  Emits ``results/BENCH_pr5.json`` with load vtime, billed PUTs and
 USD/load for all four runs, next to the PR 3 baseline.
 """
 

@@ -19,7 +19,8 @@ MIB = 1024 * 1024
 def run_table1_scenario():
     events = []
     cluster = Multiplex(
-        DatabaseConfig(buffer_capacity_bytes=8 * MIB, page_size=16 * 1024),
+        DatabaseConfig.paper(buffer_capacity_bytes=8 * MIB,
+                             page_size=16 * 1024),
         MultiplexConfig(writers=1, secondary_buffer_bytes=8 * MIB,
                         ocm_enabled=False),
     )

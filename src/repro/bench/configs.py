@@ -16,7 +16,7 @@ ratios match the paper's.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.columnar import ColumnStore
 from repro.costs.instances import INSTANCE_CATALOG, InstanceProfile
@@ -50,18 +50,6 @@ OCM_DIVISOR = 30
 OCM_FLOOR = 1280 * 1024
 
 
-# The PR 5 write-path stack, as one overrides bundle: AIMD-controlled
-# upload window, adjacent-key PUT coalescing, and group commit flush.
-# Backpressure (ocm_max_pending_uploads) is deliberately NOT part of the
-# bundle — it trades load latency for a bounded queue and is a deployment
-# choice, not a pure optimisation.  Usage:
-#     load_engine(..., **WRITE_PATH_OPTIMIZED)
-WRITE_PATH_OPTIMIZED: "Dict[str, object]" = dict(
-    adaptive_upload_window=True,
-    coalesce_puts=True,
-    group_commit_flush=True,
-)
-
 # The PR 8 read-path stack: numpy-backed batch executor with
 # morsel-driven CPU charging and the session-level decoded-batch cache.
 # Requires numpy (the [perf] extra); Database raises a clear
@@ -77,9 +65,15 @@ def bench_config(
     user_volume: str = "s3",
     scale_factor: float = BENCH_SCALE_FACTOR,
     ocm_enabled: bool = True,
+    profile: "Callable[..., DatabaseConfig]" = DatabaseConfig,
     **overrides: object,
 ) -> DatabaseConfig:
-    """A DatabaseConfig mirroring one of the paper's deployments."""
+    """A DatabaseConfig mirroring one of the paper's deployments.
+
+    ``profile`` builds it from the sizing below: the shipped engine by
+    default, ``DatabaseConfig.paper`` for the paper's per-page I/O path
+    (``make_engine``/``load_engine`` forward it like any override).
+    """
     instance = INSTANCE_CATALOG[instance_type]
     rate_scale = scale_factor / PAPER_SCALE_FACTOR
     size_scale = rate_scale  # capacities shrink with the data
@@ -114,7 +108,7 @@ def bench_config(
         rate_scale=rate_scale,
     )
     settings.update(overrides)  # explicit overrides win
-    return DatabaseConfig(**settings)  # type: ignore[arg-type]
+    return profile(**settings)
 
 
 def make_engine(

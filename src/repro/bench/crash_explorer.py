@@ -80,19 +80,23 @@ class EpisodeResult:
         }
 
 
-# Crash points living inside the adaptive write pipeline only exist on
-# code paths the default configuration never takes; their episodes run
-# the same churn workload with the pipeline knobs on.
+# Crash points on either side of the group-commit switch exist on one
+# flush path only, so their episodes pin the path instead of following
+# the default: the batch-flush and ranged-PUT points run the same churn
+# workload with the write pipeline spelled out, the per-page flush point
+# runs it under ``DatabaseConfig.paper()``.
 WRITE_PIPELINE_PREFIXES = ("ocm.batch_flush.", "client.put_range.")
 WRITE_PIPELINE_OVERRIDES: "Dict[str, object]" = dict(
     adaptive_upload_window=True,
     coalesce_puts=True,
     group_commit_flush=True,
 )
+PER_PAGE_FLUSH_PREFIXES = ("ocm.flush.",)
 
 
 def base_config(
-    seed: int, overrides: "Optional[Dict[str, object]]" = None
+    seed: int, overrides: "Optional[Dict[str, object]]" = None,
+    profile: "Callable[..., DatabaseConfig]" = DatabaseConfig,
 ) -> DatabaseConfig:
     """A deliberately tiny engine: small pages, a buffer that thrashes."""
     settings: "Dict[str, object]" = dict(
@@ -107,7 +111,7 @@ def base_config(
     )
     if overrides:
         settings.update(overrides)
-    return DatabaseConfig(**settings)  # type: ignore[arg-type]
+    return profile(**settings)
 
 
 def build_engine(
@@ -155,12 +159,13 @@ def run_churn_episode(
     arm_skip: int = 0,
     config_overrides: "Optional[Dict[str, object]]" = None,
     deep: bool = False,
+    profile: "Callable[..., DatabaseConfig]" = DatabaseConfig,
 ) -> EpisodeResult:
     """One seeded churn workload crashed (maybe repeatedly) at one point."""
     CRASH_POINTS.disarm_all()
     result = EpisodeResult(crash_point=crash_point_name, seed=seed,
                            mode="churn")
-    db = build_engine(seed, config_overrides)
+    db = Database(base_config(seed, config_overrides, profile))
     if broken_gc:
         install_broken_gc(db)
     expected: "Dict[Tuple[str, int], bytes]" = {}
@@ -1004,7 +1009,22 @@ def run_episode(
     broken_gc: bool = False,
     arm_skip: int = 0,
 ) -> EpisodeResult:
-    """Route a crash point to the episode that can actually traverse it."""
+    """Route a crash point to the episode that can actually traverse it.
+
+    An episode armed without a skip that never reaches its point is a
+    violation: a sweep reporting "fired 0 ... ok" has silently shrunk.
+    """
+    result = _route_episode(crash_point_name, seed, broken_gc, arm_skip)
+    if crash_point_name is not None and not arm_skip and not result.fired:
+        result.violations.append(
+            f"crash point {crash_point_name!r} never fired: its episode "
+            "no longer traverses it"
+        )
+    return result
+
+
+def _route_episode(crash_point_name: "Optional[str]", seed: int,
+                   broken_gc: bool, arm_skip: int) -> EpisodeResult:
     if crash_point_name is not None:
         if crash_point_name.startswith(("multiplex.failover.",
                                         "replication.")):
@@ -1028,6 +1048,11 @@ def run_episode(
                 crash_point_name, seed=seed, broken_gc=broken_gc,
                 arm_skip=arm_skip,
                 config_overrides=dict(WRITE_PIPELINE_OVERRIDES),
+            )
+        if crash_point_name.startswith(PER_PAGE_FLUSH_PREFIXES):
+            return run_churn_episode(
+                crash_point_name, seed=seed, broken_gc=broken_gc,
+                arm_skip=arm_skip, profile=DatabaseConfig.paper,
             )
     return run_churn_episode(crash_point_name, seed=seed,
                              broken_gc=broken_gc, arm_skip=arm_skip)

@@ -5,6 +5,10 @@ can both render them.  Results are expressed in *virtual seconds*, which
 the rate-scaling scheme (see :mod:`repro.bench.configs`) makes directly
 comparable to the paper's SF-1000 numbers in shape.
 
+The table and figure drivers reproduce the paper, so they run
+``DatabaseConfig.paper()`` — its per-page I/O path — not the batched path
+the engine ships with; the two ``optimized=`` workloads compare the two.
+
 Query phases start from a cold buffer/OCM (the paper's query experiments
 show cold-cache warm-up behaviour, so their runs began with empty caches).
 """
@@ -19,7 +23,6 @@ from repro.bench.configs import (
     BENCH_ROWS_PER_PAGE,
     BENCH_SCALE_FACTOR,
     PAPER_SCALE_FACTOR,
-    WRITE_PATH_OPTIMIZED,
     load_engine,
     make_engine,
 )
@@ -27,7 +30,7 @@ from repro.bench.report import geomean
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.core.multiplex import Multiplex  # noqa: F401  (re-export for examples)
 from repro.costs.pricing import DEFAULT_PRICES
-from repro.engine import Database
+from repro.engine import Database, DatabaseConfig
 from repro.objectstore.faults import FaultSchedule, ThrottleStorm
 from repro.sim.metrics import snapshot_delta
 from repro.tpch import power_run
@@ -48,7 +51,8 @@ def _cold_caches(db: Database) -> None:
 
 
 class VolumeRun:
-    """One load + power run on one volume/instance configuration."""
+    """One load + power run on one volume/instance configuration, under
+    the ``paper()`` profile (explicit ``overrides`` win)."""
 
     def __init__(
         self,
@@ -62,7 +66,8 @@ class VolumeRun:
         self.instance_type = instance_type
         self.scale_factor = scale_factor
         self.db, self.store, self.load_seconds = load_engine(
-            instance_type, volume, scale_factor, ocm_enabled, **overrides
+            instance_type, volume, scale_factor, ocm_enabled,
+            profile=DatabaseConfig.paper, **overrides
         )
         meter = self.db.meter
         self._load_requests = dict(
@@ -337,11 +342,10 @@ def run_churn_query_workload(
     default) over ``lineitem`` — the access pattern in which the paper's
     single LRU lets every scan flush the cache.
 
-    ``optimized=True`` enables the PR 3 read-path stack: the ``arc2q``
-    scan-resistant policy, pipelined prefetch, and adjacent-key GET
-    coalescing.  The default leaves all three off (the paper's
-    configuration).  Returns a JSON-ready summary with virtual seconds,
-    wall seconds, object-store request deltas and workload USD.
+    ``optimized=True`` runs the engine as shipped (``arc2q``, pipelined
+    prefetch, GET/PUT coalescing, group commit); the default runs the
+    ``paper()`` profile.  Returns a JSON-ready summary with virtual
+    seconds, wall seconds, object-store request deltas and workload USD.
     """
     wall_started = time.monotonic()
     # The Figure-6 pressure condition: the OCM is smaller than the scan
@@ -351,15 +355,10 @@ def run_churn_query_workload(
     # the protected segment.  Applied to BOTH configs — it is workload
     # shape, not part of the optimisation under test.
     ocm_capacity = max(int(384 * 1024 * (scale_factor / 0.01)), 64 * 1024)
-    overrides: "Dict[str, object]" = {"ocm_capacity_bytes": ocm_capacity}
-    if optimized:
-        overrides.update(
-            ocm_policy="arc2q",
-            pipelined_prefetch=True,
-            coalesce_gets=True,
-        )
     db, store, load_seconds = load_engine(
-        instance_type, "s3", scale_factor, True, **overrides
+        instance_type, "s3", scale_factor, True,
+        profile=DatabaseConfig if optimized else DatabaseConfig.paper,
+        ocm_capacity_bytes=ocm_capacity,
     )
     assert db.object_store is not None
     store.create_table(TableSchema(
@@ -455,9 +454,9 @@ def run_bulk_load_workload(
 ) -> "Dict[str, object]":
     """TPC-H bulk load measuring the write path (DESIGN.md §11).
 
-    ``optimized=True`` enables the PR 5 write stack (AIMD upload window,
-    adjacent-key PUT coalescing, group commit flush); the default is the
-    paper's fixed-window one-PUT-per-page drain.  With
+    ``optimized=True`` runs the engine as shipped (adjacent-key PUT
+    coalescing, group commit flush); the default is the ``paper()``
+    profile's one-PUT-per-page drain.  With
     ``throttle_rate_factor`` set, a ThrottleStorm clamps the store's
     per-prefix PUT rate to that fraction for the whole load — the
     regime real S3 enforces at full scale (the sim's scaled-up request
@@ -470,9 +469,9 @@ def run_bulk_load_workload(
     identically and erase exactly the effect under test.
     """
     wall_started = time.monotonic()
-    overrides: "Dict[str, object]" = {}
-    if optimized:
-        overrides.update(WRITE_PATH_OPTIMIZED)
+    overrides: "Dict[str, object]" = dict(
+        profile=DatabaseConfig if optimized else DatabaseConfig.paper,
+    )
     if throttle_rate_factor is not None:
         overrides["fault_schedule"] = FaultSchedule(
             [ThrottleStorm(0.0, float("inf"), ops=("put",),
@@ -550,7 +549,8 @@ def run_scale_out(
         sessions = []
         for __ in range(nodes):
             db, __store, __load = load_engine(
-                "m5ad.4xlarge", "s3", scale_factor
+                "m5ad.4xlarge", "s3", scale_factor,
+                profile=DatabaseConfig.paper,
             )
             _cold_caches(db)
             sessions.append(db)

@@ -143,7 +143,8 @@ class QueryContext:
         # Pipelined scans: issue batch N+1's page fetches while batch N
         # decodes, so scan virtual time approaches max(io, cpu) instead
         # of io + cpu.  Defaults to the session's `pipelined_prefetch`
-        # config knob (off: the paper's serial prefetch-then-decode).
+        # config field (on as shipped; `DatabaseConfig.paper()` selects
+        # the paper's serial prefetch-then-decode body below).
         if pipelined is None:
             pipelined = bool(getattr(config, "pipelined_prefetch", False))
         self.pipelined = pipelined

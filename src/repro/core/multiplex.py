@@ -26,11 +26,9 @@ from typing import Dict, List, Optional
 
 from repro.core.buffer import BufferManager
 from repro.core.keygen import KeyRange, NodeKeyCache
-from repro.core.ocm import ObjectCacheManager, OcmConfig
 from repro.core.txn import Transaction, TransactionError
 from repro.engine import Database, DatabaseConfig, NodeRuntime, SYSTEM_DBSPACE, USER_DBSPACE
-from repro.blockstore.profiles import nvme_ssd
-from repro.objectstore.client import RetryingObjectClient
+from repro.engine import build_object_io
 from repro.objectstore.faults import FaultSchedule, OutageWindow, RegionOutage
 from repro.objectstore.replicated import ReplicatedObjectStore
 from repro.sim.cpu import CpuModel
@@ -39,7 +37,6 @@ from repro.sim.crashpoints import (
     crash_point,
     register_crash_point,
 )
-from repro.sim.devices import raid0, scaled_profile
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.pipes import Pipe
 from repro.storage.dbspace import CloudDbspace, DirectObjectIO
@@ -135,6 +132,8 @@ class SecondaryNode:
         self.multiplex = multiplex
         self._config = config
         coordinator = multiplex.coordinator
+        # QueryContext reads ``session.config``: the coordinator's.
+        self.config = coordinator.config
         self.clock = coordinator.clock
         self.rpc = Rpc(self.clock, config.rpc_latency)
         rate_scale = coordinator.config.rate_scale
@@ -155,36 +154,13 @@ class SecondaryNode:
         # Own client into the *shared* store, through the node's own NIC.
         if coordinator.object_store is None:
             raise MultiplexError("multiplex requires an S3 user dbspace")
-        self.client = RetryingObjectClient(
-            coordinator.object_store,
-            policy=coordinator.config.retry,
-            parallel_window=coordinator.config.parallel_window,
-            bandwidth=self.nic,
-            node_id=node_id,
-            breaker=coordinator.config.breaker,
-            hedge=coordinator.config.hedge,
-            rng=coordinator.rng.substream(f"client/{node_id}"),
+        self.client, self.ocm = build_object_io(
+            coordinator.config, coordinator.object_store, self.nic, node_id,
+            coordinator.rng.substream(node_id),
+            (config.secondary_ocm_bytes, config.secondary_ocm_ssd_count)
+            if config.ocm_enabled else None,
         )
-        self.ocm: "Optional[ObjectCacheManager]" = None
-        if config.ocm_enabled:
-            ssd = scaled_profile(
-                raid0(
-                    [nvme_ssd(f"{node_id}-nvme{i}")
-                     for i in range(config.secondary_ocm_ssd_count)],
-                    name=f"{node_id}-ocm",
-                ),
-                rate_scale,
-                coordinator.config.op_scale,
-            )
-            self.ocm = ObjectCacheManager(
-                self.client,
-                ssd,
-                OcmConfig(capacity_bytes=config.secondary_ocm_bytes),
-                rng=coordinator.rng.substream(f"ocm/{node_id}"),
-            )
-            io = self.ocm
-        else:
-            io = DirectObjectIO(self.client)
+        io = self.ocm or DirectObjectIO(self.client)
         self.user_dbspace = CloudDbspace(
             USER_DBSPACE, io, self.key_cache,
             prefix_bits=coordinator.config.prefix_bits,

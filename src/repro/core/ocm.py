@@ -303,17 +303,22 @@ class ObjectCacheManager(ObjectIO):
                 victims.append(name)
                 projected -= entry.size
         for name in victims:
-            self._remove(name, evicted=True)
-            self.metrics.counter("evictions").increment()
+            # Under sessions a forced upload's wait can let another
+            # session evict the same victim first.
+            if self._remove(name, evicted=True) is not None:
+                self.metrics.counter("evictions").increment()
 
     def _force_upload(self, name: str) -> None:
         """Synchronously upload a pending write-back entry (ablation path)."""
         for jobs in list(self._pending.values()) + [self._anonymous_pending]:
             for job in jobs:
                 if job.name == name:
+                    # Dequeue before waiting: under sessions the wait
+                    # yields, and a second eviction finding the job still
+                    # queued would PUT the same key again.
+                    jobs.remove(job)
                     done = self._schedule_batch([job])
                     self.clock.advance_to(max(self.clock.now(), done))
-                    jobs.remove(job)
                     entry = self._entries.get(name)
                     if entry is not None:
                         entry.uploaded = True
@@ -500,7 +505,11 @@ class ObjectCacheManager(ObjectIO):
             return 0
         with self.tracer.span("bulk_admit", "ocm", count=len(todo)):
             fetched = self.client.get_many(todo, window=self.config.read_window)
-            self.clock.advance_to(self._fill(todo, fetched, self.clock.now()))
+            done = self._fill(todo, fetched, self.clock.now())
+            # A fill may itself have waited (lru_insert_before_upload
+            # forces an upload to evict): never wait for the past.
+            if done > self.clock.now():
+                self.clock.advance_to(done)
         admitted_bytes = sum(len(fetched[name]) for name in todo)
         self.metrics.counter("prewarm_admitted").increment(len(todo))
         self.metrics.counter("prewarm_bytes").increment(admitted_bytes)

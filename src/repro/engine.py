@@ -128,30 +128,31 @@ class DatabaseConfig:
     ocm_capacity_bytes: int = 256 * MIB
     ocm_ssd_count: int = 2
     ocm_upload_window: int = 16
-    # OCM eviction policy: "lru" (the paper's cache) or "arc2q"
-    # (scan-resistant probation/protected segments with ghost lists)
-    ocm_policy: str = "lru"
+    # The batched I/O path (DESIGN.md §19) — what the engine ships with;
+    # paper() below is the per-page composition the paper describes.
+    # OCM eviction policy: "arc2q" (scan-resistant probation/protected
+    # segments with ghost lists) or "lru" (the paper's cache)
+    ocm_policy: str = "arc2q"
     # Pipelined scans: QueryContext overlaps batch N's decode with batch
     # N+1's object fetches instead of strictly alternating them
-    pipelined_prefetch: bool = False
-    # GET coalescing: the object client merges adjacent-key reads into
-    # ranged multi-gets (one billed request, one token) before the
-    # per-prefix token buckets
-    coalesce_gets: bool = False
-    # Adaptive write-back pipeline (DESIGN.md §11; all off by default so
-    # the stock configuration reproduces the paper's fixed-window drain):
+    pipelined_prefetch: bool = True
+    # GET/PUT coalescing: the object client merges adjacent-key reads
+    # (and runs of freshly keyed adjacent pages on the write side) into
+    # ranged multi-gets/multi-puts — one billed request, one token —
+    # before the per-prefix token buckets
+    coalesce_gets: bool = True
+    coalesce_puts: bool = True
+    # Group commit: FlushForCommit drains a transaction's queued
+    # write-backs as coalesced batches instead of one PUT per page
+    group_commit_flush: bool = True
+    # Opt-in write-back controls (DESIGN.md §11, and §19 for why they
+    # stay off):
     # - adaptive_upload_window: AIMD-controlled upload window seeded at
     #   ocm_upload_window instead of the fixed constant;
-    # - coalesce_puts: the write-side mirror of coalesce_gets — runs of
-    #   freshly keyed adjacent pages become one billed ranged multi-put;
-    # - group_commit_flush: FlushForCommit drains a transaction's queued
-    #   write-backs as coalesced batches instead of one PUT per page;
     # - ocm_max_pending_uploads: bound on the write-back queue; a loader
     #   that outruns the drain stalls while the oldest uploads complete
     #   (0 = unbounded, the paper's behaviour).
     adaptive_upload_window: bool = False
-    coalesce_puts: bool = False
-    group_commit_flush: bool = False
     ocm_max_pending_uploads: int = 0
     # Vectorized columnar executor (DESIGN.md §14; all off by default so
     # the stock configuration reproduces the scalar row-at-a-time path
@@ -234,6 +235,63 @@ class DatabaseConfig:
 
     def with_overrides(self, **kwargs: object) -> "DatabaseConfig":
         return replace(self, **kwargs)  # type: ignore[arg-type]
+
+    @classmethod
+    def paper(cls, **fields: object) -> "DatabaseConfig":
+        """The paper's per-page I/O path, as one named profile.
+
+        One PUT per page on load and at commit, one GET per page on scan,
+        fetch and decode strictly alternating, a single-LRU OCM — what
+        Tables 1-5 and Figures 6-9 measured and the goldens pin.  Any
+        other field may still be given; an explicit one wins.
+        """
+        settings: "Dict[str, object]" = dict(
+            ocm_policy="lru", pipelined_prefetch=False, coalesce_gets=False,
+            coalesce_puts=False, group_commit_flush=False,
+        )
+        return cls(**{**settings, **fields})  # type: ignore[arg-type]
+
+
+def build_object_io(
+    cfg: DatabaseConfig, store: SimulatedObjectStore, nic: "Optional[Pipe]",
+    node_id: str, rng: DeterministicRng, ocm: "Optional[Tuple[int, int]]",
+) -> "Tuple[RetryingObjectClient, Optional[ObjectCacheManager]]":
+    """One node's client (and OCM) into ``store`` — the only wiring there is.
+
+    The coordinator's user store, every extra cloud dbspace and every
+    multiplex secondary come through here, so a behaviour field of ``cfg``
+    reaches all of them or none.  ``nic`` is the node's own pipe (``None``:
+    the store's); ``ocm`` is ``(capacity_bytes, ssd_count)`` of the node's
+    local cache, ``None`` for direct object I/O.
+    """
+    client = RetryingObjectClient(
+        store, policy=cfg.retry, parallel_window=cfg.parallel_window,
+        bandwidth=nic, node_id=node_id, breaker=cfg.breaker, hedge=cfg.hedge,
+        rng=rng.substream("object-client"),
+        coalesce_gets=cfg.coalesce_gets,
+        coalesce_puts=cfg.coalesce_puts,
+        verify_reads=cfg.verify_reads,
+    )
+    if ocm is None:
+        return client, None
+    capacity_bytes, ssd_count = ocm
+    ssd = raid0([nvme_ssd(f"{node_id}-nvme{i}") for i in range(ssd_count)],
+                name=f"{node_id}-ocm")
+    return client, ObjectCacheManager(
+        client,
+        scaled_profile(ssd, cfg.rate_scale, cfg.op_scale),
+        OcmConfig(
+            capacity_bytes=capacity_bytes,
+            upload_window=cfg.ocm_upload_window,
+            read_window=cfg.parallel_window,
+            adaptive_read_routing=cfg.ocm_adaptive_routing,
+            policy=cfg.ocm_policy,
+            adaptive_upload_window=cfg.adaptive_upload_window,
+            group_commit_flush=cfg.group_commit_flush,
+            max_pending_uploads=cfg.ocm_max_pending_uploads,
+        ),
+        rng=rng.substream("ocm"),
+    )
 
 
 class NodeRuntime:
@@ -497,45 +555,13 @@ class Database:
                 self.object_store = build_replicated_store(
                     cfg.replication, self.object_store, self.rng
                 )
-            self.object_client = RetryingObjectClient(
-                self.object_store,
-                policy=cfg.retry,
-                parallel_window=cfg.parallel_window,
-                node_id=cfg.node_id,
-                breaker=cfg.breaker,
-                hedge=cfg.hedge,
-                rng=self.rng.substream("object-client"),
-                coalesce_gets=cfg.coalesce_gets,
-                coalesce_puts=cfg.coalesce_puts,
-                verify_reads=cfg.verify_reads,
+            # nic=None: the store above already carries this node's NIC.
+            self.object_client, self.ocm = build_object_io(
+                cfg, self.object_store, None, cfg.node_id, self.rng,
+                (cfg.ocm_capacity_bytes, cfg.ocm_ssd_count)
+                if cfg.ocm_enabled else None,
             )
-            if cfg.ocm_enabled:
-                ssd = scaled_profile(
-                    raid0(
-                        [nvme_ssd(f"nvme{i}") for i in range(cfg.ocm_ssd_count)],
-                        name="ocm-raid0",
-                    ),
-                    cfg.rate_scale,
-                    cfg.op_scale,
-                )
-                self.ocm = ObjectCacheManager(
-                    self.object_client,
-                    ssd,
-                    OcmConfig(
-                        capacity_bytes=cfg.ocm_capacity_bytes,
-                        upload_window=cfg.ocm_upload_window,
-                        read_window=cfg.parallel_window,
-                        adaptive_read_routing=cfg.ocm_adaptive_routing,
-                        policy=cfg.ocm_policy,
-                        adaptive_upload_window=cfg.adaptive_upload_window,
-                        group_commit_flush=cfg.group_commit_flush,
-                        max_pending_uploads=cfg.ocm_max_pending_uploads,
-                    ),
-                    rng=self.rng.substream("ocm"),
-                )
-                io = self.ocm
-            else:
-                io = DirectObjectIO(self.object_client)
+            io = self.ocm or DirectObjectIO(self.object_client)
             encryptor = (
                 PageEncryptor(cfg.encryption_key)
                 if cfg.encryption_key is not None
@@ -610,13 +636,9 @@ class Database:
             bandwidth=self.nic,
             meter=self.meter,
         )
-        client = RetryingObjectClient(
-            store, policy=cfg.retry, parallel_window=cfg.parallel_window,
-            node_id=cfg.node_id, breaker=cfg.breaker, hedge=cfg.hedge,
-            rng=self.rng.substream(f"object-client/{name}"),
-            coalesce_gets=cfg.coalesce_gets,
-            coalesce_puts=cfg.coalesce_puts,
-            verify_reads=cfg.verify_reads,
+        client, __ = build_object_io(
+            cfg, store, None, cfg.node_id,
+            self.rng.substream(f"store/{name}"), None,
         )
         encryptor = (
             PageEncryptor(cfg.encryption_key)

@@ -6,6 +6,7 @@ crash-smoke job); here a handful of representative episodes keep the
 harness itself honest inside tier-1.
 """
 
+from repro.bench import crash_explorer
 from repro.bench.crash_explorer import (
     registered_points,
     run_churn_episode,
@@ -37,6 +38,25 @@ def test_representative_points_recover_cleanly():
         assert result.ok, (point, result.violations)
         assert result.fired >= 1, point
         assert result.crashes >= 1, point
+
+
+def test_flush_points_run_on_the_path_that_has_them():
+    """Group commit replaces the per-page flush, so each side's crash
+    points are pinned to their path, whatever the default is."""
+    for point in ("ocm.flush.before_upload",
+                  "ocm.batch_flush.before_upload"):
+        result = run_episode(point, seed=0)
+        assert result.ok, (point, result.violations)
+        assert result.fired == 1 and result.crashes == 1, point
+
+
+def test_an_episode_that_never_reaches_its_point_is_a_violation(monkeypatch):
+    """"fired 0 ... ok" would let the sweep shrink silently."""
+    monkeypatch.setattr(crash_explorer, "PER_PAGE_FLUSH_PREFIXES", ())
+    result = run_episode("ocm.flush.before_upload", seed=0)
+    assert result.fired == 0
+    assert not result.ok
+    assert "never fired" in result.violations[0]
 
 
 def test_broken_gc_is_caught_as_leak():

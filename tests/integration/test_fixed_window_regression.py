@@ -1,17 +1,20 @@
-"""Fixed-window ablation regression: the default write path must not drift.
+"""Paper-profile regression: ``DatabaseConfig.paper()`` must not drift.
 
-The adaptive write pipeline (AIMD upload window, PUT coalescing, group
-commit flush, backpressure) is strictly opt-in.  With every knob at its
-default the simulator must reproduce the seed's Table 2 / Table 5 bench
-outputs **byte-for-byte** — same virtual load time, same per-query times,
-same cache counters, same billed request counts.  The digest in
-``tests/data/fixed_window_golden.json`` was captured before the pipeline
-landed; these tests recompute it and compare exactly (floats survive a
-JSON round-trip losslessly, so ``==`` is the right comparison).
+The engine ships the batched I/O path (``arc2q``, pipelined prefetch,
+GET/PUT coalescing, group commit); the paper's per-page path is the named
+profile ``DatabaseConfig.paper()``, which :class:`VolumeRun` — the driver
+behind Tables 2-5 — asks for.  Under that profile the simulator must
+reproduce the seed's Table 2 / Table 5 bench outputs **byte-for-byte** —
+same virtual load time, same per-query times, same cache counters, same
+billed request counts.  The digest in
+``tests/data/fixed_window_golden.json`` was captured before the write
+pipeline landed; these tests recompute it and compare exactly (floats
+survive a JSON round-trip losslessly, so ``==`` is the right comparison).
 
-If one of these fails, a supposedly-gated change leaked into the default
-path.  Regenerate the golden only when a default-path behaviour change is
-intended and called out in the PR.
+If one of these fails, a change leaked into the paper profile.
+Regenerate the golden only when a paper-path behaviour change is intended
+and called out in the PR.  ``load_summary_golden.json`` pins the load
+harness, which runs the engine as shipped.
 """
 
 import json
@@ -19,7 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.configs import bench_config
 from repro.bench.experiments import VolumeRun
+from repro.engine import DatabaseConfig
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "fixed_window_golden.json"
 LOAD_GOLDEN_PATH = (
@@ -52,14 +57,19 @@ def golden() -> dict:
 
 
 def test_default_knobs_reproduce_golden(golden):
-    """Out-of-the-box configuration == the seed's bench outputs."""
+    """``VolumeRun`` out of the box is the ``paper()`` profile == the
+    seed's bench outputs."""
     run = VolumeRun("s3", instance_type="m5ad.24xlarge")
+    assert run.db.config == bench_config(
+        "m5ad.24xlarge", profile=DatabaseConfig.paper
+    )
     assert _digest(run) == golden
 
 
 def test_explicit_fixed_window_reproduces_golden(golden):
-    """Spelling the ablation out (`adaptive_upload_window=False` et al.)
-    is the same as not mentioning it — the knobs have no side channel."""
+    """Spelling the profile out (`coalesce_puts=False` et al.) on top of
+    ``paper()`` is the same as not mentioning it — the knobs have no side
+    channel."""
     run = VolumeRun(
         "s3",
         instance_type="m5ad.24xlarge",
@@ -78,8 +88,8 @@ def test_integrity_knobs_off_reproduce_golden(golden):
     Checksums are *recorded* unconditionally at PUT time (pure
     computation, no RNG draw, no timed request), but verification and
     the page trailer are strictly opt-in; with both knobs at their
-    explicit-false defaults the run must still match the golden digest
-    captured before the integrity machinery existed.
+    explicit-false defaults the ``paper()`` run must still match the
+    golden digest captured before the integrity machinery existed.
     """
     run = VolumeRun(
         "s3",
@@ -148,7 +158,8 @@ def test_default_load_run_reproduces_golden(load_golden):
     The elastic multiplex machinery (node routing, the controller
     session, OCM pre-warming) is strictly opt-in: a plain `repro load`
     with `nodes=1` and no autoscale config takes the exact pre-multiplex
-    engine path and must reproduce the committed summary byte-for-byte.
+    engine path — on the engine as shipped, not ``paper()`` — and must
+    reproduce the committed summary byte-for-byte.
     """
     from repro.bench.load import LoadConfig, run_load
 

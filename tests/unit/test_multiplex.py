@@ -27,6 +27,29 @@ def test_cluster_shape():
         mx.node("writer-9")
 
 
+def test_secondaries_inherit_the_coordinators_io_settings():
+    """Writers and readers get their client and OCM from the builder the
+    coordinator uses, so no behaviour field is dropped on the way."""
+    mx = make_multiplex(
+        verify_reads=True, coalesce_puts=True, coalesce_gets=True,
+        ocm_policy="arc2q", group_commit_flush=True, ocm_upload_window=8,
+        parallel_window=12, ocm_adaptive_routing=True,
+        ocm_max_pending_uploads=40,
+    )
+    coordinator = mx.coordinator
+    for node in mx.secondaries():
+        for field in ("coalesce_gets", "coalesce_puts", "verify_reads",
+                      "parallel_window", "policy"):
+            assert (getattr(node.client, field)
+                    == getattr(coordinator.object_client, field)), field
+        assert node.client.bandwidth is node.nic
+        assert node.client.node_id == node.node_id
+        assert node.ocm.config == coordinator.ocm.config
+        assert node.ocm.config.read_window == 12
+        assert node.ocm._verify
+        assert node.config is coordinator.config
+
+
 def test_requires_cloud_dbspace():
     with pytest.raises(MultiplexError):
         Multiplex(DatabaseConfig(user_volume="ebs"))

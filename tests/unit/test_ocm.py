@@ -8,6 +8,7 @@ from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
 from repro.objectstore.consistency import STRONG
 from repro.objectstore.s3sim import ObjectStoreProfile
 from repro.sim.clock import VirtualClock
+from repro.sim.sessions import SessionScheduler
 
 
 def make_ocm(capacity=1 << 20, **config_overrides):
@@ -119,6 +120,45 @@ def test_lru_insert_after_upload_rule():
     ocm.get("c/3")
     assert not ocm.cached("a/1")
     assert ocm.cached("c/3")
+
+
+def test_forced_upload_is_dequeued_before_its_wait():
+    """Two sessions evicting the same un-uploaded entry upload it once.
+
+    Under ``lru_insert_before_upload`` an eviction first forces the
+    victim's upload and waits for it; the wait yields to the other
+    session, whose own eviction reaches the same victim.  The job must
+    already have left the queue, or the key is PUT twice.
+    """
+    ocm, store, clock = make_ocm(capacity=2500, lru_insert_before_upload=True)
+    ocm.put("a/1", b"x" * 1000, txn_id=1)
+    ocm.put("a/2", b"y" * 1000, txn_id=1)
+    scheduler = SessionScheduler(clock)
+    scheduler.spawn(lambda s: ocm.put("a/3", b"z" * 1000, txn_id=2))
+    scheduler.spawn(lambda s: ocm.put("a/4", b"w" * 1000, txn_id=3))
+    scheduler.run()
+    assert store.metrics.snapshot()["put_requests"] == 2
+    assert ocm.stats()["forced_uploads"] == 2
+    assert ocm.stats()["evictions"] == 2
+    assert store.get("a/1") == b"x" * 1000
+    assert store.get("a/2") == b"y" * 1000
+    ocm.flush_for_commit(1)  # nothing of txn 1 is left to upload
+    assert store.metrics.snapshot()["put_requests"] == 2
+
+
+def test_bulk_admit_never_waits_for_the_past():
+    """A pre-warm whose fills evict an un-uploaded entry waits through the
+    forced upload; the fill completion computed before it is then behind
+    the clock and must not be waited for."""
+    ocm, store, clock = make_ocm(capacity=2500, lru_insert_before_upload=True)
+    store.put("b/1", b"p" * 1000)
+    store.put("b/2", b"q" * 1000)
+    ocm.put("a/1", b"x" * 1000, txn_id=1)
+    ocm.put("a/2", b"y" * 1000, txn_id=1)
+    assert ocm.bulk_admit(["b/1", "b/2"]) == 2
+    assert ocm.stats()["forced_uploads"] == 2
+    assert store.get("a/1") == b"x" * 1000
+    assert ocm.cached("b/1") and ocm.cached("b/2")
 
 
 def test_eviction_counts(db=None):
