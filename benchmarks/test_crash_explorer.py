@@ -14,11 +14,13 @@ other workload-scale suites.
 import pytest
 
 from repro.bench.crash_explorer import (
+    WRITE_PIPELINE_PREFIXES,
     explore_all_points,
     explore_random,
     registered_points,
     run_churn_episode,
 )
+from repro.engine import PAPER_IO
 
 pytestmark = pytest.mark.crash
 
@@ -33,6 +35,27 @@ def test_every_registered_point_recovers_cleanly():
     assert failures == []
     never_fired = [r.crash_point for r in results if r.fired == 0]
     assert never_fired == [], f"episodes never traversed: {never_fired}"
+
+
+def test_churn_points_recover_on_the_per_page_path_too():
+    """The sweep above crashes the engine as shipped; ``paper()`` ships as
+    well, so every churn-episode point that exists on both paths (all but
+    the batch-flush / ranged-PUT ones) is crashed once more under it."""
+    shared = [
+        result.crash_point for result in explore_all_points(seed=0)
+        if result.mode == "churn"
+        and not result.crash_point.startswith(WRITE_PIPELINE_PREFIXES)
+    ]
+    assert len(shared) >= 30
+    results = [
+        run_churn_episode(name, seed=0, config_overrides=dict(PAPER_IO))
+        for name in shared
+    ]
+    failures = [
+        (result.crash_point, result.fired, result.violations)
+        for result in results if not (result.ok and result.fired)
+    ]
+    assert failures == []
 
 
 def test_random_schedules_recover_cleanly():

@@ -14,7 +14,7 @@ Two environments, both loading the same data with the same seed:
 
 The optimized configuration is the engine as shipped (PUT coalescing +
 group commit flush), the seed one ``DatabaseConfig.paper()``; the default
-must cut billed PUTs by >=20% (it achieves ~80%) and measurably cut
+must cut billed PUTs 5x (it achieves ~82%) and measurably cut
 throttled load virtual time.  Emits ``results/BENCH_pr5.json`` with load vtime, billed PUTs and
 USD/load for all four runs, next to the PR 3 baseline.
 """
@@ -77,9 +77,10 @@ def test_bulk_load_write_pipeline_improvement(benchmark):
          "throttled seed", "throttled optimized"], rows,
     ))
 
-    # PR 5 acceptance: >=20% fewer billed PUT requests on the bulk load.
-    assert put_ratio <= 0.80, (
-        f"billed PUT ratio {put_ratio:.3f} exceeds 0.80 "
+    # PR 5 asked for >=20% fewer billed PUT requests on the bulk load;
+    # the shipped path (PR 23) is held to 5x fewer (observed 0.176).
+    assert put_ratio <= 0.20, (
+        f"billed PUT ratio {put_ratio:.3f} exceeds 0.20 "
         f"({clean_seed['put_requests']:.0f} -> "
         f"{clean_opt['put_requests']:.0f})"
     )

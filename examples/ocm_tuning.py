@@ -13,7 +13,7 @@ Run with:  python examples/ocm_tuning.py
 
 from repro.bench.configs import load_engine
 from repro.bench.report import format_table, geomean
-from repro.engine import DatabaseConfig
+from repro.engine import PAPER_IO
 from repro.tpch import power_run
 
 SCALE_FACTOR = 0.005
@@ -23,11 +23,10 @@ QUERIES = [1, 3, 6, 9, 14, 19]
 def main() -> None:
     rows = []
     for capacity_kib in (256, 512, 1024, 2048, 8192):
-        for label, profile in (("paper()", DatabaseConfig.paper),
-                               ("default", DatabaseConfig)):
+        for label, fields in (("paper()", PAPER_IO), ("default", {})):
             db, store, __ = load_engine(
                 "m5ad.24xlarge", "s3", scale_factor=SCALE_FACTOR,
-                profile=profile, ocm_capacity_bytes=capacity_kib * 1024,
+                ocm_capacity_bytes=capacity_kib * 1024, **fields
             )
             db.buffer.invalidate_all()
             db.ocm.drain_all()

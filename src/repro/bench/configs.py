@@ -16,7 +16,7 @@ ratios match the paper's.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.columnar import ColumnStore
 from repro.costs.instances import INSTANCE_CATALOG, InstanceProfile
@@ -65,14 +65,13 @@ def bench_config(
     user_volume: str = "s3",
     scale_factor: float = BENCH_SCALE_FACTOR,
     ocm_enabled: bool = True,
-    profile: "Callable[..., DatabaseConfig]" = DatabaseConfig,
     **overrides: object,
 ) -> DatabaseConfig:
     """A DatabaseConfig mirroring one of the paper's deployments.
 
-    ``profile`` builds it from the sizing below: the shipped engine by
-    default, ``DatabaseConfig.paper`` for the paper's per-page I/O path
-    (``make_engine``/``load_engine`` forward it like any override).
+    The shipped engine at the paper's sizing; ``**PAPER_IO`` (from
+    ``repro.engine``) among the overrides selects the paper's per-page
+    I/O path (``make_engine``/``load_engine`` forward it).
     """
     instance = INSTANCE_CATALOG[instance_type]
     rate_scale = scale_factor / PAPER_SCALE_FACTOR
@@ -108,7 +107,7 @@ def bench_config(
         rate_scale=rate_scale,
     )
     settings.update(overrides)  # explicit overrides win
-    return profile(**settings)
+    return DatabaseConfig(**settings)  # type: ignore[arg-type]
 
 
 def make_engine(

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.audit import AuditError, AuditReport, StoreAuditor
 from repro.core.multiplex import Multiplex, MultiplexConfig
-from repro.engine import Database, DatabaseConfig
+from repro.engine import PAPER_IO, Database, DatabaseConfig
 from repro.objectstore.replicated import ReplicationConfig
 from repro.sim.crashpoints import CRASH_POINTS, SimulatedCrash
 from repro.sim.rng import DeterministicRng
@@ -84,7 +84,7 @@ class EpisodeResult:
 # flush path only, so their episodes pin the path instead of following
 # the default: the batch-flush and ranged-PUT points run the same churn
 # workload with the write pipeline spelled out, the per-page flush point
-# runs it under ``DatabaseConfig.paper()``.
+# runs it with the ``DatabaseConfig.paper()`` fields.
 WRITE_PIPELINE_PREFIXES = ("ocm.batch_flush.", "client.put_range.")
 WRITE_PIPELINE_OVERRIDES: "Dict[str, object]" = dict(
     adaptive_upload_window=True,
@@ -95,8 +95,7 @@ PER_PAGE_FLUSH_PREFIXES = ("ocm.flush.",)
 
 
 def base_config(
-    seed: int, overrides: "Optional[Dict[str, object]]" = None,
-    profile: "Callable[..., DatabaseConfig]" = DatabaseConfig,
+    seed: int, overrides: "Optional[Dict[str, object]]" = None
 ) -> DatabaseConfig:
     """A deliberately tiny engine: small pages, a buffer that thrashes."""
     settings: "Dict[str, object]" = dict(
@@ -111,7 +110,7 @@ def base_config(
     )
     if overrides:
         settings.update(overrides)
-    return profile(**settings)
+    return DatabaseConfig(**settings)  # type: ignore[arg-type]
 
 
 def build_engine(
@@ -159,13 +158,12 @@ def run_churn_episode(
     arm_skip: int = 0,
     config_overrides: "Optional[Dict[str, object]]" = None,
     deep: bool = False,
-    profile: "Callable[..., DatabaseConfig]" = DatabaseConfig,
 ) -> EpisodeResult:
     """One seeded churn workload crashed (maybe repeatedly) at one point."""
     CRASH_POINTS.disarm_all()
     result = EpisodeResult(crash_point=crash_point_name, seed=seed,
                            mode="churn")
-    db = Database(base_config(seed, config_overrides, profile))
+    db = build_engine(seed, config_overrides)
     if broken_gc:
         install_broken_gc(db)
     expected: "Dict[Tuple[str, int], bytes]" = {}
@@ -1052,7 +1050,7 @@ def _route_episode(crash_point_name: "Optional[str]", seed: int,
         if crash_point_name.startswith(PER_PAGE_FLUSH_PREFIXES):
             return run_churn_episode(
                 crash_point_name, seed=seed, broken_gc=broken_gc,
-                arm_skip=arm_skip, profile=DatabaseConfig.paper,
+                arm_skip=arm_skip, config_overrides=dict(PAPER_IO),
             )
     return run_churn_episode(crash_point_name, seed=seed,
                              broken_gc=broken_gc, arm_skip=arm_skip)

@@ -6,8 +6,9 @@ the rate-scaling scheme (see :mod:`repro.bench.configs`) makes directly
 comparable to the paper's SF-1000 numbers in shape.
 
 The table and figure drivers reproduce the paper, so they run
-``DatabaseConfig.paper()`` — its per-page I/O path — not the batched path
-the engine ships with; the two ``optimized=`` workloads compare the two.
+``DatabaseConfig.paper()``'s fields (``PAPER_IO``) — its per-page I/O path
+— not the batched path the engine ships with; the two ``optimized=``
+workloads compare the two.
 
 Query phases start from a cold buffer/OCM (the paper's query experiments
 show cold-cache warm-up behaviour, so their runs began with empty caches).
@@ -30,7 +31,7 @@ from repro.bench.report import geomean
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.core.multiplex import Multiplex  # noqa: F401  (re-export for examples)
 from repro.costs.pricing import DEFAULT_PRICES
-from repro.engine import Database, DatabaseConfig
+from repro.engine import PAPER_IO, Database
 from repro.objectstore.faults import FaultSchedule, ThrottleStorm
 from repro.sim.metrics import snapshot_delta
 from repro.tpch import power_run
@@ -67,7 +68,7 @@ class VolumeRun:
         self.scale_factor = scale_factor
         self.db, self.store, self.load_seconds = load_engine(
             instance_type, volume, scale_factor, ocm_enabled,
-            profile=DatabaseConfig.paper, **overrides
+            **{**PAPER_IO, **overrides}
         )
         meter = self.db.meter
         self._load_requests = dict(
@@ -357,8 +358,7 @@ def run_churn_query_workload(
     ocm_capacity = max(int(384 * 1024 * (scale_factor / 0.01)), 64 * 1024)
     db, store, load_seconds = load_engine(
         instance_type, "s3", scale_factor, True,
-        profile=DatabaseConfig if optimized else DatabaseConfig.paper,
-        ocm_capacity_bytes=ocm_capacity,
+        ocm_capacity_bytes=ocm_capacity, **({} if optimized else PAPER_IO)
     )
     assert db.object_store is not None
     store.create_table(TableSchema(
@@ -469,9 +469,7 @@ def run_bulk_load_workload(
     identically and erase exactly the effect under test.
     """
     wall_started = time.monotonic()
-    overrides: "Dict[str, object]" = dict(
-        profile=DatabaseConfig if optimized else DatabaseConfig.paper,
-    )
+    overrides: "Dict[str, object]" = {} if optimized else dict(PAPER_IO)
     if throttle_rate_factor is not None:
         overrides["fault_schedule"] = FaultSchedule(
             [ThrottleStorm(0.0, float("inf"), ops=("put",),
@@ -549,8 +547,7 @@ def run_scale_out(
         sessions = []
         for __ in range(nodes):
             db, __store, __load = load_engine(
-                "m5ad.4xlarge", "s3", scale_factor,
-                profile=DatabaseConfig.paper,
+                "m5ad.4xlarge", "s3", scale_factor, **PAPER_IO
             )
             _cold_caches(db)
             sessions.append(db)

@@ -298,8 +298,8 @@ class ObjectCacheManager(ObjectIO):
             if entry.in_lru and entry.uploaded:
                 victims.append(name)
                 projected -= entry.size
-            elif entry.in_lru and self.config.lru_insert_before_upload:
-                self._force_upload(name)
+            elif (entry.in_lru and self.config.lru_insert_before_upload
+                  and self._force_upload(name)):
                 victims.append(name)
                 projected -= entry.size
         for name in victims:
@@ -308,8 +308,13 @@ class ObjectCacheManager(ObjectIO):
             if self._remove(name, evicted=True) is not None:
                 self.metrics.counter("evictions").increment()
 
-    def _force_upload(self, name: str) -> None:
-        """Synchronously upload a pending write-back entry (ablation path)."""
+    def _force_upload(self, name: str) -> bool:
+        """Synchronously upload a pending write-back entry (ablation path).
+
+        False when the job is no longer queued: another session dequeued it
+        and is still waiting for its PUT, so the entry is not in the store
+        yet and stays resident until that session evicts it.
+        """
         for jobs in list(self._pending.values()) + [self._anonymous_pending]:
             for job in jobs:
                 if job.name == name:
@@ -323,7 +328,8 @@ class ObjectCacheManager(ObjectIO):
                     if entry is not None:
                         entry.uploaded = True
                     self.metrics.counter("forced_uploads").increment()
-                    return
+                    return True
+        return False
 
     # ------------------------------------------------------------------ #
     # reads

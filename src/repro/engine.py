@@ -245,11 +245,14 @@ class DatabaseConfig:
         Tables 1-5 and Figures 6-9 measured and the goldens pin.  Any
         other field may still be given; an explicit one wins.
         """
-        settings: "Dict[str, object]" = dict(
-            ocm_policy="lru", pipelined_prefetch=False, coalesce_gets=False,
-            coalesce_puts=False, group_commit_flush=False,
-        )
-        return cls(**{**settings, **fields})  # type: ignore[arg-type]
+        return cls(**{**PAPER_IO, **fields})  # type: ignore[arg-type]
+
+
+# paper()'s five fields, for callers that take field overrides instead.
+PAPER_IO: "Dict[str, object]" = dict(
+    ocm_policy="lru", pipelined_prefetch=False, coalesce_gets=False,
+    coalesce_puts=False, group_commit_flush=False,
+)
 
 
 def build_object_io(
@@ -267,10 +270,8 @@ def build_object_io(
     client = RetryingObjectClient(
         store, policy=cfg.retry, parallel_window=cfg.parallel_window,
         bandwidth=nic, node_id=node_id, breaker=cfg.breaker, hedge=cfg.hedge,
-        rng=rng.substream("object-client"),
-        coalesce_gets=cfg.coalesce_gets,
-        coalesce_puts=cfg.coalesce_puts,
-        verify_reads=cfg.verify_reads,
+        rng=rng.substream("object-client"), verify_reads=cfg.verify_reads,
+        coalesce_gets=cfg.coalesce_gets, coalesce_puts=cfg.coalesce_puts,
     )
     if ocm is None:
         return client, None
@@ -278,8 +279,7 @@ def build_object_io(
     ssd = raid0([nvme_ssd(f"{node_id}-nvme{i}") for i in range(ssd_count)],
                 name=f"{node_id}-ocm")
     return client, ObjectCacheManager(
-        client,
-        scaled_profile(ssd, cfg.rate_scale, cfg.op_scale),
+        client, scaled_profile(ssd, cfg.rate_scale, cfg.op_scale),
         OcmConfig(
             capacity_bytes=capacity_bytes,
             upload_window=cfg.ocm_upload_window,

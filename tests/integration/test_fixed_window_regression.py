@@ -24,7 +24,7 @@ import pytest
 
 from repro.bench.configs import bench_config
 from repro.bench.experiments import VolumeRun
-from repro.engine import DatabaseConfig
+from repro.engine import PAPER_IO, DatabaseConfig
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "fixed_window_golden.json"
 LOAD_GOLDEN_PATH = (
@@ -60,9 +60,8 @@ def test_default_knobs_reproduce_golden(golden):
     """``VolumeRun`` out of the box is the ``paper()`` profile == the
     seed's bench outputs."""
     run = VolumeRun("s3", instance_type="m5ad.24xlarge")
-    assert run.db.config == bench_config(
-        "m5ad.24xlarge", profile=DatabaseConfig.paper
-    )
+    assert run.db.config == bench_config("m5ad.24xlarge", **PAPER_IO)
+    assert run.db.config.ocm_policy == DatabaseConfig.paper().ocm_policy
     assert _digest(run) == golden
 
 

@@ -123,23 +123,39 @@ def test_lru_insert_after_upload_rule():
 
 
 def test_forced_upload_is_dequeued_before_its_wait():
-    """Two sessions evicting the same un-uploaded entry upload it once.
+    """Two sessions evicting the same un-uploaded entry upload it once,
+    and it stays readable from the cache until its PUT has landed.
 
     Under ``lru_insert_before_upload`` an eviction first forces the
     victim's upload and waits for it; the wait yields to the other
     session, whose own eviction reaches the same victim.  The job must
-    already have left the queue, or the key is PUT twice.
+    already have left the queue, or the key is PUT twice — and the second
+    session must leave the entry alone (it is not in the store yet) and
+    evict the next one instead.
     """
     ocm, store, clock = make_ocm(capacity=2500, lru_insert_before_upload=True)
     ocm.put("a/1", b"x" * 1000, txn_id=1)
     ocm.put("a/2", b"y" * 1000, txn_id=1)
+    seen = {}
+
+    def read_inside_the_upload_window(session):
+        session.sleep(0.001)  # a/1's PUT is in flight until ~0.03 s
+        seen["data"] = ocm.get("a/1")
+        seen["stats"] = ocm.stats()
+
     scheduler = SessionScheduler(clock)
-    scheduler.spawn(lambda s: ocm.put("a/3", b"z" * 1000, txn_id=2))
-    scheduler.spawn(lambda s: ocm.put("a/4", b"w" * 1000, txn_id=3))
+    scheduler.spawn(lambda s: ocm.put("a/3", b"z" * 700, txn_id=2))
+    scheduler.spawn(lambda s: ocm.put("a/4", b"w" * 600, txn_id=3))
+    scheduler.spawn(read_inside_the_upload_window)
     scheduler.run()
-    assert store.metrics.snapshot()["put_requests"] == 2
+    assert seen["data"] == b"x" * 1000
+    assert seen["stats"]["hits"] == 1 and seen["stats"]["misses"] == 0
+    snapshot = store.metrics.snapshot()
+    assert snapshot["put_requests"] == 2
+    assert "get_requests" not in snapshot  # nobody read ahead of the PUT
     assert ocm.stats()["forced_uploads"] == 2
     assert ocm.stats()["evictions"] == 2
+    assert not ocm.cached("a/1") and not ocm.cached("a/2")
     assert store.get("a/1") == b"x" * 1000
     assert store.get("a/2") == b"y" * 1000
     ocm.flush_for_commit(1)  # nothing of txn 1 is left to upload

@@ -161,7 +161,8 @@ def test_unpack_nbit_matches_scalar(values):
                            max_size=100)),
         st.tuples(st.just("str"),
                   st.lists(st.text(
-                      alphabet=st.characters(blacklist_characters="\x00"),
+                      alphabet=st.characters(blacklist_characters="\x00",
+                                             blacklist_categories=("Cs",)),
                       max_size=12), max_size=100)),
     )
 )
