@@ -28,7 +28,7 @@ from repro.core.buffer import BufferManager
 from repro.core.keygen import KeyRange, NodeKeyCache
 from repro.core.txn import Transaction, TransactionError
 from repro.engine import Database, DatabaseConfig, NodeRuntime, SYSTEM_DBSPACE, USER_DBSPACE
-from repro.engine import build_object_io
+from repro.engine import build_cloud_dbspace, build_object_io
 from repro.objectstore.faults import FaultSchedule, OutageWindow, RegionOutage
 from repro.objectstore.replicated import ReplicatedObjectStore
 from repro.sim.cpu import CpuModel
@@ -161,9 +161,8 @@ class SecondaryNode:
             if config.ocm_enabled else None,
         )
         io = self.ocm or DirectObjectIO(self.client)
-        self.user_dbspace = CloudDbspace(
-            USER_DBSPACE, io, self.key_cache,
-            prefix_bits=coordinator.config.prefix_bits,
+        self.user_dbspace = build_cloud_dbspace(
+            coordinator.config, USER_DBSPACE, io, self.key_cache,
         )
         self.buffer = BufferManager(
             config.secondary_buffer_bytes, coordinator.page_config

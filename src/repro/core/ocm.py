@@ -16,8 +16,9 @@ between it and the object store:
 - a pluggable **eviction policy** orders read and write traffic together:
   the default ``lru`` policy is the paper's single LRU list; ``arc2q``
   (see :mod:`repro.core.cache_policy`) adds probationary/protected
-  segments with ghost lists and a scan-hint admission rule so one bulk
-  scan cannot flush the hot working set.
+  segments with a ghost list and a scan-hint admission rule so one bulk
+  scan cannot flush the hot working set and a repeated one keeps a fixed
+  share of itself cached.
 
 Asynchronous work is modelled by charging the SSD/NIC pipes at enqueue time
 without advancing the shared clock; because the SSD's bandwidth pipe is

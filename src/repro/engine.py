@@ -57,6 +57,8 @@ from repro.storage.dbspace import (
     BlockDbspace,
     CloudDbspace,
     DirectObjectIO,
+    KeySource,
+    ObjectIO,
     PageStore,
 )
 from repro.storage.encryption import PageEncryptor
@@ -291,6 +293,27 @@ def build_object_io(
             max_pending_uploads=cfg.ocm_max_pending_uploads,
         ),
         rng=rng.substream("ocm"),
+    )
+
+
+def build_cloud_dbspace(
+    cfg: DatabaseConfig, name: str, io: ObjectIO, key_source: KeySource,
+    prefix_bits: "Optional[int]" = None,
+    page_size_limit: "Optional[int]" = None,
+) -> CloudDbspace:
+    """A cloud dbspace that seals pages the way ``cfg`` says.
+
+    Like :func:`build_object_io`, the one place every node's view of a
+    cloud dbspace is built: pages encrypted or checksummed by one node
+    must open on every other.
+    """
+    return CloudDbspace(
+        name, io, key_source,
+        prefix_bits=cfg.prefix_bits if prefix_bits is None else prefix_bits,
+        encryptor=(PageEncryptor(cfg.encryption_key)
+                   if cfg.encryption_key is not None else None),
+        page_size_limit=page_size_limit,
+        page_checksums=cfg.page_checksums,
     )
 
 
@@ -562,16 +585,7 @@ class Database:
                 if cfg.ocm_enabled else None,
             )
             io = self.ocm or DirectObjectIO(self.object_client)
-            encryptor = (
-                PageEncryptor(cfg.encryption_key)
-                if cfg.encryption_key is not None
-                else None
-            )
-            return CloudDbspace(
-                USER_DBSPACE, io, self.key_cache,
-                prefix_bits=cfg.prefix_bits, encryptor=encryptor,
-                page_checksums=cfg.page_checksums,
-            )
+            return build_cloud_dbspace(cfg, USER_DBSPACE, io, self.key_cache)
         if cfg.user_volume in ("ebs", "efs"):
             if cfg.user_volume == "ebs":
                 profile = ebs_gp2(cfg.user_volume_size_bytes, name="user-gp2")
@@ -640,21 +654,11 @@ class Database:
             cfg, store, None, cfg.node_id,
             self.rng.substream(f"store/{name}"), None,
         )
-        encryptor = (
-            PageEncryptor(cfg.encryption_key)
-            if cfg.encryption_key is not None
-            else None
-        )
         client.tracer = self.tracer
         store.tracer = self.tracer
-        dbspace = CloudDbspace(
-            name,
-            DirectObjectIO(client),
-            self.key_cache,
-            prefix_bits=cfg.prefix_bits if prefix_bits is None else prefix_bits,
-            encryptor=encryptor,
-            page_size_limit=page_size,
-            page_checksums=cfg.page_checksums,
+        dbspace = build_cloud_dbspace(
+            cfg, name, DirectObjectIO(client), self.key_cache,
+            prefix_bits=prefix_bits, page_size_limit=page_size,
         )
         self.node.add_dbspace(name, dbspace)
         self.txn_manager.register_gc_dbspace(name, dbspace)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cache_policy import (
+    GHOST_CAPACITY_MULTIPLE,
     Arc2QPolicy,
     LruPolicy,
     make_policy,
@@ -130,19 +131,59 @@ def test_arc2q_ghost_hit_readmits_to_protected():
     assert policy.stats()["ghost_hits"] == 1.0
 
 
-def test_arc2q_scan_refetch_of_ghosted_key_stays_probationary():
-    """A repeated bulk scan larger than the cache must not cycle through
-    the protected segment via ghost readmissions."""
+def test_arc2q_scan_refetch_of_ghosted_key_takes_free_protected_room():
+    """Rule (a): a scan that re-fetches a key probation churned out is a
+    loop; it may use protected room nobody else holds."""
     policy = Arc2QPolicy(10_000)
     policy.on_insert("a", 100, scan_hint=True)
     policy.on_remove("a", evicted=True)
     policy.on_insert("a", 100, scan_hint=True)  # the next scan pass
-    assert policy.probation_keys() == ["a"]
-    assert policy.protected_keys() == []
-    assert policy.stats()["ghost_hits"] == 0.0
-    # The ghost entry is consumed either way; a later non-scan fetch
-    # starts the two-touch promotion path from scratch.
+    assert policy.protected_keys() == ["a"]
+    assert policy.probation_keys() == []
     assert policy.ghost_keys() == []
+    stats = policy.stats()
+    assert stats["loop_admissions"] == 1.0
+    assert stats["ghost_hits"] == 0.0  # that counter is the non-scan path
+    assert stats["scan_admissions"] == 1.0  # only the first touch
+
+
+def _fill_protected(policy, keys, size):
+    for key in keys:
+        policy.on_insert(key, size)
+        policy.on_access(key)
+
+
+def test_arc2q_loop_refetch_displaces_only_a_stale_protected_entry():
+    """Rule (b): with protected full, the scan re-fetch gets in only if
+    the segment's LRU entry was last referenced before this key was."""
+    policy = Arc2QPolicy(1_000, protected_fraction=0.5)
+    _fill_protected(policy, ["old1", "old2"], 250)
+    policy.on_insert("loop", 250, scan_hint=True)
+    policy.on_remove("loop", evicted=True)
+    policy.on_insert("loop", 250, scan_hint=True)
+    # old1 has sat unreferenced for longer than loop's reuse distance.
+    assert policy.protected_keys() == ["old2", "loop"]
+    # ... and is first in line for eviction: probation's cold end.
+    assert next(policy.eviction_order()) == "old1"
+    assert policy.stats()["loop_admissions"] == 1.0
+
+
+def test_arc2q_loop_refetch_leaves_a_live_protected_set_alone():
+    policy = Arc2QPolicy(1_000, protected_fraction=0.5)
+    policy.on_insert("loop", 250, scan_hint=True)
+    policy.on_remove("loop", evicted=True)
+    _fill_protected(policy, ["live1", "live2"], 250)  # referenced since
+    policy.on_insert("loop", 250, scan_hint=True)
+    assert policy.protected_keys() == ["live1", "live2"]
+    assert policy.probation_keys() == ["loop"]
+    assert policy.stats()["loop_admissions"] == 0.0
+
+
+def test_arc2q_scan_hit_in_protected_only_refreshes_recency():
+    policy = Arc2QPolicy(10_000)
+    _fill_protected(policy, ["a", "b"], 100)
+    policy.on_access("a", scan_hint=True)
+    assert policy.protected_keys() == ["b", "a"]
 
 
 def test_arc2q_ghost_is_bounded_by_capacity():
@@ -152,11 +193,88 @@ def test_arc2q_ghost_is_bounded_by_capacity():
         policy.on_insert(key, 100)
         policy.on_remove(key, evicted=True)
     remembered = policy.ghost_keys()
-    # At 100 bytes each and a 1000-byte budget, only the 10 most recent
-    # evictions are remembered.
-    assert len(remembered) == 10
+    # Keys only, so the ghost remembers a fixed multiple of what the
+    # cache holds: at 100 bytes each and a 1000-byte cache, the
+    # 10 * GHOST_CAPACITY_MULTIPLE most recent evictions.
+    assert len(remembered) == 10 * GHOST_CAPACITY_MULTIPLE
     assert remembered[-1] == "k49"
     assert "k0" not in remembered
+    assert sorted(policy.tracked_keys()) == sorted(remembered)
+
+
+# --------------------------------------------------------------------- #
+# loop resistance: a cyclic scan larger than the cache
+# --------------------------------------------------------------------- #
+
+class _PolicyCache:
+    """The OCM's use of a policy, without the OCM: unit-size entries,
+    evict in policy order while over capacity."""
+
+    def __init__(self, policy, capacity):
+        self.policy = policy
+        self.capacity = capacity
+        self.resident = set()
+
+    def touch(self, key, scan_hint):
+        """Reference ``key``; True on a hit."""
+        if key in self.resident:
+            self.policy.on_access(key, scan_hint)
+            return True
+        self.policy.on_insert(key, 1, scan_hint)
+        self.resident.add(key)
+        while len(self.resident) > self.capacity:
+            victim = next(self.policy.eviction_order())
+            self.policy.on_remove(victim, evicted=True)
+            self.resident.remove(victim)
+        return False
+
+    def scan(self, table, pages):
+        """One pass over ``table``; the number of hits."""
+        return sum(self.touch(f"{table}/{i}", True) for i in range(pages))
+
+
+LOOP_CAPACITY = 60
+
+
+@pytest.mark.parametrize("multiple", [1.2, 1.67, 2.5, 4.0])
+def test_arc2q_cyclic_scan_keeps_a_fixed_share_resident(multiple):
+    pages = int(LOOP_CAPACITY * multiple)
+    cache = _PolicyCache(Arc2QPolicy(LOOP_CAPACITY), LOOP_CAPACITY)
+    hits = [cache.scan("t", pages) for __ in range(6)]
+    # One compulsory round, one round to see the loop, then the
+    # protected share of the cache hits every round.
+    assert all(h >= 0.75 * LOOP_CAPACITY for h in hits[2:]), hits
+    assert cache.policy.stats()["loop_admissions"] > 0
+
+
+@pytest.mark.parametrize("multiple", [1.2, 1.67, 2.5, 4.0])
+def test_lru_cyclic_scan_never_hits(multiple):
+    pages = int(LOOP_CAPACITY * multiple)
+    cache = _PolicyCache(LruPolicy(), LOOP_CAPACITY)
+    assert [cache.scan("t", pages) for __ in range(6)] == [0] * 6
+
+
+def test_arc2q_loop_switch_resettles_within_two_rounds():
+    cache = _PolicyCache(Arc2QPolicy(LOOP_CAPACITY), LOOP_CAPACITY)
+    hits = [cache.scan(table, 100)
+            for table in ("x",) * 4 + ("y",) * 4 + ("x",) * 4]
+    for first_round in (0, 4, 8):
+        settled = hits[first_round + 2:first_round + 4]
+        assert all(h >= 0.75 * LOOP_CAPACITY for h in settled), hits
+
+
+def test_arc2q_hot_set_loses_no_hit_beside_a_loop():
+    cache = _PolicyCache(Arc2QPolicy(LOOP_CAPACITY), LOOP_CAPACITY)
+    hot = [f"hot/{i}" for i in range(20)]
+    for key in hot * 2:  # second touch promotes
+        cache.touch(key, False)
+    loop_hits = []
+    for __ in range(6):
+        loop_hits.append(cache.scan("t", 100))
+        # Two non-scan references per hot key per round: all must hit.
+        assert sum(cache.touch(key, False) for key in hot * 2) == 40
+    # The loop settles into the protected room the hot set leaves.
+    assert all(h > 0 for h in loop_hits[2:]), loop_hits
 
 
 def test_arc2q_protected_overflow_demotes_to_probation():

@@ -50,6 +50,46 @@ def test_secondaries_inherit_the_coordinators_io_settings():
         assert node.config is coordinator.config
 
 
+SEALED = pytest.mark.parametrize("sealing", [
+    {"encryption_key": b"k" * 32},
+    {"page_checksums": True},
+], ids=["encrypted", "checksummed"])
+
+
+@SEALED
+def test_secondary_opens_what_the_coordinator_sealed(sealing):
+    mx = make_multiplex(**sealing)
+    coordinator = mx.coordinator
+    coordinator.create_object("t")
+    txn = coordinator.begin()
+    coordinator.write_page(txn, "t", 0, b"from coordinator " * 50)
+    coordinator.commit(txn)
+    reader = mx.node("reader-1")
+    read_txn = reader.begin()
+    assert reader.read_page(read_txn, "t", 0) == b"from coordinator " * 50
+    reader.rollback(read_txn)
+
+
+@SEALED
+def test_coordinator_opens_what_a_writer_sealed(sealing):
+    mx = make_multiplex(**sealing)
+    coordinator = mx.coordinator
+    coordinator.create_object("t")
+    writer = mx.node("writer-1")
+    txn = writer.begin()
+    writer.write_page(txn, "t", 0, b"PLAINTEXT-MARKER " * 50)
+    writer.commit(txn)
+    read_txn = coordinator.begin()
+    assert (coordinator.read_page(read_txn, "t", 0)
+            == b"PLAINTEXT-MARKER " * 50)
+    coordinator.commit(read_txn)
+    if "encryption_key" in sealing:
+        # The writer's pages are ciphertext at rest, like the coordinator's.
+        store = coordinator.object_store
+        assert not any(b"PLAINTEXT-MARKER" in store.get(name)
+                       for name in store.list_keys())
+
+
 def test_requires_cloud_dbspace():
     with pytest.raises(MultiplexError):
         Multiplex(DatabaseConfig(user_volume="ebs"))
