@@ -40,7 +40,7 @@ def test_every_registered_point_recovers_cleanly():
 def test_churn_points_recover_on_the_per_page_path_too():
     """The sweep above crashes the engine as shipped; ``paper()`` ships as
     well, so every churn-episode point that exists on both paths (all but
-    the batch-flush / ranged-PUT ones) is crashed once more under it."""
+    the ranged-PUT one) is crashed once more under it."""
     shared = [
         result.crash_point for result in explore_all_points(seed=0)
         if result.mode == "churn"
@@ -56,6 +56,43 @@ def test_churn_points_recover_on_the_per_page_path_too():
         for result in results if not (result.ok and result.fired)
     ]
     assert failures == []
+
+
+# The points the one write path and the one delete path fire.
+WRITE_PATH_POINTS = (
+    "dbspace.write_page.before_put",
+    "dbspace.write_page.after_put",
+    "ocm.write_through.before_put",
+    "ocm.write_through.after_put",
+    "ocm.flush.before_upload",
+    "ocm.flush.after_upload",
+    "dbspace.free_page.before_delete",
+)
+
+
+def test_write_path_points_recover_at_every_occurrence():
+    """Crash each write, write-through, flush and free point at its first,
+    second, ... traversal until the episode no longer reaches it, on the
+    default and on ``paper()``: batches of one and real batches fire the
+    same points, so both paths must survive every occurrence."""
+    failures = []
+    episodes = 0
+    for overrides in (None, dict(PAPER_IO)):
+        for name in WRITE_PATH_POINTS:
+            skip = 0
+            while True:
+                result = run_churn_episode(name, seed=0, arm_skip=skip,
+                                           config_overrides=overrides)
+                if not result.fired:
+                    break
+                episodes += 1
+                if not result.ok:
+                    failures.append((name, overrides, skip,
+                                     result.violations))
+                skip += 1
+            assert skip > 0, (name, overrides)
+    assert failures == []
+    assert episodes >= 100
 
 
 def test_random_schedules_recover_cleanly():

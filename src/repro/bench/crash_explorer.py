@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.audit import AuditError, AuditReport, StoreAuditor
 from repro.core.multiplex import Multiplex, MultiplexConfig
-from repro.engine import PAPER_IO, Database, DatabaseConfig
+from repro.engine import Database, DatabaseConfig
 from repro.objectstore.replicated import ReplicationConfig
 from repro.sim.crashpoints import CRASH_POINTS, SimulatedCrash
 from repro.sim.rng import DeterministicRng
@@ -80,18 +80,10 @@ class EpisodeResult:
         }
 
 
-# Crash points on either side of the group-commit switch exist on one
-# flush path only, so their episodes pin the path instead of following
-# the default: the batch-flush and ranged-PUT points run the same churn
-# workload with the write pipeline spelled out, the per-page flush point
-# runs it with the ``DatabaseConfig.paper()`` fields.
-WRITE_PIPELINE_PREFIXES = ("ocm.batch_flush.", "client.put_range.")
-WRITE_PIPELINE_OVERRIDES: "Dict[str, object]" = dict(
-    adaptive_upload_window=True,
-    coalesce_puts=True,
-    group_commit_flush=True,
-)
-PER_PAGE_FLUSH_PREFIXES = ("ocm.flush.",)
+# Every episode runs the engine as shipped.  These points exist only on
+# its batched write path — a ranged PUT needs ``coalesce_puts`` — so a
+# re-sweep under the ``DatabaseConfig.paper()`` fields leaves them out.
+WRITE_PIPELINE_PREFIXES = ("client.put_range.",)
 
 
 def base_config(
@@ -1041,17 +1033,6 @@ def _route_episode(crash_point_name: "Optional[str]", seed: int,
         if crash_point_name.startswith("scrub."):
             return run_scrub_episode(crash_point_name, seed=seed,
                                      arm_skip=arm_skip)
-        if crash_point_name.startswith(WRITE_PIPELINE_PREFIXES):
-            return run_churn_episode(
-                crash_point_name, seed=seed, broken_gc=broken_gc,
-                arm_skip=arm_skip,
-                config_overrides=dict(WRITE_PIPELINE_OVERRIDES),
-            )
-        if crash_point_name.startswith(PER_PAGE_FLUSH_PREFIXES):
-            return run_churn_episode(
-                crash_point_name, seed=seed, broken_gc=broken_gc,
-                arm_skip=arm_skip, config_overrides=dict(PAPER_IO),
-            )
     return run_churn_episode(crash_point_name, seed=seed,
                              broken_gc=broken_gc, arm_skip=arm_skip)
 

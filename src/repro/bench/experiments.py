@@ -502,7 +502,6 @@ def run_bulk_load_workload(
         "config": {
             "adaptive_upload_window": db.config.adaptive_upload_window,
             "coalesce_puts": db.config.coalesce_puts,
-            "group_commit_flush": db.config.group_commit_flush,
             "instance_type": instance_type,
             "scale_factor": scale_factor,
             "throttle_rate_factor": throttle_rate_factor,

@@ -4,8 +4,9 @@ Pages on conventional dbspaces are stored as contiguous block runs on a
 :class:`BlockDevice`.  The device combines data storage (so reads return the
 actual bytes written) with a :class:`~repro.sim.devices.QueueingDevice`
 timing model, and exposes the same two-level API as the object store
-simulator: a timed API returning virtual completion times plus synchronous
-wrappers that advance the shared clock.
+simulator: a timed API returning virtual completion times plus windowed
+batch forms that advance the shared clock (a single run is a batch of
+one).
 
 Block devices are *strongly consistent*: a read after a completed write
 always returns the written bytes — the property SAP IQ historically relied
@@ -111,18 +112,6 @@ class BlockDevice:
         tracked elsewhere but whose I/O must still cost virtual time.
         """
         self.clock.advance_to(self._device.write(nbytes))
-
-    # ------------------------------------------------------------------ #
-    # synchronous wrappers
-    # ------------------------------------------------------------------ #
-
-    def write(self, start: int, data: bytes) -> None:
-        self.clock.advance_to(self.write_at(start, data, self.clock.now()))
-
-    def read(self, start: int) -> bytes:
-        data, done = self.read_at(start, self.clock.now())
-        self.clock.advance_to(done)
-        return data
 
     # ------------------------------------------------------------------ #
     # windowed parallel batches

@@ -1,10 +1,9 @@
 """The buffer manager (Section 3.1).
 
 Pages are born in the buffer cache, dirtied in RAM, and flushed to
-permanent storage on eviction (cache pressure) or at commit.  For cloud
-dbspaces a flush *always* consumes a fresh object key — never-write-twice —
-while conventional dbspaces may update a page in place when the on-storage
-image was written by the same transaction.
+permanent storage on eviction (cache pressure) or at commit.  A flush
+*always* writes to a fresh locator: a fresh object key on cloud dbspaces
+(never-write-twice), a freshly allocated run on conventional ones.
 
 Each flush feeds the owning transaction's GC sink: freshly allocated
 locators go to the RB bitmap, superseded committed locators go to the RF
@@ -376,9 +375,6 @@ class BufferManager:
         for group_key, group in groups.items():
             dbspace = stores[group_key]
             payloads = [self.codec.compress(frame.data) for __, frame in group]
-            # Parallel batch writes always allocate fresh locators; the
-            # update-in-place fast path only applies to single-page flushes
-            # of metadata (blockmap nodes) on conventional dbspaces.
             locators = dbspace.write_pages(
                 payloads,
                 txn_id=group_key[1],

@@ -57,18 +57,14 @@ CP_WRITE_THROUGH_AFTER_PUT = register_crash_point(
 )
 CP_FLUSH_BEFORE_UPLOAD = register_crash_point(
     "ocm.flush.before_upload",
-    "FlushForCommit drained some queued write-backs, crashed mid-queue "
-    "(remaining pages exist only on the dead node's SSD)",
+    "FlushForCommit was about to upload a batch of queued write-backs; "
+    "every page in it (and in all later batches) exists only on the dead "
+    "node's SSD",
 )
-CP_BATCH_FLUSH_BEFORE_UPLOAD = register_crash_point(
-    "ocm.batch_flush.before_upload",
-    "group-commit flush was about to upload a coalesced batch; every page "
-    "in the batch (and all later batches) exists only on the dead node",
-)
-CP_BATCH_FLUSH_AFTER_UPLOAD = register_crash_point(
-    "ocm.batch_flush.after_upload",
-    "a coalesced batch landed on the store but the node died before the "
-    "commit record — the batch's objects are unreferenced until recovery",
+CP_FLUSH_AFTER_UPLOAD = register_crash_point(
+    "ocm.flush.after_upload",
+    "a FlushForCommit batch landed on the store but the node died before "
+    "the commit record — its objects are unreferenced until recovery",
 )
 
 
@@ -100,16 +96,12 @@ class OcmConfig:
     # the paper's fixed-window drain byte-for-byte):
     # - adaptive_upload_window: replace the fixed upload_window with an
     #   AIMD controller seeded at upload_window (see repro.core.aimd);
-    # - group_commit_flush: FlushForCommit promotes a transaction's
-    #   queued jobs as coalesced adjacent-key batches (requires the
-    #   client's coalesce_puts for multi-key requests, else batches of 1);
     # - max_pending_uploads: backpressure — a write-back that would push
     #   the pending-upload queue past this bound stalls the producer
     #   while the oldest queued uploads drain (0 = unbounded, the
     #   paper's behaviour).  Degraded mode wins: while the breaker is
     #   open the queue may grow without bound, as before.
     adaptive_upload_window: bool = False
-    group_commit_flush: bool = False
     max_pending_uploads: int = 0
     aimd: "Optional[AimdConfig]" = None
 
@@ -526,37 +518,6 @@ class ObjectCacheManager(ObjectIO):
     # writes
     # ------------------------------------------------------------------ #
 
-    def put(self, name: str, data: bytes, txn_id: "Optional[int]" = None,
-            commit_mode: bool = False) -> None:
-        self._track_degradation()
-        with self.tracer.span(
-            "put", "ocm", key=name, nbytes=len(data),
-            mode="write_through" if commit_mode else "write_back",
-        ):
-            if commit_mode:
-                self._put_write_through(name, data)
-            else:
-                self._put_write_back(name, data, txn_id)
-
-    def _put_write_through(self, name: str, data: bytes) -> None:
-        """Synchronous upload, asynchronous local caching.
-
-        Commit-critical: bypasses the circuit breaker's fail-fast so the
-        write-through-at-commit invariant holds through an outage (the
-        retry policy, not the breaker, decides when to give up).
-        """
-        crash_point(CP_WRITE_THROUGH_BEFORE_PUT)
-        done = self.client.put_at(name, data, self.clock.now(),
-                                  bypass_breaker=True)
-        self.clock.advance_to(done)
-        crash_point(CP_WRITE_THROUGH_AFTER_PUT)
-        fill_start = self.clock.now()
-        fill_done = self.device.write(len(data), fill_start)
-        self.tracer.record("fill", "ssd", fill_start, fill_done,
-                           key=name, nbytes=len(data))
-        self._insert(name, data, uploaded=True, in_lru=True)
-        self.metrics.counter("write_through").increment()
-
     def _put_write_back(self, name: str, data: bytes,
                         txn_id: "Optional[int]") -> None:
         """Synchronous local write, upload queued in the background."""
@@ -634,28 +595,34 @@ class ObjectCacheManager(ObjectIO):
     def put_many(self, items: "Sequence[Tuple[str, bytes]]",
                  txn_id: "Optional[int]" = None,
                  commit_mode: bool = False) -> None:
+        """The one write: write-back during churn, write-through at commit.
+
+        Write-through uploads the batch synchronously, then fills the SSD
+        asynchronously.  It is commit-critical, so it bypasses the circuit
+        breaker's fail-fast (the retry policy, not the breaker, decides
+        when to give up) and reads the window through _upload_window(),
+        so an AIMD backoff throttles commit-mode bursts too.
+        """
         self._track_degradation()
         with self.tracer.span(
             "put_many", "ocm", count=len(items),
             mode="write_through" if commit_mode else "write_back",
         ):
-            if commit_mode:
-                # Parallel synchronous uploads, asynchronous cache fills.
-                # The window is read through _upload_window() so an AIMD
-                # backoff throttles commit-mode bursts too (it used to
-                # read the config constant and ignore live backoff).
-                self.client.put_many(items, window=self._upload_window(),
-                                     bypass_breaker=True)
-                fill_time = self.clock.now()
+            if not commit_mode:
                 for name, data in items:
-                    fill_done = self.device.write(len(data), fill_time)
-                    self.tracer.record("fill", "ssd", fill_time, fill_done,
-                                       key=name, nbytes=len(data))
-                    self._insert(name, data, uploaded=True, in_lru=True)
-                    self.metrics.counter("write_through").increment()
+                    self._put_write_back(name, data, txn_id)
                 return
+            crash_point(CP_WRITE_THROUGH_BEFORE_PUT)
+            self.client.put_many(items, window=self._upload_window(),
+                                 bypass_breaker=True)
+            crash_point(CP_WRITE_THROUGH_AFTER_PUT)
+            fill_time = self.clock.now()
             for name, data in items:
-                self._put_write_back(name, data, txn_id)
+                fill_done = self.device.write(len(data), fill_time)
+                self.tracer.record("fill", "ssd", fill_time, fill_done,
+                                   key=name, nbytes=len(data))
+                self._insert(name, data, uploaded=True, in_lru=True)
+                self.metrics.counter("write_through").increment()
 
     # ------------------------------------------------------------------ #
     # FlushForCommit and rollback
@@ -664,7 +631,7 @@ class ObjectCacheManager(ObjectIO):
     def _upload_window(self) -> int:
         """The drain window in force right now (live AIMD or the constant).
 
-        Every drain path — FlushForCommit, group batches, degraded-mode
+        Every drain path — FlushForCommit, backpressure, degraded-mode
         recovery, commit-mode ``put_many`` — reads the window through
         here, so an AIMD backoff throttles all of them at once.
         """
@@ -731,28 +698,26 @@ class ObjectCacheManager(ObjectIO):
         """Promote and drain the transaction's queued uploads (Section 4).
 
         The committing transaction's jobs jump ahead of other transactions'
-        still-unscheduled background work; the commit waits for them.
+        still-unscheduled background work; the commit waits for them.  A
+        client that coalesces PUTs gets the queue as adjacent-key batches
+        (fresh page keys are allocated monotonically, so the queue is
+        dominated by adjacency runs); otherwise every job is a batch of one.
         """
         self._track_degradation()
         jobs = self._pending.pop(txn_id, [])
         with self.tracer.span("flush_for_commit", "ocm",
                               txn_id=txn_id, jobs=len(jobs)):
             last = self.clock.now()
-            grouped = self.config.group_commit_flush
-            if grouped and self.client.coalesce_puts:
-                # Fresh page keys are allocated monotonically, so the
-                # queue is dominated by adjacency runs.
+            if self.client.coalesce_puts:
                 batches = group_adjacent(jobs, COALESCE_MAX_RUN,
                                          name=lambda job: job.name)
             else:
                 batches = [[job] for job in jobs]
             for batch in batches:
-                crash_point(CP_BATCH_FLUSH_BEFORE_UPLOAD if grouped
-                            else CP_FLUSH_BEFORE_UPLOAD)
+                crash_point(CP_FLUSH_BEFORE_UPLOAD)
                 last = max(last, self._schedule_batch(batch))
                 self._mark_uploaded(batch)
-                if grouped:
-                    crash_point(CP_BATCH_FLUSH_AFTER_UPLOAD)
+                crash_point(CP_FLUSH_AFTER_UPLOAD)
             self.clock.advance_to(last)
             if jobs:
                 self.metrics.counter("flush_for_commit_jobs").increment(
@@ -812,11 +777,6 @@ class ObjectCacheManager(ObjectIO):
         if cancelled:
             self.metrics.counter("cancelled_uploads").increment(cancelled)
         return cancelled
-
-    def delete(self, name: str) -> None:
-        self._remove(name)
-        self._cancel_pending([name])
-        self.client.delete(name)
 
     def delete_many(self, names: "Sequence[str]") -> None:
         for name in names:

@@ -423,7 +423,7 @@ class TransactionManager:
         crash_point(CP_COMMIT_BEFORE_FLUSH)
         # 1. FlushForCommit: promote this transaction's queued write-back
         #    uploads and switch its writes to write-through (Section 4).
-        #    With group_commit_flush the dbspace drains them as coalesced
+        #    A client that coalesces PUTs drains them as adjacent-key
         #    batches; either way the commit waits for every upload.
         touched = txn.touched_dbspaces()
         with self.tracer.span("commit_flush_promotion", "txn",

@@ -141,12 +141,11 @@ class DatabaseConfig:
     # GET/PUT coalescing: the object client merges adjacent-key reads
     # (and runs of freshly keyed adjacent pages on the write side) into
     # ranged multi-gets/multi-puts — one billed request, one token —
-    # before the per-prefix token buckets
+    # before the per-prefix token buckets; with coalesce_puts the OCM's
+    # FlushForCommit drains a transaction's queued write-backs as such
+    # batches (group commit) instead of one PUT per page
     coalesce_gets: bool = True
     coalesce_puts: bool = True
-    # Group commit: FlushForCommit drains a transaction's queued
-    # write-backs as coalesced batches instead of one PUT per page
-    group_commit_flush: bool = True
     # Opt-in write-back controls (DESIGN.md §11, and §19 for why they
     # stay off):
     # - adaptive_upload_window: AIMD-controlled upload window seeded at
@@ -250,10 +249,10 @@ class DatabaseConfig:
         return cls(**{**PAPER_IO, **fields})  # type: ignore[arg-type]
 
 
-# paper()'s five fields, for callers that take field overrides instead.
+# paper()'s four fields, for callers that take field overrides instead.
 PAPER_IO: "Dict[str, object]" = dict(
     ocm_policy="lru", pipelined_prefetch=False, coalesce_gets=False,
-    coalesce_puts=False, group_commit_flush=False,
+    coalesce_puts=False,
 )
 
 
@@ -289,7 +288,6 @@ def build_object_io(
             adaptive_read_routing=cfg.ocm_adaptive_routing,
             policy=cfg.ocm_policy,
             adaptive_upload_window=cfg.adaptive_upload_window,
-            group_commit_flush=cfg.group_commit_flush,
             max_pending_uploads=cfg.ocm_max_pending_uploads,
         ),
         rng=rng.substream("ocm"),

@@ -67,9 +67,8 @@ class _Node:
         self.dirty = locator == NULL_LOCATOR
         self.locator = locator
         # fresh: the node's current on-storage image was written by the
-        # transaction currently owning this blockmap (update-in-place is
-        # allowed for it on block dbspaces, and its old image is immediately
-        # dead rather than RF garbage).
+        # transaction currently owning this blockmap (its old image is
+        # immediately dead when superseded, rather than RF garbage).
         self.fresh = locator == NULL_LOCATOR
 
     def get_slot(self, slot: int) -> int:
@@ -277,8 +276,8 @@ class Blockmap:
               commit_mode: bool = False) -> int:
         """Persist dirty nodes bottom-up; return the new root locator.
 
-        Every flushed node gets a fresh locator on cloud dbspaces (the
-        Figure 2 cascade); replaced locators are reported to ``sink``.
+        Every flushed node gets a fresh locator (the Figure 2 cascade);
+        replaced locators are reported to ``sink``.
         """
         gc = sink or NullGcSink()
         for level in range(0, self.height):
@@ -290,23 +289,18 @@ class Blockmap:
                 old_locator = node.locator
                 was_fresh = node.fresh
                 new_locator = self.store.write_page(
-                    node.to_bytes(),
-                    replace_locator=old_locator,
-                    in_place_ok=was_fresh,
-                    txn_id=txn_id,
-                    commit_mode=commit_mode,
+                    node.to_bytes(), txn_id=txn_id, commit_mode=commit_mode,
                 )
                 node.dirty = False
-                if new_locator != old_locator:
-                    node.locator = new_locator
-                    node.fresh = True
-                    gc.on_allocate(new_locator)
-                    if old_locator != NULL_LOCATOR:
-                        gc.on_replace(old_locator, fresh=was_fresh)
-                    if level + 1 < self.height:
-                        parent = self._own_node(level + 1, node.index // self.fanout)
-                        parent.set_slot(node.index % self.fanout, new_locator)
-                        parent.dirty = True
+                node.locator = new_locator
+                node.fresh = True
+                gc.on_allocate(new_locator)
+                if old_locator != NULL_LOCATOR:
+                    gc.on_replace(old_locator, fresh=was_fresh)
+                if level + 1 < self.height:
+                    parent = self._own_node(level + 1, node.index // self.fanout)
+                    parent.set_slot(node.index % self.fanout, new_locator)
+                    parent.dirty = True
         root = self._root_node()
         if root is None:
             raise BlockmapError("blockmap has no root after flush")

@@ -7,6 +7,7 @@ harness itself honest inside tier-1.
 """
 
 from repro.bench import crash_explorer
+from repro.engine import PAPER_IO
 from repro.bench.crash_explorer import (
     registered_points,
     run_churn_episode,
@@ -40,20 +41,28 @@ def test_representative_points_recover_cleanly():
         assert result.crashes >= 1, point
 
 
-def test_flush_points_run_on_the_path_that_has_them():
-    """Group commit replaces the per-page flush, so each side's crash
-    points are pinned to their path, whatever the default is."""
-    for point in ("ocm.flush.before_upload",
-                  "ocm.batch_flush.before_upload"):
-        result = run_episode(point, seed=0)
-        assert result.ok, (point, result.violations)
-        assert result.fired == 1 and result.crashes == 1, point
+def test_flush_points_fire_on_both_paths():
+    """FlushForCommit fires one before/after pair per batch whether the
+    queue drains as adjacent-key batches (the default) or one job at a
+    time (``paper()``)."""
+    for overrides in (None, dict(PAPER_IO)):
+        for point in ("ocm.flush.before_upload", "ocm.flush.after_upload"):
+            result = run_churn_episode(point, seed=0,
+                                       config_overrides=overrides)
+            assert result.ok, (point, overrides, result.violations)
+            assert result.fired == 1 and result.crashes == 1, point
 
 
 def test_an_episode_that_never_reaches_its_point_is_a_violation(monkeypatch):
-    """"fired 0 ... ok" would let the sweep shrink silently."""
-    monkeypatch.setattr(crash_explorer, "PER_PAGE_FLUSH_PREFIXES", ())
-    result = run_episode("ocm.flush.before_upload", seed=0)
+    """"fired 0 ... ok" would let the sweep shrink silently: under
+    ``paper()`` the client never issues a ranged PUT."""
+    real = crash_explorer.run_churn_episode
+    monkeypatch.setattr(
+        crash_explorer, "run_churn_episode",
+        lambda *args, **kwargs: real(*args, **kwargs,
+                                     config_overrides=dict(PAPER_IO)),
+    )
+    result = run_episode("client.put_range.before_request", seed=0)
     assert result.fired == 0
     assert not result.ok
     assert "never fired" in result.violations[0]

@@ -74,7 +74,6 @@ def test_explicit_fixed_window_reproduces_golden(golden):
         instance_type="m5ad.24xlarge",
         adaptive_upload_window=False,
         coalesce_puts=False,
-        group_commit_flush=False,
         ocm_max_pending_uploads=0,
         vectorized_executor=False,
     )

@@ -51,7 +51,7 @@ def test_profiles_differ_only_in_the_named_fields(runs):
     paper, default = runs
     assert paper.db.config == default.db.config.with_overrides(
         ocm_policy="lru", pipelined_prefetch=False, coalesce_gets=False,
-        coalesce_puts=False, group_commit_flush=False,
+        coalesce_puts=False,
     )
     assert paper.db.config != default.db.config
     assert DatabaseConfig.paper() == DatabaseConfig().with_overrides(

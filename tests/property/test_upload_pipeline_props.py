@@ -48,14 +48,12 @@ POLICIES = ("lru", "arc2q")
 
 KNOB_SETS = {
     "fixed": dict(),
-    "pipeline": dict(adaptive_upload_window=True, coalesce_puts=True,
-                     group_commit_flush=True),
+    "pipeline": dict(adaptive_upload_window=True, coalesce_puts=True),
     "pipeline+backpressure": dict(adaptive_upload_window=True,
                                   coalesce_puts=True,
-                                  group_commit_flush=True,
                                   max_pending_uploads=4),
     "pipeline+faults": dict(adaptive_upload_window=True, coalesce_puts=True,
-                            group_commit_flush=True, faulty=True),
+                            faulty=True),
 }
 
 TXNS = (1, 2, 3)

@@ -18,12 +18,12 @@ def make_device(profile=None, block_size=4096, blocks=1000):
 class TestBlockDevice:
     def test_write_read_roundtrip(self):
         device = make_device()
-        device.write(10, b"hello world")
-        assert device.read(10) == b"hello world"
+        device.write_many([(10, b"hello world")])
+        assert device.read_many([10]) == {10: b"hello world"}
 
     def test_read_unwritten_raises(self):
         with pytest.raises(BlockDeviceError):
-            make_device().read(5)
+            make_device().read_many([5])
 
     def test_blocks_for(self):
         device = make_device(block_size=4096)
@@ -35,37 +35,35 @@ class TestBlockDevice:
     def test_out_of_range_write(self):
         device = make_device(blocks=10)
         with pytest.raises(BlockDeviceError):
-            device.write(9, b"x" * 8192)  # needs blocks 9 and 10
+            device.write_many([(9, b"x" * 8192)])  # needs blocks 9 and 10
 
     def test_discard_drops_data(self):
         device = make_device()
-        device.write(0, b"x")
+        device.write_many([(0, b"x")])
         device.discard(0)
         with pytest.raises(BlockDeviceError):
-            device.read(0)
+            device.read_many([0])
         device.discard(0)  # idempotent
 
     def test_timed_io_advances_clock(self):
         device = make_device(profile=nvme_ssd())
-        device.write(0, b"x" * 100_000)
+        device.write_many([(0, b"x" * 100_000)])
         assert device.clock.now() > 0
 
     def test_read_many_parallel(self):
         device = make_device(profile=nvme_ssd())
-        for i in range(16):
-            device.write(i * 4, b"block%02d" % i)
+        device.write_many([(i * 4, b"block%02d" % i) for i in range(16)])
         result = device.read_many([i * 4 for i in range(16)])
         assert result[8] == b"block02"
 
     def test_write_many(self):
         device = make_device()
         device.write_many([(0, b"a"), (4, b"b")])
-        assert device.read(4) == b"b"
+        assert device.read_many([0, 4]) == {0: b"a", 4: b"b"}
 
     def test_stored_bytes(self):
         device = make_device()
-        device.write(0, b"12345")
-        device.write(10, b"12")
+        device.write_many([(0, b"12345"), (10, b"12")])
         assert device.stored_bytes() == 7
 
     def test_invalid_geometry(self):

@@ -172,18 +172,20 @@ def test_mapped_pages(cloud_store):
     }
 
 
-def test_block_store_update_in_place(block_store):
-    """On conventional dbspaces, same-transaction flushes reuse locators."""
+def test_block_store_reflush_allocates_fresh_runs(block_store):
+    """Block dbspaces version blockmap nodes like cloud ones: a second
+    flush inside one transaction writes fresh runs and reports the runs
+    it supersedes as same-transaction garbage."""
     blockmap = Blockmap(block_store, fanout=4)
     sink = RecordingSink()
     blockmap.set(0, block_store.write_page(b"data"))
     blockmap.flush(sink)
-    allocated_first = list(sink.allocated)
+    first = list(sink.allocated)
     blockmap.set(1, block_store.write_page(b"data2"))
     blockmap.flush(sink)
-    # The root node was updated in place: exactly one extra allocation
-    # event would indicate re-versioning; in-place reuses the locator.
-    assert sink.allocated == allocated_first
+    second = sink.allocated[len(first):]
+    assert len(second) == len(first) and not set(first) & set(second)
+    assert sink.replaced == [(locator, True) for locator in first]
 
 
 def test_negative_page_rejected(cloud_store):

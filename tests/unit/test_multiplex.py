@@ -32,7 +32,7 @@ def test_secondaries_inherit_the_coordinators_io_settings():
     coordinator uses, so no behaviour field is dropped on the way."""
     mx = make_multiplex(
         verify_reads=True, coalesce_puts=True, coalesce_gets=True,
-        ocm_policy="arc2q", group_commit_flush=True, ocm_upload_window=8,
+        ocm_policy="arc2q", ocm_upload_window=8,
         parallel_window=12, ocm_adaptive_routing=True,
         ocm_max_pending_uploads=40,
     )

@@ -2,10 +2,14 @@
 
 ``ObjectIO.get_many_at`` and ``PageStore.read_pages_at`` are the only reads
 their implementations define; the blocking forms are base-class wrappers
-that pass ``clock.advance_to`` as the wait.  These tests pin the contract
+that pass ``clock.advance_to`` as the wait.  Writes and deletes have the
+same shape (``put_many``/``delete_many``, ``write_pages``/``free_pages``).  These tests pin the contract
 between the forms, the fill-after-wait rule that makes the wait a callback
 rather than a trailing ``advance_to``, and the lean single-page miss.
 """
+
+import inspect
+from dataclasses import fields
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.blockstore.device import BlockDevice
 from repro.core.buffer import BufferManager, ObjectHandle
 from repro.core.ocm import ObjectCacheManager, OcmConfig
 from repro.core.txn import Transaction
+from repro.engine import PAPER_IO, DatabaseConfig
 from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
 from repro.objectstore.consistency import STRONG
 from repro.objectstore.s3sim import ObjectStoreProfile
@@ -158,6 +163,27 @@ def test_each_layer_defines_its_read_once():
     assert "get_many_at" in ObjectIO.__abstractmethods__
     assert "read_pages_at" in PageStore.__abstractmethods__
     assert not {"prefetch_issue", "_get_inner"} & set(vars(BufferManager))
+
+
+def test_each_layer_defines_its_write_and_delete_once():
+    """The write side's shape: one batch body per implementation, the
+    single forms once in the base class as batches of one."""
+    for cls in (DirectObjectIO, ObjectCacheManager):
+        assert {"put_many", "delete_many"} <= set(vars(cls))
+        assert not {"put", "delete", "_put_write_through"} & set(vars(cls))
+    for cls in (BlockDbspace, CloudDbspace):
+        assert {"write_pages", "free_pages"} <= set(vars(cls))
+        assert not {"write_page", "free_page"} & set(vars(cls))
+    assert {"put", "delete"} <= set(vars(ObjectIO))
+    assert {"put_many", "delete_many"} <= ObjectIO.__abstractmethods__
+    assert {"write_page", "free_page"} <= set(vars(PageStore))
+    assert {"write_pages", "free_pages"} <= PageStore.__abstractmethods__
+    assert list(inspect.signature(PageStore.write_page).parameters) == [
+        "self", "payload", "txn_id", "commit_mode"]
+    assert not {"read", "write"} & set(vars(BlockDevice))
+    for cls in (DatabaseConfig, OcmConfig):
+        assert "group_commit_flush" not in {f.name for f in fields(cls)}
+    assert "group_commit_flush" not in PAPER_IO
 
 
 def test_blocking_reader_fills_after_its_wait():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.blockstore.device import BlockDevice
+from repro.blockstore.freelist import FreelistError
 from repro.blockstore.profiles import ram_disk
 from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
 from repro.objectstore.consistency import STRONG
@@ -142,9 +143,7 @@ class TestCloudDbspace:
     def test_every_write_gets_a_fresh_key(self):
         dbspace = make_cloud()
         first = dbspace.write_page(b"v1")
-        # in_place_ok is ignored on cloud dbspaces (never-write-twice).
-        second = dbspace.write_page(b"v2", replace_locator=first,
-                                    in_place_ok=True)
+        second = dbspace.write_page(b"v2")
         assert second != first
         assert is_object_key(first) and is_object_key(second)
         assert dbspace.read_page(first) == b"v1"
@@ -169,27 +168,24 @@ class TestCloudDbspace:
 
 
 class TestBlockDbspace:
-    def test_update_in_place_when_fresh(self):
+    def test_every_write_allocates_a_fresh_run(self):
         dbspace = make_block()
         locator = dbspace.write_page(b"v1")
-        same = dbspace.write_page(b"v2", replace_locator=locator,
-                                  in_place_ok=True)
-        assert same == locator
-        assert dbspace.read_page(locator) == b"v2"
-
-    def test_no_in_place_without_permission(self):
-        dbspace = make_block()
-        locator = dbspace.write_page(b"v1")
-        other = dbspace.write_page(b"v2", replace_locator=locator,
-                                   in_place_ok=False)
+        other = dbspace.write_page(b"v2")
         assert other != locator
+        assert dbspace.read_pages([locator, other]) == {locator: b"v1",
+                                                        other: b"v2"}
 
-    def test_in_place_needs_fitting_size(self):
-        dbspace = make_block()
-        locator = dbspace.write_page(b"x")
-        bigger = dbspace.write_page(b"y" * 8192, replace_locator=locator,
-                                    in_place_ok=True)
-        assert bigger != locator
+    def test_batch_that_does_not_fit_takes_no_space(self):
+        """Allocation is all or nothing: runs taken before the freelist ran
+        out go back, or they would be checkpointed and never freed."""
+        device = BlockDevice(ram_disk(), 4096, 4, clock=VirtualClock())
+        dbspace = BlockDbspace("sys", device)
+        with pytest.raises(FreelistError):
+            dbspace.write_pages([b"x" * 4096] * 5)
+        assert dbspace.freelist.used_blocks == 0
+        assert device.stored_bytes() == 0
+        assert len(dbspace.write_pages([b"y" * 4096] * 4)) == 4
 
     def test_free_page_returns_blocks(self):
         dbspace = make_block()
