@@ -67,7 +67,7 @@ def test_bulk_load_write_pipeline_improvement(benchmark):
     for metric in ("load_virtual_seconds", "put_requests",
                    "ranged_put_requests", "ranged_put_keys",
                    "throttled_requests", "batched_flush_uploads",
-                   "aimd_backoffs", "load_usd", "wall_seconds"):
+                   "load_usd", "wall_seconds"):
         rows.append([
             metric, clean_seed[metric], clean_opt[metric],
             thr_seed[metric], thr_opt[metric],

@@ -443,7 +443,7 @@ def run_churn_query_workload(
 
 
 # ---------------------------------------------------------------------- #
-# Table 2's load column: the adaptive write-back pipeline (PR 5)
+# Table 2's load column: the write-back pipeline
 # ---------------------------------------------------------------------- #
 
 def run_bulk_load_workload(
@@ -500,7 +500,6 @@ def run_bulk_load_workload(
     return {
         "optimized": optimized,
         "config": {
-            "adaptive_upload_window": db.config.adaptive_upload_window,
             "coalesce_puts": db.config.coalesce_puts,
             "instance_type": instance_type,
             "scale_factor": scale_factor,
@@ -518,8 +517,6 @@ def run_bulk_load_workload(
         "write_through": ocm_stats.get("write_through", 0.0),
         "flush_for_commit_jobs": ocm_stats.get("flush_for_commit_jobs", 0.0),
         "batched_flush_uploads": ocm_stats.get("batched_flush_uploads", 0.0),
-        "aimd_backoffs": ocm_stats.get("aimd_backoffs", 0.0),
-        "upload_window": ocm_stats.get("upload_window"),
         "load_usd": load_usd,
         "wall_seconds": time.monotonic() - wall_started,
     }

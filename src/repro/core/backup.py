@@ -208,7 +208,6 @@ class BackupManager:
             for store in db.cloud_dbspaces().values():
                 store.poll_and_free(key)
         db.node.invalidate_caches()
-        if hasattr(db, "_query_meta_cache"):
-            db._query_meta_cache.clear()
+        db.drop_query_caches()
         db.checkpoint()
         return copied

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checksum import crc32c
-from repro.core.aimd import AimdConfig, AimdUploadController
 from repro.core.cache_policy import make_policy
 from repro.objectstore.client import COALESCE_MAX_RUN, RetryingObjectClient
 from repro.objectstore.errors import CircuitOpenError, DegradedCacheMissError
@@ -86,24 +85,6 @@ class OcmConfig:
     # monitor SSD vs object-store read latency and re-route cache hits to
     # the object store while asynchronous fills saturate the SSD.
     adaptive_read_routing: bool = False
-    # Degraded mode: while the client's circuit breaker is open, serve
-    # reads from the SSD cache, keep queuing write-backs locally, and
-    # drain the backlog when the breaker closes.  Write-through-at-commit
-    # stays enforced throughout: commit uploads bypass the breaker's
-    # fail-fast and ride the retry policy through the outage.
-    degraded_mode: bool = True
-    # Adaptive write pipeline (all off by default; the defaults reproduce
-    # the paper's fixed-window drain byte-for-byte):
-    # - adaptive_upload_window: replace the fixed upload_window with an
-    #   AIMD controller seeded at upload_window (see repro.core.aimd);
-    # - max_pending_uploads: backpressure — a write-back that would push
-    #   the pending-upload queue past this bound stalls the producer
-    #   while the oldest queued uploads drain (0 = unbounded, the
-    #   paper's behaviour).  Degraded mode wins: while the breaker is
-    #   open the queue may grow without bound, as before.
-    adaptive_upload_window: bool = False
-    max_pending_uploads: int = 0
-    aimd: "Optional[AimdConfig]" = None
 
 
 class _CacheEntry:
@@ -169,22 +150,22 @@ class ObjectCacheManager(ObjectIO):
         self._anonymous_pending: "List[_PendingUpload]" = []
         self._upload_inflight: "List[float]" = []
         self._was_degraded = False
-        self._aimd: "Optional[AimdUploadController]" = None
-        if config.adaptive_upload_window:
-            aimd_config = config.aimd or AimdConfig(
-                initial_window=config.upload_window
-            )
-            self._aimd = AimdUploadController(aimd_config, metrics=self.metrics)
 
     # ------------------------------------------------------------------ #
     # degraded mode (client circuit breaker open)
     # ------------------------------------------------------------------ #
 
     def degraded(self) -> bool:
-        """Whether the OCM is currently serving in degraded mode."""
+        """Whether the OCM is currently serving in degraded mode.
+
+        While the client's circuit breaker is open the OCM serves reads
+        from the SSD cache, keeps queuing write-backs locally, and drains
+        the backlog when the breaker closes.  Write-through-at-commit
+        stays enforced throughout: commit uploads bypass the breaker's
+        fail-fast and ride the retry policy through the outage.
+        """
         return (
-            self.config.degraded_mode
-            and self.client.breaker is not None
+            self.client.breaker is not None
             and self.client.breaker_state() == "open"
         )
 
@@ -539,69 +520,16 @@ class ObjectCacheManager(ObjectIO):
             self.metrics.gauge("degraded_queue_depth").set(
                 self.pending_upload_count()
             )
-        elif self.config.max_pending_uploads > 0:
-            self._apply_backpressure()
-
-    def _pop_oldest_pending(self) -> "Optional[_PendingUpload]":
-        """Remove and return the oldest queued upload across all queues."""
-        best: "Optional[List[_PendingUpload]]" = None
-        best_time: "Optional[float]" = None
-        if self._anonymous_pending:
-            best = self._anonymous_pending
-            best_time = self._anonymous_pending[0].enqueue_time
-        for jobs in self._pending.values():
-            if jobs and (best_time is None
-                         or jobs[0].enqueue_time < best_time):
-                best = jobs
-                best_time = jobs[0].enqueue_time
-        if best is None:
-            return None
-        return best.pop(0)
-
-    def _apply_backpressure(self) -> None:
-        """Stall the producer while the oldest queued uploads drain.
-
-        The paper's write-back queue is unbounded — a loader faster than
-        the network pipe accumulates pending uploads without limit.  With
-        ``max_pending_uploads`` set, the writer that pushes the queue
-        past the bound synchronously drains the oldest jobs (through the
-        live upload window, so AIMD backoff slows the producer too) until
-        the queue fits.  Drained jobs leave their queues — FlushForCommit
-        must never see them again, or it would PUT the same key twice.
-        """
-        limit = self.config.max_pending_uploads
-        stalled = False
-        while self.pending_upload_count() > limit:
-            job = self._pop_oldest_pending()
-            if job is None:
-                break
-            done = self._schedule_batch([job])
-            self.clock.advance_to(max(self.clock.now(), done))
-            self._mark_uploaded([job])
-            self.metrics.counter("backpressure_stalls").increment()
-            stalled = True
-        if stalled:
-            pipe = self.client.bandwidth
-            if pipe is not None:
-                now = self.clock.now()
-                pending = sum(
-                    len(job.data)
-                    for jobs in self._pending.values() for job in jobs
-                ) + sum(len(job.data) for job in self._anonymous_pending)
-                self.metrics.gauge("drain_eta_seconds").set(
-                    pipe.eta(now, float(pending)) - now
-                )
 
     def put_many(self, items: "Sequence[Tuple[str, bytes]]",
                  txn_id: "Optional[int]" = None,
                  commit_mode: bool = False) -> None:
         """The one write: write-back during churn, write-through at commit.
 
-        Write-through uploads the batch synchronously, then fills the SSD
-        asynchronously.  It is commit-critical, so it bypasses the circuit
-        breaker's fail-fast (the retry policy, not the breaker, decides
-        when to give up) and reads the window through _upload_window(),
-        so an AIMD backoff throttles commit-mode bursts too.
+        Write-through uploads the batch synchronously through the upload
+        window, then fills the SSD asynchronously.  It is commit-critical,
+        so it bypasses the circuit breaker's fail-fast (the retry policy,
+        not the breaker, decides when to give up).
         """
         self._track_degradation()
         with self.tracer.span(
@@ -613,7 +541,7 @@ class ObjectCacheManager(ObjectIO):
                     self._put_write_back(name, data, txn_id)
                 return
             crash_point(CP_WRITE_THROUGH_BEFORE_PUT)
-            self.client.put_many(items, window=self._upload_window(),
+            self.client.put_many(items, window=self.config.upload_window,
                                  bypass_breaker=True)
             crash_point(CP_WRITE_THROUGH_AFTER_PUT)
             fill_time = self.clock.now()
@@ -628,52 +556,27 @@ class ObjectCacheManager(ObjectIO):
     # FlushForCommit and rollback
     # ------------------------------------------------------------------ #
 
-    def _upload_window(self) -> int:
-        """The drain window in force right now (live AIMD or the constant).
-
-        Every drain path — FlushForCommit, backpressure, degraded-mode
-        recovery, commit-mode ``put_many`` — reads the window through
-        here, so an AIMD backoff throttles all of them at once.
-        """
-        if self._aimd is not None:
-            return self._aimd.window
-        return self.config.upload_window
-
-    def _put_retries(self) -> float:
-        return self.client.metrics.counter("put_retries").value
-
-    def _feed_aimd(self, started: float, completed: float,
-                   retries_before: float) -> None:
-        if self._aimd is None:
-            return
-        retries = int(self._put_retries() - retries_before)
-        self._aimd.on_completion(started, completed, retries=retries)
-
     def _acquire_upload_slot(self, start: float) -> float:
-        """Wait (in virtual time) for an upload-window slot.
+        """Wait (in virtual time) for a slot of the fixed upload window.
 
-        A ``while`` rather than an ``if``: after an AIMD backoff the
-        window may sit *below* the in-flight count, and new work must
-        wait for several completions, not one.  With a fixed window the
-        heap never exceeds the window, so at most one pop happens and
-        the schedule is identical to the historical behaviour.
+        The heap holds the completion times of the uploads in flight and
+        never grows past the window, so a full window frees its slot by
+        retiring the earliest completion.
         """
-        window = self._upload_window()
-        while len(self._upload_inflight) >= window:
+        if len(self._upload_inflight) >= self.config.upload_window:
             start = max(start, heapq.heappop(self._upload_inflight))
         return start
 
     def _schedule_batch(self, batch: "List[_PendingUpload]") -> float:
-        """Upload one batch through one slot of the live window.
+        """Upload one batch through one slot of the upload window.
 
         A batch of one is a plain PUT; an adjacent-key run becomes one
         ranged multi-put billed as a single request.  Either way it
-        occupies one slot, so the AIMD controller bounds *requests* in
-        flight, coalesced or not.
+        occupies one slot, so the window bounds *requests* in flight,
+        coalesced or not.
         """
         start = max(max(job.enqueue_time for job in batch), self.clock.now())
         start = self._acquire_upload_slot(start)
-        retries_before = self._put_retries() if self._aimd is not None else 0.0
         # Queued write-backs drain on the commit/recovery path, where the
         # data must reach the store: bypass the breaker's fail-fast.
         done = self.client.put_many_at(
@@ -681,7 +584,6 @@ class ObjectCacheManager(ObjectIO):
             bypass_breaker=True,
         )
         heapq.heappush(self._upload_inflight, done)
-        self._feed_aimd(start, done, retries_before)
         if len(batch) > 1:
             self.metrics.counter("batched_flush_uploads").increment(len(batch))
         return done

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 GIB = 1024 ** 3
-GBIT = 1_000_000_000 / 8  # bytes/second per Gbit/s
 
 
 @dataclass(frozen=True)
@@ -25,11 +24,6 @@ class InstanceProfile:
     nic_gbits: float
     ssd_count: int
     ssd_bytes: int
-
-    @property
-    def nic_bandwidth(self) -> float:
-        """NIC bandwidth in bytes/second."""
-        return self.nic_gbits * GBIT
 
     @property
     def buffer_cache_bytes(self) -> int:

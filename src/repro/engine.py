@@ -146,15 +146,6 @@ class DatabaseConfig:
     # batches (group commit) instead of one PUT per page
     coalesce_gets: bool = True
     coalesce_puts: bool = True
-    # Opt-in write-back controls (DESIGN.md §11, and §19 for why they
-    # stay off):
-    # - adaptive_upload_window: AIMD-controlled upload window seeded at
-    #   ocm_upload_window instead of the fixed constant;
-    # - ocm_max_pending_uploads: bound on the write-back queue; a loader
-    #   that outruns the drain stalls while the oldest uploads complete
-    #   (0 = unbounded, the paper's behaviour).
-    adaptive_upload_window: bool = False
-    ocm_max_pending_uploads: int = 0
     # Vectorized columnar executor (DESIGN.md §14; all off by default so
     # the stock configuration reproduces the scalar row-at-a-time path
     # byte-for-byte):
@@ -287,8 +278,6 @@ def build_object_io(
             read_window=cfg.parallel_window,
             adaptive_read_routing=cfg.ocm_adaptive_routing,
             policy=cfg.ocm_policy,
-            adaptive_upload_window=cfg.adaptive_upload_window,
-            max_pending_uploads=cfg.ocm_max_pending_uploads,
         ),
         rng=rng.substream("ocm"),
     )
@@ -953,7 +942,21 @@ class Database:
             identity_write_cost=lambda: self.system_device.charge_write(256),
         )
         self.node.invalidate_caches()
+        self.drop_query_caches()
         self.checkpoint()
+
+    def drop_query_caches(self) -> None:
+        """Empty the session's version-keyed query caches.
+
+        ``QueryContext`` keeps parsed metadata and decoded batches keyed
+        by ``(object, version, ...)``.  A restore rewinds the catalog, so
+        the next commit reuses a version number the caches already hold
+        for pre-restore contents.
+        """
+        for name in ("_query_meta_cache", "_decoded_batches"):
+            cache = getattr(self, name, None)
+            if cache is not None:
+                cache.clear()
 
     def open_snapshot_view(self, snapshot_id: int) -> "SnapshotView":
         """A read-only, query-capable view over a past snapshot.

@@ -88,7 +88,3 @@ class VersionedObject:
         """Whether a read at ``now`` would observe a non-latest version."""
         visible = self.visible_data(now)
         return visible is not None and visible is not self.latest_data()
-
-    @property
-    def version_count(self) -> int:
-        return len(self._versions)

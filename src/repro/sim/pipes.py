@@ -56,22 +56,6 @@ class Pipe:
         """Seconds of queued work remaining at virtual time ``now``."""
         return max(0.0, self._next_free - now)
 
-    def service_time(self, amount: float) -> float:
-        """Seconds needed to serve ``amount`` units on an idle pipe."""
-        return amount / self._rate
-
-    def eta(self, now: float, amount: float) -> float:
-        """Completion estimate for ``amount`` units WITHOUT reserving them.
-
-        Backpressure logic peeks at a pipe's drain horizon to decide
-        whether a producer should stall; unlike :meth:`request` this does
-        not mutate the queue, so the eventual real request still charges
-        the pipe exactly once.
-        """
-        if amount < 0:
-            raise ValueError(f"cannot estimate negative work {amount!r}")
-        return max(now, self._next_free) + amount / self._rate
-
     def request(self, now: float, amount: float) -> "tuple[float, float]":
         """Reserve ``amount`` units of service; return ``(start, end)``."""
         if amount < 0:

@@ -75,8 +75,3 @@ class PageEncryptor:
         return bytes(
             a ^ b for a, b in zip(body, self._keystream(nonce, len(body)))
         )
-
-    @property
-    def overhead_bytes(self) -> int:
-        """Ciphertext size increase per page."""
-        return len(_MAGIC) + _NONCE_BYTES + _TAG_BYTES

@@ -72,9 +72,7 @@ def test_explicit_fixed_window_reproduces_golden(golden):
     run = VolumeRun(
         "s3",
         instance_type="m5ad.24xlarge",
-        adaptive_upload_window=False,
         coalesce_puts=False,
-        ocm_max_pending_uploads=0,
         vectorized_executor=False,
     )
     assert _digest(run) == golden

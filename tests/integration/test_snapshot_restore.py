@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.engine import EngineError
 from tests.conftest import make_db
 
@@ -126,6 +127,26 @@ def test_restore_aborts_active_transactions(db):
     db.write_page(dangling, "t", 0, b"in flight")
     db.restore_snapshot(snapshot.snapshot_id)
     assert not db.txn_manager.active_transactions()
+
+
+def test_queries_after_restore_read_the_restored_table(db):
+    """A commit after a restore reuses version numbers; the session's
+    version-keyed query caches must not serve pre-restore contents."""
+    store = ColumnStore(db)
+    store.create_table(TableSchema(
+        "facts", (ColumnSchema("k", "int"), ColumnSchema("v", "float")),
+        partition_column="k", partition_count=1, rows_per_page=128,
+    ))
+    store.load("facts", [(k, k / 2) for k in range(100)])
+    snapshot = db.create_snapshot()
+    store.append("facts", [(k, k / 2) for k in range(100, 150)])
+    with QueryContext(db) as ctx:
+        assert len(ctx.read("facts", ["k"])["k"]) == 150
+    db.restore_snapshot(snapshot.snapshot_id)
+    store.append("facts", [(k, k / 2) for k in range(200, 210)])
+    with QueryContext(db) as ctx:
+        keys = ctx.read("facts", ["k"])["k"]
+    assert sorted(keys) == list(range(100)) + list(range(200, 210))
 
 
 def test_snapshot_disabled_without_retention():

@@ -5,8 +5,8 @@ clock, with the cloud dbspace over a :class:`DirectObjectIO` or a real
 :class:`ObjectCacheManager`, and the client's ``coalesce_puts`` off or on
 (FlushForCommit groups adjacent keys exactly when the client coalesces,
 as under ``DatabaseConfig()`` and ``DatabaseConfig.paper()``).  The OCM
-runs plain, with ``max_pending_uploads`` backpressure, and with
-``lru_insert_before_upload`` forced uploads.  The script covers single
+runs plain and with ``lru_insert_before_upload`` forced uploads.  The
+script covers single
 and batch writes in write-back and write-through mode, FlushForCommit and
 ``discard_txn``, a free that cancels a queued upload, ``free_page(s)``
 and ``poll_and_free``, a breaker-open window (degraded queuing, then the
@@ -67,8 +67,7 @@ COMBINATIONS = [
     {"coalesce": coalesce, "io": io}
     for coalesce, io in itertools.product(
         (False, True),
-        ("direct", "ocm", "ocm-max_pending_uploads",
-         "ocm-lru_insert_before_upload"),
+        ("direct", "ocm", "ocm-lru_insert_before_upload"),
     )
 ]
 
@@ -123,7 +122,7 @@ SCRIPT = [
     ("write_many", "block", [24, 25, 26]),
     ("write", "block", [27]),
     ("read", "block", [23, 24, 27]),
-    # A long write-back transaction: backpressure / forced uploads.
+    # A long write-back transaction: forced uploads.
     ("write_many", "cloud", list(range(30, 36)), 3, False),
     ("write", "cloud", [36], 3, False),
     ("write_many", "cloud", list(range(37, 41)), 3, False),
@@ -178,8 +177,6 @@ class _Rig:
                 self.client, SSD,
                 OcmConfig(
                     capacity_bytes=8 * 1500, upload_window=3, read_window=4,
-                    max_pending_uploads=3 if knob == "max_pending_uploads"
-                    else 0,
                     lru_insert_before_upload=knob == "lru_insert_before_upload",
                 ),
                 rng=rng.substream("ssd"),
@@ -336,11 +333,7 @@ def test_script_reaches_every_write_path(golden):
                         "evictions"):
             assert stats.get(counter, 0) > 0, (name, counter)
         assert run["pending_uploads"] == 0, name
-        if name.endswith("max_pending_uploads"):
-            # Backpressure already uploaded the rolled-back job.
-            assert stats["backpressure_stalls"] > 0, name
-        else:
-            assert stats["discarded_uploads"] > 0, name
+        assert stats["discarded_uploads"] > 0, name
         if name.endswith("lru_insert_before_upload"):
             assert stats["forced_uploads"] > 0, name
         if name.startswith("coalesce"):

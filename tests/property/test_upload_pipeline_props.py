@@ -1,12 +1,12 @@
-"""Interleaving harness for the adaptive write-back pipeline (PR 5).
+"""Interleaving harness for the OCM's write-back pipeline.
 
-The pipeline adds three concurrent-looking mechanisms to the OCM's write
-path — AIMD-windowed background drain, coalesced ranged PUTs, and group
-commit flush — plus backpressure stalls.  Each one re-orders uploads
-relative to the paper's serial one-PUT-per-page drain, so each is a new
-chance to violate the paper's write-path invariants.  This harness
-drives seeded schedules of background write-back vs. ``flush_for_commit``
-vs. eviction vs. rollback vs. node crash through a deliberately tiny OCM
+The pipeline adds two concurrent-looking mechanisms to the OCM's write
+path — coalesced ranged PUTs and group commit flush — on top of the
+fixed-window background drain.  Each one re-orders uploads relative to
+the paper's serial one-PUT-per-page drain, so each is a new chance to
+violate the paper's write-path invariants.  This harness drives seeded
+schedules of background write-back vs. ``flush_for_commit`` vs.
+eviction vs. rollback vs. node crash through a deliberately tiny OCM
 (every write evicts) and asserts, after **every** step:
 
 1. **No key is ever PUT twice.**  Checked against ground truth: the
@@ -20,14 +20,15 @@ vs. eviction vs. rollback vs. node crash through a deliberately tiny OCM
    after ``drain_all``) every page the transaction wrote back reads back
    from the store itself, byte-identical, even if the node then crashes
    and loses its SSD.
+4. **The upload window bounds the requests in flight** — the OCM never
+   tracks more in-flight uploads than ``upload_window``.
 
 Schedules run under both eviction policies (``lru`` and ``arc2q``) and
-four knob sets: the fixed-window baseline, the full pipeline, the
-pipeline with backpressure, and the pipeline against a store that throws
-transient PUT failures (exercising range retry and per-key fallback).
-The Hypothesis suite explores adversarial orderings; the seeded-loop
-suite pins 200+ schedules so CI coverage does not depend on Hypothesis'
-example budget.
+three knob sets: the fixed-window baseline, the coalescing pipeline, and
+the pipeline against a store that throws transient PUT failures
+(exercising range retry and per-key fallback).  The Hypothesis suite
+explores adversarial orderings; the seeded-loop suite pins 192
+schedules so CI coverage does not depend on Hypothesis' example budget.
 """
 
 import pytest
@@ -45,15 +46,12 @@ from repro.storage.keys import hashed_object_name
 from repro.storage.locator import OBJECT_KEY_BASE
 
 POLICIES = ("lru", "arc2q")
+UPLOAD_WINDOW = 4
 
 KNOB_SETS = {
     "fixed": dict(),
-    "pipeline": dict(adaptive_upload_window=True, coalesce_puts=True),
-    "pipeline+backpressure": dict(adaptive_upload_window=True,
-                                  coalesce_puts=True,
-                                  max_pending_uploads=4),
-    "pipeline+faults": dict(adaptive_upload_window=True, coalesce_puts=True,
-                            faulty=True),
+    "pipeline": dict(coalesce_puts=True),
+    "pipeline+faults": dict(coalesce_puts=True, faulty=True),
 }
 
 TXNS = (1, 2, 3)
@@ -67,11 +65,11 @@ class PipelineDriver:
     """One OCM + store under test, plus the model that checks it."""
 
     def __init__(self, policy: str, knobs: str) -> None:
-        options = dict(KNOB_SETS[knobs])
-        faulty = options.pop("faulty", False)
+        options = KNOB_SETS[knobs]
         profile = ObjectStoreProfile(
             name="s3", consistency=STRONG,
-            transient_failure_probability=0.05 if faulty else 0.0,
+            transient_failure_probability=(
+                0.05 if options.get("faulty") else 0.0),
             latency_jitter=0.0,
         )
         self.store = SimulatedObjectStore(
@@ -81,12 +79,12 @@ class PipelineDriver:
         self.client = RetryingObjectClient(
             self.store,
             rng=DeterministicRng(11, "client"),
-            coalesce_puts=bool(options.pop("coalesce_puts", False)),
+            coalesce_puts=options.get("coalesce_puts", False),
         )
         self.ocm = ObjectCacheManager(
             self.client, nvme_ssd(),
             OcmConfig(capacity_bytes=CAPACITY, policy=policy,
-                      upload_window=4, **options),
+                      upload_window=UPLOAD_WINDOW),
             rng=DeterministicRng(13, "ocm"),
         )
         self._next_key = OBJECT_KEY_BASE
@@ -130,10 +128,7 @@ class PipelineDriver:
 
     def rollback(self, txn) -> None:
         self.ocm.discard_txn(txn)
-        # Never flushed, never durable; forget the pages entirely.  (With
-        # backpressure some may already have drained — that is the same
-        # early-upload semantics as the lru_insert_before_upload
-        # ablation's forced uploads, and GC owns the orphans.)
+        # Never flushed, never durable; forget the pages entirely.
         self.pending[txn] = {}
 
     def drain(self) -> None:
@@ -160,6 +155,8 @@ class PipelineDriver:
                 assert entry.uploaded, (
                     f"{entry.name!r} entered the LRU before its upload"
                 )
+        # 4. The fixed window bounds the uploads in flight.
+        assert len(self.ocm._upload_inflight) <= UPLOAD_WINDOW
 
     def check_durability(self) -> None:
         # 3. Everything ever committed reads back from the store itself.
@@ -236,7 +233,7 @@ def seeded_schedule(seed: int):
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("knobs", sorted(KNOB_SETS))
 def test_pipeline_invariants_hold_on_seeded_schedules(policy, knobs):
-    """200+ pinned schedules: 32 seeds x 2 policies x 4 knob sets."""
+    """192 pinned schedules: 32 seeds x 2 policies x 3 knob sets."""
     for seed in range(32):
         run_schedule(PipelineDriver(policy, knobs), seeded_schedule(seed))
 

@@ -34,7 +34,6 @@ def test_secondaries_inherit_the_coordinators_io_settings():
         verify_reads=True, coalesce_puts=True, coalesce_gets=True,
         ocm_policy="arc2q", ocm_upload_window=8,
         parallel_window=12, ocm_adaptive_routing=True,
-        ocm_max_pending_uploads=40,
     )
     coordinator = mx.coordinator
     for node in mx.secondaries():
