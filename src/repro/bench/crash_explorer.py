@@ -81,8 +81,8 @@ class EpisodeResult:
 
 
 # Every episode runs the engine as shipped.  These points exist only on
-# its batched write path — a ranged PUT needs ``coalesce_puts`` — so a
-# re-sweep under the ``DatabaseConfig.paper()`` fields leaves them out.
+# its batched write path — a ranged PUT needs a run length above 1 — so
+# a re-sweep under the ``DatabaseConfig.paper()`` fields leaves them out.
 WRITE_PIPELINE_PREFIXES = ("client.put_range.",)
 
 

@@ -204,12 +204,6 @@ def table5_rows(run: VolumeRun) -> "List[List[object]]":
     ]
 
 
-def figure6_series(
-    runs: "Dict[str, VolumeRun]",
-) -> "Dict[str, Dict[int, float]]":
-    return {key: run.query_times for key, run in runs.items()}
-
-
 # ---------------------------------------------------------------------- #
 # Figure 7: scale-up
 # ---------------------------------------------------------------------- #
@@ -418,7 +412,7 @@ def run_churn_query_workload(
         "config": {
             "ocm_policy": db.config.ocm_policy,
             "pipelined_prefetch": db.config.pipelined_prefetch,
-            "coalesce_gets": db.config.coalesce_gets,
+            "coalesce_max_run": db.config.coalesce_max_run,
             "instance_type": instance_type,
             "scale_factor": scale_factor,
             "rounds": rounds,
@@ -500,7 +494,7 @@ def run_bulk_load_workload(
     return {
         "optimized": optimized,
         "config": {
-            "coalesce_puts": db.config.coalesce_puts,
+            "coalesce_max_run": db.config.coalesce_max_run,
             "instance_type": instance_type,
             "scale_factor": scale_factor,
             "throttle_rate_factor": throttle_rate_factor,

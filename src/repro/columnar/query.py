@@ -130,7 +130,6 @@ class QueryContext:
     """
 
     def __init__(self, session, txn=None, prefetch_window: int = 32,
-                 pipelined: "Optional[bool]" = None,
                  vectorized: "Optional[bool]" = None) -> None:
         self.session = session
         self.cpu = session.cpu
@@ -140,14 +139,11 @@ class QueryContext:
         self.txn = txn if txn is not None else session.begin()
         self.prefetch_window = prefetch_window
         config = getattr(session, "config", None)
-        # Pipelined scans: issue batch N+1's page fetches while batch N
-        # decodes, so scan virtual time approaches max(io, cpu) instead
-        # of io + cpu.  Defaults to the session's `pipelined_prefetch`
-        # config field (on as shipped; `DatabaseConfig.paper()` selects
-        # the paper's serial prefetch-then-decode body below).
-        if pipelined is None:
-            pipelined = bool(getattr(config, "pipelined_prefetch", False))
-        self.pipelined = pipelined
+        # The session's `pipelined_prefetch` picks the scan's fetch step:
+        # issue batch N+1 while batch N decodes, so scan virtual time
+        # approaches max(io, cpu) instead of io + cpu (as shipped), or
+        # fetch each column of a partition and wait (`paper()`).
+        self.pipelined = bool(getattr(config, "pipelined_prefetch", False))
         # Vectorized executor (DESIGN.md §14): numpy column vectors,
         # morsel-driven CPU charging, session-level decoded-batch cache.
         # Defaults to the `vectorized_executor` config knob; passing an
@@ -374,39 +370,24 @@ class QueryContext:
                 return (object_name, handle.version, page_no) in cache
         return False
 
-    def _prefetch_pages(self, object_name: str, pages: "Sequence[int]",
-                        scan_hint: bool = False) -> None:
-        missing = [
-            p for p in pages if not self._have_decoded(object_name, p)
-        ]
-        if missing:
-            self.buffer.prefetch(self._handle(object_name), missing,
-                                 scan_hint=scan_hint)
+    def _fetch(self, pages_by_object: "Dict[str, Sequence[int]]",
+               scan_hint: bool, wait) -> float:
+        """One prefetch of the listed pages not decoded yet; returns its
+        completion (``wait`` as in :meth:`BufferManager.prefetch_at`).
 
-    def _issue_batch(self, schema, needed: "Sequence[str]", partition: int,
-                     batch: "Sequence[int]") -> float:
-        """Issue one pipelined batch's fetches across all needed columns.
-
-        All columns are issued at the same virtual instant (their I/O
-        overlaps); returns the latest completion time.  The shared clock
-        does not move — the caller decodes the previous batch meanwhile.
+        The loader interleaves column objects page by page, so pages of
+        several columns at one page index have adjacent keys: fetched
+        together, the object client coalesces them into ranged multi-gets.
         """
-        now = self.clock.now()
         requests = []
-        for column in needed:
-            object_name = schema.column_object(column, partition)
+        for object_name, pages in pages_by_object.items():
             missing = [
-                p for p in batch if not self._have_decoded(object_name, p)
+                p for p in pages if not self._have_decoded(object_name, p)
             ]
             if missing:
                 requests.append((self._handle(object_name), missing))
-        if not requests:
-            return now
-        # One combined issue: the loader interleaves column objects
-        # page-by-page, so a batch's keys are adjacent ACROSS columns at
-        # each page index — issuing them together lets the object client
-        # coalesce them into ranged multi-gets.
-        return self.buffer.prefetch_issue_many(requests, now, scan_hint=True)
+        return self.buffer.prefetch_at(requests, self.clock.now(), scan_hint,
+                                       wait)
 
     # ------------------------------------------------------------------ #
     # scans
@@ -459,22 +440,38 @@ class QueryContext:
         if with_rowids:
             out[ROWID] = []
         deleted = self.deleted_rows(table)
-        if self.pipelined:
-            self._read_pipelined(table, schema, needed, columns, predicates,
-                                 deleted, out, with_rowids)
-        else:
-            for partition in range(schema.partition_count):
-                pages = self._candidate_pages(table, partition, predicates)
-                # Aggressive parallel prefetch across all needed columns.
-                for column in needed:
-                    self._prefetch_pages(
-                        schema.column_object(column, partition), pages,
-                        scan_hint=True
-                    )
-                for page_no in pages:
-                    self._scan_page(schema, needed, columns, predicates,
-                                    deleted, out, with_rowids,
-                                    partition, page_no)
+        plan = self._scan_plan(table, schema.partition_count, len(needed),
+                               predicates)
+
+        def pages_by_object(partition: int, pages: "List[int]"):
+            return {schema.column_object(column, partition): pages
+                    for column in needed}
+
+        # Pipelined, batch 0 goes out now and each later batch while its
+        # predecessor decodes, so I/O and CPU overlap; paper() fetches
+        # each column of the batch in turn and waits for it.
+        pending = self.clock.now()
+        if self.pipelined and plan:
+            pending = self._fetch(pages_by_object(*plan[0]), True, None)
+        for index, (partition, pages) in enumerate(plan):
+            if self.pipelined:
+                # Wait for this batch's I/O (often already overlapped by
+                # the previous decode), then put the next batch in flight.
+                self.clock.advance_to(max(self.clock.now(), pending))
+                if index + 1 < len(plan):
+                    pending = self._fetch(pages_by_object(*plan[index + 1]),
+                                          True, None)
+            else:
+                for name, wanted in pages_by_object(partition, pages).items():
+                    self._fetch({name: wanted}, True, self.clock.advance_to)
+            decode_start = self.clock.now()
+            for page_no in pages:
+                self._scan_page(schema, needed, columns, predicates,
+                                deleted, out, with_rowids, partition, page_no)
+            self.buffer.tracer.record(
+                "decode", "query", decode_start, self.clock.now(),
+                table=table, partition=partition, pages=len(pages)
+            )
         if self.vectorized:
             self._flush_scan_charges()
             return self._finalize_chunks(out)
@@ -494,64 +491,38 @@ class QueryContext:
                 final[column] = np.concatenate(chunks)
         return final
 
-    def _read_pipelined(
-        self,
-        table: str,
-        schema,
-        needed: "Sequence[str]",
-        columns: "Sequence[str]",
-        predicates: "Dict[str, Predicate]",
-        deleted: RowIdSet,
-        out: Relation,
-        with_rowids: bool,
-    ) -> None:
-        """Pipelined scan body: batch N+1's I/O overlaps batch N's decode.
+    def _scan_plan(self, table: str, partitions: int, columns: int,
+                   predicates: "Dict[str, Predicate]",
+                   ) -> "List[Tuple[int, List[int]]]":
+        """The scan's ``(partition, pages)`` batches, in order.
 
-        The batch plan is global across partitions — a partition whose
-        candidate pages fit in one prefetch window still overlaps with
-        the next partition's fetches, so the pipeline never drains at
-        partition boundaries.
+        Pipelined, batches hold at most ``prefetch_window`` pages and the
+        plan is global across partitions: a partition whose candidate
+        pages fit in one window still overlaps with the next partition's
+        fetches, so the pipeline never drains at partition boundaries.
+        Otherwise a batch is a whole partition.
         """
-        window = max(1, self.prefetch_window)
-        page_size = getattr(getattr(self.session, "config", None),
-                            "page_size", None)
-        capacity = getattr(self.buffer, "capacity_bytes", None)
-        if page_size and capacity:
-            # Two batches are in flight at once (the one decoding and the
-            # one being fetched); keep both within the buffer so the
-            # pipeline never evicts frames it is about to decode.
-            frames = max(1, capacity // page_size)
-            window = max(1, min(window, frames // (2 * max(1, len(needed)))))
+        window = 0  # no window: one batch per partition
+        if self.pipelined:
+            window = max(1, self.prefetch_window)
+            page_size = getattr(getattr(self.session, "config", None),
+                                "page_size", None)
+            capacity = getattr(self.buffer, "capacity_bytes", None)
+            if page_size and capacity:
+                # Two batches are in flight at once (the one decoding and
+                # the one being fetched); keep both within the buffer so
+                # the pipeline never evicts frames it is about to decode.
+                frames = max(1, capacity // page_size)
+                window = max(1, min(window, frames // (2 * max(1, columns))))
         plan: "List[Tuple[int, List[int]]]" = []
-        for partition in range(schema.partition_count):
+        for partition in range(partitions):
             pages = self._candidate_pages(table, partition, predicates)
+            step = window or max(1, len(pages))
             plan.extend(
-                (partition, pages[i:i + window])
-                for i in range(0, len(pages), window)
+                (partition, pages[i:i + step])
+                for i in range(0, len(pages), step)
             )
-        if not plan:
-            return
-        # Issue batch 0 now; each later batch is issued while its
-        # predecessor decodes, so I/O and CPU overlap.
-        pending = self._issue_batch(schema, needed, plan[0][0], plan[0][1])
-        for index, (partition, batch) in enumerate(plan):
-            # Wait for this batch's I/O (often already overlapped by the
-            # previous batch's decode), then put the next batch's fetches
-            # in flight before decoding.
-            self.clock.advance_to(max(self.clock.now(), pending))
-            if index + 1 < len(plan):
-                next_partition, next_batch = plan[index + 1]
-                pending = self._issue_batch(
-                    schema, needed, next_partition, next_batch
-                )
-            decode_start = self.clock.now()
-            for page_no in batch:
-                self._scan_page(schema, needed, columns, predicates,
-                                deleted, out, with_rowids, partition, page_no)
-            self.buffer.tracer.record(
-                "decode", "query", decode_start, self.clock.now(),
-                table=table, partition=partition, pages=len(batch)
-            )
+        return plan
 
     def _scan_page(
         self,
@@ -699,11 +670,14 @@ class QueryContext:
             grouped.setdefault((partition, local // per_page), []).append(
                 local % per_page
             )
+        # One fetch of every (column, page): the reads overlap, and the
+        # columns' adjacent keys at each page index coalesce.
+        wanted: "Dict[str, List[int]]" = {}
         for column in columns:
-            for (part, page_no), __ in grouped.items():
-                self._prefetch_pages(
-                    schema.column_object(column, part), [page_no]
-                )
+            for part, page_no in grouped:
+                wanted.setdefault(schema.column_object(column, part),
+                                  []).append(page_no)
+        self._fetch(wanted, False, self.clock.advance_to)
         for (part, page_no), offsets in grouped.items():
             for column in columns:
                 values = self._column_page(

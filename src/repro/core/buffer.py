@@ -263,44 +263,41 @@ class BufferManager:
                              frame)
         return done
 
-    def prefetch(self, handle: ObjectHandle, page_nos: "Iterable[int]",
-                 scan_hint: bool = False) -> int:
-        """Bring missing pages into cache with parallel I/O; returns count."""
-        plans = self._plan([(handle, page_nos)])
-        if not plans:
-            return 0
-        count = len(plans[0][1])
-        with self.tracer.span("prefetch", "buffer",
-                              object=handle.name, pages=count):
-            clock = handle.dbspace.clock
-            self._read_missing(plans, clock.now(), scan_hint,
-                               clock.advance_to)
-        self.metrics.counter("prefetched").increment(count)
-        return count
+    def prefetch_at(self, requests, now: float, scan_hint: bool = False,
+                    wait: "Optional[Wait]" = None) -> float:
+        """The one prefetch: read the unframed pages of ``requests``
+        (``(handle, page_nos)`` pairs) as one batch; return its completion.
 
-    def prefetch_issue_many(self, requests, now: float,
-                            scan_hint: bool = False) -> float:
-        """Issue prefetches WITHOUT waiting: the pipelined scan path.
-
-        Charges the I/O path from ``now`` and returns the batch's
-        completion time without advancing the shared clock — the caller
-        decodes the previous batch meanwhile and advances to this
-        completion before consuming the pages.  Frames are inserted
-        immediately (available once the caller has waited).  The recorded
-        ``prefetch_issue`` span keeps its real end time, so traces show
-        it overlapping the caller's decode spans.  ``requests`` pairs each
-        handle with the page numbers wanted from it.
+        Planning may read a cold blockmap node, a blocking read, so the
+        data reads issue at ``max(now, clock)``, once their locators are
+        known.  ``wait`` is as in :meth:`PageStore.read_pages_at`: with
+        ``None`` (pipelined) the clock stands still and the caller waits
+        for the completion after decoding the previous batch; the span
+        still ends there, overlapping the caller's decode spans.
         """
         plans = self._plan(requests)
         if not plans:
             return now
-        done = self._read_missing(plans, now, scan_hint, None)
+        start = max(now, plans[0][0].dbspace.clock.now())
         total = sum(len(missing) for __, missing, __ in plans)
+        span = self.tracer.begin("prefetch", "buffer", start=start,
+                                 objects=len(plans), pages=total)
+        done = None
+        try:
+            done = self._read_missing(plans, start, scan_hint, wait)
+        finally:  # a blocking prefetch's span ends at clock.now()
+            self.tracer.finish(span, end=done if wait is None else None)
         self.metrics.counter("prefetched").increment(total)
-        self.metrics.counter("pipelined_prefetches").increment(total)
-        self.tracer.record("prefetch_issue", "buffer", now, done,
-                           objects=len(plans), pages=total)
+        if wait is None:
+            self.metrics.counter("pipelined_prefetches").increment(total)
         return done
+
+    def prefetch(self, handle: ObjectHandle, page_nos: "Iterable[int]",
+                 scan_hint: bool = False) -> None:
+        """Bring missing pages into cache and wait for them."""
+        clock = handle.dbspace.clock
+        self.prefetch_at([(handle, page_nos)], clock.now(), scan_hint,
+                         clock.advance_to)
 
     # ------------------------------------------------------------------ #
     # write path

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.checksum import crc32c
 from repro.core.cache_policy import make_policy
-from repro.objectstore.client import COALESCE_MAX_RUN, RetryingObjectClient
+from repro.objectstore.client import RetryingObjectClient
 from repro.objectstore.errors import CircuitOpenError, DegradedCacheMissError
 from repro.sim.crashpoints import crash_point, register_crash_point
 from repro.sim.devices import DeviceProfile, QueueingDevice
@@ -600,22 +600,19 @@ class ObjectCacheManager(ObjectIO):
         """Promote and drain the transaction's queued uploads (Section 4).
 
         The committing transaction's jobs jump ahead of other transactions'
-        still-unscheduled background work; the commit waits for them.  A
-        client that coalesces PUTs gets the queue as adjacent-key batches
-        (fresh page keys are allocated monotonically, so the queue is
-        dominated by adjacency runs); otherwise every job is a batch of one.
+        still-unscheduled background work; the commit waits for them.  The
+        queue goes out as adjacent-key batches of up to the client's
+        ``max_run`` (fresh page keys are allocated monotonically, so the
+        queue is dominated by adjacency runs); at ``max_run=1`` every job
+        is a batch of one, in queue order.
         """
         self._track_degradation()
         jobs = self._pending.pop(txn_id, [])
         with self.tracer.span("flush_for_commit", "ocm",
                               txn_id=txn_id, jobs=len(jobs)):
             last = self.clock.now()
-            if self.client.coalesce_puts:
-                batches = group_adjacent(jobs, COALESCE_MAX_RUN,
-                                         name=lambda job: job.name)
-            else:
-                batches = [[job] for job in jobs]
-            for batch in batches:
+            for batch in group_adjacent(jobs, self.client.max_run,
+                                        name=lambda job: job.name):
                 crash_point(CP_FLUSH_BEFORE_UPLOAD)
                 last = max(last, self._schedule_batch(batch))
                 self._mark_uploaded(batch)

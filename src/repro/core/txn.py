@@ -423,8 +423,8 @@ class TransactionManager:
         crash_point(CP_COMMIT_BEFORE_FLUSH)
         # 1. FlushForCommit: promote this transaction's queued write-back
         #    uploads and switch its writes to write-through (Section 4).
-        #    A client that coalesces PUTs drains them as adjacent-key
-        #    batches; either way the commit waits for every upload.
+        #    They drain as adjacent-key batches of up to the client's
+        #    run length; either way the commit waits for every upload.
         touched = txn.touched_dbspaces()
         with self.tracer.span("commit_flush_promotion", "txn",
                               txn_id=txn.txn_id, dbspaces=len(touched)):

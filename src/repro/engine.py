@@ -31,6 +31,7 @@ from repro.core.snapshot import Snapshot, SnapshotManager
 from repro.core.txn import Transaction, TransactionError, TransactionManager
 from repro.costs.meter import CostMeter
 from repro.objectstore.client import (
+    COALESCE_MAX_RUN,
     CircuitBreakerConfig,
     HedgePolicy,
     RetryPolicy,
@@ -138,14 +139,13 @@ class DatabaseConfig:
     # Pipelined scans: QueryContext overlaps batch N's decode with batch
     # N+1's object fetches instead of strictly alternating them
     pipelined_prefetch: bool = True
-    # GET/PUT coalescing: the object client merges adjacent-key reads
-    # (and runs of freshly keyed adjacent pages on the write side) into
-    # ranged multi-gets/multi-puts — one billed request, one token —
-    # before the per-prefix token buckets; with coalesce_puts the OCM's
-    # FlushForCommit drains a transaction's queued write-backs as such
-    # batches (group commit) instead of one PUT per page
-    coalesce_gets: bool = True
-    coalesce_puts: bool = True
+    # GET/PUT coalescing run length: the object client merges up to this
+    # many adjacent-key reads (and freshly keyed adjacent pages on the
+    # write side) into one ranged multi-get/multi-put — one billed
+    # request, one token — before the per-prefix token buckets, and the
+    # OCM's FlushForCommit drains a transaction's queued write-backs as
+    # such batches (group commit); 1 is one request per page
+    coalesce_max_run: int = COALESCE_MAX_RUN
     # Vectorized columnar executor (DESIGN.md §14; all off by default so
     # the stock configuration reproduces the scalar row-at-a-time path
     # byte-for-byte):
@@ -240,10 +240,9 @@ class DatabaseConfig:
         return cls(**{**PAPER_IO, **fields})  # type: ignore[arg-type]
 
 
-# paper()'s four fields, for callers that take field overrides instead.
+# paper()'s three fields, for callers that take field overrides instead.
 PAPER_IO: "Dict[str, object]" = dict(
-    ocm_policy="lru", pipelined_prefetch=False, coalesce_gets=False,
-    coalesce_puts=False,
+    ocm_policy="lru", pipelined_prefetch=False, coalesce_max_run=1,
 )
 
 
@@ -263,7 +262,7 @@ def build_object_io(
         store, policy=cfg.retry, parallel_window=cfg.parallel_window,
         bandwidth=nic, node_id=node_id, breaker=cfg.breaker, hedge=cfg.hedge,
         rng=rng.substream("object-client"), verify_reads=cfg.verify_reads,
-        coalesce_gets=cfg.coalesce_gets, coalesce_puts=cfg.coalesce_puts,
+        max_run=cfg.coalesce_max_run,
     )
     if ocm is None:
         return client, None

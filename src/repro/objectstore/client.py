@@ -33,16 +33,17 @@ This is the storage subsystem's view of the bucket:
 - **windowed parallel I/O**: ``get_many``/``put_many`` keep up to ``window``
   requests outstanding, modelling the aggressive parallel prefetching the
   paper relies on to mask S3 latency;
-- **GET coalescing** (optional): bulk loads consume monotonically
-  sequential 64-bit keys, so a scan's ``get_many`` is dominated by runs
-  of adjacent keys.  With ``coalesce_gets`` the client groups each run
-  (up to ``COALESCE_MAX_RUN`` keys) into one ranged multi-get that
-  charges a single request against the store's per-prefix token buckets
-  — the connector-level request reduction Stocator popularised, cutting
-  both the bill and throttle stalls.  A transient failure retries the
-  whole range; keys the range could not serve (not yet visible under
-  eventual consistency) fall back to single GETs with the usual
-  "no such key" retry schedule.
+- **coalescing** (a run length, 1 = off): bulk loads consume
+  monotonically sequential 64-bit keys, so a scan's ``get_many`` and a
+  write-back queue are dominated by runs of adjacent keys.  With
+  ``max_run`` above 1 the client groups each run (up to ``max_run``
+  keys; the engine ships ``COALESCE_MAX_RUN``) into one ranged multi-get
+  or multi-put that charges a single request against the store's
+  per-prefix token buckets — the connector-level request reduction
+  Stocator popularised, cutting both the bill and throttle stalls.  A
+  transient failure retries the whole range; keys a ranged GET could not
+  serve (not yet visible under eventual consistency) fall back to single
+  GETs with the usual "no such key" retry schedule.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ from repro.sim.rng import DeterministicRng
 from repro.sim.tracing import NULL_TRACER
 from repro.storage.keys import group_adjacent
 
-# Longest adjacent-key run one ranged request may carry: one lost range
-# never stalls more than this many pages behind a retry.
+# The engine's coalescing run length: one lost range never stalls more
+# than this many pages behind a retry.
 COALESCE_MAX_RUN = 16
 # Whole-range attempts before a coalesced PUT degrades to per-key PUTs.
 PUT_RANGE_ATTEMPTS = 2
@@ -197,10 +198,6 @@ class CircuitBreaker:
         self._half_open_successes = 0
         self.metrics.gauge(f"breaker_state{suffix}").set(0.0)
 
-    @property
-    def consecutive_failures(self) -> int:
-        return self._consecutive_failures
-
     def state_at(self, now: float) -> str:
         """Effective state at ``now`` (an open breaker lapses to half-open)."""
         if (
@@ -280,14 +277,15 @@ class RetryingObjectClient:
         breaker: "Optional[CircuitBreakerConfig]" = None,
         hedge: "Optional[HedgePolicy]" = None,
         rng: "Optional[DeterministicRng]" = None,
-        coalesce_gets: bool = False,
-        coalesce_puts: bool = False,
+        max_run: int = 1,
         verify_reads: bool = False,
     ) -> None:
         if policy.max_attempts < 1:
             raise ValueError("retry policy must allow at least one attempt")
         if parallel_window < 1:
             raise ValueError("parallel window must be at least 1")
+        if max_run < 1:
+            raise ValueError("coalescing run length must be at least 1")
         self.store = store
         self.policy = policy
         self.enforce_unique_keys = enforce_unique_keys
@@ -296,8 +294,8 @@ class RetryingObjectClient:
         # multiplex nodes sharing one bucket each get their own bandwidth.
         self.bandwidth = bandwidth
         self.node_id = node_id
-        self.coalesce_gets = coalesce_gets
-        self.coalesce_puts = coalesce_puts
+        # Longest adjacent-key run one ranged GET or PUT may carry.
+        self.max_run = max_run
         # Verified reads: recompute CRC-32C over every served payload and
         # compare against the store's recorded checksum.  A mismatch never
         # reaches the caller — it retries as its own category (and under a
@@ -561,19 +559,15 @@ class RetryingObjectClient:
         """Upload starting at ``now`` with up to ``window`` requests in
         flight; return the last completion time.
 
-        With ``coalesce_puts`` enabled, runs of adjacent fresh keys are
-        packed into ranged multi-puts (capped at ``COALESCE_MAX_RUN``);
+        Runs of adjacent fresh keys are packed into ranged multi-puts of
+        up to ``max_run`` keys (a batch repeating a key is not coalesced);
         each run occupies one slot of the request window, so the window
         bounds *requests* in flight, coalesced or not.
         """
         items = list(items)
-        if self.coalesce_puts and (
-            len({key for key, __ in items}) == len(items)
-        ):
-            runs = group_adjacent(items, COALESCE_MAX_RUN,
-                                  name=lambda item: item[0])
-        else:
-            runs = [[item] for item in items]
+        unique = len({key for key, __ in items}) == len(items)
+        runs = group_adjacent(items, self.max_run if unique else 1,
+                              name=lambda item: item[0])
 
         def issue(run, start: float) -> float:
             if len(run) == 1:
@@ -770,16 +764,12 @@ class RetryingObjectClient:
         """Fetch starting at ``now`` with up to ``window`` requests in
         flight; return ``(results, last_completion)``.
 
-        With ``coalesce_gets`` enabled, runs of adjacent keys (capped at
-        ``COALESCE_MAX_RUN``, so one lost range never stalls an unbounded
-        number of pages behind a retry) are served by ranged multi-gets;
-        each run occupies one slot of the request window.
+        Runs of adjacent keys (capped at ``max_run``, so one lost range
+        never stalls an unbounded number of pages behind a retry) are
+        served by ranged multi-gets; each run occupies one slot of the
+        request window.
         """
-        keys = list(keys)
-        if self.coalesce_gets:
-            runs = group_adjacent(keys, COALESCE_MAX_RUN)
-        else:
-            runs = [[key] for key in keys]
+        runs = group_adjacent(list(keys), self.max_run)
         results: "Dict[str, bytes]" = {}
 
         def issue(run: "List[str]", start: float) -> float:

@@ -424,7 +424,7 @@ class SimulatedObjectStore(ObjectStore):
         """Upload ``[(key, data)]`` as ONE billed PUT; return completion time.
 
         A single item is a plain PUT.  A run of adjacent keys (the
-        coalescing client's ``coalesce_puts``) is a multipart-style request:
+        client's ``max_run`` above 1) is a multipart-style request:
         one token against the first key's per-prefix bucket, one request
         latency, one billed PUT, transfer time for the combined payload.  A
         failure means *nothing* landed (the request never completed), so
@@ -473,8 +473,8 @@ class SimulatedObjectStore(ObjectStore):
         """Serve ``[key]`` as ONE billed GET.
 
         Returns ``({key: (data_or_None, expected_crc)}, completion)``.  A
-        single key is a plain GET; a run of adjacent keys (the coalescing
-        client's ``coalesce_gets``) is a ranged multi-get — a transient
+        single key is a plain GET; a run of adjacent keys (the client's
+        ``max_run`` above 1) is a ranged multi-get — a transient
         failure fails, and later retries, the entire range.  Visibility is
         per key: ``None`` data means the object is not visible at service
         time, the eventually-consistent "no such key" case.  Stale reads

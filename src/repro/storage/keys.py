@@ -68,8 +68,12 @@ def group_adjacent(items: "Sequence[T]", max_run: int,
     run can travel as one ranged request.  ``name(item)`` is the item's
     object name (default: the item itself).  Runs come back in key order;
     items whose names do not carry a key (catalog blobs, test fixtures)
-    follow as singleton runs, in input order.
+    follow as singleton runs, in input order.  ``max_run=1`` (no
+    coalescing) keeps every item a singleton in input order: there is no
+    run to find, and the issue order is the caller's.
     """
+    if max_run == 1:
+        return [[item] for item in items]
     keyed: "List[Tuple[int, T]]" = []
     singles: "List[List[T]]" = []
     for item in items:

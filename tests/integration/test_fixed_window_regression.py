@@ -66,13 +66,13 @@ def test_default_knobs_reproduce_golden(golden):
 
 
 def test_explicit_fixed_window_reproduces_golden(golden):
-    """Spelling the profile out (`coalesce_puts=False` et al.) on top of
+    """Spelling the profile out (`coalesce_max_run=1` et al.) on top of
     ``paper()`` is the same as not mentioning it — the knobs have no side
     channel."""
     run = VolumeRun(
         "s3",
         instance_type="m5ad.24xlarge",
-        coalesce_puts=False,
+        coalesce_max_run=1,
         vectorized_executor=False,
     )
     assert _digest(run) == golden

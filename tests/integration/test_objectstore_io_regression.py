@@ -26,6 +26,7 @@ import pytest
 from repro.checksum import crc32c
 from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
 from repro.objectstore.client import (
+    COALESCE_MAX_RUN,
     CircuitBreakerConfig,
     HedgePolicy,
     RetryPolicy,
@@ -116,8 +117,7 @@ def run_script(coalesce: bool, verify_reads: bool, replicated: bool) -> dict:
         node_id="n1",
         hedge=HedgePolicy(quantile=90.0, min_samples=10, initial_delay=0.04),
         rng=rng.substream("client"),
-        coalesce_gets=coalesce,
-        coalesce_puts=coalesce,
+        max_run=COALESCE_MAX_RUN if coalesce else 1,
         verify_reads=verify_reads,
     )
     tracer = Tracer(clock)
@@ -206,8 +206,7 @@ def run_script(coalesce: bool, verify_reads: bool, replicated: bool) -> dict:
         node_id="n2",
         breaker=CircuitBreakerConfig(failure_threshold=3, reset_timeout=0.4),
         rng=rng.substream("guarded"),
-        coalesce_gets=coalesce,
-        coalesce_puts=coalesce,
+        max_run=COALESCE_MAX_RUN if coalesce else 1,
         verify_reads=verify_reads,
     )
     guarded.tracer = tracer

@@ -16,8 +16,10 @@ client counter, the eviction order, the SSD pipe's drain horizon and the
 store's GET count.
 
 A second script pins the buffer manager over one cloud and one block
-dbspace: ``get_page``, ``prefetch`` and ``prefetch_issue_many`` across
-objects and dbspaces, with frame order, counters and completion times.
+dbspace: ``get_page``, blocking ``prefetch`` and pipelined ``prefetch_at``
+(still labelled ``prefetch_issue_many``, its name when the golden was
+cut) across objects and dbspaces, with frame order, counters and
+completion times.
 
 Floats survive a JSON round-trip losslessly, so ``==`` is the comparison.
 Regenerate (``python tests/integration/test_ocm_read_regression.py``) only
@@ -354,11 +356,13 @@ def run_buffer_script() -> dict:
                  error=type(error).__name__)
 
     def prefetch(name: str, pages, scan_hint: bool = False) -> None:
-        count = buffer.prefetch(readers[name], pages, scan_hint=scan_hint)
+        before = buffer.stats().get("prefetched", 0)
+        buffer.prefetch(readers[name], pages, scan_hint=scan_hint)
+        count = int(buffer.stats().get("prefetched", 0) - before)
         note("prefetch", object=name, count=count)
 
     def issue(requests, scan_hint: bool = True) -> None:
-        done = buffer.prefetch_issue_many(
+        done = buffer.prefetch_at(
             [(readers[name], pages) for name, pages in requests],
             clock.now(), scan_hint=scan_hint,
         )

@@ -50,8 +50,7 @@ def runs():
 def test_profiles_differ_only_in_the_named_fields(runs):
     paper, default = runs
     assert paper.db.config == default.db.config.with_overrides(
-        ocm_policy="lru", pipelined_prefetch=False, coalesce_gets=False,
-        coalesce_puts=False,
+        ocm_policy="lru", pipelined_prefetch=False, coalesce_max_run=1,
     )
     assert paper.db.config != default.db.config
     assert DatabaseConfig.paper() == DatabaseConfig().with_overrides(

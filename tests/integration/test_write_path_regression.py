@@ -2,7 +2,7 @@
 
 One seeded script drives a cloud dbspace and a block dbspace sharing one
 clock, with the cloud dbspace over a :class:`DirectObjectIO` or a real
-:class:`ObjectCacheManager`, and the client's ``coalesce_puts`` off or on
+:class:`ObjectCacheManager`, and the client's ``max_run`` 1 or 16
 (FlushForCommit groups adjacent keys exactly when the client coalesces,
 as under ``DatabaseConfig()`` and ``DatabaseConfig.paper()``).  The OCM
 runs plain and with ``lru_insert_before_upload`` forced uploads.  The
@@ -45,6 +45,7 @@ from repro.objectstore import (
     SimulatedObjectStore,
     STRONG,
 )
+from repro.objectstore.client import COALESCE_MAX_RUN
 from repro.objectstore.s3sim import ObjectStoreProfile
 from repro.sim.clock import VirtualClock
 from repro.sim.devices import DeviceProfile
@@ -166,7 +167,7 @@ class _Rig:
             breaker=CircuitBreakerConfig(failure_threshold=2,
                                          reset_timeout=2.0),
             rng=rng.substream("client"),
-            coalesce_gets=coalesce, coalesce_puts=coalesce,
+            max_run=COALESCE_MAX_RUN if coalesce else 1,
         )
         self.ocm = None
         if io == "direct":

@@ -38,6 +38,7 @@ from hypothesis import strategies as st
 from repro.blockstore.profiles import nvme_ssd
 from repro.core.ocm import ObjectCacheManager, OcmConfig
 from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
+from repro.objectstore.client import COALESCE_MAX_RUN
 from repro.objectstore.consistency import STRONG
 from repro.objectstore.s3sim import ObjectStoreProfile
 from repro.sim.clock import VirtualClock
@@ -50,8 +51,8 @@ UPLOAD_WINDOW = 4
 
 KNOB_SETS = {
     "fixed": dict(),
-    "pipeline": dict(coalesce_puts=True),
-    "pipeline+faults": dict(coalesce_puts=True, faulty=True),
+    "pipeline": dict(max_run=COALESCE_MAX_RUN),
+    "pipeline+faults": dict(max_run=COALESCE_MAX_RUN, faulty=True),
 }
 
 TXNS = (1, 2, 3)
@@ -79,7 +80,7 @@ class PipelineDriver:
         self.client = RetryingObjectClient(
             self.store,
             rng=DeterministicRng(11, "client"),
-            coalesce_puts=options.get("coalesce_puts", False),
+            max_run=options.get("max_run", 1),
         )
         self.ocm = ObjectCacheManager(
             self.client, nvme_ssd(),

@@ -17,6 +17,7 @@ from repro.objectstore import (
     SimulatedObjectStore,
     STRONG,
 )
+from repro.objectstore.client import COALESCE_MAX_RUN
 from repro.objectstore.s3sim import ObjectStoreProfile
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import DeterministicRng
@@ -242,7 +243,7 @@ def test_deadline_is_per_logical_put_not_per_fallback(coalesce):
                            max_backoff=1.0),
         schedule=FaultSchedule([OutageWindow(0.0, 100.0, ops=("put",))]),
     )
-    client.coalesce_puts = coalesce
+    client.max_run = COALESCE_MAX_RUN if coalesce else 1
     items = [(name, b"x") for name in _adjacent_names(4)]
     with pytest.raises(RetriesExhaustedError) as info:
         client.put_many_at(items, 0.0, window=1)
@@ -262,7 +263,7 @@ def test_range_get_fallback_inherits_the_deadline():
                            max_backoff=0.5, deadline=2.0),
         schedule=FaultSchedule([OutageWindow(1.0, 2.4, ops=("get",))]),
     )
-    client.coalesce_gets = True
+    client.max_run = COALESCE_MAX_RUN
     names = _adjacent_names(3)
     for name in names:
         client.put(name, b"x")

@@ -2,6 +2,8 @@
 
 import math
 
+import pytest
+
 from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
 from repro.objectstore.client import COALESCE_MAX_RUN
 from repro.objectstore.consistency import STRONG, ConsistencyModel
@@ -22,7 +24,8 @@ def make_client(coalesce=True, consistency=STRONG, fault_schedule=None,
                                  latency_jitter=0.0)
     store = SimulatedObjectStore(profile, clock=clock,
                                  fault_schedule=fault_schedule)
-    client = RetryingObjectClient(store, coalesce_gets=coalesce, **client_kw)
+    client = RetryingObjectClient(
+        store, max_run=COALESCE_MAX_RUN if coalesce else 1, **client_kw)
     return client, store, clock
 
 
@@ -149,4 +152,10 @@ def test_invisible_keys_fall_back_to_single_get():
 
 def test_get_many_off_by_default():
     client, __, __ = make_client(coalesce=False)
-    assert client.coalesce_gets is False
+    assert client.max_run == 1
+
+
+def test_run_length_must_be_positive():
+    __, store, __ = make_client()
+    with pytest.raises(ValueError):
+        RetryingObjectClient(store, max_run=0)

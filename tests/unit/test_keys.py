@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.storage.keys import hashed_object_name, object_key_from_name
+from repro.storage.keys import (
+    group_adjacent,
+    hashed_object_name,
+    object_key_from_name,
+)
 from repro.storage.locator import OBJECT_KEY_BASE
 
 
@@ -53,3 +57,11 @@ def test_rejects_non_object_keys():
 def test_from_name_validates():
     with pytest.raises(ValueError):
         object_key_from_name("aa/0000000000000001")  # below 2^63
+
+
+def test_group_adjacent_run_of_one_keeps_input_order():
+    """No coalescing is no reordering: the caller's issue order stands,
+    names without a key included."""
+    names = [hashed_object_name(OBJECT_KEY_BASE + i) for i in (3, 1, 2, 9)]
+    items = [names[0], "meta/catalog", names[1], names[2], names[3]]
+    assert group_adjacent(items, 1) == [[item] for item in items]

@@ -31,16 +31,17 @@ def test_secondaries_inherit_the_coordinators_io_settings():
     """Writers and readers get their client and OCM from the builder the
     coordinator uses, so no behaviour field is dropped on the way."""
     mx = make_multiplex(
-        verify_reads=True, coalesce_puts=True, coalesce_gets=True,
+        verify_reads=True, coalesce_max_run=8,
         ocm_policy="arc2q", ocm_upload_window=8,
         parallel_window=12, ocm_adaptive_routing=True,
     )
     coordinator = mx.coordinator
     for node in mx.secondaries():
-        for field in ("coalesce_gets", "coalesce_puts", "verify_reads",
+        for field in ("max_run", "verify_reads",
                       "parallel_window", "policy"):
             assert (getattr(node.client, field)
                     == getattr(coordinator.object_client, field)), field
+        assert node.client.max_run == 8
         assert node.client.bandwidth is node.nic
         assert node.client.node_id == node.node_id
         assert node.ocm.config == coordinator.ocm.config

@@ -1,6 +1,9 @@
 """Unit tests for pipelined scans and session meta-cache bounding."""
 
+import math
+
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
+from repro.columnar.schema import make_row_id
 from repro.sim.rng import DeterministicRng
 from repro.sim.tracing import Tracer, overlap_seconds
 from tests.conftest import make_db
@@ -62,8 +65,6 @@ def test_pipelined_flag_resolves_from_session_config():
     db, __ = cold_engine(pipelined_prefetch=True)
     with QueryContext(db) as ctx:
         assert ctx.pipelined is True
-    with QueryContext(db, pipelined=False) as ctx:
-        assert ctx.pipelined is False
 
 
 def test_pipeline_overlap_accounting():
@@ -73,7 +74,7 @@ def test_pipeline_overlap_accounting():
     db.attach_tracer(tracer)
     __, elapsed = scan(db)
     spans = [s for root in tracer.all_spans() for s in root.walk()]
-    issues = [s for s in spans if s.key == "buffer/prefetch_issue"]
+    issues = [s for s in spans if s.key == "buffer/prefetch"]
     decodes = [s for s in spans if s.key == "query/decode"]
     assert issues and decodes
     overlap = sum(
@@ -102,6 +103,69 @@ def test_pipelined_scan_works_without_ocm():
         db, __ = cold_engine(pipelined_prefetch=True, **overrides)
         rel, __t = scan(db)
         assert sorted(rel["key"]) == list(range(1, 2001))
+
+
+def _cold_deep_column():
+    """A cold engine and a read handle on a 1000-page column: past one
+    blockmap node's fanout of 512, so planning a page reads a node."""
+    db = make_db()
+    store = load_table(db, rows=2000, partitions=1, rows_per_page=2)
+    db.node.invalidate_caches()
+    db.ocm.invalidate_all()
+    txn = db.begin()
+    name = store.schema("items").column_object("key", 0)
+    return db, db.open_for_read(txn, name)
+
+
+def test_prefetch_issues_its_reads_once_their_locators_are_known():
+    """Planning under a cold blockmap node is a blocking read; the data
+    reads start when it ends, so a pipelined prefetch completes exactly
+    when the blocking one of the same pages does."""
+    blocking_db, blocking = _cold_deep_column()
+    blocking_db.buffer.prefetch(blocking, [900, 901], scan_hint=True)
+    db, handle = _cold_deep_column()
+    start = db.clock.now()
+    done = db.buffer.prefetch_at([(handle, [900, 901])], start,
+                                 scan_hint=True)
+    planned = db.clock.now()
+    assert planned > start  # the blockmap node read moved the clock
+    assert done > planned
+    assert done == blocking_db.clock.now()
+    assert db.buffer.stats()["pipelined_prefetches"] == 2
+    assert blocking_db.buffer.stats().get("pipelined_prefetches", 0) == 0
+
+
+def test_row_lookup_fetches_every_page_in_one_batch():
+    """``read_rows`` (the HG-index path) reads every (column, page) it
+    needs together: a handful of request round trips, not one per page."""
+    db = make_db()
+    store = ColumnStore(db)
+    store.create_table(TableSchema(
+        "items",
+        (ColumnSchema("key", "int"), ColumnSchema("a", "float"),
+         ColumnSchema("b", "int")),
+        partition_column="key", partition_count=2, rows_per_page=64,
+    ))
+    store.load("items", [(i, i * 0.5, i % 7) for i in range(1, 6001)])
+    db.node.invalidate_caches()
+    db.ocm.invalidate_all()
+    columns = ["key", "a", "b"]
+    pages = [(part, page) for part in range(2) for page in range(2, 22)]
+    with QueryContext(db) as ctx:
+        # Warm the metadata and every blockmap, then time one cold page.
+        ctx.read_rows("items", columns, [make_row_id(0, 0), make_row_id(1, 0)])
+        start = db.clock.now()
+        db.read_page(ctx.txn, store.schema("items").column_object("key", 0), 1)
+        round_trip = db.clock.now() - start
+        start = db.clock.now()
+        rel = ctx.read_rows("items", columns, [
+            make_row_id(part, 64 * page + 5) for part, page in pages
+        ])
+        elapsed = db.clock.now() - start
+    assert len(rel["key"]) == len(pages)
+    assert rel["b"] == [key % 7 for key in rel["key"]]
+    bound = math.ceil(len(pages) * len(columns) / db.config.parallel_window)
+    assert elapsed <= bound * round_trip
 
 
 def test_serial_default_unchanged_by_feature_flags():

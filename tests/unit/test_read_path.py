@@ -14,8 +14,11 @@ from dataclasses import fields
 import pytest
 
 from repro.blockstore.device import BlockDevice
+from repro.columnar import QueryContext
+from repro.core import ocm as ocm_module
 from repro.core.buffer import BufferManager, ObjectHandle
 from repro.core.ocm import ObjectCacheManager, OcmConfig
+from repro.objectstore import client as client_module
 from repro.core.txn import Transaction
 from repro.engine import PAPER_IO, DatabaseConfig
 from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
@@ -163,6 +166,18 @@ def test_each_layer_defines_its_read_once():
     assert "get_many_at" in ObjectIO.__abstractmethods__
     assert "read_pages_at" in PageStore.__abstractmethods__
     assert not {"prefetch_issue", "_get_inner"} & set(vars(BufferManager))
+    # The paper's path is values of the one path, not second bodies: one
+    # prefetch body, one scan loop, coalescing as a run length.
+    assert "prefetch_at" in vars(BufferManager)
+    assert "prefetch_issue_many" not in vars(BufferManager)
+    assert not {"_read_pipelined", "_issue_batch", "_prefetch_pages"} & set(
+        vars(QueryContext))
+    for module in (client_module, ocm_module):
+        source = inspect.getsource(module)
+        assert "coalesce_gets" not in source
+        assert "coalesce_puts" not in source
+    assert PAPER_IO == dict(ocm_policy="lru", pipelined_prefetch=False,
+                            coalesce_max_run=1)
 
 
 def test_each_layer_defines_its_write_and_delete_once():
