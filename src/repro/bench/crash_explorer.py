@@ -1,14 +1,16 @@
 """Seeded crash exploration: kill the engine at every registered point.
 
-Each *episode* builds a small engine, runs a fixed churn workload (multi-
-page commits, a buffer-overflowing wide transaction, DDL, a rollback, a
-snapshot, a mid-episode crash/restart), arms exactly one crash point, and
-lets the workload run into it.  Whenever the point fires, the raised
+Each *episode* builds a small engine, arms exactly one crash point, and
+lets a fixed workload run into it.  Whenever the point fires, the raised
 :class:`~repro.sim.crashpoints.SimulatedCrash` is translated into ordinary
-crash semantics and the engine is restarted — repeatedly if the point
-fires again during recovery.  After a final drain (restart GC, chain
-collection, retention expiry, reap) the episode asserts the paper's
-correctness claims:
+crash semantics and the node is restarted — repeatedly if the point fires
+again during recovery.  Six workloads share one skeleton
+(:class:`Episode`): setup, armed workload, restart, cold verify, audit.
+The churn episode (multi-page commits, a buffer-overflowing wide
+transaction, DDL, a rollback, a snapshot, a mid-episode crash/restart and
+a final drain) takes every point the other five — multiplex restart GC,
+autoscale, restore, region failover and scrub — do not claim.  After
+recovery every episode asserts the paper's correctness claims:
 
 1. **No committed data lost** — every page image the workload knows to be
    committed reads back byte-identical through cold caches.  Commits the
@@ -28,11 +30,12 @@ Episodes are deterministic: same point + same seed -> same outcome.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.audit import AuditError, AuditReport, StoreAuditor
-from repro.core.multiplex import Multiplex, MultiplexConfig
+from repro.core.multiplex import Multiplex, MultiplexConfig, SecondaryNode
 from repro.engine import Database, DatabaseConfig
 from repro.objectstore.replicated import ReplicationConfig
 from repro.sim.crashpoints import CRASH_POINTS, SimulatedCrash
@@ -49,6 +52,9 @@ PAGES = 3
 WIDE_PAGES = 2 * BUFFER_FRAMES
 RETENTION_SECONDS = 30.0
 MAX_RECOVERY_ATTEMPTS = 8
+
+Node = Union[Database, SecondaryNode]
+Pages = Dict[Tuple[str, int], bytes]
 
 
 @dataclass
@@ -111,6 +117,17 @@ def build_engine(
     return Database(base_config(seed, overrides))
 
 
+def build_multiplex(
+    seed: int, overrides: "Optional[Dict[str, object]]" = None
+) -> Multiplex:
+    """The tiny engine as coordinator, plus one equally tiny writer."""
+    return Multiplex(base_config(seed, overrides), MultiplexConfig(
+        writers=1,
+        secondary_buffer_bytes=BUFFER_FRAMES * PAYLOAD_BYTES,
+        secondary_ocm_bytes=4 * 1024 * 1024,
+    ))
+
+
 def install_broken_gc(db: Database) -> None:
     """Sabotage GC: superseded pages are neither freed nor retained.
 
@@ -119,6 +136,15 @@ def install_broken_gc(db: Database) -> None:
     after every restart: recovery builds a fresh transaction manager.
     """
     db.txn_manager._apply_rf = lambda entry: 0  # type: ignore[method-assign]
+
+
+def drain(db: Database) -> None:
+    """GC, expire retention and reap, GC: everything transient goes."""
+    db.txn_manager.collect_garbage()
+    if db.snapshot_manager is not None:
+        db.clock.advance(RETENTION_SECONDS + 1.0)
+        db.snapshot_manager.reap()
+    db.txn_manager.collect_garbage()
 
 
 def _payload(obj: str, page: int, gen: int, seed: int) -> bytes:
@@ -130,6 +156,10 @@ def _payload(obj: str, page: int, gen: int, seed: int) -> bytes:
     return header + body
 
 
+def _generation(obj: str, gen: int, seed: int, pages: int = PAGES) -> Pages:
+    return {(obj, p): _payload(obj, p, gen, seed) for p in range(pages)}
+
+
 def registered_points() -> "List[str]":
     """Every registered crash point (forces all instrumented imports)."""
     import repro.core.autoscale  # noqa: F401  (registers the prewarm point)
@@ -137,6 +167,175 @@ def registered_points() -> "List[str]":
     import repro.core.scrub  # noqa: F401  (registers the scrub points)
 
     return CRASH_POINTS.names()
+
+
+# ---------------------------------------------------------------------- #
+# the skeleton every episode shares
+# ---------------------------------------------------------------------- #
+
+class Episode:
+    """Setup -> armed workload -> restart -> cold verify -> audit.
+
+    An episode builder keeps only its workload.  Which point is armed and
+    how often it fired, how a crashed node comes back, what the workload
+    has committed and how the verdict is reached live here once.
+    """
+
+    def __init__(self, mode: str, crash_point_name: "Optional[str]",
+                 seed: int, arm_skip: int) -> None:
+        CRASH_POINTS.disarm_all()
+        self.result = EpisodeResult(crash_point=crash_point_name, seed=seed,
+                                    mode=mode)
+        self.seed = seed
+        self.arm_skip = arm_skip
+        # Every page image the workload knows to be committed.
+        self.expected: Pages = {}
+        # Runs after every restart (the broken-GC fixture re-installs).
+        self.after_restart: "Optional[Callable[[], None]]" = None
+
+    @contextmanager
+    def armed(self) -> "Iterator[None]":
+        """Arm the episode's point for the block; count its firings."""
+        name = self.result.crash_point
+        point = None if name is None else CRASH_POINTS.point(name)
+        fired_before = point.fired if point is not None else 0
+        try:
+            if name is not None:
+                CRASH_POINTS.arm(name, skip=self.arm_skip)
+            yield
+        finally:
+            CRASH_POINTS.disarm_all()
+            if point is not None:
+                self.result.fired = point.fired - fired_before
+
+    def restart(self, node: Node) -> None:
+        """Restart a crashed node, through crashes fired by recovery."""
+        for __ in range(MAX_RECOVERY_ATTEMPTS):
+            if not node.crashed:
+                break
+            try:
+                node.restart()
+            except SimulatedCrash as exc:
+                self.result.crashes += 1
+                node.crash_from(exc)
+        if node.crashed:
+            self.result.violations.append("recovery did not converge")
+        if self.after_restart is not None:
+            self.after_restart()
+
+    def recover(self, node: Node, exc: SimulatedCrash) -> None:
+        """A fired point kills ``node``; bring it back."""
+        self.result.crashes += 1
+        node.crash_from(exc)
+        self.restart(node)
+
+    def attempt(self, node: Node, step: "Callable[[], object]") -> bool:
+        """Run one step, recovering ``node`` if a crash interrupts it.
+        True if the step ran to completion."""
+        try:
+            step()
+        except SimulatedCrash as exc:
+            self.recover(node, exc)
+            return False
+        return True
+
+    def retry(self, node: Node, step: "Callable[[], object]",
+              what: str) -> None:
+        """Run ``step`` until it completes, recovering ``node`` between
+        tries: for steps that are idempotent by design."""
+        for __ in range(MAX_RECOVERY_ATTEMPTS):
+            if self.attempt(node, step):
+                return
+        self.result.violations.append(f"{what} did not converge")
+
+    def commit(self, node: Node, obj: str, gen: int, pages: int = PAGES,
+               double_write: bool = False) -> None:
+        """Commit generation ``gen`` of ``obj``'s first ``pages`` pages;
+        the images are expected once the commit returns."""
+        staged = _generation(obj, gen, self.seed, pages)
+        txn = node.begin()
+        if double_write:
+            # Same-transaction supersede: local garbage, reclaimed
+            # without telling the coordinator (Section 3.3).
+            node.write_page(txn, obj, 0, _payload(obj, 0, gen, self.seed + 1))
+        for (__, page), data in staged.items():
+            node.write_page(txn, obj, page, data)
+        node.commit(txn)
+        self.expected.update(staged)
+
+    def upload_orphans(self, node: SecondaryNode, count: int,
+                       gen: int) -> None:
+        """Store objects only ``node``'s active set covers: exactly what
+        its death strands for restart GC."""
+        for i in range(count):
+            node.user_dbspace.write_page(
+                _payload("orphan", i, gen, self.seed), commit_mode=True
+            )
+
+    def verify(self, db: Database, expected: Pages) -> None:
+        """Invariant 1: every committed page survives, read cold."""
+        db.node.invalidate_caches()
+        if db.ocm is not None:
+            db.ocm.invalidate_all()
+        txn = db.begin()
+        for (obj, page), data in sorted(expected.items()):
+            try:
+                got: "Optional[bytes]" = db.read_page(txn, obj, page)
+            except Exception:
+                got = None
+            if got != data:
+                self.result.violations.append(
+                    f"data loss: committed page {obj!r}/{page} unreadable "
+                    "or altered after recovery"
+                )
+        db.rollback(txn)
+
+    def audit(self, db: Database, deep: bool = False,
+              expect_leaks: bool = False) -> EpisodeResult:
+        """Invariants 2 and 3: the auditor's verdict, in every region."""
+        violations = self.result.violations
+        try:
+            report = StoreAuditor(db).audit(deep=deep)
+        except AuditError as exc:
+            violations.append(f"audit failed: {exc}")
+            return self.result
+        self.result.report = report
+        if report.missing or report.snapshot_missing:
+            violations.append(
+                f"MISSING objects after recovery: {len(report.missing)} "
+                f"live, {len(report.snapshot_missing)} snapshot-only"
+            )
+        if report.corrupt or report.region_corrupt:
+            violations.append(
+                f"CORRUPT objects after recovery: {len(report.corrupt)} "
+                f"primary, {len(report.region_corrupt)} regional"
+            )
+        if expect_leaks:
+            if not report.leaked:
+                violations.append(
+                    "the auditor failed to flag the broken GC's leaked "
+                    "objects"
+                )
+        elif report.leaked:
+            violations.append(
+                f"LEAKED objects did not drain to zero: {len(report.leaked)}"
+            )
+        # The regional classes stay empty unless the store is replicated.
+        if report.region_missing:
+            violations.append(
+                f"regional data loss after heal: {len(report.region_missing)}"
+            )
+        if report.region_leaked or report.region_divergent:
+            violations.append(
+                "regions did not reconcile: "
+                f"{len(report.region_leaked)} leaked, "
+                f"{len(report.region_divergent)} divergent"
+            )
+        if report.staleness_violations:
+            violations.append(
+                f"bounded staleness broken: {len(report.staleness_violations)}"
+            )
+        return self.result
 
 
 # ---------------------------------------------------------------------- #
@@ -152,197 +351,90 @@ def run_churn_episode(
     deep: bool = False,
 ) -> EpisodeResult:
     """One seeded churn workload crashed (maybe repeatedly) at one point."""
-    CRASH_POINTS.disarm_all()
-    result = EpisodeResult(crash_point=crash_point_name, seed=seed,
-                           mode="churn")
+    ep = Episode("churn", crash_point_name, seed, arm_skip)
     db = build_engine(seed, config_overrides)
     if broken_gc:
         install_broken_gc(db)
-    expected: "Dict[Tuple[str, int], bytes]" = {}
-
-    def recover() -> None:
-        for __ in range(MAX_RECOVERY_ATTEMPTS):
-            if not db.crashed:
-                break
-            try:
-                db.restart()
-            except SimulatedCrash as exc:
-                result.crashes += 1
-                db.crash_from(exc)
-        else:
-            result.violations.append("recovery did not converge")
-        if broken_gc:
-            install_broken_gc(db)
-
-    def guarded(fn: "Callable[[], object]") -> bool:
-        """Run one workload step; on a simulated crash, recover. True if
-        the step ran to completion."""
-        try:
-            fn()
-            return True
-        except SimulatedCrash as exc:
-            result.crashes += 1
-            db.crash_from(exc)
-            recover()
-            return False
+        ep.after_restart = lambda: install_broken_gc(db)
 
     def probe(obj: str, page: int) -> "Optional[bytes]":
+        """One page in its own transaction; None if it cannot be read."""
         txn = db.begin()
         try:
-            data: "Optional[bytes]" = db.read_page(txn, obj, page)
-        except SimulatedCrash:
-            raise
+            return db.read_page(txn, obj, page)
         except Exception:
-            data = None
-        try:
-            db.rollback(txn)
-        except SimulatedCrash:
-            raise
-        except Exception:
-            pass
-        return data
+            return None
+        finally:
+            try:
+                db.rollback(txn)
+            except Exception:
+                pass
 
     def commit_generation(obj: str, gen: int, pages: int = PAGES,
                           double_write: bool = False) -> None:
-        staged = {p: _payload(obj, p, gen, seed) for p in range(pages)}
-
-        def work() -> None:
-            txn = db.begin()
-            if double_write:
-                # Same-transaction supersede: local garbage, reclaimed
-                # without telling the coordinator (Section 3.3).
-                db.write_page(txn, obj, 0, _payload(obj, 0, gen, seed + 1))
-            for p, data in staged.items():
-                db.write_page(txn, obj, p, data)
-            db.commit(txn)
-
-        if guarded(work):
-            for p, data in staged.items():
-                expected[(obj, p)] = data
+        if ep.attempt(db, lambda: ep.commit(db, obj, gen, pages,
+                                            double_write)):
             return
         # The crash interrupted the commit: resolve whether it landed by
         # probing page 0 against both possible images.
+        staged = _generation(obj, gen, seed, pages)
         got = probe(obj, 0)
-        if got == staged[0]:
-            for p, data in staged.items():
+        if got == staged[(obj, 0)]:
+            for (__, p), data in staged.items():
                 if p != 0 and probe(obj, p) != data:
-                    result.violations.append(
+                    ep.result.violations.append(
                         f"torn commit: {obj!r} gen {gen} page {p} does not "
                         "match the committed image"
                     )
-            for p, data in staged.items():
-                expected[(obj, p)] = data
-        elif got == expected.get((obj, 0)):
-            pass  # the commit never landed; the old generation survives
-        else:
-            result.violations.append(
+            ep.expected.update(staged)
+        elif got != ep.expected.get((obj, 0)):
+            # Neither landed nor left the old generation in place.
+            ep.result.violations.append(
                 f"atomicity: {obj!r} gen {gen} page 0 matches neither the "
                 "pre-commit nor the post-commit image"
             )
 
-    point = None
-    fired_before = 0
-    try:
-        # --- pre-arm baseline: generation 0 is always fully committed --- #
-        db.create_object("t0")
-        db.create_object("t1")
-        commit_generation("t0", 0)
-        commit_generation("t1", 0)
+    def crash_and_restart() -> None:
+        if not db.crashed:
+            db.crash()
+        ep.restart(db)
 
-        if crash_point_name is not None:
-            point = CRASH_POINTS.point(crash_point_name)
-            fired_before = point.fired
-            CRASH_POINTS.arm(crash_point_name, skip=arm_skip)
+    def rollback_generation() -> None:
+        txn = db.begin()
+        for p in range(PAGES):
+            db.write_page(txn, "t1", p, _payload("t1", p, 99, seed))
+        db.rollback(txn)
 
-        # --- churn ------------------------------------------------------ #
+    # --- pre-arm baseline: generation 0 is always fully committed ------ #
+    db.create_object("t0")
+    db.create_object("t1")
+    commit_generation("t0", 0)
+    commit_generation("t1", 0)
+
+    with ep.armed():
         commit_generation("t0", 1, double_write=True)
         commit_generation("t1", 1)
-        guarded(lambda: db.create_object("extra"))
+        ep.attempt(db, lambda: db.create_object("extra"))
         # One wide transaction overflows the buffer: dirty eviction queues
         # OCM write-backs, which commit must upload (flush_for_commit).
         commit_generation("t0", 2, pages=WIDE_PAGES)
-        guarded(db.create_snapshot)
+        ep.attempt(db, db.create_snapshot)
         # Supersede again so the retention FIFO has entries to reap.
         commit_generation("t0", 3)
-
-        def rollback_generation() -> None:
-            txn = db.begin()
-            for p in range(PAGES):
-                db.write_page(txn, "t1", p, _payload("t1", p, 99, seed))
-            db.rollback(txn)
-
-        guarded(rollback_generation)
+        ep.attempt(db, rollback_generation)
 
         # Forced mid-episode crash: exercises replay, checkpoint, restart
         # GC and orphan polling while the armed point is still live.
-        if not db.crashed:
-            db.crash()
-        recover()
+        crash_and_restart()
         commit_generation("t1", 4)
 
-        # --- drain: everything transient must go to zero ---------------- #
-        for __ in range(4):
-            try:
-                if not db.crashed:
-                    db.crash()
-                recover()
-                db.txn_manager.collect_garbage()
-                if db.snapshot_manager is not None:
-                    db.clock.advance(RETENTION_SECONDS + 1.0)
-                    db.snapshot_manager.reap()
-                db.txn_manager.collect_garbage()
-                break
-            except SimulatedCrash as exc:
-                result.crashes += 1
-                db.crash_from(exc)
-        else:
-            result.violations.append("drain did not converge")
-    finally:
-        CRASH_POINTS.disarm_all()
-        if point is not None:
-            result.fired = point.fired - fired_before
+        # Drain from a fresh restart: everything transient goes to zero.
+        crash_and_restart()
+        ep.retry(db, lambda: drain(db), "drain")
 
-    if db.crashed:
-        recover()
-
-    # --- invariant 1: committed data survives cold --------------------- #
-    db.node.invalidate_caches()
-    if db.ocm is not None:
-        db.ocm.invalidate_all()
-    for (obj, page), data in sorted(expected.items()):
-        if probe(obj, page) != data:
-            result.violations.append(
-                f"data loss: committed page {obj!r}/{page} unreadable or "
-                "altered after recovery"
-            )
-
-    # --- invariants 2 and 3: the auditor's verdict ---------------------- #
-    try:
-        report = StoreAuditor(db).audit(deep=deep)
-    except AuditError as exc:
-        result.violations.append(f"audit failed: {exc}")
-        return result
-    result.report = report
-    if report.missing or report.snapshot_missing:
-        result.violations.append(
-            f"MISSING objects after recovery: {len(report.missing)} live, "
-            f"{len(report.snapshot_missing)} snapshot-only"
-        )
-    if deep and (report.corrupt or report.region_corrupt):
-        result.violations.append(
-            f"CORRUPT objects after recovery: {len(report.corrupt)} "
-            f"primary, {len(report.region_corrupt)} regional"
-        )
-    if broken_gc:
-        if not report.leaked:
-            result.violations.append(
-                "the auditor failed to flag the broken GC's leaked objects"
-            )
-    elif report.leaked:
-        result.violations.append(
-            f"LEAKED objects did not drain to zero: {len(report.leaked)}"
-        )
-    return result
+    ep.restart(db)
+    ep.verify(db, ep.expected)
+    return ep.audit(db, deep=deep, expect_leaks=broken_gc)
 
 
 # ---------------------------------------------------------------------- #
@@ -355,74 +447,21 @@ def run_multiplex_episode(
     arm_skip: int = 0,
 ) -> EpisodeResult:
     """Crash the coordinator mid restart-GC of a dead writer node."""
-    CRASH_POINTS.disarm_all()
-    result = EpisodeResult(crash_point=crash_point_name, seed=seed,
-                           mode="multiplex")
-    mux = Multiplex(base_config(seed), MultiplexConfig(
-        writers=1,
-        secondary_buffer_bytes=BUFFER_FRAMES * PAYLOAD_BYTES,
-        secondary_ocm_bytes=4 * 1024 * 1024,
-    ))
+    ep = Episode("multiplex", crash_point_name, seed, arm_skip)
+    mux = build_multiplex(seed)
     coordinator = mux.coordinator
     writer = mux.node("writer-1")
-    expected: "Dict[Tuple[str, int], bytes]" = {}
-
     coordinator.create_object("t0")
-    txn = writer.begin()
-    for p in range(PAGES):
-        data = _payload("t0", p, 0, seed)
-        writer.write_page(txn, "t0", p, data)
-        expected[("t0", p)] = data
-    writer.commit(txn)
+    ep.commit(writer, "t0", 0)
 
-    point = None
-    fired_before = 0
-    try:
-        if crash_point_name is not None:
-            point = CRASH_POINTS.point(crash_point_name)
-            fired_before = point.fired
-            CRASH_POINTS.arm(crash_point_name, skip=arm_skip)
-        # Orphan uploads: objects on the shared store whose keys only the
-        # writer's active set covers.
-        for i in range(3):
-            writer.user_dbspace.write_page(
-                _payload("orphan", i, 1, seed), commit_mode=True
-            )
+    with ep.armed():
+        ep.upload_orphans(writer, 3, gen=1)
         writer.crash()
-        for __ in range(MAX_RECOVERY_ATTEMPTS):
-            try:
-                writer.restart()
-                break
-            except SimulatedCrash as exc:
-                result.crashes += 1
-                writer.crash_from(exc)
-        else:
-            result.violations.append("writer restart did not converge")
-    finally:
-        CRASH_POINTS.disarm_all()
-        if point is not None:
-            result.fired = point.fired - fired_before
+        ep.restart(writer)
 
     coordinator.txn_manager.collect_garbage()
-
-    txn = coordinator.begin()
-    for (obj, p), data in sorted(expected.items()):
-        if coordinator.read_page(txn, obj, p) != data:
-            result.violations.append(
-                f"data loss: committed page {obj!r}/{p} altered after the "
-                "writer's crash"
-            )
-    coordinator.rollback(txn)
-
-    report = StoreAuditor(coordinator).audit()
-    result.report = report
-    if report.missing or report.snapshot_missing:
-        result.violations.append("MISSING objects after writer restart")
-    if report.leaked:
-        result.violations.append(
-            f"writer restart GC leaked {len(report.leaked)} orphans"
-        )
-    return result
+    ep.verify(coordinator, ep.expected)
+    return ep.audit(coordinator)
 
 
 # ---------------------------------------------------------------------- #
@@ -453,45 +492,30 @@ def run_scale_episode(
     """
     from repro.core.autoscale import prewarm_secondary
 
-    CRASH_POINTS.disarm_all()
-    result = EpisodeResult(crash_point=crash_point_name, seed=seed,
-                           mode="scale")
-    mux = Multiplex(base_config(seed), MultiplexConfig(
-        writers=1,
-        secondary_buffer_bytes=BUFFER_FRAMES * PAYLOAD_BYTES,
-        secondary_ocm_bytes=4 * 1024 * 1024,
-    ))
+    ep = Episode("scale", crash_point_name, seed, arm_skip)
+    mux = build_multiplex(seed)
     coordinator = mux.coordinator
-    writer = mux.node("writer-1")
-    expected: "Dict[Tuple[str, int], bytes]" = {}
-
-    def commit_via(node, obj: str, gen: int) -> None:
-        txn = node.begin()
-        staged = {}
-        for p in range(PAGES):
-            data = _payload(obj, p, gen, seed)
-            node.write_page(txn, obj, p, data)
-            staged[(obj, p)] = data
-        node.commit(txn)
-        expected.update(staged)
 
     # Baseline, plus a warm coordinator OCM for pre-warm to donate from.
     coordinator.create_object("t0")
-    commit_via(writer, "t0", 0)
+    ep.commit(mux.node("writer-1"), "t0", 0)
     txn = coordinator.begin()
     for p in range(PAGES):
         coordinator.read_page(txn, "t0", p)
     coordinator.rollback(txn)
 
-    def recover_node(node) -> None:
-        for __ in range(MAX_RECOVERY_ATTEMPTS):
+    def retire_wounded(node: SecondaryNode, exc: SimulatedCrash) -> None:
+        if node.node_id not in mux.nodes:
+            # The crash hit after detach: the retire itself already
+            # completed (flush + GC), nothing to clean up.
+            ep.result.crashes += 1
+            return
+        ep.recover(node, exc)
+        if not node.crashed:
             try:
-                node.restart()
-                return
-            except SimulatedCrash as exc:
-                result.crashes += 1
-                node.crash_from(exc)
-        result.violations.append("node restart did not converge")
+                mux.retire_secondary(node.node_id)
+            except SimulatedCrash as inner:
+                retire_wounded(node, inner)
 
     def scale_cycle(gen: int) -> bool:
         """One provision -> prewarm -> serve -> retire cycle; True if it
@@ -499,78 +523,26 @@ def run_scale_episode(
         node = mux.add_secondary("writer")
         try:
             prewarm_secondary(node, coordinator.ocm, SCALE_PREWARM_BUDGET)
-            commit_via(node, "t0", gen)
-            # Orphan uploads: store objects covered only by this node's
-            # active set — exactly what a mid-retire death would strand.
-            for i in range(SCALE_ORPHANS):
-                node.user_dbspace.write_page(
-                    _payload("orphan", i, gen, seed), commit_mode=True
-                )
+            ep.commit(node, "t0", gen)
+            ep.upload_orphans(node, SCALE_ORPHANS, gen)
             mux.retire_secondary(node.node_id)
             return True
         except SimulatedCrash as exc:
-            result.crashes += 1
-            if node.node_id not in mux.nodes:
-                # The crash hit after detach: the retire itself already
-                # completed (flush + GC), nothing to clean up.
-                return False
-            node.crash_from(exc)
-            recover_node(node)
-            if not node.crashed:
-                try:
-                    mux.retire_secondary(node.node_id)
-                except SimulatedCrash as inner:
-                    result.crashes += 1
-                    if node.node_id in mux.nodes:
-                        node.crash_from(inner)
-                        recover_node(node)
+            retire_wounded(node, exc)
             return False
 
-    point = None
-    fired_before = 0
-    try:
-        if crash_point_name is not None:
-            point = CRASH_POINTS.point(crash_point_name)
-            fired_before = point.fired
-            CRASH_POINTS.arm(crash_point_name, skip=arm_skip)
+    with ep.armed():
         for attempt in range(MAX_RECOVERY_ATTEMPTS):
             if scale_cycle(attempt + 1):
                 break
         else:
-            result.violations.append("scale cycle did not converge")
-    finally:
-        CRASH_POINTS.disarm_all()
-        if point is not None:
-            result.fired = point.fired - fired_before
+            ep.result.violations.append("scale cycle did not converge")
 
     # Wounded nodes that could not be retired (restart non-convergence)
     # still get their keys reclaimed by coordinator-side GC.
     coordinator.txn_manager.collect_garbage()
-
-    # Invariant 1: every committed generation survives, read cold via
-    # the coordinator (retired nodes' caches are gone by construction).
-    coordinator.node.invalidate_caches()
-    if coordinator.ocm is not None:
-        coordinator.ocm.invalidate_all()
-    txn = coordinator.begin()
-    for (obj, p), data in sorted(expected.items()):
-        if coordinator.read_page(txn, obj, p) != data:
-            result.violations.append(
-                f"data loss: committed page {obj!r}/{p} lost across the "
-                "scale cycle"
-            )
-    coordinator.rollback(txn)
-
-    # Invariants 2 and 3: nothing missing, mid-retire orphans all drained.
-    report = StoreAuditor(coordinator).audit()
-    result.report = report
-    if report.missing or report.snapshot_missing:
-        result.violations.append("MISSING objects after the scale episode")
-    if report.leaked:
-        result.violations.append(
-            f"scale episode leaked {len(report.leaked)} objects"
-        )
-    return result
+    ep.verify(coordinator, ep.expected)
+    return ep.audit(coordinator)
 
 
 # ---------------------------------------------------------------------- #
@@ -584,88 +556,23 @@ def run_restore_episode(
 ) -> EpisodeResult:
     """Crash during a snapshot restore; either side of the crash must be
     a consistent database (rewound or not — never half of each)."""
-    CRASH_POINTS.disarm_all()
-    result = EpisodeResult(crash_point=crash_point_name, seed=seed,
-                           mode="restore")
+    ep = Episode("restore", crash_point_name, seed, arm_skip)
     db = build_engine(seed)
-
-    def commit_generation(gen: int) -> "Dict[Tuple[str, int], bytes]":
-        staged = {("t0", p): _payload("t0", p, gen, seed)
-                  for p in range(PAGES)}
-        txn = db.begin()
-        for (__, p), data in staged.items():
-            db.write_page(txn, "t0", p, data)
-        db.commit(txn)
-        return staged
-
     db.create_object("t0")
-    gen0 = commit_generation(0)
+    ep.commit(db, "t0", 0)
+    rewound = dict(ep.expected)
     snapshot = db.create_snapshot()
-    gen1 = commit_generation(1)
+    ep.commit(db, "t0", 1)
 
-    point = None
-    fired_before = 0
-    completed = False
-    try:
-        if crash_point_name is not None:
-            point = CRASH_POINTS.point(crash_point_name)
-            fired_before = point.fired
-            CRASH_POINTS.arm(crash_point_name, skip=arm_skip)
-        try:
-            db.restore_snapshot(snapshot.snapshot_id)
-            completed = True
-        except SimulatedCrash as exc:
-            result.crashes += 1
-            db.crash_from(exc)
-            for __ in range(MAX_RECOVERY_ATTEMPTS):
-                if not db.crashed:
-                    break
-                try:
-                    db.restart()
-                except SimulatedCrash as inner:
-                    result.crashes += 1
-                    db.crash_from(inner)
-            else:
-                result.violations.append("recovery did not converge")
-    finally:
-        CRASH_POINTS.disarm_all()
-        if point is not None:
-            result.fired = point.fired - fired_before
-
-    expected = gen0 if completed else gen1
-
-    db.node.invalidate_caches()
-    if db.ocm is not None:
-        db.ocm.invalidate_all()
-    txn = db.begin()
-    for (obj, p), data in sorted(expected.items()):
-        try:
-            got: "Optional[bytes]" = db.read_page(txn, obj, p)
-        except Exception:
-            got = None
-        if got != data:
-            side = "rewound" if completed else "pre-restore"
-            result.violations.append(
-                f"data loss: {side} page {obj!r}/{p} unreadable or altered"
-            )
-    db.rollback(txn)
-
-    # Drain: expire the snapshot, reap retention, collect the chain.
-    db.txn_manager.collect_garbage()
-    if db.snapshot_manager is not None:
-        db.clock.advance(RETENTION_SECONDS + 1.0)
-        db.snapshot_manager.reap()
-    db.txn_manager.collect_garbage()
-
-    report = StoreAuditor(db).audit()
-    result.report = report
-    if report.missing or report.snapshot_missing:
-        result.violations.append("MISSING objects after restore episode")
-    if report.leaked:
-        result.violations.append(
-            f"restore episode leaked {len(report.leaked)} objects"
+    with ep.armed():
+        completed = ep.attempt(
+            db, lambda: db.restore_snapshot(snapshot.snapshot_id)
         )
-    return result
+
+    ep.verify(db, rewound if completed else ep.expected)
+    # Expire the snapshot, reap retention, collect the chain.
+    drain(db)
+    return ep.audit(db)
 
 
 # ---------------------------------------------------------------------- #
@@ -702,45 +609,19 @@ def run_failover_episode(
     *leaks drain after failover + heal* (restart-GC tombstones replicate
     into the healed region and beat the orphans under last-writer-wins).
     """
-    CRASH_POINTS.disarm_all()
-    result = EpisodeResult(crash_point=crash_point_name, seed=seed,
-                           mode="failover")
-    mux = Multiplex(base_config(seed, failover_overrides()), MultiplexConfig(
-        writers=1,
-        secondary_buffer_bytes=BUFFER_FRAMES * PAYLOAD_BYTES,
-        secondary_ocm_bytes=4 * 1024 * 1024,
-    ))
+    ep = Episode("failover", crash_point_name, seed, arm_skip)
+    mux = build_multiplex(seed, failover_overrides())
     coordinator = mux.coordinator
     writer = mux.node("writer-1")
     store = coordinator.object_store
-    expected: "Dict[Tuple[str, int], bytes]" = {}
-
-    def commit_via(node, obj: str, gen: int) -> None:
-        txn = node.begin()
-        for p in range(PAGES):
-            data = _payload(obj, p, gen, seed)
-            node.write_page(txn, obj, p, data)
-            expected[(obj, p)] = data
-        node.commit(txn)
 
     # Baseline on the original primary; replication trails behind it.
     coordinator.create_object("t0")
-    commit_via(writer, "t0", 0)
+    ep.commit(writer, "t0", 0)
 
-    point = None
-    fired_before = 0
-    try:
-        if crash_point_name is not None:
-            point = CRASH_POINTS.point(crash_point_name)
-            fired_before = point.fired
-            CRASH_POINTS.arm(crash_point_name, skip=arm_skip)
-
-        # Orphan uploads covered only by the writer's active set; they
-        # land on the primary and queue for replication like any write.
-        for i in range(3):
-            writer.user_dbspace.write_page(
-                _payload("orphan", i, 1, seed), commit_mode=True
-            )
+    with ep.armed():
+        # Orphans land on the primary and queue for replication.
+        ep.upload_orphans(writer, 3, gen=1)
         writer.crash()
 
         # The primary region goes away; the writer's orphans and the
@@ -756,42 +637,15 @@ def run_failover_episode(
         # crash at any failover point is recovered by re-running the
         # (idempotent) failover against the same region.
         target = FAILOVER_REGIONS[1]
-        for __ in range(MAX_RECOVERY_ATTEMPTS):
-            try:
-                mux.region_failover(to_region=target)
-                break
-            except SimulatedCrash as exc:
-                result.crashes += 1
-                coordinator.crash_from(exc)
-                for __ in range(MAX_RECOVERY_ATTEMPTS):
-                    if not coordinator.crashed:
-                        break
-                    try:
-                        coordinator.restart()
-                    except SimulatedCrash as inner:
-                        result.crashes += 1
-                        coordinator.crash_from(inner)
-        else:
-            result.violations.append("region failover did not converge")
+        ep.retry(coordinator, lambda: mux.region_failover(to_region=target),
+                 "region failover")
 
         # Restart GC reclaims the orphans on the *new* primary; the blind
         # deletes replicate as tombstones into the dead region's queue.
-        for __ in range(MAX_RECOVERY_ATTEMPTS):
-            try:
-                writer.restart()
-                break
-            except SimulatedCrash as exc:
-                result.crashes += 1
-                writer.crash_from(exc)
-        else:
-            result.violations.append("writer restart did not converge")
+        ep.restart(writer)
 
         # Life goes on against the new primary.
-        commit_via(writer, "t0", 1)
-    finally:
-        CRASH_POINTS.disarm_all()
-        if point is not None:
-            result.fired = point.fired - fired_before
+        ep.commit(writer, "t0", 1)
 
     # Heal: ride past the outage end plus the staleness horizon, then
     # reconcile the healed region (idempotent drain).
@@ -799,56 +653,22 @@ def run_failover_episode(
     heal_at = (schedule.horizon if schedule is not None else mux.clock.now())
     mux.clock.advance_to(max(mux.clock.now(), heal_at) + REPLICATION_HORIZON + 1.0)
     store.pump(mux.clock.now())
-    coordinator.txn_manager.collect_garbage()
-    if coordinator.snapshot_manager is not None:
-        coordinator.clock.advance(RETENTION_SECONDS + 1.0)
-        coordinator.snapshot_manager.reap()
-    coordinator.txn_manager.collect_garbage()
+    drain(coordinator)
     # GC's own deletes queue fresh tombstones; give them one more horizon
     # to propagate before requiring empty queues.
     mux.clock.advance(REPLICATION_HORIZON + 1.0)
     store.pump(mux.clock.now())
     if store.pending_count():
-        result.violations.append(
+        ep.result.violations.append(
             f"replication queues did not drain after heal: "
             f"{store.pending_count()} entries pending"
         )
 
-    # Invariant 1: every acknowledged commit survives, cold, on the new
-    # primary — zero committed-data loss within the replication horizon.
-    txn = coordinator.begin()
-    for (obj, p), data in sorted(expected.items()):
-        if coordinator.read_page(txn, obj, p) != data:
-            result.violations.append(
-                f"data loss: committed page {obj!r}/{p} lost in failover"
-            )
-    coordinator.rollback(txn)
-
-    # Invariants 2 and 3, across every region: nothing missing anywhere,
-    # the healed region's orphan leaks all drained.
-    report = StoreAuditor(coordinator).audit()
-    result.report = report
-    if report.missing or report.snapshot_missing:
-        result.violations.append("MISSING objects after failover")
-    if report.leaked:
-        result.violations.append(
-            f"failover episode leaked {len(report.leaked)} objects"
-        )
-    if report.region_missing:
-        result.violations.append(
-            f"regional data loss after heal: {len(report.region_missing)}"
-        )
-    if report.region_leaked or report.region_divergent:
-        result.violations.append(
-            "healed region did not reconcile: "
-            f"{len(report.region_leaked)} leaked, "
-            f"{len(report.region_divergent)} divergent"
-        )
-    if report.staleness_violations:
-        result.violations.append(
-            f"bounded staleness broken: {len(report.staleness_violations)}"
-        )
-    return result
+    # Every acknowledged commit survives on the new primary — zero
+    # committed-data loss within the replication horizon — and every
+    # region is audited: the healed region's orphan leaks all drained.
+    ep.verify(coordinator, ep.expected)
+    return ep.audit(coordinator)
 
 
 # ---------------------------------------------------------------------- #
@@ -873,27 +693,20 @@ def run_scrub_episode(
     replica's clean bytes *under the same op-time*, replaying it after a
     crash on either side of the overwrite converges on the same state.
     The episode asserts that afterwards every committed page reads back
-    byte-identical through cold caches and a deep audit finds zero
-    CORRUPT copies in any region.
+    byte-identical through cold, *verified* reads — so a missed repair
+    surfaces there too — and a deep audit finds zero CORRUPT copies in
+    any region.
     """
+    from repro.bench.scrub import damage_at_rest
     from repro.core.scrub import Scrubber
 
-    CRASH_POINTS.disarm_all()
-    result = EpisodeResult(crash_point=crash_point_name, seed=seed,
-                           mode="scrub")
+    ep = Episode("scrub", crash_point_name, seed, arm_skip)
     overrides = failover_overrides()
     overrides["verify_reads"] = True
     db = build_engine(seed, overrides)
-    expected: "Dict[Tuple[str, int], bytes]" = {}
-
     db.create_object("t0")
     for gen in range(2):
-        txn = db.begin()
-        for p in range(PAGES):
-            data = _payload("t0", p, gen, seed)
-            db.write_page(txn, "t0", p, data)
-            expected[("t0", p)] = data
-        db.commit(txn)
+        ep.commit(db, "t0", gen)
         db.clock.advance(0.5)
 
     # Let replication land every version so each region can repair the
@@ -901,102 +714,43 @@ def run_scrub_episode(
     store = db.object_store
     db.clock.advance(REPLICATION_HORIZON + 1.0)
     store.pump(db.clock.now())
-    primary = store.store_for(FAILOVER_REGIONS[0])
-    damaged = 0
-    for name in sorted(primary.all_keys()):
-        if damaged >= SCRUB_DAMAGED_OBJECTS:
-            break
-        if primary.latest_data(name) is None:
-            continue
-        if store.inject_damage(name, flips=2):
-            damaged += 1
-    if not damaged:
-        result.violations.append("no stored objects available to damage")
-        return result
+    if not damage_at_rest(store, SCRUB_DAMAGED_OBJECTS, flips=2):
+        ep.result.violations.append("no stored objects available to damage")
+        return ep.result
 
-    point = None
-    fired_before = 0
-    scrub_report = None
-    try:
-        if crash_point_name is not None:
-            point = CRASH_POINTS.point(crash_point_name)
-            fired_before = point.fired
-            CRASH_POINTS.arm(crash_point_name, skip=arm_skip)
-        for __ in range(MAX_RECOVERY_ATTEMPTS):
-            try:
-                scrub_report = Scrubber(db).run()
-                break
-            except SimulatedCrash as exc:
-                result.crashes += 1
-                db.crash_from(exc)
-                for __ in range(MAX_RECOVERY_ATTEMPTS):
-                    if not db.crashed:
-                        break
-                    try:
-                        db.restart()
-                    except SimulatedCrash as inner:
-                        result.crashes += 1
-                        db.crash_from(inner)
-                else:
-                    result.violations.append("recovery did not converge")
-        else:
-            result.violations.append("scrub did not converge")
-    finally:
-        CRASH_POINTS.disarm_all()
-        if point is not None:
-            result.fired = point.fired - fired_before
-
-    if scrub_report is not None and scrub_report.quarantined:
-        result.violations.append(
-            f"scrub quarantined {len(scrub_report.quarantined)} copies a "
-            "healthy replica should have repaired"
-        )
-
-    # Invariant 1: committed pages survive cold — through *verified*
-    # reads, so a missed repair surfaces as a failure here too.
-    db.node.invalidate_caches()
-    if db.ocm is not None:
-        db.ocm.invalidate_all()
-    txn = db.begin()
-    for (obj, p), data in sorted(expected.items()):
-        try:
-            got: "Optional[bytes]" = db.read_page(txn, obj, p)
-        except SimulatedCrash:
-            raise
-        except Exception:
-            got = None
-        if got != data:
-            result.violations.append(
-                f"data loss: committed page {obj!r}/{p} unreadable or "
-                "altered after the scrub"
+    def scrub() -> None:
+        report = Scrubber(db).run()
+        if report.quarantined:
+            ep.result.violations.append(
+                f"scrub quarantined {len(report.quarantined)} copies a "
+                "healthy replica should have repaired"
             )
-    db.rollback(txn)
 
-    # Invariant 2: a deep audit finds zero CORRUPT copies anywhere.
-    report = StoreAuditor(db).audit(deep=True)
-    result.report = report
-    if report.corrupt or report.region_corrupt:
-        result.violations.append(
-            f"at-rest damage survived the scrub: {len(report.corrupt)} "
-            f"primary, {len(report.region_corrupt)} regional"
-        )
-    if report.missing or report.snapshot_missing:
-        result.violations.append("MISSING objects after the scrub episode")
-    if report.region_divergent:
-        result.violations.append(
-            f"regions diverged after repair: {len(report.region_divergent)}"
-        )
-    return result
+    with ep.armed():
+        ep.retry(db, scrub, "scrub")
+
+    ep.verify(db, ep.expected)
+    return ep.audit(db, deep=True)
 
 
 # ---------------------------------------------------------------------- #
 # exploration drivers
 # ---------------------------------------------------------------------- #
 
+# Crash-point prefix -> the episode that traverses it, first match wins;
+# every other point is a churn point.
+EPISODE_ROUTES: "List[Tuple[Tuple[str, ...], Callable[..., EpisodeResult]]]" = [
+    (("multiplex.failover.", "replication."), run_failover_episode),
+    (("autoscale.", "multiplex.retire."), run_scale_episode),
+    (("multiplex.",), run_multiplex_episode),
+    (("engine.restore.",), run_restore_episode),
+    (("scrub.",), run_scrub_episode),
+]
+
+
 def run_episode(
     crash_point_name: "Optional[str]",
     seed: int = 0,
-    broken_gc: bool = False,
     arm_skip: int = 0,
 ) -> EpisodeResult:
     """Route a crash point to the episode that can actually traverse it.
@@ -1004,7 +758,7 @@ def run_episode(
     An episode armed without a skip that never reaches its point is a
     violation: a sweep reporting "fired 0 ... ok" has silently shrunk.
     """
-    result = _route_episode(crash_point_name, seed, broken_gc, arm_skip)
+    result = _route_episode(crash_point_name, seed, arm_skip)
     if crash_point_name is not None and not arm_skip and not result.fired:
         result.violations.append(
             f"crash point {crash_point_name!r} never fired: its episode "
@@ -1014,36 +768,17 @@ def run_episode(
 
 
 def _route_episode(crash_point_name: "Optional[str]", seed: int,
-                   broken_gc: bool, arm_skip: int) -> EpisodeResult:
-    if crash_point_name is not None:
-        if crash_point_name.startswith(("multiplex.failover.",
-                                        "replication.")):
-            return run_failover_episode(crash_point_name, seed=seed,
-                                        arm_skip=arm_skip)
-        if crash_point_name.startswith(("autoscale.",
-                                        "multiplex.retire.")):
-            return run_scale_episode(crash_point_name, seed=seed,
-                                     arm_skip=arm_skip)
-        if crash_point_name.startswith("multiplex."):
-            return run_multiplex_episode(crash_point_name, seed=seed,
-                                         arm_skip=arm_skip)
-        if crash_point_name.startswith("engine.restore."):
-            return run_restore_episode(crash_point_name, seed=seed,
-                                       arm_skip=arm_skip)
-        if crash_point_name.startswith("scrub."):
-            return run_scrub_episode(crash_point_name, seed=seed,
-                                     arm_skip=arm_skip)
-    return run_churn_episode(crash_point_name, seed=seed,
-                             broken_gc=broken_gc, arm_skip=arm_skip)
+                   arm_skip: int) -> EpisodeResult:
+    for prefixes, builder in EPISODE_ROUTES:
+        if crash_point_name is not None and crash_point_name.startswith(
+                prefixes):
+            return builder(crash_point_name, seed=seed, arm_skip=arm_skip)
+    return run_churn_episode(crash_point_name, seed=seed, arm_skip=arm_skip)
 
 
-def explore_all_points(seed: int = 0,
-                       broken_gc: bool = False) -> "List[EpisodeResult]":
+def explore_all_points(seed: int = 0) -> "List[EpisodeResult]":
     """One episode per registered crash point, in sorted name order."""
-    return [
-        run_episode(name, seed=seed, broken_gc=broken_gc)
-        for name in registered_points()
-    ]
+    return [run_episode(name, seed=seed) for name in registered_points()]
 
 
 def explore_random(count: int = 10, seed: int = 0) -> "List[EpisodeResult]":

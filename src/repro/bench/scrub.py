@@ -6,13 +6,32 @@ integrity tests and the PR 9 benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.bench.chaos import REGION_NAMES
 from repro.core.audit import StoreAuditor
 from repro.core.scrub import DEFAULT_BYTES_PER_SECOND, Scrubber
 from repro.engine import Database, DatabaseConfig
 from repro.objectstore.replicated import ReplicationConfig
+
+
+def damage_at_rest(store, count: int, flips: int) -> "List[str]":
+    """Bit-flip up to ``count`` stored primary copies in place.
+
+    At-rest rot: deterministic flips in sorted key order, skipping keys
+    whose latest version holds no data.  No fault schedule, no RNG — rot
+    is not an I/O event.  A replicated store damages its primary region.
+    Returns the damaged names.
+    """
+    damaged: "List[str]" = []
+    for name in sorted(store.all_keys()):
+        if len(damaged) >= count:
+            break
+        if store.latest_data(name) is None:
+            continue
+        if store.inject_damage(name, flips=flips):
+            damaged.append(name)
+    return damaged
 
 
 def run_scrub_scenario(
@@ -63,17 +82,7 @@ def run_scrub_scenario(
         # Let every queued apply land so each region holds every version.
         db.clock.advance(replication.staleness_horizon + 1.0)
         store.pump(db.clock.now())
-    # At-rest rot: deterministic in-place bit flips on stored primary
-    # copies.  No fault schedule, no RNG — rot is not an I/O event.
-    primary = store.store_for(store.regions[0]) if replication else store
-    damaged = []
-    for name in sorted(primary.all_keys()):
-        if len(damaged) >= damage:
-            break
-        if primary.latest_data(name) is None:
-            continue
-        if store.inject_damage(name, flips=flips):
-            damaged.append(name)
+    damaged = damage_at_rest(store, damage, flips)
     auditor = StoreAuditor(db)
     before = auditor.audit(deep=True)
     scrubber = Scrubber(

@@ -527,13 +527,11 @@ def cmd_crashtest(args: argparse.Namespace) -> int:
     )
 
     if args.point:
-        results = [run_episode(args.point, seed=args.seed,
-                               broken_gc=args.broken_gc)]
+        results = [run_episode(args.point, seed=args.seed)]
     elif args.random:
         results = explore_random(count=args.random, seed=args.seed)
     else:
-        results = explore_all_points(seed=args.seed,
-                                     broken_gc=args.broken_gc)
+        results = explore_all_points(seed=args.seed)
     rows = []
     violations = 0
     for result in results:
@@ -734,9 +732,6 @@ def build_parser() -> argparse.ArgumentParser:
     crashtest.add_argument("--random", type=int, default=0, metavar="N",
                            help="N seeded random point/schedule episodes")
     crashtest.add_argument("--seed", type=int, default=0)
-    crashtest.add_argument("--broken-gc", action="store_true",
-                           help="run with sabotaged GC (episodes must "
-                                "detect the leaks)")
     return parser
 
 
