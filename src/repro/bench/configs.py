@@ -50,16 +50,6 @@ OCM_DIVISOR = 30
 OCM_FLOOR = 1280 * 1024
 
 
-# The PR 8 read-path stack: numpy-backed batch executor with
-# morsel-driven CPU charging and the session-level decoded-batch cache.
-# Requires numpy (the [perf] extra); Database raises a clear
-# VectorizedUnavailableError at construction when it is missing.  Usage:
-#     load_engine(..., **VECTORIZED_EXECUTOR)
-VECTORIZED_EXECUTOR: "Dict[str, object]" = dict(
-    vectorized_executor=True,
-)
-
-
 def bench_config(
     instance_type: str = "m5ad.24xlarge",
     user_volume: str = "s3",

@@ -41,9 +41,6 @@ def _cold(db) -> None:
     if db.ocm is not None:
         db.ocm.drain_all()
         db.ocm.invalidate_all()
-    batches = getattr(db, "_decoded_batches", None)
-    if batches is not None:
-        batches.clear()
 
 
 def cmd_quickstart(args: argparse.Namespace) -> int:

@@ -10,7 +10,7 @@ aggressively to mask storage latency.
 
 from repro.columnar.schema import ColumnSchema, TableSchema
 from repro.columnar.store import ColumnStore
-from repro.columnar.query import DecodedBatchCache, QueryContext
+from repro.columnar.query import QueryContext
 from repro.columnar.hgindex import HgIndex
 from repro.columnar.niche import CmpIndex, DateIndex, TextIndex
 from repro.columnar.vec import VectorizedUnavailableError, have_numpy
@@ -24,7 +24,6 @@ __all__ = [
     "ColumnSchema",
     "TableSchema",
     "ColumnStore",
-    "DecodedBatchCache",
     "QueryContext",
     "HgIndex",
     "CmpIndex",

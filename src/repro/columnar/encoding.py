@@ -138,7 +138,7 @@ def decode_values_np(payload: bytes):
     ints as a frame-of-reference bias over a vectorized n-bit unpack,
     and strings as a fancy-indexed page dictionary.  Values are
     element-wise identical to :func:`decode_values`; arrays are marked
-    read-only so the decoded-batch cache can share them across queries.
+    read-only so a query's decode cache can share them between scans.
     """
     from repro.columnar import vec
 

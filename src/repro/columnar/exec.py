@@ -4,18 +4,16 @@ Relations are column dictionaries (``{column: [values]}``); operators
 charge CPU work to the context's :class:`~repro.sim.cpu.CpuModel` so query
 times reflect both I/O (charged by the storage stack) and compute.
 
-Every operator has two implementations sharing one signature:
+Every operator charges its work once, by operator and cardinality, and
+only then runs one of two interchangeable kernels (DESIGN.md §14):
 
-- the **scalar** path (the seed's row-at-a-time python, unchanged and
-  still the default) charging Amdahl CPU time, and
-- the **vectorized** path (``ctx.vectorized``), where columns are numpy
-  vectors and the kernels in :mod:`repro.columnar.vec` do the work in
-  batches, charging CPU through the context's
-  :class:`~repro.sim.cpu.MorselScheduler` so simulated time scales with
-  the instance's vCPUs (DESIGN.md §14).
+- the **scalar** kernel, row-at-a-time python over lists (the default),
+- the **vectorized** kernel (``ctx.vectorized``), numpy column vectors
+  processed in batches by the helpers in :mod:`repro.columnar.vec`.
 
-The vectorized kernels are constructed to reproduce the scalar output
-exactly — same rows, same order, same float bits — which the equivalence
+The kernel choice moves wall time only: the vectorized kernels reproduce
+the scalar output exactly — same rows, same order, same float bits — and
+the simulated time is the same to the last bit, which the equivalence
 suite asserts across all 22 TPC-H queries.
 """
 
@@ -47,19 +45,6 @@ def _columns_or_raise(rel: Relation, columns: "Sequence[str]") -> None:
             )
 
 
-def _vectorized(ctx: QueryContext) -> bool:
-    return bool(getattr(ctx, "vectorized", False))
-
-
-def _charge(ctx: QueryContext, ops: float, rows: float) -> None:
-    """Route CPU work to the morsel scheduler (vectorized) or the
-    Amdahl model (scalar, byte-identical to the seed)."""
-    if _vectorized(ctx):
-        ctx.morsels.charge(ops, rows)
-    else:
-        ctx.cpu.charge(ops)
-
-
 def select(rel: Relation, columns: "Sequence[str]") -> Relation:
     """Project onto ``columns``."""
     _columns_or_raise(rel, columns)
@@ -72,8 +57,8 @@ def extend(ctx: QueryContext, rel: Relation, name: str,
     """Add a computed column ``name = fn(*input_columns)`` row-wise."""
     _columns_or_raise(rel, inputs)
     count = n_rows(rel)
-    _charge(ctx, _MAP_OPS * count, count)
-    if _vectorized(ctx):
+    ctx.cpu.charge(_MAP_OPS * count)
+    if ctx.vectorized:
         out = {column: vec.asarray(values) for column, values in rel.items()}
         series = [out[column] for column in inputs]
         out[name] = vec.apply_rowwise(fn, series, count)
@@ -90,8 +75,8 @@ def filter_rows(ctx: QueryContext, rel: Relation,
     """Keep rows where ``fn(*input_columns)`` holds."""
     _columns_or_raise(rel, inputs)
     count = n_rows(rel)
-    _charge(ctx, _FILTER_OPS * count, count)
-    if _vectorized(ctx):
+    ctx.cpu.charge(_FILTER_OPS * count)
+    if ctx.vectorized:
         np = vec.require_numpy()
         arrays = {column: vec.asarray(values) for column, values in rel.items()}
         series = [arrays[column] for column in inputs]
@@ -128,13 +113,27 @@ def hash_join(
     _columns_or_raise(right, right_on)
     if semi and anti:
         raise ExecError("a join cannot be both semi and anti")
-    if _vectorized(ctx):
-        return _hash_join_vec(ctx, left, right, left_on, right_on, semi, anti)
+    # Inner joins build on the smaller side; semi/anti joins on the right.
+    swap = not (semi or anti) and n_rows(right) > n_rows(left)
+    build, probe = (left, right) if swap else (right, left)
+    ctx.cpu.charge(_JOIN_BUILD_OPS * n_rows(build))
+    ctx.cpu.charge(_JOIN_PROBE_OPS * n_rows(probe))
+    kernel = _hash_join_vec if ctx.vectorized else _hash_join_rows
+    return kernel(left, right, left_on, right_on, semi, anti, swap)
 
+
+def _hash_join_rows(
+    left: Relation,
+    right: Relation,
+    left_on: "Sequence[str]",
+    right_on: "Sequence[str]",
+    semi: bool,
+    anti: bool,
+    swap: bool,
+) -> Relation:
+    """Scalar join: a python dict over the build side's key tuples."""
     if semi or anti:
         keys = set(zip(*(right[c] for c in right_on))) if n_rows(right) else set()
-        ctx.cpu.charge(_JOIN_BUILD_OPS * n_rows(right))
-        ctx.cpu.charge(_JOIN_PROBE_OPS * n_rows(left))
         left_keys = list(zip(*(left[c] for c in left_on))) if n_rows(left) else []
         if anti:
             mask = [key not in keys for key in left_keys]
@@ -145,12 +144,8 @@ def hash_join(
             for column, values in left.items()
         }
 
-    # Inner join: build on the smaller side.
-    swap = n_rows(right) > n_rows(left)
     build, probe = (left, right) if swap else (right, left)
     build_on, probe_on = (left_on, right_on) if swap else (right_on, left_on)
-
-    ctx.cpu.charge(_JOIN_BUILD_OPS * n_rows(build))
     table: Dict[Tuple[object, ...], List[int]] = {}
     build_keys = (
         list(zip(*(build[c] for c in build_on))) if n_rows(build) else []
@@ -158,7 +153,6 @@ def hash_join(
     for row, key in enumerate(build_keys):
         table.setdefault(key, []).append(row)
 
-    ctx.cpu.charge(_JOIN_PROBE_OPS * n_rows(probe))
     probe_keys = (
         list(zip(*(probe[c] for c in probe_on))) if n_rows(probe) else []
     )
@@ -180,30 +174,25 @@ def hash_join(
     # Re-expose the join keys under the left side's names.
     for left_col, right_col in zip(left_on, right_on):
         if left_col not in out:
-            source, rows = (
-                (left, probe_rows if not swap else build_rows)
-            )
-            out[left_col] = [source[left_col][i] for i in rows]
+            rows = probe_rows if not swap else build_rows
+            out[left_col] = [left[left_col][i] for i in rows]
     return out
 
 
 def _hash_join_vec(
-    ctx: QueryContext,
     left: Relation,
     right: Relation,
     left_on: "Sequence[str]",
     right_on: "Sequence[str]",
     semi: bool,
     anti: bool,
+    swap: bool,
 ) -> Relation:
     """Vectorized join: factorized keys, searchsorted match expansion."""
-    np = vec.require_numpy()
     left_arr = {column: vec.asarray(values) for column, values in left.items()}
     right_arr = {column: vec.asarray(values) for column, values in right.items()}
 
     if semi or anti:
-        ctx.morsels.charge(_JOIN_BUILD_OPS * n_rows(right), n_rows(right))
-        ctx.morsels.charge(_JOIN_PROBE_OPS * n_rows(left), n_rows(left))
         right_codes, left_codes = vec.join_codes(
             [right_arr[c] for c in right_on],
             [left_arr[c] for c in left_on],
@@ -213,12 +202,8 @@ def _hash_join_vec(
             mask = ~mask
         return {column: values[mask] for column, values in left_arr.items()}
 
-    swap = n_rows(right) > n_rows(left)
     build, probe = (left_arr, right_arr) if swap else (right_arr, left_arr)
     build_on, probe_on = (left_on, right_on) if swap else (right_on, left_on)
-
-    ctx.morsels.charge(_JOIN_BUILD_OPS * n_rows(build), n_rows(build))
-    ctx.morsels.charge(_JOIN_PROBE_OPS * n_rows(probe), n_rows(probe))
     build_codes, probe_codes = vec.join_codes(
         [build[c] for c in build_on],
         [probe[c] for c in probe_on],
@@ -265,8 +250,8 @@ def group_by(
         if column is not None:
             _columns_or_raise(rel, [column])
     count = n_rows(rel)
-    _charge(ctx, _GROUP_OPS * count * max(1, len(aggregates)), count)
-    if _vectorized(ctx):
+    ctx.cpu.charge(_GROUP_OPS * count * max(1, len(aggregates)))
+    if ctx.vectorized:
         return _group_by_vec(rel, keys, aggregates, count)
 
     key_series = [rel[k] for k in keys]
@@ -382,8 +367,8 @@ def order_by(
     _columns_or_raise(rel, [k for k, __ in keys])
     count = n_rows(rel)
     if count:
-        _charge(ctx, _SORT_OPS * count * max(1.0, math.log2(count)), count)
-    if _vectorized(ctx):
+        ctx.cpu.charge(_SORT_OPS * count * max(1.0, math.log2(count)))
+    if ctx.vectorized:
         np = vec.require_numpy()
         arrays = {column: vec.asarray(values) for column, values in rel.items()}
         indexes = np.arange(count, dtype=np.int64)
@@ -432,8 +417,8 @@ def distinct(ctx: QueryContext, rel: Relation,
     """Distinct projection."""
     _columns_or_raise(rel, columns)
     count = n_rows(rel)
-    _charge(ctx, _GROUP_OPS * count, count)
-    if _vectorized(ctx):
+    ctx.cpu.charge(_GROUP_OPS * count)
+    if ctx.vectorized:
         arrays = [vec.asarray(rel[c]) for c in columns]
         if count == 0:
             return {c: arr for c, arr in zip(columns, arrays)}
@@ -454,5 +439,5 @@ def distinct(ctx: QueryContext, rel: Relation,
 def rows(rel: Relation, columns: "Optional[Sequence[str]]" = None):
     """Iterate a relation as tuples (testing/report helper)."""
     columns = list(columns or sorted(rel))
-    series = [rel[c] for c in columns]
+    series = [vec.to_list(rel[c]) for c in columns]
     return list(zip(*series)) if series and len(series[0]) else []

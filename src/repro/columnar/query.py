@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from collections import OrderedDict
 from itertools import compress
 
 from repro.columnar import vec
@@ -46,80 +45,6 @@ def n_rows(rel: Relation) -> int:
     return 0
 
 
-class DecodedBatchCache:
-    """Byte-budget LRU of decoded column batches, shared per session.
-
-    The vectorized executor decodes pages into immutable numpy vectors;
-    caching them at the *session* level (keyed by object, committed
-    version and page, so MVCC snapshots never mix) means repeated scans
-    of hot columns skip both the buffer-cache page fetch and the decode
-    CPU charge entirely — the zero-copy half of DESIGN.md §14.
-    """
-
-    def __init__(self, capacity_bytes: int, metrics=None) -> None:
-        if capacity_bytes < 0:
-            raise ValueError("capacity_bytes cannot be negative")
-        self.capacity_bytes = capacity_bytes
-        self._entries: "OrderedDict[Tuple[str, int, int], Tuple[object, int]]" = (
-            OrderedDict()
-        )
-        self.bytes_used = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._metrics = metrics
-        if metrics is not None:
-            self._hit_counter = metrics.counter("decoded_cache_hits")
-            self._miss_counter = metrics.counter("decoded_cache_misses")
-            self._evict_counter = metrics.counter("decoded_cache_evictions")
-            self._bytes_gauge = metrics.gauge("decoded_cache_bytes")
-        else:
-            self._hit_counter = self._miss_counter = None
-            self._evict_counter = self._bytes_gauge = None
-
-    def __contains__(self, key: "Tuple[str, int, int]") -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: "Tuple[str, int, int]"):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            if self._miss_counter is not None:
-                self._miss_counter.increment()
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        if self._hit_counter is not None:
-            self._hit_counter.increment()
-        return entry[0]
-
-    def put(self, key: "Tuple[str, int, int]", values, nbytes: int) -> None:
-        if nbytes > self.capacity_bytes:
-            return
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.bytes_used -= old[1]
-        self._entries[key] = (values, nbytes)
-        self.bytes_used += nbytes
-        while self.bytes_used > self.capacity_bytes and self._entries:
-            __, (___, dropped) = self._entries.popitem(last=False)
-            self.bytes_used -= dropped
-            self.evictions += 1
-            if self._evict_counter is not None:
-                self._evict_counter.increment()
-        if self._bytes_gauge is not None:
-            self._bytes_gauge.set(self.bytes_used)
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.bytes_used = 0
-        if self._bytes_gauge is not None:
-            self._bytes_gauge.set(0)
-
-
 class QueryContext:
     """One transaction's view for query execution.
 
@@ -144,71 +69,21 @@ class QueryContext:
         # approaches max(io, cpu) instead of io + cpu (as shipped), or
         # fetch each column of a partition and wait (`paper()`).
         self.pipelined = bool(getattr(config, "pipelined_prefetch", False))
-        # Vectorized executor (DESIGN.md §14): numpy column vectors,
-        # morsel-driven CPU charging, session-level decoded-batch cache.
-        # Defaults to the `vectorized_executor` config knob; passing an
-        # explicit value lets benchmarks run both modes on one engine.
+        # The kernel (DESIGN.md §14): numpy column vectors or python
+        # lists.  Both charge the same CPU at the same points; passing an
+        # explicit value overrides the `vectorized_executor` config field.
         if vectorized is None:
             vectorized = bool(getattr(config, "vectorized_executor", False))
         if vectorized:
             vec.require_numpy("vectorized query execution")
         self.vectorized = vectorized
-        # Vectorized scan work is accumulated across a whole read() and
-        # charged as ONE morsel batch: morsels are scheduled over the
-        # full scan, not per page, which is what lets a large scan fan
-        # out across every vCPU (per-page batches would never exceed one
-        # morsel and would serialize the scan).
-        self._pending_scan_ops = 0.0
-        self._pending_scan_rows = 0
         self._states: Dict[str, TableState] = {}
         self._zonemaps: Dict[str, ZoneMaps] = {}
         self._hg: Dict[Tuple[str, str], HgIndex] = {}
         self._decoded: Dict[Tuple[str, int], List[object]] = {}
 
-    @property
-    def morsels(self):
-        """The session's morsel scheduler (lazy; vectorized path only)."""
-        sched = getattr(self.session, "_morsel_scheduler", None)
-        if sched is None:
-            from repro.sim.cpu import MorselScheduler
-
-            config = getattr(self.session, "config", None)
-            sched = MorselScheduler(
-                self.cpu,
-                morsel_rows=getattr(config, "morsel_rows", 4096),
-                metrics=getattr(self.session, "metrics", None),
-            )
-            setattr(self.session, "_morsel_scheduler", sched)
-        return sched
-
-    def _defer_scan_charge(self, ops: float, rows: int) -> None:
-        """Bank vectorized scan work; flushed once per read()."""
-        self._pending_scan_ops += ops
-        self._pending_scan_rows += rows
-
-    def _flush_scan_charges(self) -> None:
-        if self._pending_scan_ops:
-            self.morsels.charge(self._pending_scan_ops,
-                                self._pending_scan_rows)
-            self._pending_scan_ops = 0.0
-            self._pending_scan_rows = 0
-
-    def _batch_cache(self) -> DecodedBatchCache:
-        """The session's decoded-batch cache (lazy; vectorized path only)."""
-        cache = getattr(self.session, "_decoded_batches", None)
-        if cache is None:
-            config = getattr(self.session, "config", None)
-            cache = DecodedBatchCache(
-                getattr(config, "decoded_cache_bytes", 128 * 1024 * 1024),
-                metrics=getattr(self.session, "metrics", None),
-            )
-            setattr(self.session, "_decoded_batches", cache)
-        return cache
-
     def close(self, commit: bool = True) -> None:
         """Finish the context's own transaction (no-op for borrowed ones)."""
-        if self.vectorized:
-            self._flush_scan_charges()
         if self._own_txn:
             if commit:
                 self.session.commit(self.txn)
@@ -325,50 +200,21 @@ class QueryContext:
     # page access
     # ------------------------------------------------------------------ #
 
-    def _column_page(self, object_name: str, page_no: int) -> "List[object]":
-        if self.vectorized:
-            return self._column_page_vec(object_name, page_no)
+    def _column_page(self, object_name: str, page_no: int):
+        """One page's values, decoded by the context's kernel."""
         cache_key = (object_name, page_no)
         cached = self._decoded.get(cache_key)
         if cached is not None:
             return cached
         payload = self.buffer.get_page(self._handle(object_name), page_no)
-        values = decode_values(payload)
+        decode = decode_values_np if self.vectorized else decode_values
+        values = decode(payload)
         self.cpu.charge(_DECODE_OPS * len(values))
         self._decoded[cache_key] = values
         # A small decode cache is enough: queries touch pages in passes.
         if len(self._decoded) > 4096:
             self._decoded.clear()
         return values
-
-    def _column_page_vec(self, object_name: str, page_no: int):
-        """Decode a page into a cached, immutable numpy column vector.
-
-        A hit skips both the buffer-cache page access and the decode CPU
-        charge — the decoded batch is reused zero-copy across queries.
-        """
-        handle = self._handle(object_name)
-        cache = self._batch_cache()
-        key = (object_name, handle.version, page_no)
-        values = cache.get(key)
-        if values is not None:
-            return values
-        payload = self.buffer.get_page(handle, page_no)
-        values = decode_values_np(payload)
-        self._defer_scan_charge(_DECODE_OPS * len(values), len(values))
-        cache.put(key, values, int(values.nbytes))
-        return values
-
-    def _have_decoded(self, object_name: str, page_no: int) -> bool:
-        """Is the page already decoded (per-context or session cache)?"""
-        if (object_name, page_no) in self._decoded:
-            return True
-        if self.vectorized:
-            cache = getattr(self.session, "_decoded_batches", None)
-            if cache is not None:
-                handle = self._handle(object_name)
-                return (object_name, handle.version, page_no) in cache
-        return False
 
     def _fetch(self, pages_by_object: "Dict[str, Sequence[int]]",
                scan_hint: bool, wait) -> float:
@@ -382,7 +228,7 @@ class QueryContext:
         requests = []
         for object_name, pages in pages_by_object.items():
             missing = [
-                p for p in pages if not self._have_decoded(object_name, p)
+                p for p in pages if (object_name, p) not in self._decoded
             ]
             if missing:
                 requests.append((self._handle(object_name), missing))
@@ -473,7 +319,6 @@ class QueryContext:
                 table=table, partition=partition, pages=len(pages)
             )
         if self.vectorized:
-            self._flush_scan_charges()
             return self._finalize_chunks(out)
         return out
 
@@ -544,103 +389,25 @@ class QueryContext:
             for column in needed
         }
         count = len(next(iter(page_values.values()))) if needed else 0
-        if self.vectorized:
-            self._materialize_page_vec(schema, columns, predicates, deleted,
-                                       out, with_rowids, partition, page_no,
-                                       page_values, count)
-            return
         mask = self._evaluate(predicates, page_values, count)
         self.cpu.charge(_SCAN_OPS * count * max(1, len(columns)))
         base_row = make_row_id(partition, page_no * schema.rows_per_page)
-        if deleted:
-            for i in range(count):
-                if mask[i] and (base_row + i) in deleted:
-                    mask[i] = False
-        for column in columns:
-            out[column].extend(compress(page_values[column], mask))
-        if with_rowids:
-            out[ROWID].extend(
-                compress(range(base_row, base_row + count), mask)
-            )
+        take = _take_chunk if self.vectorized else _take_rows
+        take(out, page_values, columns, mask, deleted, base_row, with_rowids)
 
-    def _materialize_page_vec(
-        self,
-        schema,
-        columns: "Sequence[str]",
-        predicates: "Dict[str, Predicate]",
-        deleted: RowIdSet,
-        out: Relation,
-        with_rowids: bool,
-        partition: int,
-        page_no: int,
-        page_values,
-        count: int,
-    ) -> None:
-        """Filter one decoded page with a boolean mask; append chunks."""
-        np = vec.require_numpy()
-        mask = self._evaluate_vec(predicates, page_values, count)
-        self._defer_scan_charge(
-            _SCAN_OPS * count * max(1, len(columns)), count
-        )
-        base_row = make_row_id(partition, page_no * schema.rows_per_page)
-        if deleted:
-            # Tombstones are rare; probe only the surviving rows.
-            for i in np.flatnonzero(mask).tolist():
-                if (base_row + i) in deleted:
-                    mask[i] = False
-        for column in columns:
-            out[column].append(page_values[column][mask])
-        if with_rowids:
-            out[ROWID].append(base_row + np.flatnonzero(mask))
-
-    def _evaluate(
-        self,
-        predicates: "Dict[str, Predicate]",
-        page_values: "Dict[str, List[object]]",
-        count: int,
-    ) -> "List[bool]":
-        mask = [True] * count
+    def _evaluate(self, predicates: "Dict[str, Predicate]", page_values,
+                  count: int):
+        """The page's row mask: one charge per predicate, then its kernel."""
+        if self.vectorized:
+            mask = vec.require_numpy().ones(count, dtype=bool)
+            narrow = _narrow_chunk
+        else:
+            mask = [True] * count
+            narrow = _narrow_rows
         for column, predicate in predicates.items():
-            values = page_values[column]
             self.cpu.charge(_PREDICATE_OPS * count)
-            bounds = self._range_of(predicate)
-            if bounds is not None:
-                lo, hi = bounds
-                for i in range(count):
-                    if not mask[i]:
-                        continue
-                    value = values[i]
-                    if lo is not None and value < lo:  # type: ignore[operator]
-                        mask[i] = False
-                    elif hi is not None and value > hi:  # type: ignore[operator]
-                        mask[i] = False
-            else:
-                check = predicate  # type: ignore[assignment]
-                for i in range(count):
-                    if mask[i] and not check(values[i]):  # type: ignore[operator]
-                        mask[i] = False
-        return mask
-
-    def _evaluate_vec(self, predicates: "Dict[str, Predicate]",
-                      page_values, count: int):
-        """Boolean-mask predicate evaluation over column vectors."""
-        np = vec.require_numpy()
-        mask = np.ones(count, dtype=bool)
-        for column, predicate in predicates.items():
-            values = page_values[column]
-            self._defer_scan_charge(_PREDICATE_OPS * count, count)
-            bounds = self._range_of(predicate)
-            if bounds is not None:
-                lo, hi = bounds
-                if lo is not None:
-                    mask &= np.asarray(values >= lo, dtype=bool)
-                if hi is not None:
-                    mask &= np.asarray(values <= hi, dtype=bool)
-            else:
-                hits = vec.apply_rowwise(
-                    predicate, [np.asarray(values)], count
-                )
-                mask &= np.asarray(hits, dtype=bool)
+            narrow(mask, page_values[column], self._range_of(predicate),
+                   predicate)
         return mask
 
     # ------------------------------------------------------------------ #
@@ -685,6 +452,74 @@ class QueryContext:
                 )
                 self.cpu.charge(_SCAN_OPS * len(offsets))
                 out[column].extend(values[offset] for offset in offsets)
-        if self.vectorized:
-            self._flush_scan_charges()
         return out
+
+
+# ---------------------------------------------------------------------- #
+# scan kernels: the context charges, these only build masks and chunks
+# ---------------------------------------------------------------------- #
+
+def _narrow_rows(mask: "List[bool]", values, bounds, check) -> None:
+    """Clear ``mask`` where the predicate fails (python lists).
+
+    ``bounds`` is the predicate's inclusive ``(lo, hi)`` range, or None
+    for a callable predicate ``check``.
+    """
+    if bounds is not None:
+        lo, hi = bounds
+        for i in range(len(mask)):
+            if not mask[i]:
+                continue
+            value = values[i]
+            if lo is not None and value < lo:
+                mask[i] = False
+            elif hi is not None and value > hi:
+                mask[i] = False
+    else:
+        for i in range(len(mask)):
+            if mask[i] and not check(values[i]):
+                mask[i] = False
+
+
+def _narrow_chunk(mask, values, bounds, check) -> None:
+    """:func:`_narrow_rows` over a numpy column vector."""
+    np = vec.require_numpy()
+    if bounds is not None:
+        lo, hi = bounds
+        if lo is not None:
+            mask &= np.asarray(values >= lo, dtype=bool)
+        if hi is not None:
+            mask &= np.asarray(values <= hi, dtype=bool)
+    else:
+        hits = vec.apply_rowwise(check, [np.asarray(values)], len(mask))
+        mask &= np.asarray(hits, dtype=bool)
+
+
+def _take_rows(out: Relation, page_values, columns: "Sequence[str]",
+               mask: "List[bool]", deleted: RowIdSet, base_row: int,
+               with_rowids: bool) -> None:
+    """Extend ``out``'s lists with the page's surviving rows."""
+    count = len(mask)
+    if deleted:
+        for i in range(count):
+            if mask[i] and (base_row + i) in deleted:
+                mask[i] = False
+    for column in columns:
+        out[column].extend(compress(page_values[column], mask))
+    if with_rowids:
+        out[ROWID].extend(compress(range(base_row, base_row + count), mask))
+
+
+def _take_chunk(out: Relation, page_values, columns: "Sequence[str]", mask,
+                deleted: RowIdSet, base_row: int, with_rowids: bool) -> None:
+    """Append the page's surviving rows to ``out`` as one vector chunk."""
+    np = vec.require_numpy()
+    if deleted:
+        # Tombstones are rare; probe only the surviving rows.
+        for i in np.flatnonzero(mask).tolist():
+            if (base_row + i) in deleted:
+                mask[i] = False
+    for column in columns:
+        out[column].append(page_values[column][mask])
+    if with_rowids:
+        out[ROWID].append(base_row + np.flatnonzero(mask))

@@ -30,6 +30,7 @@ so both rules hold identically under either policy.
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import chain
 from typing import Dict, Iterator, List
 
 # The ghost list holds keys, not data, so it can afford to remember more
@@ -64,7 +65,12 @@ class EvictionPolicy:
         raise NotImplementedError
 
     def eviction_order(self) -> "Iterator[str]":
-        """Resident keys, best victim first."""
+        """Resident keys, best victim first.
+
+        A live view, not a copy: an eviction walks only its first few
+        keys.  A caller that changes the policy while walking takes a
+        ``list`` of it first.
+        """
         raise NotImplementedError
 
     def clear(self) -> None:
@@ -97,7 +103,7 @@ class LruPolicy(EvictionPolicy):
         self._order.pop(key, None)
 
     def eviction_order(self) -> "Iterator[str]":
-        return iter(list(self._order))
+        return iter(self._order)
 
     def clear(self) -> None:
         self._order.clear()
@@ -293,9 +299,7 @@ class Arc2QPolicy(EvictionPolicy):
     def eviction_order(self) -> "Iterator[str]":
         # Probation churns first (oldest first); the protected segment is
         # only eaten into when probation alone cannot make room.
-        order = list(self._probation)
-        order.extend(self._protected)
-        return iter(order)
+        return chain(self._probation, self._protected)
 
     def clear(self) -> None:
         self._probation.clear()

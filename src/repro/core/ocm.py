@@ -263,7 +263,12 @@ class ObjectCacheManager(ObjectIO):
             return
         victims: List[str] = []
         projected = self._used
-        for name in self._policy.eviction_order():
+        order = self._policy.eviction_order()
+        if self.config.lru_insert_before_upload:
+            # A forced upload waits, and under sessions another session
+            # may reorder the policy meanwhile: walk a snapshot.
+            order = list(order)
+        for name in order:
             if projected <= self.config.capacity_bytes:
                 break
             entry = self._entries.get(name)

@@ -146,21 +146,11 @@ class DatabaseConfig:
     # OCM's FlushForCommit drains a transaction's queued write-backs as
     # such batches (group commit); 1 is one request per page
     coalesce_max_run: int = COALESCE_MAX_RUN
-    # Vectorized columnar executor (DESIGN.md §14; all off by default so
-    # the stock configuration reproduces the scalar row-at-a-time path
-    # byte-for-byte):
-    # - vectorized_executor: QueryContext scans decode pages into numpy
-    #   column vectors and the relational operators run batch kernels,
-    #   charging CPU through a MorselScheduler so simulated query time
-    #   scales with vcpus (requires numpy — the `perf` extra);
-    # - morsel_rows: rows per morsel for the parallel CPU model;
-    # - decoded_cache_bytes: budget of the session-level decoded-batch
-    #   cache (vectorized scans skip re-decoding pages it holds); sized
-    #   to hold the full decoded working set of the bench scale factors
-    #   (SF 0.1 decodes to ~185 MB) so repeat scans never thrash.
+    # Query kernel (DESIGN.md §14): QueryContext scans decode pages into
+    # numpy column vectors and the relational operators run batch kernels
+    # (requires numpy — the `perf` extra).  Only wall time moves: both
+    # kernels charge the same CPU, so every simulated number is the same.
     vectorized_executor: bool = False
-    morsel_rows: int = 4096
-    decoded_cache_bytes: int = 256 * MIB
     # End-to-end integrity (DESIGN.md §15; both off by default so the
     # stock configuration stays byte-identical to the seed):
     # - verify_reads: the object client recomputes CRC-32C over every
@@ -947,15 +937,14 @@ class Database:
     def drop_query_caches(self) -> None:
         """Empty the session's version-keyed query caches.
 
-        ``QueryContext`` keeps parsed metadata and decoded batches keyed
-        by ``(object, version, ...)``.  A restore rewinds the catalog, so
-        the next commit reuses a version number the caches already hold
-        for pre-restore contents.
+        ``QueryContext`` keeps parsed metadata keyed by ``(object,
+        version)``.  A restore rewinds the catalog, so the next commit
+        reuses a version number the cache already holds for pre-restore
+        contents.
         """
-        for name in ("_query_meta_cache", "_decoded_batches"):
-            cache = getattr(self, name, None)
-            if cache is not None:
-                cache.clear()
+        cache = getattr(self, "_query_meta_cache", None)
+        if cache is not None:
+            cache.clear()
 
     def open_snapshot_view(self, snapshot_id: int) -> "SnapshotView":
         """A read-only, query-capable view over a past snapshot.

@@ -9,9 +9,6 @@ virtual seconds given the instance's vCPU count and a parallel fraction
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 from repro.sim.clock import VirtualClock
 
 
@@ -50,76 +47,4 @@ class CpuModel:
         seconds = self.seconds_for(ops)
         self.total_ops += ops
         self.clock.advance(seconds)
-        return seconds
-
-
-class MorselScheduler:
-    """Morsel-driven parallel CPU charging for the vectorized executor.
-
-    The vectorized operators hand work over as ``(ops, rows)``.  Rows are
-    split into fixed-size *morsels* which the scheduler dispatches to the
-    instance's vCPUs in waves, so a batch's virtual duration is
-
-        waves * (ops / morsels) / rate  +  morsels * dispatch_ops / rate
-
-    where ``waves = ceil(morsels / vcpus)``.  The first term shrinks
-    nearly linearly with vCPUs until a batch has fewer morsels than
-    cores; the second models the serial scheduler loop that eventually
-    binds — which is exactly the mechanism behind the paper's Figure 7
-    scale-up curve.  Reading ``cpu.vcpus`` live means re-provisioning an
-    instance immediately changes query times without rebuilding anything.
-
-    The scalar executor never routes through this class, so default
-    configurations keep their Amdahl charging byte-for-byte.
-    """
-
-    def __init__(
-        self,
-        cpu: CpuModel,
-        morsel_rows: int = 4096,
-        dispatch_ops: float = 32.0,
-        metrics: "Optional[object]" = None,
-    ) -> None:
-        if morsel_rows < 1:
-            raise ValueError(f"morsel_rows must be positive, got {morsel_rows}")
-        if dispatch_ops < 0:
-            raise ValueError("dispatch_ops cannot be negative")
-        self.cpu = cpu
-        self.morsel_rows = morsel_rows
-        self.dispatch_ops = dispatch_ops
-        self.morsels_dispatched = 0
-        self.waves_run = 0
-        self._morsel_counter = (
-            metrics.counter("morsels_dispatched") if metrics is not None else None
-        )
-        self._wave_counter = (
-            metrics.counter("morsel_waves") if metrics is not None else None
-        )
-
-    def plan(self, rows: float) -> "tuple[int, int]":
-        """(morsels, waves) a batch of ``rows`` splits into right now."""
-        morsels = max(1, math.ceil(rows / self.morsel_rows))
-        return morsels, math.ceil(morsels / self.cpu.vcpus)
-
-    def seconds_for(self, ops: float, rows: "Optional[float]" = None) -> float:
-        """Virtual seconds the batch takes under morsel parallelism."""
-        if ops < 0:
-            raise ValueError(f"cannot charge negative work {ops!r}")
-        morsels, waves = self.plan(rows if rows is not None else ops)
-        per_morsel = ops / morsels
-        return (
-            waves * per_morsel + morsels * self.dispatch_ops
-        ) / self.cpu.ops_per_second
-
-    def charge(self, ops: float, rows: "Optional[float]" = None) -> float:
-        """Advance the clock by the batch's duration; return seconds."""
-        seconds = self.seconds_for(ops, rows)
-        morsels, waves = self.plan(rows if rows is not None else ops)
-        self.morsels_dispatched += morsels
-        self.waves_run += waves
-        if self._morsel_counter is not None:
-            self._morsel_counter.increment(morsels)
-            self._wave_counter.increment(waves)
-        self.cpu.total_ops += ops
-        self.cpu.clock.advance(seconds)
         return seconds

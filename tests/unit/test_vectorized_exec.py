@@ -1,4 +1,4 @@
-"""Vectorized executor: kernels, operators, scheduler, decode cache.
+"""Vectorized kernels: numpy helpers, operators, page decode.
 
 The contract under test everywhere: the numpy path must reproduce the
 scalar path's output *exactly* — same rows, same order, same float bits.
@@ -21,10 +21,8 @@ from repro.columnar.encoding import (
     decode_values_np,
     encode_values,
 )
-from repro.columnar.query import DecodedBatchCache
 from repro.sim.clock import VirtualClock
-from repro.sim.cpu import CpuModel, MorselScheduler
-from repro.sim.metrics import MetricsRegistry
+from repro.sim.cpu import CpuModel
 
 np = pytest.importorskip("numpy")
 
@@ -41,13 +39,12 @@ class FakeSession:
 
 
 class FakeCtx:
-    """Operator context without a database: cpu + morsels + flag."""
+    """Operator context without a database: cpu + kernel flag."""
 
     def __init__(self, vectorized: bool, vcpus: int = 4) -> None:
         self.session = FakeSession(vcpus)
         self.cpu = self.session.cpu
         self.vectorized = vectorized
-        self.morsels = MorselScheduler(self.cpu)
 
 
 def norm(rel):
@@ -56,10 +53,14 @@ def norm(rel):
 
 
 def both_ways(op):
-    """Run ``op(ctx)`` scalar and vectorized; assert identical output."""
-    scalar = norm(op(FakeCtx(vectorized=False)))
-    vectorized = norm(op(FakeCtx(vectorized=True)))
+    """Run ``op(ctx)`` with each kernel; assert identical output and cost."""
+    scalar_ctx = FakeCtx(vectorized=False)
+    vector_ctx = FakeCtx(vectorized=True)
+    scalar = norm(op(scalar_ctx))
+    vectorized = norm(op(vector_ctx))
     assert scalar == vectorized
+    assert vector_ctx.cpu.total_ops == scalar_ctx.cpu.total_ops
+    assert vector_ctx.cpu.clock.now() == scalar_ctx.cpu.clock.now()
     return scalar
 
 
@@ -303,107 +304,8 @@ def test_concat_mixed_representations():
 def test_rows_helper_handles_vectors():
     rel = {"a": vec.asarray([1, 2]), "b": vec.asarray(["x", "y"])}
     assert ex.rows(rel) == [(1, "x"), (2, "y")]
+    assert repr(ex.rows(rel)) == "[(1, 'x'), (2, 'y')]"  # python scalars
     assert ex.rows({"a": vec.asarray([])}) == []
-
-
-# --------------------------------------------------------------------- #
-# morsel scheduler
-# --------------------------------------------------------------------- #
-
-def test_morsel_seconds_shrink_with_vcpus():
-    rows = 600_000
-    ops = 3.0 * rows
-    times = []
-    for vcpus in (1, 8, 16):
-        sched = MorselScheduler(CpuModel(VirtualClock(), vcpus=vcpus))
-        times.append(sched.seconds_for(ops, rows))
-    assert times[0] > times[1] > times[2]
-
-
-def test_morsel_dispatch_overhead_binds_eventually():
-    # With morsels <= vcpus there is one wave; adding cores changes nothing.
-    rows = 4096  # exactly one morsel
-    a = MorselScheduler(CpuModel(VirtualClock(), vcpus=8)).seconds_for(100.0, rows)
-    b = MorselScheduler(CpuModel(VirtualClock(), vcpus=64)).seconds_for(100.0, rows)
-    assert a == b
-
-
-def test_morsel_charge_advances_clock_and_counters():
-    clock = VirtualClock()
-    cpu = CpuModel(clock, vcpus=4)
-    metrics = MetricsRegistry()
-    sched = MorselScheduler(cpu, morsel_rows=100, metrics=metrics)
-    seconds = sched.charge(1000.0, rows=450)  # 5 morsels, 2 waves
-    assert seconds > 0
-    assert clock.now() == seconds
-    assert sched.morsels_dispatched == 5
-    assert sched.waves_run == 2
-    assert metrics.counter("morsels_dispatched").value == 5
-    assert cpu.total_ops == 1000.0
-
-
-def test_morsel_scheduler_reads_vcpus_live():
-    cpu = CpuModel(VirtualClock(), vcpus=1)
-    sched = MorselScheduler(cpu, morsel_rows=10)
-    slow = sched.seconds_for(1000.0, rows=1000)
-    cpu.vcpus = 16
-    fast = sched.seconds_for(1000.0, rows=1000)
-    assert fast < slow
-
-
-def test_morsel_scheduler_validates_args():
-    cpu = CpuModel(VirtualClock(), vcpus=1)
-    with pytest.raises(ValueError):
-        MorselScheduler(cpu, morsel_rows=0)
-    with pytest.raises(ValueError):
-        MorselScheduler(cpu, dispatch_ops=-1.0)
-    with pytest.raises(ValueError):
-        MorselScheduler(cpu).seconds_for(-1.0)
-
-
-# --------------------------------------------------------------------- #
-# decoded-batch cache
-# --------------------------------------------------------------------- #
-
-def test_decoded_cache_hit_miss_metrics():
-    metrics = MetricsRegistry()
-    cache = DecodedBatchCache(1024, metrics=metrics)
-    key = ("tbl/c0/p0", 3, 0)
-    assert cache.get(key) is None
-    cache.put(key, "batch", 100)
-    assert cache.get(key) == "batch"
-    assert cache.hits == 1 and cache.misses == 1
-    assert metrics.counter("decoded_cache_hits").value == 1
-    assert metrics.counter("decoded_cache_misses").value == 1
-    assert metrics.gauge("decoded_cache_bytes").value == 100
-
-
-def test_decoded_cache_lru_eviction_by_bytes():
-    cache = DecodedBatchCache(250)
-    cache.put(("a", 1, 0), "A", 100)
-    cache.put(("b", 1, 0), "B", 100)
-    cache.get(("a", 1, 0))           # touch: 'a' is now most recent
-    cache.put(("c", 1, 0), "C", 100)  # evicts 'b', the LRU entry
-    assert ("a", 1, 0) in cache
-    assert ("b", 1, 0) not in cache
-    assert ("c", 1, 0) in cache
-    assert cache.evictions == 1
-    assert cache.bytes_used == 200
-
-
-def test_decoded_cache_rejects_oversized_batches():
-    cache = DecodedBatchCache(50)
-    cache.put(("a", 1, 0), "A", 100)
-    assert ("a", 1, 0) not in cache
-    assert cache.bytes_used == 0
-
-
-def test_decoded_cache_versions_do_not_mix():
-    cache = DecodedBatchCache(1024)
-    cache.put(("a", 1, 0), "v1", 10)
-    cache.put(("a", 2, 0), "v2", 10)
-    assert cache.get(("a", 1, 0)) == "v1"
-    assert cache.get(("a", 2, 0)) == "v2"
 
 
 # --------------------------------------------------------------------- #
