@@ -20,7 +20,6 @@ the coordinator's active set for the node (Table 1, clock 150).
 
 from __future__ import annotations
 
-import base64
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -59,13 +58,12 @@ def encode_checkpoint(
     chain_payloads: "List[Dict[str, object]]",
     commit_seq: int,
 ) -> "Dict[str, object]":
-    """Build the JSON-serializable checkpoint state."""
+    """Build the checkpoint state (JSON apart from its bytes values)."""
     return {
-        "catalog": base64.b64encode(catalog.to_bytes()).decode("ascii"),
+        "catalog": catalog.to_bytes(),
         "keygen": keygen.checkpoint_state(),
         "freelists": {
-            name: base64.b64encode(freelist.to_bytes()).decode("ascii")
-            for name, freelist in freelists.items()
+            name: freelist.to_bytes() for name, freelist in freelists.items()
         },
         "chain": chain_payloads,
         "commit_seq": commit_seq,
@@ -76,12 +74,10 @@ def recover(log: TransactionLog) -> RecoveredState:
     """Reconstruct engine state from the last checkpoint plus replay."""
     state = log.last_checkpoint_state()
     if state is not None:
-        catalog = Catalog.from_bytes(
-            base64.b64decode(state["catalog"])  # type: ignore[arg-type]
-        )
+        catalog = Catalog.from_bytes(state["catalog"])  # type: ignore[arg-type]
         keygen = ObjectKeyGenerator.from_checkpoint(log, state["keygen"])  # type: ignore[arg-type]
         freelists = {
-            name: Freelist.from_bytes(base64.b64decode(raw))
+            name: Freelist.from_bytes(raw)
             for name, raw in state["freelists"].items()  # type: ignore[union-attr]
         }
         chain = [

@@ -1,5 +1,8 @@
 """Unit tests for the transaction log and checkpoints."""
 
+import gc
+import weakref
+
 from repro.blockstore.device import BlockDevice
 from repro.blockstore.profiles import nvme_ssd
 from repro.core.log import ALLOC_RANGE, LogRecord, TXN_COMMIT, TransactionLog
@@ -42,21 +45,17 @@ def test_appends_charge_device_time():
     assert device.clock.now() > 0
 
 
-def test_truncate_before_checkpoint():
-    log = TransactionLog()
-    log.append(ALLOC_RANGE, {})
-    log.append(ALLOC_RANGE, {})
-    log.checkpoint({})
-    log.append(TXN_COMMIT, {})
-    dropped = log.truncate_before_checkpoint()
-    assert dropped == 2
-    assert len(log) == 2  # checkpoint record + commit
-    # Replay still works after truncation.
-    assert [r.kind for r in log.records_since_checkpoint()] == [TXN_COMMIT]
+class State(dict):
+    """A checkpoint state that can be weakly referenced."""
 
 
-def test_truncate_without_checkpoint_is_noop():
+def test_log_keeps_only_the_latest_checkpoint_state():
     log = TransactionLog()
-    log.append(ALLOC_RANGE, {})
-    assert log.truncate_before_checkpoint() == 0
-    assert len(log) == 1
+    states = [State(x=index) for index in range(4)]
+    kept = [weakref.ref(state) for state in states]
+    for state in states:
+        log.checkpoint(state)
+    del states, state
+    gc.collect()
+    assert [ref() is not None for ref in kept] == [False, False, False, True]
+    assert log.last_checkpoint_state() == {"x": 3}

@@ -1,6 +1,7 @@
 """Unit tests for crash recovery: checkpoint + log replay."""
 
 from repro.core.recovery import recover
+from repro.engine import SYSTEM_DBSPACE
 from tests.conftest import make_db
 
 
@@ -96,3 +97,14 @@ def test_rollback_replay_is_a_noop():
     assert recovered.replayed_commits == 0
     oid = recovered.catalog.object_id("t")
     assert recovered.catalog.current(oid).version == 0
+
+
+def test_checkpoint_does_not_alias_the_live_freelist():
+    db = make_db()
+    db.checkpoint()
+    freelist = db.system_dbspace.freelist
+    at_checkpoint = freelist.to_bytes()
+    freelist.allocate(10)
+    recovered = recover(db.log)
+    assert recovered.freelists[SYSTEM_DBSPACE].to_bytes() == at_checkpoint
+    assert freelist.to_bytes() != at_checkpoint
