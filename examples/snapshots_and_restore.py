@@ -3,11 +3,14 @@
 Shows the retention mechanism: superseded pages are handed to the snapshot
 manager instead of being deleted, snapshots capture only metadata, and a
 point-in-time restore rolls the database back — garbage collecting every
-key consumed after the snapshot thanks to monotonic key allocation.
+key consumed after the snapshot thanks to monotonic key allocation.  It
+ends with the store auditor (``repro fsck``): once retention has expired
+and the reaper has run, every object on the store is accounted for.
 
-Run with:  python examples/snapshots_and_restore.py
+Run with:  PYTHONPATH=src python examples/snapshots_and_restore.py
 """
 
+from repro.core.audit import StoreAuditor
 from repro.engine import Database, DatabaseConfig
 
 MIB = 1024 * 1024
@@ -68,6 +71,10 @@ def main() -> None:
     reaped = db.snapshot_manager.reap()
     print(f"retention expired: background reaper deleted {reaped} pages; "
           f"{db.object_store.object_count()} objects remain")
+    report = StoreAuditor(db).audit()
+    assert report.ok(), report.to_dict()
+    print(f"fsck: clean ({report.live} live objects, nothing missing, "
+          f"nothing leaked)")
 
 
 if __name__ == "__main__":

@@ -12,14 +12,11 @@ the catalog, and copies any missing objects back onto their dbspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.objectstore.base import ObjectStore
-from repro.storage.blockmap import Blockmap
-from repro.storage.dbspace import CloudDbspace
 from repro.storage.identity import Catalog
-from repro.storage.locator import NULL_LOCATOR, is_object_key
 
 
 class BackupError(Exception):
@@ -60,26 +57,12 @@ class BackupManager:
     ) -> "List[Tuple[str, str]]":
         """(dbspace, object name) of every reachable cloud page above
         ``min_key_exclusive`` (0 = everything)."""
-        out: "List[Tuple[str, str]]" = []
-        seen: "set[int]" = set()
-        for identity in self.db.catalog.all_identities():
-            try:
-                store = self.db.node.dbspace(identity.dbspace)
-            except KeyError:
-                continue
-            if not isinstance(store, CloudDbspace):
-                continue
-            if identity.root_locator == NULL_LOCATOR:
-                continue
-            blockmap = Blockmap(store, root_locator=identity.root_locator,
-                                height=identity.height)
-            for locator in blockmap.live_locators():
-                if not is_object_key(locator) or locator in seen:
-                    continue
-                seen.add(locator)
-                if locator > min_key_exclusive:
-                    out.append((identity.dbspace, store.object_name(locator)))
-        return out
+        node = self.db.node
+        return [
+            (dbspace, node.dbspace(dbspace).object_name(key))
+            for key, dbspace in self.db._reachable_cloud_keys().items()
+            if key > min_key_exclusive
+        ]
 
     def _copy_to_backup(self, backup_id: int,
                         objects: "List[Tuple[str, str]]") -> None:
@@ -166,7 +149,8 @@ class BackupManager:
 
         Re-installs the backup's catalog, replays the chain to put every
         captured object back on its dbspace (skipping ones still present),
-        and resets the engine's transactional state.
+        resets the engine's transactional state, and GCs back to the backup
+        as a snapshot restore does (the current retention FIFO stays).
         """
         records = self.chain(backup_id)
         target = records[-1]
@@ -198,15 +182,10 @@ class BackupManager:
         db.catalog = Catalog.from_bytes(target.catalog_bytes)
         db.txn_manager.catalog = db.catalog
         db.txn_manager.restore_chain([])
-        # Objects written after the backup are unreferenced now; poll them
-        # for GC (keys above the backup's mark, minus anything reachable).
-        current_max = db.keygen.max_allocated_key
-        keep = db._reachable_cloud_keys()
-        for key in range(target.max_allocated_key + 1, current_max + 1):
-            if key in keep:
-                continue
-            for store in db.cloud_dbspaces().values():
-                store.poll_and_free(key)
+        retention = db.snapshot_manager
+        db._rewind(target.max_allocated_key,
+                   retention.fifo() if retention is not None else [],
+                   target.created_at)
         db.node.invalidate_caches()
         db.drop_query_caches()
         db.checkpoint()

@@ -26,6 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.core.buffer import BufferManager
 from repro.core.keygen import KeyRange, NodeKeyCache
+from repro.core.recovery import fence_in_flight_writes
 from repro.core.txn import Transaction, TransactionError
 from repro.engine import Database, DatabaseConfig, NodeRuntime, SYSTEM_DBSPACE, USER_DBSPACE
 from repro.engine import build_cloud_dbspace, build_object_io
@@ -39,7 +40,7 @@ from repro.sim.crashpoints import (
 )
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.pipes import Pipe
-from repro.storage.dbspace import CloudDbspace, DirectObjectIO
+from repro.storage.dbspace import DirectObjectIO
 
 GBIT = 1_000_000_000 / 8
 
@@ -433,40 +434,18 @@ class Multiplex:
     def restart_gc(self, node_id: str) -> int:
         """GC a restarting node's outstanding key allocations (Table 1).
 
-        Every key in the node's active set is polled against the cloud
-        dbspaces: existing objects are deleted (they belonged to aborted
+        Every key in the node's active set is polled against the user
+        dbspace: existing objects are deleted (they belonged to aborted
         transactions or unconsumed allocations); missing ones are no-ops —
         including keys already reclaimed by local rollbacks, which the
-        coordinator was deliberately never told about.
-
-        The active set is cleared only after the last poll completes.  It
-        exists only in coordinator memory (reconstructed from the log on
-        coordinator recovery, not on secondary restart), so clearing it
-        up front would permanently leak whatever keys remained un-polled
-        if the coordinator died mid-loop.  Re-polling already-deleted
-        keys after such a crash is an idempotent no-op.
+        coordinator was deliberately never told about.  A secondary's
+        runtime holds only the system and the user dbspace, so its keys
+        can only live in the user bucket.
         """
-        coordinator = self.coordinator
-        active = coordinator.keygen.active_set(node_id)
-        user = coordinator.user_dbspace
-        reclaimed = 0
-        polled = 0
-        if active.key_count() and isinstance(user, CloudDbspace):
-            # Fence: the dead node's in-flight puts must settle before the
-            # blind deletes below, or last-writer-wins resurrects orphans.
-            coordinator._fence_in_flight_writes([user])
         crash_point(CP_RESTART_GC_BEFORE_POLL)
-        with coordinator.tracer.span("restart_gc", "recovery", node=node_id):
-            if isinstance(user, CloudDbspace):
-                for lo, hi in active.intervals():
-                    for key in range(lo, hi + 1):
-                        crash_point(CP_RESTART_GC_MID_POLL)
-                        polled += 1
-                        if user.poll_and_free(key):
-                            reclaimed += 1
-            coordinator.keygen.clear_active_set(node_id)
-        coordinator.metrics.counter("restart_gc_polled_keys").increment(polled)
-        return reclaimed
+        coordinator = self.coordinator
+        return coordinator._restart_gc(node_id, [coordinator.user_dbspace],
+                                       CP_RESTART_GC_MID_POLL)
 
     def inject_store_outage(self, node_id: str, window) -> OutageWindow:
         """Model a per-node network partition from the shared bucket.
@@ -549,9 +528,7 @@ class Multiplex:
         elif to_region not in store.regions:
             raise MultiplexError(f"no region named {to_region!r}")
         crash_point(CP_FAILOVER_BEFORE_FENCE)
-        user = self.coordinator.user_dbspace
-        if isinstance(user, CloudDbspace):
-            self.coordinator._fence_in_flight_writes([user])
+        fence_in_flight_writes([self.coordinator.user_dbspace])
         crash_point(CP_FAILOVER_BEFORE_PROMOTE)
         drained = store.promote(to_region, self.clock.now())
         self.coordinator.metrics.counter("region_failovers").increment()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Container, Deque, Dict, List, Optional, Tuple
 
 from repro.sim.clock import VirtualClock
 from repro.sim.crashpoints import crash_point, register_crash_point
@@ -106,6 +106,10 @@ class SnapshotManager:
 
     def retained_count(self) -> int:
         return len(self._fifo)
+
+    def fifo(self) -> "List[Tuple[str, int, float]]":
+        """The retention FIFO's (dbspace, locator, expiry) entries."""
+        return list(self._fifo)
 
     def retained_locators(self) -> "Dict[str, List[int]]":
         """Currently retained locators per dbspace (restore-GC skip set)."""
@@ -201,21 +205,23 @@ class SnapshotManager:
 
     @staticmethod
     def decode_metadata(payload: bytes) -> "List[Tuple[str, int, float]]":
-        """Decode a :meth:`metadata_bytes` payload without installing it.
-
-        Restore uses this to learn which locators the snapshot's FIFO still
-        covers *before* committing to the FIFO switch — the switch is a
-        durable-metadata write and must come after the destructive polls.
-        """
+        """The (dbspace, locator, expiry) entries of a :meth:`metadata_bytes`
+        payload; :meth:`rewind` installs them."""
         data = json.loads(payload.decode("utf-8"))
         return [
             (str(name), int(locator), float(expiry))
             for name, locator, expiry in data["fifo"]
         ]
 
-    def restore_metadata(self, payload: bytes) -> None:
-        """Re-install FIFO state captured by :meth:`metadata_bytes`."""
-        self._fifo = deque(self.decode_metadata(payload))
+    def rewind(self, fifo: "List[Tuple[str, int, float]]",
+               live: "Container[int]", taken_at: float) -> None:
+        """Install a restore point's ``fifo``, minus the pages the restored
+        catalog revived (``live``), and drop the snapshots taken after it:
+        the restore deleted the pages only they referenced."""
+        self._fifo = deque(entry for entry in fifo if entry[1] not in live)
+        for snapshot in self.snapshots():
+            if snapshot.created_at > taken_at:
+                del self._snapshots[snapshot.snapshot_id]
 
     def metadata_bytes(self) -> bytes:
         """Serialize the FIFO (stored on the object store, like user data)."""

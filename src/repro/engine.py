@@ -26,7 +26,7 @@ from repro.core.buffer import BufferManager, ObjectHandle
 from repro.core.keygen import NodeKeyCache, ObjectKeyGenerator, RangeSizePolicy
 from repro.core.log import OBJECT_CREATED, SNAPSHOT_CREATED, TransactionLog
 from repro.core.ocm import ObjectCacheManager, OcmConfig
-from repro.core.recovery import encode_checkpoint, recover
+from repro.core.recovery import encode_checkpoint, reclaim, recover
 from repro.core.snapshot import Snapshot, SnapshotManager
 from repro.core.txn import Transaction, TransactionError, TransactionManager
 from repro.costs.meter import CostMeter
@@ -801,55 +801,30 @@ class Database:
         )
         self.crashed = False
         crash_point(CP_RESTART_BEFORE_GC)
-        self._restart_gc()
+        # The key space is global across cloud dbspaces, so every cloud
+        # bucket is polled for each outstanding key.
+        self._restart_gc(self.config.node_id,
+                         list(self.cloud_dbspaces().values()),
+                         CP_RESTART_GC_MID_POLL)
         self.checkpoint()
 
-    def _restart_gc(self) -> int:
-        """Poll and reclaim this node's outstanding key allocations.
+    def _restart_gc(self, node_id: str, stores: "List[CloudDbspace]",
+                    mid_poll: str) -> int:
+        """Poll and reclaim a node's outstanding key allocations.
 
-        The key space is global across cloud dbspaces, so every cloud
-        bucket is polled for each outstanding key.  The active set is
-        cleared only *after* every key was polled: clearing first would
-        lose the remaining keys forever if the node died mid-poll, since
-        the cleared set exists only in coordinator memory (polls are
-        idempotent, so re-polling after another crash is safe).
+        The active set is cleared only *after* every key was polled:
+        clearing first would lose the remaining keys forever if the
+        coordinator died mid-poll, since the cleared set exists only in
+        coordinator memory (polls are idempotent, so re-polling after
+        another crash is safe).
         """
-        active = self.keygen.active_set(self.config.node_id)
-        stores = list(self.cloud_dbspaces().values())
-        reclaimed = 0
-        polled = 0
-        if active.key_count():
-            self._fence_in_flight_writes(stores)
-        with self.tracer.span("restart_gc", "recovery",
-                              node=self.config.node_id):
-            for lo, hi in active.intervals():
-                for key in range(lo, hi + 1):
-                    crash_point(CP_RESTART_GC_MID_POLL)
-                    polled += 1
-                    for store in stores:
-                        if store.poll_and_free(key):
-                            reclaimed += 1
-            self.keygen.clear_active_set(self.config.node_id)
-        self.metrics.counter("restart_gc_polled_keys").increment(polled)
+        active = self.keygen.active_set(node_id)
+        with self.tracer.span("restart_gc", "recovery", node=node_id):
+            reclaimed = reclaim(stores, active.intervals(), mid_poll=mid_poll)
+            self.keygen.clear_active_set(node_id)
+        self.metrics.counter("restart_gc_polled_keys").increment(
+            active.key_count())
         return reclaimed
-
-    def _fence_in_flight_writes(self, stores: "List[CloudDbspace]") -> None:
-        """Wait out every accepted-but-unsettled store request.
-
-        Polling before a dead node's in-flight puts have settled lets a
-        late-completing put outrun the poll's blind delete under
-        last-writer-wins, resurrecting the orphan.  Restart GC therefore
-        fences: the clock advances past the stores' write horizon so the
-        deletes it issues are unambiguously last.
-        """
-        horizon = 0.0
-        for dbspace in stores:
-            store = getattr(dbspace.io, "client", None)
-            store = getattr(store, "store", None)
-            if store is not None and hasattr(store, "write_horizon"):
-                horizon = max(horizon, store.write_horizon())
-        if horizon > self.clock.now():
-            self.clock.advance_to(horizon + 1e-6)
 
     # ------------------------------------------------------------------ #
     # snapshots & point-in-time restore
@@ -891,30 +866,13 @@ class Database:
         snapshot = self.snapshot_manager.get_snapshot(snapshot_id)
         for txn in self.txn_manager.active_transactions():
             self.txn_manager.rollback(txn)
-        current_max = self.keygen.max_allocated_key
         self.catalog = Catalog.from_bytes(snapshot.catalog_bytes)
-        # Thanks to monotonic allocation, keys consumed after the snapshot
-        # all lie above the snapshot's consumption floor; poll them for GC,
-        # skipping anything the restored catalog or the snapshot's captured
-        # retention FIFO still references.  The FIFO switch itself is a
-        # durable-metadata write and happens only after the polls: a crash
-        # at the point below recovers to the pre-restore state with the
-        # pre-restore FIFO fully intact, so nothing leaks.
-        cloud_stores = self.cloud_dbspaces()
-        if cloud_stores:
-            crash_point(CP_RESTORE_BEFORE_POLL)
-            keep = self._reachable_cloud_keys()
-            for __, locator, __expiry in SnapshotManager.decode_metadata(
-                snapshot.snapmgr_metadata
-            ):
-                keep.add(locator)
-            floor = snapshot.max_consumed_key or snapshot.max_allocated_key
-            for key in range(floor + 1, current_max + 1):
-                if key in keep:
-                    continue
-                for store in cloud_stores.values():
-                    store.poll_and_free(key)
-        self.snapshot_manager.restore_metadata(snapshot.snapmgr_metadata)
+        crash_point(CP_RESTORE_BEFORE_POLL)
+        self._rewind(
+            snapshot.max_consumed_key or snapshot.max_allocated_key,
+            SnapshotManager.decode_metadata(snapshot.snapmgr_metadata),
+            snapshot.created_at,
+        )
         for name, payload in snapshot.freelists.items():
             from repro.blockstore.freelist import Freelist
 
@@ -933,6 +891,24 @@ class Database:
         self.node.invalidate_caches()
         self.drop_query_caches()
         self.checkpoint()
+
+    def _rewind(self, floor: int, fifo: "List[Tuple[str, int, float]]",
+                taken_at: float) -> None:
+        """GC back to a restore point whose catalog is installed.
+
+        Keys consumed since lie above its ``floor`` (monotonic allocation).
+        The poll keeps what the catalog reaches plus what the restore
+        point's retention ``fifo`` holds.  The FIFO and snapshot switch is
+        a durable-metadata write, so it comes after the polls (DESIGN.md
+        §10): a crash before the polls recovers the pre-restore FIFO and
+        snapshots intact.
+        """
+        reachable = self._reachable_cloud_keys()
+        keep = set(reachable).union(locator for __, locator, __ in fifo)
+        reclaim(list(self.cloud_dbspaces().values()),
+                [(floor + 1, self.keygen.max_allocated_key)], keep)
+        if self.snapshot_manager is not None:
+            self.snapshot_manager.rewind(fifo, reachable, taken_at)
 
     def drop_query_caches(self) -> None:
         """Empty the session's version-keyed query caches.
@@ -961,9 +937,10 @@ class Database:
         snapshot = self.snapshot_manager.get_snapshot(snapshot_id)
         return SnapshotView(self, snapshot)
 
-    def _reachable_cloud_keys(self) -> "set[int]":
-        """Object keys reachable from the current catalog (metadata walk)."""
-        keep: "set[int]" = set()
+    def _reachable_cloud_keys(self) -> "Dict[int, str]":
+        """Object key -> dbspace of every page the catalog reaches: the one
+        metadata walk (restores keep by key, backups copy by dbspace)."""
+        keys: "Dict[int, str]" = {}
         for identity in self.catalog.all_identities():
             try:
                 store = self.node.dbspace(identity.dbspace)
@@ -978,8 +955,8 @@ class Database:
             )
             for locator in blockmap.live_locators():
                 if is_object_key(locator):
-                    keep.add(locator)
-        return keep
+                    keys.setdefault(locator, identity.dbspace)
+        return keys
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -78,7 +78,7 @@ def test_metadata_roundtrip():
     manager.retain("user", [dbspace.write_page(b"x")])
     payload = manager.metadata_bytes()
     other, __, __, __ = make_env()
-    other.restore_metadata(payload)
+    other.rewind(SnapshotManager.decode_metadata(payload), set(), clock.now())
     assert other.retained_count() == 1
 
 
