@@ -82,7 +82,7 @@ def main() -> None:
         rel = ctx.read("accounts", ["balance"])
     print(f"bucket wiped; restore copied {restored} objects back; "
           f"{len(rel['balance'])} rows intact, balances "
-          f"{sorted(set(rel['balance']))}")
+          f"{sorted(set(rel['balance'].tolist()))}")
 
 
 if __name__ == "__main__":

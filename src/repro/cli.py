@@ -80,14 +80,11 @@ def cmd_tpch(args: argparse.Namespace) -> int:
         args.instance, args.volume, scale_factor=args.scale_factor
     )
     _cold(db)
-    times = power_run(db, args.scale_factor, query_numbers=numbers,
-                      vectorized=True if args.vectorized else None)
+    times = power_run(db, args.scale_factor, query_numbers=numbers)
     rows = [[f"Q{q}", times[q]] for q in sorted(times)]
     rows.append(["geomean", geomean(times.values())])
-    executor = "vectorized" if args.vectorized else "scalar"
     print(f"load: {load_seconds:.1f} virtual seconds "
-          f"({args.volume}, SF {args.scale_factor}, {args.instance}, "
-          f"{executor} executor)")
+          f"({args.volume}, SF {args.scale_factor}, {args.instance})")
     print(format_table(["query", "seconds"], rows))
     return 0
 
@@ -587,9 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     tpch.add_argument("--instance", default="m5ad.24xlarge")
     tpch.add_argument("--queries", default="",
                       help="comma-separated query numbers (default: all 22)")
-    tpch.add_argument("--vectorized", action="store_true",
-                      help="use the numpy-backed vectorized executor "
-                           "(requires the [perf] extra)")
 
     compare = sub.add_parser("compare", help="S3 vs EBS vs EFS comparison")
     compare.add_argument("--scale-factor", type=float, default=0.005)

@@ -13,7 +13,6 @@ from repro.columnar.store import ColumnStore
 from repro.columnar.query import QueryContext
 from repro.columnar.hgindex import HgIndex
 from repro.columnar.niche import CmpIndex, DateIndex, TextIndex
-from repro.columnar.vec import VectorizedUnavailableError, have_numpy
 from repro.columnar.exec import (
     hash_join,
     group_by,
@@ -29,8 +28,6 @@ __all__ = [
     "CmpIndex",
     "DateIndex",
     "TextIndex",
-    "VectorizedUnavailableError",
-    "have_numpy",
     "hash_join",
     "group_by",
     "order_by",

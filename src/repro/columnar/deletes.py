@@ -34,9 +34,13 @@ class RowIdSet:
         self._starts = [lo for lo, __ in self._ranges]
 
     def add_many(self, row_ids: "Iterable[int]") -> int:
-        """Add row ids; returns how many were newly added."""
+        """Add row ids; returns how many were newly added.
+
+        Ids are stored as python ints whatever the caller passes (a scan's
+        ``__rowid`` column is a numpy vector), so the set always persists.
+        """
         added = 0
-        for row_id in sorted(set(row_ids)):
+        for row_id in sorted({int(row_id) for row_id in row_ids}):
             if row_id in self:
                 continue
             self._ranges.append((row_id, row_id))

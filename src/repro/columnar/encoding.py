@@ -18,6 +18,8 @@ from __future__ import annotations
 import struct
 from typing import List, Sequence
 
+import numpy as np
+
 INT_TAG = b"I"
 FLOAT_TAG = b"F"
 STR_TAG = b"S"
@@ -133,7 +135,7 @@ def encode_values(kind: str, values: "Sequence[object]") -> bytes:
 def decode_values_np(payload: bytes):
     """Decode a page into a read-only numpy column vector.
 
-    The vectorized executor's decode path (DESIGN.md §14): floats come
+    The query executor's decode path (DESIGN.md §14): floats come
     back as a zero-copy big-endian view straight over the page bytes,
     ints as a frame-of-reference bias over a vectorized n-bit unpack,
     and strings as a fancy-indexed page dictionary.  Values are
@@ -142,7 +144,6 @@ def decode_values_np(payload: bytes):
     """
     from repro.columnar import vec
 
-    np = vec.require_numpy("decode_values_np")
     if len(payload) < _HEADER.size:
         raise EncodingError("truncated page payload")
     tag, count = _HEADER.unpack_from(payload)

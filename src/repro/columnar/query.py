@@ -7,27 +7,28 @@ provides:
 
 - metadata access (table state, zone maps, HG indexes) with caching,
 - page-pruned, prefetched column scans returning *relations*
-  (``{column: [values]}`` dictionaries),
+  (``{column: vector}`` dictionaries of numpy column vectors),
 - HG-index lookups that turn predicates into row-id sets and row-id sets
   into targeted page reads.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from itertools import compress
+import numpy as np
 
 from repro.columnar import vec
 from repro.columnar.blob import read_blob
 from repro.columnar.deletes import RowIdSet
-from repro.columnar.encoding import decode_values, decode_values_np
+from repro.columnar.encoding import decode_values_np
 from repro.columnar.hgindex import HgIndex
 from repro.columnar.niche import CmpIndex, DateIndex, TextIndex
 from repro.columnar.schema import TableState, make_row_id, split_row_id
 from repro.columnar.zonemap import ZoneMaps
 
-Relation = Dict[str, List[object]]
+Relation = Dict[str, "np.ndarray"]
+Chunks = Dict[str, List["np.ndarray"]]  # per-page column chunks of a scan
 RangePredicate = Tuple[object, object]  # inclusive (lo, hi); None = open
 Predicate = Union[RangePredicate, Callable[[object], bool]]
 
@@ -54,8 +55,7 @@ class QueryContext:
     ``parallel_window``.
     """
 
-    def __init__(self, session, txn=None, prefetch_window: int = 32,
-                 vectorized: "Optional[bool]" = None) -> None:
+    def __init__(self, session, txn=None, prefetch_window: int = 32) -> None:
         self.session = session
         self.cpu = session.cpu
         self.buffer = session.buffer
@@ -69,18 +69,10 @@ class QueryContext:
         # approaches max(io, cpu) instead of io + cpu (as shipped), or
         # fetch each column of a partition and wait (`paper()`).
         self.pipelined = bool(getattr(config, "pipelined_prefetch", False))
-        # The kernel (DESIGN.md §14): numpy column vectors or python
-        # lists.  Both charge the same CPU at the same points; passing an
-        # explicit value overrides the `vectorized_executor` config field.
-        if vectorized is None:
-            vectorized = bool(getattr(config, "vectorized_executor", False))
-        if vectorized:
-            vec.require_numpy("vectorized query execution")
-        self.vectorized = vectorized
         self._states: Dict[str, TableState] = {}
         self._zonemaps: Dict[str, ZoneMaps] = {}
         self._hg: Dict[Tuple[str, str], HgIndex] = {}
-        self._decoded: Dict[Tuple[str, int], List[object]] = {}
+        self._decoded: "Dict[Tuple[str, int], np.ndarray]" = {}
 
     def close(self, commit: bool = True) -> None:
         """Finish the context's own transaction (no-op for borrowed ones)."""
@@ -201,14 +193,13 @@ class QueryContext:
     # ------------------------------------------------------------------ #
 
     def _column_page(self, object_name: str, page_no: int):
-        """One page's values, decoded by the context's kernel."""
+        """One page's values as a read-only column vector."""
         cache_key = (object_name, page_no)
         cached = self._decoded.get(cache_key)
         if cached is not None:
             return cached
         payload = self.buffer.get_page(self._handle(object_name), page_no)
-        decode = decode_values_np if self.vectorized else decode_values
-        values = decode(payload)
+        values = decode_values_np(payload)
         self.cpu.charge(_DECODE_OPS * len(values))
         self._decoded[cache_key] = values
         # A small decode cache is enough: queries touch pages in passes.
@@ -280,9 +271,8 @@ class QueryContext:
         state = self.table(table)
         schema = state.schema
         needed = list(dict.fromkeys(list(columns) + list(predicates)))
-        # Vectorized scans accumulate per-page array chunks per column and
-        # concatenate once at the end; the scalar path extends flat lists.
-        out: Relation = {column: [] for column in columns}
+        # Per-page chunks per column, concatenated once at the end.
+        out: Chunks = {column: [] for column in columns}
         if with_rowids:
             out[ROWID] = []
         deleted = self.deleted_rows(table)
@@ -318,23 +308,7 @@ class QueryContext:
                 "decode", "query", decode_start, self.clock.now(),
                 table=table, partition=partition, pages=len(pages)
             )
-        if self.vectorized:
-            return self._finalize_chunks(out)
-        return out
-
-    @staticmethod
-    def _finalize_chunks(out: Relation) -> Relation:
-        """Concatenate per-page array chunks into one vector per column."""
-        np = vec.require_numpy()
-        final: Relation = {}
-        for column, chunks in out.items():
-            if not chunks:
-                final[column] = vec.empty()
-            elif len(chunks) == 1:
-                final[column] = chunks[0]
-            else:
-                final[column] = np.concatenate(chunks)
-        return final
+        return {column: vec.concat(chunks) for column, chunks in out.items()}
 
     def _scan_plan(self, table: str, partitions: int, columns: int,
                    predicates: "Dict[str, Predicate]",
@@ -376,7 +350,7 @@ class QueryContext:
         columns: "Sequence[str]",
         predicates: "Dict[str, Predicate]",
         deleted: RowIdSet,
-        out: Relation,
+        out: Chunks,
         with_rowids: bool,
         partition: int,
         page_no: int,
@@ -392,22 +366,17 @@ class QueryContext:
         mask = self._evaluate(predicates, page_values, count)
         self.cpu.charge(_SCAN_OPS * count * max(1, len(columns)))
         base_row = make_row_id(partition, page_no * schema.rows_per_page)
-        take = _take_chunk if self.vectorized else _take_rows
-        take(out, page_values, columns, mask, deleted, base_row, with_rowids)
+        _take_chunk(out, page_values, columns, mask, deleted, base_row,
+                    with_rowids)
 
     def _evaluate(self, predicates: "Dict[str, Predicate]", page_values,
-                  count: int):
+                  count: int) -> "np.ndarray":
         """The page's row mask: one charge per predicate, then its kernel."""
-        if self.vectorized:
-            mask = vec.require_numpy().ones(count, dtype=bool)
-            narrow = _narrow_chunk
-        else:
-            mask = [True] * count
-            narrow = _narrow_rows
+        mask = np.ones(count, dtype=bool)
         for column, predicate in predicates.items():
             self.cpu.charge(_PREDICATE_OPS * count)
-            narrow(mask, page_values[column], self._range_of(predicate),
-                   predicate)
+            _narrow_chunk(mask, page_values[column],
+                          self._range_of(predicate), predicate)
         return mask
 
     # ------------------------------------------------------------------ #
@@ -423,9 +392,8 @@ class QueryContext:
         """Fetch specific global rows (sorted ids) — the HG index path."""
         state = self.table(table)
         schema = state.schema
-        out: Relation = {column: [] for column in columns}
-        if not row_ids:
-            return out
+        if not len(row_ids):
+            return {column: vec.empty() for column in columns}
         deleted = self.deleted_rows(table)
         if deleted:
             row_ids = [row_id for row_id in row_ids if row_id not in deleted]
@@ -445,45 +413,27 @@ class QueryContext:
                 wanted.setdefault(schema.column_object(column, part),
                                   []).append(page_no)
         self._fetch(wanted, False, self.clock.advance_to)
+        out: Chunks = {column: [] for column in columns}
         for (part, page_no), offsets in grouped.items():
             for column in columns:
                 values = self._column_page(
                     schema.column_object(column, part), page_no
                 )
                 self.cpu.charge(_SCAN_OPS * len(offsets))
-                out[column].extend(values[offset] for offset in offsets)
-        return out
+                out[column].append(values[offsets])
+        return {column: vec.concat(chunks) for column, chunks in out.items()}
 
 
 # ---------------------------------------------------------------------- #
 # scan kernels: the context charges, these only build masks and chunks
 # ---------------------------------------------------------------------- #
 
-def _narrow_rows(mask: "List[bool]", values, bounds, check) -> None:
-    """Clear ``mask`` where the predicate fails (python lists).
+def _narrow_chunk(mask, values, bounds, check) -> None:
+    """Clear ``mask`` where the predicate fails.
 
     ``bounds`` is the predicate's inclusive ``(lo, hi)`` range, or None
     for a callable predicate ``check``.
     """
-    if bounds is not None:
-        lo, hi = bounds
-        for i in range(len(mask)):
-            if not mask[i]:
-                continue
-            value = values[i]
-            if lo is not None and value < lo:
-                mask[i] = False
-            elif hi is not None and value > hi:
-                mask[i] = False
-    else:
-        for i in range(len(mask)):
-            if mask[i] and not check(values[i]):
-                mask[i] = False
-
-
-def _narrow_chunk(mask, values, bounds, check) -> None:
-    """:func:`_narrow_rows` over a numpy column vector."""
-    np = vec.require_numpy()
     if bounds is not None:
         lo, hi = bounds
         if lo is not None:
@@ -495,25 +445,9 @@ def _narrow_chunk(mask, values, bounds, check) -> None:
         mask &= np.asarray(hits, dtype=bool)
 
 
-def _take_rows(out: Relation, page_values, columns: "Sequence[str]",
-               mask: "List[bool]", deleted: RowIdSet, base_row: int,
-               with_rowids: bool) -> None:
-    """Extend ``out``'s lists with the page's surviving rows."""
-    count = len(mask)
-    if deleted:
-        for i in range(count):
-            if mask[i] and (base_row + i) in deleted:
-                mask[i] = False
-    for column in columns:
-        out[column].extend(compress(page_values[column], mask))
-    if with_rowids:
-        out[ROWID].extend(compress(range(base_row, base_row + count), mask))
-
-
-def _take_chunk(out: Relation, page_values, columns: "Sequence[str]", mask,
+def _take_chunk(out: Chunks, page_values, columns: "Sequence[str]", mask,
                 deleted: RowIdSet, base_row: int, with_rowids: bool) -> None:
     """Append the page's surviving rows to ``out`` as one vector chunk."""
-    np = vec.require_numpy()
     if deleted:
         # Tombstones are rare; probe only the surviving rows.
         for i in np.flatnonzero(mask).tolist():

@@ -1,76 +1,50 @@
-"""Numpy kernels for the vectorized columnar executor (DESIGN.md §14).
+"""Numpy kernels behind the columnar executor (DESIGN.md §14).
 
-This module is the **only** place numpy is imported.  Everything else
-(`exec`, `query`, `encoding`) calls through these helpers, so a build
-without numpy keeps the pure-python scalar path fully functional and
-``vectorized_executor=True`` fails with one clear error instead of
-scattered ImportErrors.
+Relations are numpy column vectors; :mod:`repro.columnar.exec` and
+:mod:`repro.columnar.query` build every operator and scan step from these
+helpers.  Each kernel reproduces, row for row, what a row-at-a-time
+python loop over lists would produce — the reference kept in the test
+suite — down to the value types and the float bits:
 
-Every kernel is written to reproduce the scalar executor's output
-*exactly* — same rows, same order, same float bits:
-
-- group ids are numbered in order of first appearance (the scalar path's
-  dict-insertion order), via :func:`group_keys`;
+- group ids are numbered in order of first appearance (dict-insertion
+  order), via :func:`group_keys`;
 - grouped sums accumulate in row order through ``np.bincount``, whose C
-  loop adds weights sequentially exactly like the scalar accumulator
-  (pairwise summation à la ``np.sum`` would round differently);
+  loop adds weights sequentially like ``sums[g] += value`` (pairwise
+  summation à la ``np.sum`` would round differently);
 - join output is ordered probe-row-major with matches in build insertion
   order, via :func:`join_matches` (stable argsort + searchsorted ranges);
 - sorts factorize values to integer ranks so descending keys can be
   negated while keeping the stable-sort tie behaviour of
-  ``list.sort(reverse=True)``.
+  ``list.sort(reverse=True)``;
+- a column with no rows has no value type to carry: :func:`asarray`
+  gives it the ``object`` dtype, and :func:`concat` takes the dtype of
+  the side that has rows, so an empty side never turns an ``int64``
+  column into ``float64``.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    np = None  # type: ignore[assignment]
-
-
-class VectorizedUnavailableError(RuntimeError):
-    """``vectorized_executor=True`` on an install without numpy."""
-
-
-def have_numpy() -> bool:
-    """True when the numpy-backed executor can run."""
-    return np is not None
-
-
-def require_numpy(feature: str = "the vectorized executor"):
-    """Return the numpy module or raise a clear, actionable error."""
-    if np is None:
-        raise VectorizedUnavailableError(
-            f"{feature} requires numpy, which is not installed. "
-            "Install the perf extra (pip install 'repro[perf]') or keep "
-            "vectorized_executor=False to use the pure-python scalar path."
-        )
-    return np
+import numpy as np
 
 
 # ---------------------------------------------------------------------- #
 # column vectors
 # ---------------------------------------------------------------------- #
 
-def is_vector(values: object) -> bool:
-    return np is not None and isinstance(values, np.ndarray)
-
-
 def asarray(values):
     """Coerce a column (list or ndarray) to a 1-D ndarray.
 
-    Homogeneous int/float/str columns get native dtypes; anything numpy
-    would mangle (mixed types, nested sequences) falls back to an object
-    array so values round-trip unchanged.
+    Homogeneous int/float/str columns get native dtypes; an empty column
+    and anything numpy would mangle (mixed types, nested sequences) get
+    an object array, so values round-trip unchanged.
     """
     if isinstance(values, np.ndarray):
         return values
     values = list(values)
     try:
-        arr = np.asarray(values)
+        arr = np.asarray(values) if values else None
     except (ValueError, TypeError):
         arr = None
     if arr is None or arr.ndim != 1 or arr.dtype.kind not in "biufUS":
@@ -89,13 +63,30 @@ def asarray(values):
 
 def to_list(values) -> list:
     """Materialize a column as a plain python list of python scalars."""
-    if np is not None and isinstance(values, np.ndarray):
+    if isinstance(values, np.ndarray):
         return values.tolist()
     return list(values)
 
 
 def empty() -> "np.ndarray":
     return np.empty(0, dtype=object)
+
+
+def concat(parts: "Sequence[np.ndarray]") -> "np.ndarray":
+    """Union-all of column chunks, keeping each value's type.
+
+    Chunks without rows are dropped first, so they cannot promote the
+    others' dtype; chunks of different dtype kinds (``int64`` beside
+    ``float64``, numbers beside strings) meet in an object array.
+    """
+    parts = [part for part in parts if len(part)]
+    if not parts:
+        return empty()
+    if len(parts) == 1:
+        return parts[0]
+    if len({part.dtype.kind for part in parts}) > 1:
+        parts = [part.astype(object) for part in parts]
+    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------- #
@@ -128,8 +119,8 @@ def group_keys(
     """Factorize aligned key columns into appearance-ordered group ids.
 
     Returns ``(codes, first_rows)``: ``codes[i]`` is row *i*'s group id,
-    groups numbered in order of first appearance (matching the scalar
-    executor's dict-insertion order); ``first_rows[g]`` is the row index
+    groups numbered in order of first appearance (a python dict's
+    insertion order); ``first_rows[g]`` is the row index
     where group *g* first appears (strictly increasing).
     """
     codes = _combined_codes(columns)
@@ -151,18 +142,6 @@ def sort_codes(arr) -> "np.ndarray":
     return _rank_codes(arr)[0]
 
 
-def _concat_keys(left, right) -> "np.ndarray":
-    """Concatenate two key columns, upcasting to object on kind clashes."""
-    if left.dtype.kind != right.dtype.kind and not (
-        left.dtype.kind in "biuf" and right.dtype.kind in "biuf"
-    ):
-        both = np.empty(len(left) + len(right), dtype=object)
-        both[: len(left)] = left
-        both[len(left):] = right
-        return both
-    return np.concatenate([left, right])
-
-
 def join_codes(
     build_columns: "Sequence[np.ndarray]",
     probe_columns: "Sequence[np.ndarray]",
@@ -171,7 +150,7 @@ def join_codes(
     n_build = len(build_columns[0]) if build_columns else 0
     codes: "Optional[np.ndarray]" = None
     for build_col, probe_col in zip(build_columns, probe_columns):
-        extra, alphabet = _rank_codes(_concat_keys(build_col, probe_col))
+        extra, alphabet = _rank_codes(concat([build_col, probe_col]))
         if codes is None:
             codes = extra
         else:
@@ -185,9 +164,9 @@ def join_matches(
 ) -> "Tuple[np.ndarray, np.ndarray]":
     """All (probe_row, build_row) match pairs of an inner hash join.
 
-    Ordered exactly like the scalar probe loop: probe rows ascending,
-    and within one probe row the matching build rows in build insertion
-    order (the stable argsort preserves it among equal keys).
+    Ordered exactly like a python probe loop over a dict: probe rows
+    ascending, and within one probe row the matching build rows in build
+    insertion order (the stable argsort preserves it among equal keys).
     """
     sort_idx = np.argsort(build_codes, kind="stable")
     sorted_codes = build_codes[sort_idx]
@@ -226,7 +205,7 @@ def group_sum(
     """Per-group sums, accumulated in row order.
 
     ``np.bincount``'s C loop adds each weight sequentially — the same
-    order and rounding as the scalar executor's ``sums[g] += value``
+    order and rounding as a python ``sums[g] += value`` loop
     (``np.sum``'s pairwise summation would differ in the last bits).
     """
     return np.bincount(codes, weights=values, minlength=n_groups)
@@ -264,7 +243,7 @@ def apply_rowwise(fn, series: "Sequence[np.ndarray]", count: int):
     the *array* instead of each string).  Callables that raise or return
     non-vectors (string methods, ``in`` checks, chained comparisons)
     fall back to a per-row python loop over python scalars, preserving
-    scalar-path semantics bit for bit.
+    python semantics bit for bit.
     """
     lists: "Optional[List[list]]" = None
     if count:

@@ -146,11 +146,6 @@ class DatabaseConfig:
     # OCM's FlushForCommit drains a transaction's queued write-backs as
     # such batches (group commit); 1 is one request per page
     coalesce_max_run: int = COALESCE_MAX_RUN
-    # Query kernel (DESIGN.md §14): QueryContext scans decode pages into
-    # numpy column vectors and the relational operators run batch kernels
-    # (requires numpy — the `perf` extra).  Only wall time moves: both
-    # kernels charge the same CPU, so every simulated number is the same.
-    vectorized_executor: bool = False
     # End-to-end integrity (DESIGN.md §15; both off by default so the
     # stock configuration stays byte-identical to the seed):
     # - verify_reads: the object client recomputes CRC-32C over every
@@ -401,12 +396,6 @@ class Database:
     def __init__(self, config: "Optional[DatabaseConfig]" = None) -> None:
         self.config = config or DatabaseConfig()
         cfg = self.config
-        if cfg.vectorized_executor:
-            # Fail fast with one clear error instead of a mid-query
-            # ImportError; the scalar path never touches numpy.
-            from repro.columnar.vec import require_numpy
-
-            require_numpy("vectorized_executor=True")
         self.clock = VirtualClock()
         self.rng = DeterministicRng(cfg.seed, "database")
         self.meter = CostMeter()

@@ -568,9 +568,9 @@ def q21(ctx: QueryContext, sf: float) -> Relation:
     ctx.cpu.charge(3.0 * n_rows(li))
     suppliers_by_order: "Dict[object, set]" = {}
     late_by_order: "Dict[object, set]" = {}
-    # to_list: iterate python scalars even when the vectorized executor
-    # returns numpy columns (boxing per-element numpy scalars in this
-    # loop costs more than the one-time conversion).
+    # to_list: iterate python scalars, not numpy columns (boxing
+    # per-element numpy scalars in this loop costs more than the
+    # one-time conversion).
     for okey, skey, commit, receipt in zip(
         to_list(li["l_orderkey"]), to_list(li["l_suppkey"]),
         to_list(li["l_commitdate"]), to_list(li["l_receiptdate"]),

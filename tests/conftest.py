@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.columnar import ColumnStore
+from repro.columnar import ColumnStore, vec
 from repro.engine import Database, DatabaseConfig
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import DeterministicRng
@@ -20,6 +20,11 @@ def clock() -> VirtualClock:
 @pytest.fixture
 def rng() -> DeterministicRng:
     return DeterministicRng(1234, "tests")
+
+
+def lists(rel) -> dict:
+    """A relation's columns as python lists, for list comparisons."""
+    return {column: vec.to_list(values) for column, values in rel.items()}
 
 
 def make_db(**overrides) -> Database:

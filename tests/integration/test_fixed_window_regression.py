@@ -73,7 +73,6 @@ def test_explicit_fixed_window_reproduces_golden(golden):
         "s3",
         instance_type="m5ad.24xlarge",
         coalesce_max_run=1,
-        vectorized_executor=False,
     )
     assert _digest(run) == golden
 

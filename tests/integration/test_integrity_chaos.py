@@ -15,7 +15,7 @@ from repro.core.scrub import Scrubber
 from repro.objectstore.faults import bitrot_schedule, torn_read_schedule
 from repro.objectstore.replicated import ReplicationConfig
 from repro.tpch import load_tpch, run_query
-from tests.conftest import make_db
+from tests.conftest import lists, make_db
 
 MIB = 1024 * 1024
 SF = 0.001
@@ -40,7 +40,7 @@ def _cold(db):
 def _results(db):
     _cold(db)
     with QueryContext(db) as ctx:
-        return {q: run_query(ctx, q, SF) for q in (1, 6)}
+        return {q: lists(run_query(ctx, q, SF)) for q in (1, 6)}
 
 
 @pytest.fixture(scope="module")

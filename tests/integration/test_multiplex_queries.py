@@ -12,6 +12,7 @@ from repro.columnar.exec import group_by, order_by
 from repro.core.multiplex import Multiplex, MultiplexConfig
 from repro.engine import DatabaseConfig
 from repro.sim.rng import DeterministicRng
+from tests.conftest import lists
 
 MIB = 1024 * 1024
 
@@ -53,7 +54,7 @@ def test_readers_run_full_queries(cluster):
         rel = ctx.read("metrics", ["series", "value"])
         agg = group_by(ctx, rel, ["series"],
                        {"total": ("sum", "value"), "n": ("count", None)})
-        result = order_by(ctx, agg, [("series", False)])
+        result = lists(order_by(ctx, agg, [("series", False)]))
     expected = {}
     for __, series, value in rows:
         acc = expected.setdefault(series, [0.0, 0])
@@ -71,7 +72,8 @@ def test_two_readers_agree(cluster):
     results = []
     for node_id in ("reader-1", "reader-2"):
         with QueryContext(mx.node(node_id)) as ctx:
-            results.append(ctx.read("metrics", ["id"], {"id": (100, 120)}))
+            results.append(lists(ctx.read("metrics", ["id"],
+                                          {"id": (100, 120)})))
     assert results[0] == results[1]
 
 

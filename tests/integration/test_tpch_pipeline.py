@@ -6,7 +6,7 @@ from repro.columnar import ColumnStore, QueryContext
 from repro.columnar.query import n_rows
 from repro.tpch import load_tpch, power_run, run_query
 from repro.tpch.runner import throughput_streams
-from tests.conftest import make_db
+from tests.conftest import lists, make_db
 
 MIB = 1024 * 1024
 SF = 0.002
@@ -48,13 +48,13 @@ def test_queries_survive_cache_pressure():
                     ocm_capacity_bytes=128 * MIB)
     load_tpch(ColumnStore(roomy), SF, partitions=2, rows_per_page=512)
     with QueryContext(roomy) as ctx:
-        expected = run_query(ctx, 5, SF)
+        expected = lists(run_query(ctx, 5, SF))
 
     tight = make_db(buffer_capacity_bytes=1 * MIB,
                     ocm_capacity_bytes=2 * MIB)
     load_tpch(ColumnStore(tight), SF, partitions=2, rows_per_page=512)
     with QueryContext(tight) as ctx:
-        got = run_query(ctx, 5, SF)
+        got = lists(run_query(ctx, 5, SF))
     assert got == expected
 
 
@@ -62,11 +62,11 @@ def test_queries_after_crash_recovery():
     db = make_db(buffer_capacity_bytes=8 * MIB)
     load_tpch(ColumnStore(db), SF, partitions=2, rows_per_page=512)
     with QueryContext(db) as ctx:
-        before = run_query(ctx, 6, SF)
+        before = lists(run_query(ctx, 6, SF))
     db.crash()
     db.restart()
     with QueryContext(db) as ctx:
-        after = run_query(ctx, 6, SF)
+        after = lists(run_query(ctx, 6, SF))
     assert before == after
 
 
@@ -86,10 +86,10 @@ def test_tpch_on_block_volume_matches_cloud():
     cloud = make_db(buffer_capacity_bytes=8 * MIB)
     load_tpch(ColumnStore(cloud), 0.001, partitions=2, rows_per_page=512)
     with QueryContext(cloud) as ctx:
-        cloud_result = run_query(ctx, 1, 0.001)
+        cloud_result = lists(run_query(ctx, 1, 0.001))
 
     block = make_db(user_volume="ebs", buffer_capacity_bytes=8 * MIB)
     load_tpch(ColumnStore(block), 0.001, partitions=2, rows_per_page=512)
     with QueryContext(block) as ctx:
-        block_result = run_query(ctx, 1, 0.001)
+        block_result = lists(run_query(ctx, 1, 0.001))
     assert cloud_result == block_result

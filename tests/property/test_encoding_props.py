@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.columnar import vec
 from repro.columnar.encoding import (
     EncodingError,
     _pack_nbit,
@@ -124,8 +125,6 @@ def test_unpack_takes_tuples_and_rejects_short_payloads():
 
 
 def test_numpy_unpack_agrees_with_the_chunked_kernel():
-    vec = pytest.importorskip("repro.columnar.vec")
-    pytest.importorskip("numpy")
     rng = random.Random(5)
     for width in (1, 3, 8, 13, 31, 32, 33, 40):
         for count in (1, 63, 64, 65, 1100):

@@ -1,11 +1,12 @@
 """Unit tests for row deletion (tombstones) and refresh-style workloads."""
 
+import numpy as np
 import pytest
 
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.columnar.deletes import RowIdSet
 from repro.columnar.query import ROWID
-from tests.conftest import make_db
+from tests.conftest import lists, make_db
 
 
 class TestRowIdSet:
@@ -25,6 +26,12 @@ class TestRowIdSet:
         ids = RowIdSet()
         ids.add_many([1, 2])
         assert ids.add_many([2, 3]) == 1
+
+    def test_numpy_row_ids_persist_as_ints(self):
+        # A scan's __rowid column is a numpy vector of np.int64.
+        ids = RowIdSet()
+        assert ids.add_many(np.array([10, 11, 50], dtype=np.int64)) == 3
+        assert ids.to_bytes() == RowIdSet([(10, 11), (50, 50)]).to_bytes()
 
     def test_serialization_roundtrip(self):
         ids = RowIdSet()
@@ -77,8 +84,10 @@ def test_deleted_rows_invisible_to_index_lookups(loaded):
     store.delete_rows("orders", target)
     with QueryContext(db) as ctx:
         hg = ctx.hg("orders", "id")
-        assert ctx.read_rows("orders", ["id"], hg.lookup(7)) == {"id": []}
-        assert ctx.read_rows("orders", ["id"], hg.lookup(8))["id"] == [8]
+        assert lists(ctx.read_rows("orders", ["id"], hg.lookup(7))) == \
+            {"id": []}
+        assert lists(ctx.read_rows("orders", ["id"], hg.lookup(8)))["id"] == \
+            [8]
 
 
 def test_delete_is_transactional(loaded):

@@ -5,7 +5,7 @@ import pytest
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.engine import EngineError
 from repro.objectstore.s3sim import AZURE_BLOB_PROFILE
-from tests.conftest import make_db
+from tests.conftest import lists, make_db
 
 
 def test_create_cloud_dbspace_and_store_pages():
@@ -139,7 +139,7 @@ class TestMoveTable:
         moved_pages = store.move_table("facts", "cold")
         assert moved_pages > 0
         with QueryContext(db) as ctx:
-            rel = ctx.read("facts", ["k", "v"], {"k": (10, 12)})
+            rel = lists(ctx.read("facts", ["k", "v"], {"k": (10, 12)}))
         assert sorted(rel["k"]) == [10, 11, 12]
         assert rel["v"] == [k * 1.5 for k in rel["k"]]
 
@@ -163,11 +163,11 @@ class TestMoveTable:
     def test_queries_identical_after_move(self):
         db, store = self.make_loaded()
         with QueryContext(db) as ctx:
-            before = ctx.read("facts", ["k", "v"])
+            before = lists(ctx.read("facts", ["k", "v"]))
         store.move_table("facts", "cold")
         db.node.invalidate_caches()
         if hasattr(db, "_query_meta_cache"):
             db._query_meta_cache.clear()
         with QueryContext(db) as ctx:
-            after = ctx.read("facts", ["k", "v"])
+            after = lists(ctx.read("facts", ["k", "v"]))
         assert before == after

@@ -6,7 +6,7 @@ from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.columnar.schema import make_row_id
 from repro.sim.rng import DeterministicRng
 from repro.sim.tracing import Tracer, overlap_seconds
-from tests.conftest import make_db
+from tests.conftest import lists, make_db
 
 
 def load_table(db, rows=2000, partitions=2, rows_per_page=64):
@@ -50,7 +50,7 @@ def test_pipelined_scan_returns_identical_rows():
     piped_db, __ = cold_engine(pipelined_prefetch=True)
     serial_rel, __s = scan(serial_db)
     piped_rel, __p = scan(piped_db)
-    assert serial_rel == piped_rel
+    assert lists(serial_rel) == lists(piped_rel)
 
 
 def test_pipelined_scan_is_faster_on_the_virtual_clock():
@@ -158,9 +158,9 @@ def test_row_lookup_fetches_every_page_in_one_batch():
         db.read_page(ctx.txn, store.schema("items").column_object("key", 0), 1)
         round_trip = db.clock.now() - start
         start = db.clock.now()
-        rel = ctx.read_rows("items", columns, [
+        rel = lists(ctx.read_rows("items", columns, [
             make_row_id(part, 64 * page + 5) for part, page in pages
-        ])
+        ]))
         elapsed = db.clock.now() - start
     assert len(rel["key"]) == len(pages)
     assert rel["b"] == [key % 7 for key in rel["key"]]

@@ -6,6 +6,7 @@ from repro.columnar.query import QueryContext, n_rows
 from repro.tpch.datagen import TpchGenerator
 from repro.tpch.dates import CURRENT_DATE, d
 from repro.tpch.queries import QUERIES, run_query
+from tests.conftest import lists
 
 SF = 0.002
 
@@ -28,9 +29,9 @@ def test_all_queries_run_and_are_deterministic(tiny_tpch):
     database, __, __ = tiny_tpch
     for number in sorted(QUERIES):
         with QueryContext(database) as ctx:
-            first = run_query(ctx, number, SF)
+            first = lists(run_query(ctx, number, SF))
         with QueryContext(database) as ctx:
-            second = run_query(ctx, number, SF)
+            second = lists(run_query(ctx, number, SF))
         assert first == second, f"Q{number} not deterministic"
 
 
@@ -65,7 +66,7 @@ def test_q1_sorted_by_flag_status(ctx):
 
 
 def test_q2_only_europe_suppliers(ctx, raw):
-    result = run_query(ctx, 2, SF)
+    result = lists(run_query(ctx, 2, SF))
     europe_nations = {
         i for i, (name, region) in enumerate(
             (row[1], row[2]) for row in raw["nation"]
@@ -80,7 +81,7 @@ def test_q2_only_europe_suppliers(ctx, raw):
 
 
 def test_q3_top10_unshipped_revenue(ctx):
-    result = run_query(ctx, 3, SF)
+    result = lists(run_query(ctx, 3, SF))
     assert n_rows(result) <= 10
     revenues = result["revenue"]
     assert revenues == sorted(revenues, reverse=True)
@@ -88,7 +89,7 @@ def test_q3_top10_unshipped_revenue(ctx):
 
 
 def test_q4_priorities_complete_and_counted(ctx, raw):
-    result = run_query(ctx, 4, SF)
+    result = lists(run_query(ctx, 4, SF))
     assert result["o_orderpriority"] == sorted(result["o_orderpriority"])
     total_window_orders = sum(
         1 for o in raw["orders"]
@@ -98,7 +99,7 @@ def test_q4_priorities_complete_and_counted(ctx, raw):
 
 
 def test_q5_asia_nations_only(ctx, raw):
-    result = run_query(ctx, 5, SF)
+    result = lists(run_query(ctx, 5, SF))
     asia = {row[1] for row in raw["nation"] if row[2] == 2}
     assert set(result["n_name"]) <= asia
     assert result["revenue"] == sorted(result["revenue"], reverse=True)
@@ -130,20 +131,20 @@ def test_q8_market_share_fraction(ctx):
 
 
 def test_q9_profit_by_nation_year(ctx):
-    result = run_query(ctx, 9, SF)
+    result = lists(run_query(ctx, 9, SF))
     assert set(result) >= {"n_name", "o_year", "sum_profit"}
     names = result["n_name"]
     assert names == sorted(names)
 
 
 def test_q10_top20_returned(ctx):
-    result = run_query(ctx, 10, SF)
+    result = lists(run_query(ctx, 10, SF))
     assert n_rows(result) <= 20
     assert result["revenue"] == sorted(result["revenue"], reverse=True)
 
 
 def test_q11_values_above_threshold(ctx):
-    result = run_query(ctx, 11, SF)
+    result = lists(run_query(ctx, 11, SF))
     values = result["value"]
     assert values == sorted(values, reverse=True)
 
@@ -184,7 +185,7 @@ def test_q15_top_supplier_is_argmax(ctx):
 
 
 def test_q16_supplier_counts_positive(ctx):
-    result = run_query(ctx, 16, SF)
+    result = lists(run_query(ctx, 16, SF))
     assert all(count >= 1 for count in result["supplier_cnt"])
     assert all(brand != "Brand#45" for brand in result["p_brand"])
     counts = result["supplier_cnt"]
@@ -210,12 +211,12 @@ def test_q19_scalar_revenue(ctx):
 
 
 def test_q20_supplier_names_sorted(ctx):
-    result = run_query(ctx, 20, SF)
+    result = lists(run_query(ctx, 20, SF))
     assert result["s_name"] == sorted(result["s_name"])
 
 
 def test_q21_waits_counted(ctx):
-    result = run_query(ctx, 21, SF)
+    result = lists(run_query(ctx, 21, SF))
     assert all(count >= 1 for count in result["numwait"])
     assert result["numwait"] == sorted(result["numwait"], reverse=True)
 

@@ -6,7 +6,7 @@ from repro.columnar import ColumnStore, ColumnSchema, QueryContext, TableSchema
 from repro.columnar.query import ROWID, n_rows
 from repro.columnar.schema import SchemaError
 from repro.sim.rng import DeterministicRng
-from tests.conftest import make_db
+from tests.conftest import lists, make_db
 
 
 def make_table(db, partitions=2, rows=1000, rows_per_page=128):
@@ -85,7 +85,7 @@ class TestLoad:
         state = store.load("empty", [])
         assert state.total_rows == 0
         with QueryContext(db) as ctx:
-            assert ctx.read("empty", ["a"]) == {"a": []}
+            assert lists(ctx.read("empty", ["a"])) == {"a": []}
 
 
 class TestScan:
@@ -142,7 +142,8 @@ class TestScan:
         with QueryContext(db) as ctx:
             rel = ctx.read("items", ["key"], {"key": (10, 12)},
                            with_rowids=True)
-        assert rel[ROWID] == [9, 10, 11]  # keys are 1-based, rows 0-based
+        # Keys are 1-based, rows 0-based.
+        assert lists(rel)[ROWID] == [9, 10, 11]
 
     def test_read_rows_by_rowid(self, db):
         make_table(db, partitions=2)
@@ -161,13 +162,14 @@ class TestScan:
                                       index.lookup(777))
             via_scan = ctx.read("items", ["key", "price"],
                                 {"key": (777, 777)})
+        via_index, via_scan = lists(via_index), lists(via_scan)
         assert via_index["key"] == via_scan["key"] == [777]
         assert via_index["price"] == via_scan["price"]
 
     def test_read_rows_empty(self, db):
         make_table(db)
         with QueryContext(db) as ctx:
-            assert ctx.read_rows("items", ["key"], []) == {"key": []}
+            assert lists(ctx.read_rows("items", ["key"], [])) == {"key": []}
 
     def test_context_manager_rolls_back_on_error(self, db):
         make_table(db)

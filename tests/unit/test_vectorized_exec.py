@@ -1,20 +1,23 @@
-"""Vectorized kernels: numpy helpers, operators, page decode.
+"""The numpy query kernel: helpers, operators, scan steps, page decode.
 
-The contract under test everywhere: the numpy path must reproduce the
-scalar path's output *exactly* — same rows, same order, same float bits.
-Property tests drive random relations through each operator in both
-modes and compare; kernel tests pin the order-sensitive details (group
-appearance order, join match order, sequential float accumulation).
+The contract under test everywhere: the engine's numpy kernel reproduces
+the row-at-a-time python oracle (``tests/scalar_kernel.py``) *exactly* —
+same rows, same order, same value types, same float bits.  Property
+tests drive random relations through each operator and scan step and
+compare the reprs; kernel tests pin the order-sensitive details (group
+appearance order, join match order, sequential float accumulation) and
+the empty-column dtype rule.
 """
 
 from __future__ import annotations
 
-import math
-
-import pytest
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.columnar import exec as ex
-from repro.columnar import vec
+from repro.columnar import query, vec
+from repro.columnar.deletes import RowIdSet
 from repro.columnar.encoding import (
     _unpack_nbit,
     decode_values,
@@ -23,45 +26,20 @@ from repro.columnar.encoding import (
 )
 from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuModel
-
-np = pytest.importorskip("numpy")
-
-hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-
-class FakeSession:
-    """Just enough session surface for operator-level tests."""
-
-    def __init__(self, vcpus: int = 4) -> None:
-        self.cpu = CpuModel(VirtualClock(), vcpus=vcpus)
+from tests import scalar_kernel as oracle
+from tests.conftest import lists
 
 
 class FakeCtx:
-    """Operator context without a database: cpu + kernel flag."""
+    """Operator context without a database: just a CPU to charge."""
 
-    def __init__(self, vectorized: bool, vcpus: int = 4) -> None:
-        self.session = FakeSession(vcpus)
-        self.cpu = self.session.cpu
-        self.vectorized = vectorized
+    def __init__(self) -> None:
+        self.cpu = CpuModel(VirtualClock(), vcpus=4)
 
 
-def norm(rel):
-    """Relation -> plain python lists for comparison."""
-    return {k: vec.to_list(v) for k, v in rel.items()}
-
-
-def both_ways(op):
-    """Run ``op(ctx)`` with each kernel; assert identical output and cost."""
-    scalar_ctx = FakeCtx(vectorized=False)
-    vector_ctx = FakeCtx(vectorized=True)
-    scalar = norm(op(scalar_ctx))
-    vectorized = norm(op(vector_ctx))
-    assert scalar == vectorized
-    assert vector_ctx.cpu.total_ops == scalar_ctx.cpu.total_ops
-    assert vector_ctx.cpu.clock.now() == scalar_ctx.cpu.clock.now()
-    return scalar
+def matches_oracle(got, want):
+    """The kernel's relation equals the oracle's, value types included."""
+    assert repr(lists(got)) == repr(want)
 
 
 # --------------------------------------------------------------------- #
@@ -183,7 +161,7 @@ def test_decode_values_np_float_is_zero_copy_view():
 
 
 # --------------------------------------------------------------------- #
-# operators: scalar == vectorized (property tests)
+# operators: numpy kernel == python oracle (property tests)
 # --------------------------------------------------------------------- #
 
 _COLUMN = st.one_of(
@@ -210,29 +188,28 @@ def relations(draw, min_columns=2, max_columns=4):
 @settings(max_examples=40, deadline=None)
 def test_filter_rows_equivalence(rel):
     pivot = rel["c0"][0] if rel["c0"] else 0
-    both_ways(lambda ctx: ex.filter_rows(
-        ctx, rel, lambda v: v >= pivot, ["c0"]
-    ))
+    keep = lambda v: v >= pivot  # noqa: E731
+    matches_oracle(ex.filter_rows(FakeCtx(), rel, keep, ["c0"]),
+                   oracle.filter_rows(rel, keep, ["c0"]))
 
 
 @given(relations())
 @settings(max_examples=40, deadline=None)
 def test_extend_equivalence(rel):
-    both_ways(lambda ctx: ex.extend(
-        ctx, rel, "derived", lambda a, b: (a, b) == (a, b) and str(a) < str(b),
-        ["c0", "c1"],
-    ))
+    derive = lambda a, b: (a, b) == (a, b) and str(a) < str(b)  # noqa: E731
+    matches_oracle(ex.extend(FakeCtx(), rel, "derived", derive, ["c0", "c1"]),
+                   oracle.extend(rel, "derived", derive, ["c0", "c1"]))
 
 
 @given(relations(), relations())
 @settings(max_examples=40, deadline=None)
 def test_hash_join_equivalence(left, right):
-    both_ways(lambda ctx: ex.hash_join(
-        ctx,
-        {f"l_{k}": [str(v) for v in vs] for k, vs in left.items()},
-        {f"r_{k}": [str(v) for v in vs] for k, vs in right.items()},
-        ["l_c0"], ["r_c0"],
-    ))
+    left = {f"l_{k}": [str(v) for v in vs] for k, vs in left.items()}
+    right = {f"r_{k}": [str(v) for v in vs] for k, vs in right.items()}
+    matches_oracle(
+        ex.hash_join(FakeCtx(), left, right, ["l_c0"], ["r_c0"]),
+        oracle.hash_join(left, right, ["l_c0"], ["r_c0"]),
+    )
 
 
 @given(relations(), relations())
@@ -240,12 +217,14 @@ def test_hash_join_equivalence(left, right):
 def test_semi_anti_join_equivalence(left, right):
     left = {f"l_{k}": [str(v) for v in vs] for k, vs in left.items()}
     right = {f"r_{k}": [str(v) for v in vs] for k, vs in right.items()}
-    both_ways(lambda ctx: ex.hash_join(
-        ctx, left, right, ["l_c0"], ["r_c0"], semi=True
-    ))
-    both_ways(lambda ctx: ex.hash_join(
-        ctx, left, right, ["l_c1"], ["r_c1"], anti=True
-    ))
+    matches_oracle(
+        ex.hash_join(FakeCtx(), left, right, ["l_c0"], ["r_c0"], semi=True),
+        oracle.hash_join(left, right, ["l_c0"], ["r_c0"], semi=True),
+    )
+    matches_oracle(
+        ex.hash_join(FakeCtx(), left, right, ["l_c1"], ["r_c1"], anti=True),
+        oracle.hash_join(left, right, ["l_c1"], ["r_c1"], anti=True),
+    )
 
 
 @given(relations(min_columns=3))
@@ -257,16 +236,15 @@ def test_group_by_equivalence(rel):
                for v in rel["c1"]],
         "c2": rel["c2"],
     }
-    both_ways(lambda ctx: ex.group_by(
-        ctx, keyed, ["c0"],
-        {
-            "n": ("count", None),
-            "total": ("sum", "c1"),
-            "mean": ("avg", "c1"),
-            "lo": ("min", "c2"),
-            "hi": ("max", "c2"),
-        },
-    ))
+    aggregates = {
+        "n": ("count", None),
+        "total": ("sum", "c1"),
+        "mean": ("avg", "c1"),
+        "lo": ("min", "c2"),
+        "hi": ("max", "c2"),
+    }
+    matches_oracle(ex.group_by(FakeCtx(), keyed, ["c0"], aggregates),
+                   oracle.group_by(keyed, ["c0"], aggregates))
 
 
 @given(relations(min_columns=3))
@@ -274,31 +252,32 @@ def test_group_by_equivalence(rel):
 def test_global_group_equivalence(rel):
     numeric = dict(rel)
     numeric["c1"] = [float(len(str(v))) for v in rel["c1"]]
-    both_ways(lambda ctx: ex.group_by(
-        ctx, numeric, [],
-        {"n": ("count", None), "total": ("sum", "c1")},
-    ))
+    aggregates = {"n": ("count", None), "total": ("sum", "c1"),
+                  "lo": ("min", "c1"), "mean": ("avg", "c1")}
+    matches_oracle(ex.group_by(FakeCtx(), numeric, [], aggregates),
+                   oracle.group_by(numeric, [], aggregates))
 
 
 @given(relations(min_columns=2))
 @settings(max_examples=40, deadline=None)
 def test_order_by_equivalence(rel):
-    both_ways(lambda ctx: ex.order_by(
-        ctx, rel, [("c0", True), ("c1", False)], limit=10
-    ))
+    keys = [("c0", True), ("c1", False)]
+    matches_oracle(ex.order_by(FakeCtx(), rel, keys, limit=10),
+                   oracle.order_by(rel, keys, limit=10))
 
 
 @given(relations())
 @settings(max_examples=40, deadline=None)
 def test_distinct_equivalence(rel):
-    both_ways(lambda ctx: ex.distinct(ctx, rel, ["c0", "c1"]))
+    matches_oracle(ex.distinct(FakeCtx(), rel, ["c0", "c1"]),
+                   oracle.distinct(rel, ["c0", "c1"]))
 
 
 def test_concat_mixed_representations():
     left = {"a": vec.asarray([1, 2])}
     right = {"a": [3, 4]}
     assert vec.to_list(ex.concat(left, right)["a"]) == [1, 2, 3, 4]
-    assert ex.concat({"a": [1]}, {"a": [2]})["a"] == [1, 2]
+    assert vec.to_list(ex.concat({"a": [1]}, {"a": [2]})["a"]) == [1, 2]
 
 
 def test_rows_helper_handles_vectors():
@@ -308,27 +287,91 @@ def test_rows_helper_handles_vectors():
     assert ex.rows({"a": vec.asarray([])}) == []
 
 
+@given(relations(min_columns=1, max_columns=1),
+       relations(min_columns=1, max_columns=1))
+@settings(max_examples=40, deadline=None)
+def test_concat_equivalence(left, right):
+    matches_oracle(ex.concat(left, right), oracle.concat(left, right))
+
+
 # --------------------------------------------------------------------- #
-# numpy-less degradation
+# the empty-column dtype rule
 # --------------------------------------------------------------------- #
 
-def test_vectorized_executor_requires_numpy(monkeypatch):
-    monkeypatch.setattr(vec, "np", None)
-    assert not vec.have_numpy()
-    with pytest.raises(vec.VectorizedUnavailableError) as err:
-        vec.require_numpy("vectorized_executor=True")
-    message = str(err.value)
-    assert "numpy" in message
-    assert "repro[perf]" in message
-    assert "vectorized_executor=False" in message
+def test_empty_columns_carry_no_float_dtype():
+    assert vec.asarray([]).dtype == object
+    assert vec.apply_rowwise(lambda v: 0, [vec.asarray([])], 0).dtype == object
+    rel = ex.extend(FakeCtx(), {"k": []}, "n", lambda k: 0, ["k"])
+    assert rel["n"].dtype == object
 
 
-def test_database_fails_fast_without_numpy(monkeypatch):
-    from repro.engine import Database, DatabaseConfig
+def test_concat_with_zero_row_extend_keeps_ints():
+    """Q13's shape: customers with orders carry an int count; the
+    zero-row side of customers without orders gets 0 from an extend."""
+    ctx = FakeCtx()
+    with_orders = {"c_custkey": [1, 2, 3], "c_count": [11, 4, 11]}
+    without = ex.filter_rows(ctx, {"c_custkey": [7, 8]}, lambda k: k < 0,
+                             ["c_custkey"])
+    without = ex.extend(ctx, without, "c_count", lambda __: 0, ["c_custkey"])
+    all_counts = ex.concat(with_orders, without)
+    assert repr(ex.rows(all_counts, ["c_custkey", "c_count"])) == \
+        "[(1, 11), (2, 4), (3, 11)]"
+    dist = ex.group_by(ctx, all_counts, ["c_count"],
+                       {"custdist": ("count", None)})
+    dist = ex.order_by(ctx, dist, [("custdist", True), ("c_count", True)])
+    assert repr(ex.rows(dist, ["c_count", "custdist"])) == \
+        "[(11, 2), (4, 1)]"
 
-    monkeypatch.setattr(vec, "np", None)
-    with pytest.raises(vec.VectorizedUnavailableError):
-        Database(DatabaseConfig(vectorized_executor=True))
-    # The scalar default stays fully functional.
-    db = Database(DatabaseConfig())
-    assert db.config.vectorized_executor is False
+
+def test_concat_keeps_each_sides_value_types():
+    merged = ex.concat({"a": vec.asarray([1, 2])}, {"a": vec.asarray([2.5])})
+    assert repr(vec.to_list(merged["a"])) == "[1, 2, 2.5]"
+
+
+# --------------------------------------------------------------------- #
+# scan steps: numpy kernel == python oracle
+# --------------------------------------------------------------------- #
+
+_PAGE = st.one_of(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=60),
+    st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=1, max_size=60),
+    st.lists(st.text(alphabet="abcXYZ", max_size=4), min_size=1, max_size=60),
+)
+
+
+@given(_PAGE, st.data())
+@settings(max_examples=60, deadline=None)
+def test_narrow_chunk_matches_oracle(values, data):
+    page = vec.asarray(values)
+    lo = data.draw(st.one_of(st.none(), st.sampled_from(values)))
+    hi = data.draw(st.one_of(st.none(), st.sampled_from(values)))
+    start = data.draw(st.lists(st.booleans(), min_size=len(values),
+                               max_size=len(values)))
+    pivot = data.draw(st.sampled_from(values))
+    for bounds, check in (((lo, hi), None), (None, lambda v: v != pivot)):
+        want = list(start)
+        oracle.narrow_rows(want, values, bounds, check)
+        got = np.array(start, dtype=bool)
+        query._narrow_chunk(got, page, bounds, check)
+        assert got.tolist() == want
+
+
+@given(st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=60),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_take_chunk_matches_oracle(values, data):
+    page = {"v": decode_values_np(encode_values("int", values))}
+    count = len(values)
+    mask = data.draw(st.lists(st.booleans(), min_size=count, max_size=count))
+    base_row = data.draw(st.integers(0, 1000))
+    deleted = RowIdSet()
+    deleted.add_many(data.draw(st.lists(
+        st.integers(base_row, base_row + count - 1), max_size=count)))
+    want = {"v": [], query.ROWID: []}
+    oracle.take_rows(want, {"v": values}, ["v"], list(mask), deleted,
+                     base_row, True)
+    chunks = {"v": [], query.ROWID: []}
+    query._take_chunk(chunks, page, ["v"], np.array(mask, dtype=bool),
+                      deleted, base_row, True)
+    got = {column: vec.concat(parts) for column, parts in chunks.items()}
+    assert repr(lists(got)) == repr(want)
