@@ -15,9 +15,11 @@ always have — single-stream benchmarks are byte-identical either way.
 
 from __future__ import annotations
 
+import math
+
 
 class ClockError(Exception):
-    """Raised when a caller tries to move the clock backwards."""
+    """Raised on a move backwards, or to a time that is not finite."""
 
 
 class VirtualClock:
@@ -54,7 +56,7 @@ class VirtualClock:
         return self._scheduler
 
     def _set_now(self, when: float) -> None:
-        """Scheduler-internal forward jump (no yield, driver only)."""
+        """Scheduler-internal forward jump (no yield, the baton holder only)."""
         if when < self._now - 1e-12:
             raise ClockError(
                 f"cannot move clock backwards from {self._now!r} to {when!r}"
@@ -63,7 +65,7 @@ class VirtualClock:
 
     def advance(self, seconds: float) -> float:
         """Move the clock forward by ``seconds`` and return the new time."""
-        if seconds < 0:
+        if not 0 <= seconds < math.inf:
             raise ClockError(f"cannot advance clock by {seconds!r} seconds")
         scheduler = self._scheduler
         if scheduler is not None and scheduler.in_session():
@@ -80,6 +82,8 @@ class VirtualClock:
         legitimately pushed global time beyond a completion computed before
         the session last yielded, which simply means no further wait.
         """
+        if not math.isfinite(when):
+            raise ClockError(f"cannot advance clock to {when!r}")
         scheduler = self._scheduler
         if scheduler is not None and scheduler.in_session():
             return scheduler.wait_until(when)

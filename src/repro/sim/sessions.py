@@ -8,7 +8,7 @@ to back.  The :class:`SessionScheduler` replaces that with a discrete-event
 design:
 
 - every logical client is a **session** running its ordinary synchronous
-  code (the full engine stack: buffer, OCM, client, store) on a dedicated
+  code (the full engine stack: buffer, OCM, client, store) on a
   coroutine-style worker thread;
 - the scheduler keeps an **event heap** of ``(wakeup_time, seq, session)``
   entries and hands control to exactly one session at a time — the one
@@ -19,6 +19,20 @@ design:
   FCFS queues, token buckets, the CPU model) are shared, so contention
   between interleaved sessions emerges from the same reservation
   machinery the single-stream benches use.
+
+Hand-off: control is a baton, one raw lock per session (acquire to park,
+release to wake), passed straight from the thread that gives it up to the
+next session due.  The driver in :meth:`SessionScheduler.run` only starts
+the chain and is woken when it ends (heap empty, deadlock or a failure).
+Three rules keep it to at most one OS thread switch per activation:
+
+- **self-next**: a wait that ends strictly before the heap's head only
+  moves the clock; the session keeps running without parking;
+- **direct hand-off**: a session that parks or exits pops the heap and
+  wakes the next session itself;
+- **in-place start**: a finishing worker whose successor has never started
+  runs it on its own thread, so back-to-back sessions share one thread;
+  otherwise it waits idle, and the next session to start runs on it.
 
 Determinism: handoff is strict (never two runnable sessions at once), the
 heap order is a total order via the monotone sequence number, and no wall
@@ -34,7 +48,9 @@ single-stream runs byte-identical (see the golden regression).
 from __future__ import annotations
 
 import heapq
+import math
 import threading
+from _thread import allocate_lock
 from typing import Callable, List, Optional, Tuple
 
 from repro.sim.clock import VirtualClock
@@ -73,52 +89,15 @@ class Session:
         self.started_at: "Optional[float]" = None
         self.finished_at: "Optional[float]" = None
         self._fn = fn
+        # The thread running this session; None until it starts.
         self._thread: "Optional[threading.Thread]" = None
-        self._resume = threading.Event()
+        self._baton = _held_baton()
         self._suspended = False
         self._killed = False
 
-    # -- thread plumbing ------------------------------------------------ #
-
-    def _ensure_thread(self) -> None:
-        if self._thread is not None:
-            return
-        previous = threading.stack_size()
-        try:
-            try:
-                threading.stack_size(_SESSION_STACK_BYTES)
-            except (ValueError, RuntimeError):
-                pass
-            self._thread = threading.Thread(
-                target=self._run, name=f"session/{self.name}", daemon=True
-            )
-            self._thread.start()
-        finally:
-            try:
-                threading.stack_size(previous)
-            except (ValueError, RuntimeError):
-                pass
-
-    def _run(self) -> None:
-        self._resume.wait()
-        self._resume.clear()
-        scheduler = self.scheduler
-        try:
-            if not self._killed:
-                self.started_at = scheduler.clock.now()
-                self.result = self._fn(self)
-        except _SessionKilled:
-            pass
-        except BaseException as error:  # surfaced by run()
-            self.error = error
-        finally:
-            self.finished = True
-            self.finished_at = scheduler.clock.now()
-            scheduler._on_session_exit(self)
-
     def sleep(self, seconds: float) -> float:
         """Park this session for ``seconds`` of virtual time."""
-        if seconds < 0:
+        if not 0 <= seconds < math.inf:
             raise SchedulerError(f"cannot sleep {seconds!r} seconds")
         return self.scheduler.wait_until(
             self.scheduler.clock.now() + seconds, session=self
@@ -126,6 +105,13 @@ class Session:
 
     def __repr__(self) -> str:
         return f"Session(#{self.session_id} {self.name!r})"
+
+
+def _held_baton():
+    """A raw lock already held: its owner parks by acquiring it again."""
+    baton = allocate_lock()
+    baton.acquire()
+    return baton
 
 
 class SessionScheduler:
@@ -137,7 +123,10 @@ class SessionScheduler:
         self._seq = 0
         self._sessions: "List[Session]" = []
         self._current: "Optional[Session]" = None
-        self._driver_wake = threading.Event()
+        self._driver = _held_baton()
+        self._error: "Optional[BaseException]" = None
+        # Finished workers waiting to start a session: [baton, session].
+        self._idle: "List[list]" = []
         self._unfinished = 0
         self._suspended_count = 0
         self._running = False
@@ -157,10 +146,11 @@ class SessionScheduler:
         session = Session(
             self, session_id, name or f"s{session_id}", fn, tenant=tenant
         )
-        wake = self.clock.now() if at is None else float(at)
-        if wake < self.clock.now():
+        now = self.clock.now()
+        wake = now if at is None else float(at)
+        if not now <= wake < math.inf:
             raise SchedulerError(
-                f"cannot spawn {session.name!r} in the past ({wake!r})"
+                f"cannot spawn {session.name!r} at {wake!r} (now {now!r})"
             )
         self._sessions.append(session)
         self._unfinished += 1
@@ -181,14 +171,20 @@ class SessionScheduler:
             raise SchedulerError("a previous run() killed sessions; "
                                  "this scheduler cannot run again")
         self._running = True
+        self._error = None
         self.clock.attach_scheduler(self)
+        # Set for the whole run, not around each start: starts happen on
+        # session threads, which interleave with the thread giving way.
+        stack_size = threading.stack_size()
         try:
-            while self._heap:
-                wake, __, session = heapq.heappop(self._heap)
-                self.clock._set_now(wake)
-                self._switch_to(session)
-                if session.error is not None:
-                    raise session.error
+            try:
+                threading.stack_size(_SESSION_STACK_BYTES)
+            except (ValueError, RuntimeError):
+                pass
+            self._hand_off()
+            self._driver.acquire()
+            if self._error is not None:
+                raise self._error
             if self._unfinished:
                 raise SchedulerError(
                     f"deadlock: {self._suspended_count} suspended "
@@ -198,6 +194,7 @@ class SessionScheduler:
             self._running = False
             self._kill_remaining()
             self.clock.detach_scheduler(self)
+            threading.stack_size(stack_size)
 
     def in_session(self) -> bool:
         """True when the calling thread is the currently scheduled session."""
@@ -212,15 +209,21 @@ class SessionScheduler:
         """Park the calling session until global time reaches ``when``.
 
         A target at or before the current time returns immediately without
-        yielding (zero-length waits would only churn handoffs).  Called by
-        the clock on behalf of whatever in-session code advanced it.
+        yielding (zero-length waits would only churn handoffs), and so does
+        one strictly before every other wakeup: that is one activation,
+        with no thread switch.  Called by the clock on behalf of whatever
+        in-session code advanced it.
         """
         current = self._require_current(session)
         now = self.clock.now()
         if when <= now:
             return now
+        if not self._heap or when < self._heap[0][0]:
+            self._handoffs += 1
+            self.clock._set_now(when)
+            return when
         self._push(when, current)
-        self._yield_from(current)
+        self._park(current)
         return self.clock.now()
 
     def suspend(self, session: "Optional[Session]" = None) -> float:
@@ -233,14 +236,14 @@ class SessionScheduler:
         current = self._require_current(session)
         current._suspended = True
         self._suspended_count += 1
-        self._yield_from(current)
+        self._park(current)
         return self.clock.now()
 
     def resume(self, session: Session, delay: float = 0.0) -> None:
         """Schedule a suspended session to wake ``delay`` seconds from now."""
         if not session._suspended:
             raise SchedulerError(f"{session!r} is not suspended")
-        if delay < 0:
+        if not 0 <= delay < math.inf:
             raise SchedulerError(f"cannot resume after {delay!r} seconds")
         session._suspended = False
         self._suspended_count -= 1
@@ -293,40 +296,92 @@ class SessionScheduler:
             )
         return current
 
-    def _switch_to(self, session: Session) -> None:
-        """Hand control to ``session``; block until it parks or finishes."""
-        self._handoffs += 1
-        self._current = session
-        session._ensure_thread()
-        session._resume.set()
-        self._driver_wake.wait()
-        self._driver_wake.clear()
+    def _next(self) -> "Optional[Session]":
+        """Pop the next session due and make it current; None once the
+        chain ends (heap empty or the run failed), with the driver woken."""
+        if self._heap and self._error is None:
+            wake, __, session = heapq.heappop(self._heap)
+            self.clock._set_now(wake)
+            self._handoffs += 1
+            self._current = session
+            return session
         self._current = None
+        self._driver.release()
+        return None
 
-    def _yield_from(self, session: Session) -> None:
-        """Called on the session thread: give control back, await resume."""
-        self._driver_wake.set()
-        session._resume.wait()
-        session._resume.clear()
+    def _hand_off(self) -> None:
+        """Give control to the next session due, or back to the driver."""
+        session = self._next()
+        if session is None:
+            return
+        if session._thread is not None:
+            session._baton.release()
+            return
+        if self._idle:
+            slot = self._idle.pop()
+            slot[1] = session
+            slot[0].release()
+            return
+        try:
+            threading.Thread(
+                target=self._work, args=(session,),
+                name=f"session/{session.name}", daemon=True,
+            ).start()
+        except Exception as error:
+            # This runs inside whatever engine call advanced the clock,
+            # where retry loops catch Exception: fail the run instead.
+            failure = SchedulerError(f"cannot start a thread for {session!r}")
+            failure.__cause__ = error
+            self._error = failure
+            self._next()
+
+    def _park(self, session: Session) -> None:
+        """On the session's thread: pass control on, await the baton."""
+        self._hand_off()
+        session._baton.acquire()
         if session._killed:
             raise _SessionKilled()
 
-    def _on_session_exit(self, session: Session) -> None:
-        self._unfinished -= 1
-        self._driver_wake.set()
+    def _work(self, session: "Optional[Session]") -> None:
+        """Worker thread: run sessions until control passes elsewhere."""
+        while session is not None:
+            session._thread = threading.current_thread()
+            try:
+                session.started_at = self.clock.now()
+                session.result = session._fn(session)
+            except _SessionKilled:
+                pass
+            except BaseException as error:  # surfaced by run()
+                session.error = self._error = error
+            finally:
+                session.finished = True
+                session.finished_at = self.clock.now()
+                self._unfinished -= 1
+            session = self._next()
+            if session is not None and session._thread is not None:
+                # Wait idle for a session to start instead of exiting.
+                slot = [_held_baton(), None]
+                self._idle.append(slot)
+                session._baton.release()
+                slot[0].acquire()
+                session = slot[1]
 
     def _kill_remaining(self) -> None:
-        """Unwind every unfinished session, started or not (error paths)."""
+        """Retire idle workers; unwind every unfinished session (errors)."""
+        self._heap.clear()
+        for baton, __ in self._idle:
+            baton.release()
+        self._idle.clear()
         for session in self._sessions:
             if session.finished:
                 continue
             session._killed = True
+            if session._thread is None:
+                session.finished = True
+                session.finished_at = self.clock.now()
+                self._unfinished -= 1
+                continue
             self._current = session
-            session._ensure_thread()
-            session._resume.set()
-            self._driver_wake.wait()
-            self._driver_wake.clear()
-            self._current = None
-            if session._thread is not None:
-                session._thread.join(timeout=5.0)
-        self._heap.clear()
+            session._baton.release()
+            self._driver.acquire()
+            session._thread.join(timeout=5.0)

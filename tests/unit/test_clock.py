@@ -29,6 +29,24 @@ def test_advance_rejects_negative():
         VirtualClock().advance(-0.1)
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+def test_advance_rejects_non_finite(seconds):
+    clock = VirtualClock(1.0)
+    with pytest.raises(ClockError):
+        clock.advance(seconds)
+    assert clock.now() == 1.0
+
+
+@pytest.mark.parametrize(
+    "when", [float("nan"), float("inf"), float("-inf")]
+)
+def test_advance_to_rejects_non_finite(when):
+    clock = VirtualClock(1.0)
+    with pytest.raises(ClockError):
+        clock.advance_to(when)
+    assert clock.now() == 1.0
+
+
 def test_advance_to_absolute_time():
     clock = VirtualClock()
     clock.advance_to(10.0)
