@@ -13,6 +13,8 @@ import bisect
 import json
 from typing import Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 
 class HgIndex:
     """value -> range-compressed row ids, with sorted-value navigation."""
@@ -33,6 +35,37 @@ class HgIndex:
         """Bulk append of consecutive rows starting at ``first_row_id``."""
         for offset, value in enumerate(values):
             self.add(value, first_row_id + offset)
+
+    @classmethod
+    def build(cls, values: "np.ndarray", row_ids: "np.ndarray") -> "HgIndex":
+        """The index :meth:`add` makes of ``values[i]`` at ``row_ids[i]``.
+
+        ``row_ids`` ascend.  A stable argsort groups equal values with
+        their row ids still ascending (an ``object`` vector sorts by
+        python comparisons); a range breaks where the value changes or the
+        row ids stop being consecutive, which is exactly where :meth:`add`
+        opens a new one.  Each value keeps its first occurrence as its key.
+        """
+        index = cls()
+        if not len(values):
+            return index
+        order = np.argsort(values, kind="stable")
+        ordered = values[order]
+        rows = row_ids[order]
+        new_value = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        breaks = new_value.copy()
+        breaks[1:] |= rows[1:] != rows[:-1] + 1
+        starts = np.flatnonzero(breaks)
+        ends = np.append(starts[1:], len(rows)) - 1
+        pairs = list(zip(rows[starts].tolist(), rows[ends].tolist()))
+        # The ranges of one value are adjacent: slice them out per value.
+        firsts = np.flatnonzero(new_value[starts])
+        cuts = firsts.tolist() + [len(pairs)]
+        index._ranges = dict(zip(
+            ordered[starts[firsts]].tolist(),
+            map(pairs.__getitem__, map(slice, cuts[:-1], cuts[1:])),
+        ))
+        return index
 
     def _values(self) -> "List[object]":
         if self._sorted_values is None:

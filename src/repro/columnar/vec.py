@@ -278,13 +278,19 @@ _MAX_VECTOR_WIDTH = 57
 
 
 def unpack_nbit(payload: bytes, width: int, count: int) -> "np.ndarray":
-    """Vectorized n-bit unpack (see ``encoding._unpack_nbit``)."""
+    """Vectorized n-bit unpack (see ``encoding._unpack_nbit``).
+
+    Fields of ``2**63`` and above come back wrapped to negative ``int64``;
+    adding the page's frame base in ``int64`` wraps them back to the
+    stored value, which always lies in the signed 64-bit range.
+    """
     if count == 0:
         return np.empty(0, dtype=np.int64)
     if width > _MAX_VECTOR_WIDTH:
         from repro.columnar.encoding import _unpack_nbit
 
-        return np.array(_unpack_nbit(payload, width, count), dtype=np.int64)
+        fields = np.array(_unpack_nbit(payload, width, count), dtype=np.uint64)
+        return fields.view(np.int64)
     bits = np.unpackbits(
         np.frombuffer(payload, dtype=np.uint8), count=width * count
     )

@@ -1,5 +1,5 @@
 """Property tests: CRC-32C and the sealed-page trailer catch every
-single-bit flip (and then some), and the word-stride kernel computes the
+single-bit flip (and then some), and the numpy block kernel computes the
 same function as the byte-at-a-time reference kept here as its oracle."""
 
 import random
@@ -32,8 +32,9 @@ _REFERENCE_TABLE = _reference_table()
 
 
 def reference_crc32c(data, value=0):
-    """The byte-at-a-time loop ``repro.checksum`` shipped before the
-    four-byte-stride kernel; every recorded checksum was made by it."""
+    """The byte-at-a-time loop ``repro.checksum`` first shipped; the
+    four-byte-stride and block kernels that replaced it compute the same
+    function, so every recorded checksum agrees with it."""
     crc = value ^ 0xFFFFFFFF
     for byte in data:
         crc = _REFERENCE_TABLE[(crc ^ byte) & 0xFF] ^ (crc >> 8)
@@ -55,8 +56,9 @@ def test_crc32c_known_answers(payload, expected):
 
 
 def test_every_short_length_and_every_split_point():
-    """Lengths 0..70 cover every head/tail alignment of the word loop;
-    continuing from any split point equals the one-shot value."""
+    """Short payloads: heads shorter than the four bytes the register
+    enters through; continuing from any split point equals the one-shot
+    value."""
     data = bytes((37 * i + 11) & 0xFF for i in range(70))
     for length in range(len(data) + 1):
         whole = reference_crc32c(data[:length])
@@ -65,6 +67,40 @@ def test_every_short_length_and_every_split_point():
             head = crc32c(data[:split])
             assert head == reference_crc32c(data[:split])
             assert crc32c(data[split:length], head) == whole
+
+
+BLOCK = 1024
+
+
+def test_every_length_up_to_three_blocks_and_a_tail():
+    """Lengths 0 .. 3·1024+5 reach every partial-block size ahead of zero
+    to three whole blocks."""
+    data = random.Random(1).randbytes(3 * BLOCK + 5)
+    crc = reference_crc32c(b"")
+    for length in range(len(data) + 1):
+        assert crc32c(data[:length]) == crc, length
+        if length < len(data):
+            crc = reference_crc32c(data[length:length + 1], crc)
+
+
+@pytest.mark.parametrize("edge", [BLOCK, 2 * BLOCK, 3 * BLOCK])
+def test_every_split_point_around_a_block_edge(edge):
+    """Continuing across a split near a block edge puts the register's
+    entry bytes on both sides of the edge and inside a short head."""
+    data = random.Random(edge).randbytes(3 * BLOCK + 5)
+    whole = reference_crc32c(data)
+    for split in range(edge - 9, edge + 10):
+        head = crc32c(data[:split])
+        assert head == reference_crc32c(data[:split])
+        assert crc32c(data[split:], head) == whole, split
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3 * BLOCK + 5), st.integers(0, 0xFFFFFFFF),
+       st.randoms(use_true_random=False))
+def test_random_continuations_match_the_reference(length, value, rng):
+    data = rng.randbytes(length)
+    assert crc32c(data, value) == reference_crc32c(data, value)
 
 
 def test_buffer_types_agree():

@@ -1,19 +1,24 @@
-"""Property tests: column encodings are exact round trips, and the chunked
-n-bit kernels are byte-identical to the single-big-int reference kept here
-as their oracle."""
+"""Property tests: column encodings are exact round trips, and the numpy
+n-bit packer and the chunked unpacker are byte-identical to the
+single-big-int reference kept here as their oracle."""
 
 import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.columnar import vec
 from repro.columnar.encoding import (
+    INT64_MAX,
+    INT64_MIN,
     EncodingError,
     _pack_nbit,
     _unpack_nbit,
     decode_values,
+    decode_values_np,
     encode_values,
 )
 
@@ -132,3 +137,41 @@ def test_numpy_unpack_agrees_with_the_chunked_kernel():
             payload = _pack_nbit(values, width)
             assert vec.unpack_nbit(payload, width, count).tolist() == \
                 _unpack_nbit(payload, width, count) == values
+
+
+def reference_encode_ints(values):
+    """Frame of reference over the reference packer: the page format."""
+    lo, hi = min(values), max(values)
+    width = max(1, (hi - lo).bit_length())
+    return (struct.pack(">cI", b"I", len(values)) + struct.pack(">qB", lo, width)
+            + reference_pack_nbit([v - lo for v in values], width))
+
+
+@pytest.mark.parametrize("span", [
+    1, 2 ** 62, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 2, 2 ** 64 - 1,
+])
+@pytest.mark.parametrize("lo", [INT64_MIN, -(2 ** 62), -5])
+def test_int_pages_with_a_negative_base_and_spans_near_2_63(lo, span):
+    hi = min(lo + span, INT64_MAX)
+    rng = random.Random(span)
+    values = [lo, hi] + [rng.randint(lo, hi) for __ in range(130)]
+    rng.shuffle(values)
+    payload = encode_values("int", values)
+    assert payload == reference_encode_ints(values)
+    assert decode_values(payload) == values
+    assert decode_values_np(payload).tolist() == values
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(INT64_MIN, INT64_MAX), min_size=1, max_size=300))
+def test_int_pages_match_the_reference_over_the_whole_int64_range(values):
+    payload = encode_values("int", values)
+    assert payload == reference_encode_ints(values)
+    assert encode_values("int", np.array(values, dtype=np.int64)) == payload
+    assert decode_values_np(payload).tolist() == values
+
+
+@given(floats)
+def test_float_pages_from_vectors_and_lists_agree(values):
+    assert encode_values("float", np.array(values, dtype=np.float64)) == \
+        encode_values("float", values)

@@ -1,5 +1,6 @@
 """Unit tests for incremental appends (trickle loads)."""
 
+import numpy as np
 import pytest
 
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
@@ -140,3 +141,25 @@ def test_append_empty_is_noop(loaded):
     db, store, __ = loaded
     state = store.append("events", [])
     assert state.total_rows == 500
+
+
+def test_router_sends_a_key_equal_to_a_bound_right():
+    bounds = [10, 20]
+    keys = [5, 10, 11, 20, 25, 9]
+    expected = [0, 1, 1, 2, 2, 0]
+    assert ColumnStore._partitions_of(keys, bounds).tolist() == expected
+    assert ColumnStore._partitions_of(
+        np.array(keys, dtype=np.int64), bounds).tolist() == expected
+    assert ColumnStore._partitions_of(["b", "a"], ["b"]).tolist() == [1, 0]
+
+
+def test_append_routes_a_key_equal_to_a_bound_right(loaded):
+    db, store, __ = loaded
+    with QueryContext(db) as ctx:
+        before = ctx.table("events")
+    (bound,) = before.partition_bounds
+    # The load routed ids 1..500 the same way: the bound opens partition 1.
+    assert before.partition_rows == [bound - 1, 500 - (bound - 1)]
+    state = store.append("events", make_new_rows(bound, 1))
+    assert state.partition_rows == [before.partition_rows[0],
+                                    before.partition_rows[1] + 1]

@@ -1,11 +1,14 @@
 """Unit tests for column page encodings (n-bit, dictionary)."""
 
+import re
+
 import pytest
 
 from repro.columnar.encoding import (
     EncodingError,
     bits_needed,
     decode_values,
+    decode_values_np,
     encode_floats,
     encode_ints,
     encode_strings,
@@ -93,3 +96,23 @@ def test_corrupt_payload_rejected():
         decode_values(b"")
     with pytest.raises(EncodingError):
         decode_values(b"Z" + b"\x00" * 8)
+
+
+@pytest.mark.parametrize("values, span", [
+    ([0, 2 ** 70], "[0, 1180591620717411303424]"),
+    ([-(2 ** 63) - 1, 0], "[-9223372036854775809, 0]"),
+    ([2 ** 63], "[9223372036854775808, 9223372036854775808]"),
+])
+def test_ints_outside_int64_are_refused_at_encode_time(values, span):
+    """A page holds what the int64 query kernel can decode, nothing wider."""
+    with pytest.raises(EncodingError, match=re.escape(span)):
+        encode_values("int", values)
+    with pytest.raises(EncodingError, match=re.escape(span)):
+        encode_values("date", values)
+
+
+def test_the_full_int64_span_round_trips_through_both_decoders():
+    values = [-(2 ** 63), 2 ** 63 - 1, 0, -1, 1]
+    payload = encode_values("int", values)
+    assert decode_values(payload) == values
+    assert decode_values_np(payload).tolist() == values
