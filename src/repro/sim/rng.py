@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import random
+import sys
+from array import array
+from itertools import chain, repeat
+from typing import Callable
+
+WORD_CHUNK = 4096
 
 
 class DeterministicRng:
@@ -65,6 +71,24 @@ class DeterministicRng:
 
     def gauss(self, mu: float, sigma: float) -> float:
         return self._random.gauss(mu, sigma)
+
+    def words(self) -> "Callable[[], int]":
+        """A ``next``-style callable over this stream's raw 32-bit words.
+
+        The i-th call returns what the i-th ``getrandbits(32)`` would have:
+        MT19937's output, in order.  Words are drawn ``WORD_CHUNK`` at a time
+        (one ``getrandbits`` whose low word comes first), so the stream is
+        overdrawn past the last word taken and must not be drawn any other
+        way afterwards.
+        """
+        def chunk(__: None) -> array:
+            block = array("I", self._random.getrandbits(32 * WORD_CHUNK)
+                          .to_bytes(4 * WORD_CHUNK, "little"))
+            if sys.byteorder == "big":
+                block.byteswap()
+            return block
+
+        return chain.from_iterable(map(chunk, repeat(None))).__next__
 
     def __repr__(self) -> str:
         return f"DeterministicRng(seed={self._seed}, name={self._name!r})"

@@ -11,6 +11,7 @@ Q16 grep for).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterator, List, Tuple
 
 from repro.sim.rng import DeterministicRng
@@ -63,10 +64,12 @@ class TpchGenerator:
     """Generates TPC-H tables deterministically for a scale factor."""
 
     def __init__(self, scale_factor: float = 0.01, seed: int = 7) -> None:
-        if scale_factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {scale_factor}")
+        if isinstance(scale_factor, bool) or not 0 < scale_factor < math.inf:
+            raise ValueError("scale factor must be positive and finite, "
+                             f"got {scale_factor!r}")
         self.scale_factor = scale_factor
-        self._rng = DeterministicRng(seed, f"tpch/{scale_factor}")
+        # Named by value, so that 1 and 1.0 generate the same rows.
+        self._rng = DeterministicRng(seed, f"tpch/{float(scale_factor)}")
         self.supplier_count = max(10, int(10_000 * scale_factor))
         self.part_count = max(20, int(200_000 * scale_factor))
         self.customer_count = max(30, int(150_000 * scale_factor))
@@ -203,71 +206,103 @@ class TpchGenerator:
     def orders_and_lineitems(
         self,
     ) -> "Tuple[List[Tuple[object, ...]], List[Tuple[object, ...]]]":
-        rng = self._rng.substream("orders")
+        # The "orders" substream is read as raw words with CPython's rules
+        # inlined (DESIGN.md §17): randint(a, b), and choice of a list of n
+        # items, keep a word's top n.bit_length() bits and retry while they
+        # are >= n (n = b - a + 1, or the list's length), so each
+        # `>> s) >= n` below pairs n with s = 32 - n.bit_length(); random()
+        # joins two words.  tests/reference_datagen.py keeps the
+        # call-by-call generator this equals row for row, types included.
+        word = self._rng.substream("orders").words()
+        n_cust, n_part = self.customer_count, self.part_count
+        n_supp = self.supplier_count
+        n_date = ORDER_DATE_MAX - ORDER_DATE_MIN + 1
+        assert max(n_cust, n_part, n_supp, n_date) < 2 ** 32  # one word a try
+        s_cust, s_part, s_supp, s_date = (
+            32 - n.bit_length() for n in (n_cust, n_part, n_supp, n_date))
+        prices = [self._retail_price(partkey) for partkey in range(n_part + 1)]
         orders: "List[Tuple[object, ...]]" = []
         lineitems: "List[Tuple[object, ...]]" = []
+        add_line = lineitems.append
         for index in range(1, self.order_count + 1):
             # dbgen leaves gaps in the orderkey space; keep the flavour.
-            orderkey = index * 4 - rng.randint(0, 2)
-            custkey = rng.randint(1, self.customer_count)
-            orderdate = rng.randint(ORDER_DATE_MIN, ORDER_DATE_MAX)
-            line_count = rng.randint(1, 7)
+            while (r := word() >> 30) >= 3:
+                pass
+            orderkey = index * 4 - r
+            while (r := word() >> s_cust) >= n_cust:
+                pass
+            custkey = r + 1
+            while (r := word() >> s_date) >= n_date:
+                pass
+            orderdate = ORDER_DATE_MIN + r
+            while (r := word() >> 29) >= 7:
+                pass
+            line_count = r + 1
             total = 0.0
-            statuses = []
+            shipped = 0
             for line_no in range(1, line_count + 1):
-                partkey = rng.randint(1, self.part_count)
-                suppkey = rng.randint(1, self.supplier_count)
-                quantity = float(rng.randint(1, 50))
-                extended = round(quantity * self._retail_price(partkey) / 10, 2)
-                discount = rng.randint(0, 10) / 100.0
-                tax = rng.randint(0, 8) / 100.0
-                shipdate = orderdate + rng.randint(1, 121)
-                commitdate = orderdate + rng.randint(30, 90)
-                receiptdate = shipdate + rng.randint(1, 30)
+                while (r := word() >> s_part) >= n_part:
+                    pass
+                partkey = r + 1
+                while (r := word() >> s_supp) >= n_supp:
+                    pass
+                suppkey = r + 1
+                while (r := word() >> 26) >= 50:
+                    pass
+                quantity = float(r + 1)
+                extended = round(quantity * prices[partkey] / 10, 2)
+                while (r := word() >> 28) >= 11:
+                    pass
+                discount = r / 100.0
+                while (r := word() >> 28) >= 9:
+                    pass
+                tax = r / 100.0
+                while (r := word() >> 25) >= 121:
+                    pass
+                shipdate = orderdate + (r + 1)
+                while (r := word() >> 26) >= 61:
+                    pass
+                commitdate = orderdate + (r + 30)
+                while (r := word() >> 27) >= 30:
+                    pass
+                receiptdate = shipdate + (r + 1)
                 linestatus = "F" if shipdate <= CURRENT_DATE else "O"
+                shipped += shipdate <= CURRENT_DATE
+                returnflag = "N"
                 if receiptdate <= CURRENT_DATE:
-                    returnflag = rng.choice(["R", "A"])
-                else:
-                    returnflag = "N"
-                statuses.append(linestatus)
+                    while (r := word() >> 30) >= 2:
+                        pass
+                    returnflag = "RA"[r]
                 total += extended * (1 + tax) * (1 - discount)
-                lineitems.append(
-                    (
-                        orderkey,
-                        partkey,
-                        suppkey,
-                        line_no,
-                        quantity,
-                        extended,
-                        discount,
-                        tax,
-                        returnflag,
-                        linestatus,
-                        shipdate,
-                        commitdate,
-                        receiptdate,
-                        rng.choice(SHIP_INSTRUCTIONS),
-                        rng.choice(SHIP_MODES),
-                    )
-                )
-            if all(s == "F" for s in statuses):
-                status = "F"
-            elif all(s == "O" for s in statuses):
-                status = "O"
-            else:
-                status = "P"
-            orders.append(
-                (
-                    orderkey,
-                    custkey,
-                    status,
-                    round(total, 2),
-                    orderdate,
-                    rng.choice(PRIORITIES),
-                    0,
-                    self._comment(rng, special=0.01),
-                )
-            )
+                while (instruct := word() >> 29) >= 4:
+                    pass
+                while (mode := word() >> 29) >= 7:
+                    pass
+                add_line((orderkey, partkey, suppkey, line_no,
+                          quantity, extended, discount, tax, returnflag,
+                          linestatus, shipdate, commitdate, receiptdate,
+                          SHIP_INSTRUCTIONS[instruct], SHIP_MODES[mode]))
+            status = ("F" if shipped == line_count
+                      else "O" if not shipped else "P")
+            while (priority := word() >> 29) >= 5:
+                pass
+            while (r := word() >> 29) >= 4:
+                pass
+            comment = []
+            for __ in range(r + 3):
+                while (r := word() >> 27) >= 18:
+                    pass
+                comment.append(COMMENT_WORDS[r])
+            if ((word() >> 5) * 67108864.0 + (word() >> 6)) / 2 ** 53 < 0.01:
+                # Q13 greps for '%special%requests%'.
+                n = len(comment) + 1
+                while (r := word() >> (32 - n.bit_length())) >= n:
+                    pass
+                comment.insert(r, "special")
+                comment.append("requests")
+            orders.append((orderkey, custkey, status, round(total, 2),
+                           orderdate, PRIORITIES[priority], 0,
+                           " ".join(comment)))
         return orders, lineitems
 
     def all_tables(self) -> "Dict[str, List[Tuple[object, ...]]]":

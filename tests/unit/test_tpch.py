@@ -142,6 +142,22 @@ class TestGenerator:
         with pytest.raises(ValueError):
             TpchGenerator(0)
 
+    @pytest.mark.parametrize("scale_factor,shown", [
+        (float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"),
+        (True, "True"), (False, "False"),
+    ])
+    def test_non_finite_and_bool_scale_factors_are_refused(
+            self, scale_factor, shown):
+        with pytest.raises(ValueError, match=f"got {shown}$"):
+            TpchGenerator(scale_factor)
+
+    @pytest.mark.parametrize("whole", [1, 2, 30])
+    def test_equal_scale_factors_generate_the_same_rows(self, whole):
+        as_int, as_float = TpchGenerator(whole, 7), TpchGenerator(float(whole), 7)
+        assert as_int.order_count == as_float.order_count
+        # region() draws its comments from the generator's own stream.
+        assert as_int.region() == as_float.region()
+
 
 class TestStreams:
     def test_streams_are_permutations(self):
