@@ -1,11 +1,9 @@
 """Scaled benchmark configurations.
 
-The paper runs TPC-H at scale factor 1000 on real EC2 hardware; the
-benchmarks run a scaled-down dataset against hardware whose *rates*
-(bandwidths, IOPS, CPU ops/s, request rates) are slowed by the same factor
-(``rate_scale = sf / 1000``) while latencies stay real.  Shrinking data and
-rates together preserves which resource binds, so the virtual-second
-results are directly comparable, in shape, to the paper's tables.
+The paper runs TPC-H at SF 1000; a bench at SF ``sf`` sets
+``rate_scale = sf / 1000`` and ``repro.engine.HARDWARE`` slows every rate
+by it, so the same resource binds and virtual seconds compare, in shape,
+to the paper's tables (DESIGN.md §2).
 
 Per-instance sizing follows the paper's deployment recipe: half of RAM for
 the buffer manager, all local SSDs RAID-0 for the OCM, the published NIC
@@ -21,7 +19,7 @@ from typing import Dict, Optional, Tuple
 from repro.columnar import ColumnStore
 from repro.costs.instances import INSTANCE_CATALOG, InstanceProfile
 from repro.engine import Database, DatabaseConfig
-from repro.tpch import load_tpch
+from repro.tpch import check_scale_factor, load_tpch
 
 GIB = 1024 ** 3
 TIB = 1024 ** 4
@@ -63,6 +61,7 @@ def bench_config(
     ``repro.engine``) among the overrides selects the paper's per-page
     I/O path (``make_engine``/``load_engine`` forward it).
     """
+    check_scale_factor(scale_factor)
     instance = INSTANCE_CATALOG[instance_type]
     rate_scale = scale_factor / PAPER_SCALE_FACTOR
     size_scale = rate_scale  # capacities shrink with the data

@@ -31,7 +31,7 @@ from repro.bench.report import geomean
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.core.multiplex import Multiplex  # noqa: F401  (re-export for examples)
 from repro.costs.pricing import DEFAULT_PRICES
-from repro.engine import PAPER_IO, Database
+from repro.engine import PAPER_IO, Database, paper_units
 from repro.objectstore.faults import FaultSchedule, ThrottleStorm
 from repro.sim.metrics import snapshot_delta
 from repro.tpch import power_run
@@ -260,11 +260,11 @@ def figure8_series(
         buckets[index] = buckets.get(index, 0.0) + value
     for index in range(n_buckets):
         buckets[index] = buckets.get(index, 0.0) + input_total / n_buckets
-    rate_scale = run.db.config.rate_scale
-    nic_gbits_ceiling = run.db.nic.rate / rate_scale * 8 / 1e9
+    cfg = run.db.config
+    nic_gbits_ceiling = paper_units(cfg, run.db.nic.rate) * 8 / 1e9
     out = []
     for index in sorted(buckets):
-        gbits = buckets[index] * 8 / bucket_seconds / rate_scale / 1e9
+        gbits = paper_units(cfg, buckets[index] * 8 / bucket_seconds) / 1e9
         out.append((index * bucket_seconds, min(gbits, nic_gbits_ceiling)))
     return out
 

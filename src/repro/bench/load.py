@@ -287,9 +287,9 @@ class LoadHarness:
     def _load_multiplex(self) -> "Tuple[Multiplex, ColumnStore, float]":
         """A TPC-H-loaded multiplex: bench-sized coordinator + secondaries.
 
-        Secondary nodes mirror the coordinator's bench sizing (buffer,
-        OCM, NIC, vcpus) so a static-N run is N of the same machine —
-        the comparison the $/query ablation needs.
+        Secondary nodes take the coordinator's bench sizing (buffer, OCM,
+        NIC, vcpus) for the $/query ablation, but only the coordinator's
+        NIC is capped at ``s3_effective_gbits`` (9 Gbit/s).
         """
         cfg = self.config
         base = bench_config(

@@ -34,7 +34,6 @@ def ebs_gp2(size_bytes: int, name: str = "ebs-gp2") -> DeviceProfile:
         bandwidth=250 * MB,
         iops=iops,
         latency_jitter=0.05,
-        description=f"EBS gp2 {size_bytes / GIB:.0f} GiB ({iops:.0f} IOPS)",
     )
 
 
@@ -48,7 +47,6 @@ def efs_standard(stored_bytes: int, name: str = "efs") -> DeviceProfile:
         bandwidth=bandwidth,
         iops=7000.0,
         latency_jitter=0.10,
-        description=f"EFS standard sized for {stored_bytes / GIB:.0f} GiB",
     )
 
 
@@ -64,7 +62,6 @@ def nvme_ssd(name: str = "nvme") -> DeviceProfile:
         # NVMe writes sustain a fraction of read throughput; amplified
         # write bursts crowd out reads on the shared channel (Figure 6).
         write_cost_multiplier=4.0,
-        description="local NVMe instance SSD",
     )
 
 
@@ -77,5 +74,4 @@ def ram_disk(name: str = "ram") -> DeviceProfile:
         bandwidth=1e12,
         iops=None,
         latency_jitter=0.0,
-        description="zero-cost test device",
     )

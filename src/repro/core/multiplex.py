@@ -29,6 +29,7 @@ from repro.core.keygen import KeyRange, NodeKeyCache
 from repro.core.recovery import fence_in_flight_writes
 from repro.core.txn import Transaction, TransactionError
 from repro.engine import Database, DatabaseConfig, NodeRuntime, SYSTEM_DBSPACE, USER_DBSPACE
+from repro.engine import GBIT, NodeHardware, scaled
 from repro.engine import build_cloud_dbspace, build_object_io
 from repro.objectstore.faults import FaultSchedule, OutageWindow, RegionOutage
 from repro.objectstore.replicated import ReplicatedObjectStore
@@ -41,8 +42,6 @@ from repro.sim.crashpoints import (
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.pipes import Pipe
 from repro.storage.dbspace import DirectObjectIO
-
-GBIT = 1_000_000_000 / 8
 
 CP_RESTART_GC_BEFORE_POLL = register_crash_point(
     "multiplex.restart_gc.before_poll",
@@ -137,13 +136,12 @@ class SecondaryNode:
         self.config = coordinator.config
         self.clock = coordinator.clock
         self.rpc = Rpc(self.clock, config.rpc_latency)
-        rate_scale = coordinator.config.rate_scale
-        self.nic = Pipe(config.secondary_nic_gbits * GBIT * rate_scale,
-                        name=f"{node_id}/nic")
+        hardware = scaled(self.config, NodeHardware(
+            self.config.cpu_ops_per_second, config.secondary_nic_gbits * GBIT,
+        ))
+        self.nic = Pipe(hardware.nic, name=f"{node_id}/nic")
         self.cpu = CpuModel(
-            self.clock,
-            config.secondary_vcpus,
-            coordinator.config.cpu_ops_per_second * rate_scale,
+            self.clock, config.secondary_vcpus, hardware.cpu_ops_per_second,
         )
         self.crashed = False
         self.last_crash_point: "Optional[str]" = None
@@ -326,21 +324,6 @@ class Multiplex:
         token buckets and each node's own NIC/SSD pipes.
         """
         return self.coordinator.new_session_scheduler()
-
-    def session_targets(self, include_coordinator: bool = True) -> "List[object]":
-        """Round-robin-able session endpoints: coordinator + secondaries.
-
-        Any returned object supports ``begin/commit/rollback``,
-        ``open_for_read``, ``read_page``/``write_page`` (writers), a
-        ``buffer`` and a ``cpu`` — the session-protocol surface
-        :class:`~repro.columnar.query.QueryContext` and the load harness
-        program against.
-        """
-        targets: "List[object]" = (
-            [self.coordinator] if include_coordinator else []
-        )
-        targets.extend(self.nodes.values())
-        return targets
 
     def node(self, node_id: str) -> SecondaryNode:
         try:

@@ -51,7 +51,6 @@ class DeviceProfile:
     # amplification makes it worse) — heavy asynchronous write bursts
     # therefore crowd out reads, the paper's Figure 6 anomaly.
     write_cost_multiplier: float = 1.0
-    description: str = ""
 
 
 class QueueingDevice:
@@ -127,29 +126,6 @@ class QueueingDevice:
         return f"QueueingDevice({self.profile.name!r})"
 
 
-def scaled_profile(profile: DeviceProfile, rate_scale: float,
-                   op_scale: "Optional[float]" = None) -> DeviceProfile:
-    """Scale a device's *rates* (bandwidth, IOPS) leaving latencies real.
-
-    Used to run scaled-down datasets against proportionally slowed
-    hardware so that throughput bottlenecks bind as they would at full
-    scale (see DatabaseConfig.rate_scale).
-    """
-    if rate_scale <= 0:
-        raise ValueError(f"rate scale must be positive, got {rate_scale}")
-    ops = rate_scale if op_scale is None else op_scale
-    return DeviceProfile(
-        name=profile.name,
-        read_latency=profile.read_latency,
-        write_latency=profile.write_latency,
-        bandwidth=profile.bandwidth * rate_scale,
-        iops=None if profile.iops is None else profile.iops * ops,
-        latency_jitter=profile.latency_jitter,
-        write_cost_multiplier=profile.write_cost_multiplier,
-        description=f"{profile.description} (rates x{rate_scale:g})",
-    )
-
-
 def raid0(profiles: "list[DeviceProfile]", name: str = "raid0") -> DeviceProfile:
     """Combine identical local devices into a single RAID 0 profile.
 
@@ -171,5 +147,4 @@ def raid0(profiles: "list[DeviceProfile]", name: str = "raid0") -> DeviceProfile
         iops=total_iops,
         latency_jitter=first.latency_jitter,
         write_cost_multiplier=first.write_cost_multiplier,
-        description=f"RAID 0 of {len(profiles)} x {first.name}",
     )

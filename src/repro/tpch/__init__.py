@@ -9,7 +9,7 @@ access patterns and the power/throughput run protocols all follow the spec
 """
 
 from repro.tpch.schema import TPCH_SCHEMAS, tpch_schema
-from repro.tpch.datagen import TpchGenerator
+from repro.tpch.datagen import TpchGenerator, check_scale_factor
 from repro.tpch.queries import QUERIES, run_query
 from repro.tpch.runner import (
     load_tpch,
@@ -21,6 +21,7 @@ __all__ = [
     "TPCH_SCHEMAS",
     "tpch_schema",
     "TpchGenerator",
+    "check_scale_factor",
     "QUERIES",
     "run_query",
     "load_tpch",

@@ -60,13 +60,18 @@ ORDER_DATE_MIN = d(1992, 1, 1)
 ORDER_DATE_MAX = d(1998, 8, 2)
 
 
+def check_scale_factor(scale_factor: float) -> None:
+    """Refuse a scale factor that is not a positive, finite number."""
+    if isinstance(scale_factor, bool) or not 0 < scale_factor < math.inf:
+        raise ValueError("scale factor must be positive and finite, "
+                         f"got {scale_factor!r}")
+
+
 class TpchGenerator:
     """Generates TPC-H tables deterministically for a scale factor."""
 
     def __init__(self, scale_factor: float = 0.01, seed: int = 7) -> None:
-        if isinstance(scale_factor, bool) or not 0 < scale_factor < math.inf:
-            raise ValueError("scale factor must be positive and finite, "
-                             f"got {scale_factor!r}")
+        check_scale_factor(scale_factor)
         self.scale_factor = scale_factor
         # Named by value, so that 1 and 1.0 generate the same rows.
         self._rng = DeterministicRng(seed, f"tpch/{float(scale_factor)}")

@@ -29,6 +29,14 @@ class TestBenchConfig:
         config = bench_config(scale_factor=0.01)
         assert config.rate_scale == pytest.approx(1e-5)
 
+    @pytest.mark.parametrize("scale_factor", [
+        float("nan"), float("inf"), 0, 0.0, -0.01, True,
+    ])
+    def test_refuses_scale_factors_the_generator_refuses(self, scale_factor):
+        with pytest.raises(ValueError, match="scale factor must be positive "
+                           "and finite"):
+            bench_config(scale_factor=scale_factor)
+
     def test_instance_shapes_transfer(self):
         for instance_type, profile in INSTANCE_CATALOG.items():
             if profile.ssd_count == 0:

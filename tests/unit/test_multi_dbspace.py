@@ -69,6 +69,34 @@ def test_azure_profile_dbspace():
     assert db.meter.request_cost("azure-blob") > 0
 
 
+def _prefix_rates(dbspace):
+    profile = dbspace.io.client.store.profile
+    return profile.per_prefix_put_rate, profile.per_prefix_get_rate
+
+
+def test_extra_dbspace_request_rates_follow_its_own_profile_and_page():
+    # Per-prefix request rates are per-op rates: x 2 * 512 KiB / page size
+    # of the dbspace they serve, from the dbspace's own store profile.
+    db = make_db(page_size=16 * 1024)  # x64 per op at rate scale 1
+    assert _prefix_rates(db.create_cloud_dbspace("s3")) == (224000.0,
+                                                            352000.0)
+    assert _prefix_rates(db.create_cloud_dbspace(
+        "azure", profile=AZURE_BLOB_PROFILE)) == (128000.0, 256000.0)
+    assert _prefix_rates(db.create_cloud_dbspace(
+        "big", page_size=64 * 1024)) == (56000.0, 88000.0)
+    assert _prefix_rates(db.create_cloud_dbspace(
+        "azure-big", page_size=64 * 1024,
+        profile=AZURE_BLOB_PROFILE)) == (32000.0, 64000.0)
+
+
+def test_extra_dbspace_request_rates_shrink_with_the_rate_scale():
+    db = make_db(page_size=16 * 1024, rate_scale=0.5)
+    assert _prefix_rates(db.create_cloud_dbspace(
+        "azure", profile=AZURE_BLOB_PROFILE)) == (64000.0, 128000.0)
+    assert _prefix_rates(db.create_cloud_dbspace("s3")) == _prefix_rates(
+        db.user_dbspace)
+
+
 def test_keys_unique_across_dbspaces():
     """The key generator is global: dbspaces never collide on keys."""
     db = make_db()
