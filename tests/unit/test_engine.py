@@ -32,6 +32,13 @@ def test_unknown_volume_rejected():
         make_db(user_volume="tape")
 
 
+@pytest.mark.parametrize("rate_scale", [0.0, -1.0, float("nan"),
+                                        float("inf")])
+def test_rate_scale_must_be_positive_and_finite(rate_scale):
+    with pytest.raises(ValueError, match="rate scale must be positive"):
+        Database(DatabaseConfig(rate_scale=rate_scale))
+
+
 def test_ocm_disabled():
     db = make_db(ocm_enabled=False)
     assert db.ocm is None
