@@ -101,8 +101,8 @@ def base_config(
         page_size=PAGE_SIZE,
         buffer_capacity_bytes=BUFFER_FRAMES * PAYLOAD_BYTES,
         ocm_capacity_bytes=4 * 1024 * 1024,
-        # Small system volume: recovery decodes its freelist bitmap on
-        # every restart, and episodes restart many times.
+        # Small system volume: every checkpoint is charged the full length
+        # of its freelist image, and episodes restart many times.
         system_volume_size_bytes=32 * 1024 * 1024,
         retention_seconds=RETENTION_SECONDS,
     )

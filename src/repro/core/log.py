@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.blockstore.device import BlockDevice
+from repro.blockstore.freelist import Freelist
 
 # Record kinds.
 ALLOC_RANGE = "alloc_range"
@@ -39,16 +40,22 @@ _RECORD_SIZE_ESTIMATE = 512  # bytes charged per record to the log device
 def _charged_length(state: "Dict[str, Any]") -> int:
     """``len(json.dumps(state))`` with each bytes value as base64 text.
 
-    Base64 text never needs JSON escaping, so each bytes value is dumped
-    as ``""`` and adds its encoded length: only the remainder is dumped.
+    A :class:`Freelist` counts as the bytes of its ``to_bytes()`` image,
+    whose length follows from its size alone.  Base64 text never needs
+    JSON escaping, so each such value is dumped as ``""`` and adds its
+    encoded length: only the remainder is dumped.
     """
     encoded = 0
 
     def as_empty_text(value: object) -> str:
         nonlocal encoded
-        if not isinstance(value, bytes):
+        if isinstance(value, bytes):
+            length = len(value)
+        elif isinstance(value, Freelist):
+            length = value.image_length()
+        else:
             raise TypeError(f"{type(value).__name__} is not JSON serializable")
-        encoded += 4 * ((len(value) + 2) // 3)
+        encoded += 4 * ((length + 2) // 3)
         return ""
 
     return len(json.dumps(state, default=as_empty_text)) + encoded
@@ -105,8 +112,9 @@ class TransactionLog:
     def checkpoint(self, state: "Dict[str, Any]") -> LogRecord:
         """Record a checkpoint, replacing the previous one.
 
-        ``state`` is JSON-serializable except for ``bytes`` values, which
-        are kept as they are and charged at their base64 length.
+        ``state`` is JSON-serializable except for ``bytes`` and
+        :class:`Freelist` values, which are kept as they are and charged at
+        the base64 length of their bytes.
         """
         record = self.append(CHECKPOINT, {"note": "checkpoint"})
         self._last_checkpoint_lsn = record.lsn

@@ -106,12 +106,16 @@ def encode_checkpoint(
     chain_payloads: "List[Dict[str, object]]",
     commit_seq: int,
 ) -> "Dict[str, object]":
-    """Build the checkpoint state (JSON apart from its bytes values)."""
+    """Build the checkpoint state.
+
+    JSON apart from the catalog's bytes and each freelist's used-prefix
+    copy; the log charges both at the base64 length of their images.
+    """
     return {
         "catalog": catalog.to_bytes(),
         "keygen": keygen.checkpoint_state(),
         "freelists": {
-            name: freelist.to_bytes() for name, freelist in freelists.items()
+            name: freelist.copy() for name, freelist in freelists.items()
         },
         "chain": chain_payloads,
         "commit_seq": commit_seq,
@@ -125,8 +129,8 @@ def recover(log: TransactionLog) -> RecoveredState:
         catalog = Catalog.from_bytes(state["catalog"])  # type: ignore[arg-type]
         keygen = ObjectKeyGenerator.from_checkpoint(log, state["keygen"])  # type: ignore[arg-type]
         freelists = {
-            name: Freelist.from_bytes(raw)
-            for name, raw in state["freelists"].items()  # type: ignore[union-attr]
+            name: image.copy()
+            for name, image in state["freelists"].items()  # type: ignore[union-attr]
         }
         chain = [
             CommitChainEntry.from_payload(payload)

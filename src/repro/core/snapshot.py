@@ -23,6 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Container, Deque, Dict, List, Optional, Tuple
 
+from repro.blockstore.freelist import Freelist
 from repro.sim.clock import VirtualClock
 from repro.sim.crashpoints import crash_point, register_crash_point
 from repro.storage.dbspace import PageStore
@@ -60,7 +61,7 @@ class Snapshot:
     catalog_bytes: bytes
     max_allocated_key: int
     snapmgr_metadata: bytes
-    freelists: "Dict[str, bytes]" = field(default_factory=dict)
+    freelists: "Dict[str, Freelist]" = field(default_factory=dict)
     # Largest key actually *consumed* when the snapshot was taken; the
     # restore-time GC polls keys above this floor (keys below were either
     # committed — hence reachable from the restored catalog — retained, or
@@ -168,7 +169,7 @@ class SnapshotManager:
         self,
         catalog_bytes: bytes,
         max_allocated_key: int,
-        freelists: "Optional[Dict[str, bytes]]" = None,
+        freelists: "Optional[Dict[str, Freelist]]" = None,
         max_consumed_key: "Optional[int]" = None,
     ) -> Snapshot:
         """Record a snapshot: metadata only, hence near-instantaneous."""

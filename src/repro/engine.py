@@ -22,6 +22,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, TypeVar
 
 from repro.blockstore.device import BlockDevice
+from repro.blockstore.freelist import Freelist
 from repro.blockstore.profiles import ebs_gp2, efs_standard, nvme_ssd
 from repro.core.buffer import BufferManager, ObjectHandle
 from repro.core.keygen import NodeKeyCache, ObjectKeyGenerator, RangeSizePolicy
@@ -736,22 +737,20 @@ class Database:
     # checkpointing, crash, restart
     # ------------------------------------------------------------------ #
 
-    def _freelists(self) -> "Dict[str, bytes]":
-        freelists = {SYSTEM_DBSPACE: self.system_dbspace.freelist.to_bytes()}
+    def _freelists(self) -> "Dict[str, Freelist]":
+        """The live freelists; checkpoints and snapshots keep copies."""
+        freelists = {SYSTEM_DBSPACE: self.system_dbspace.freelist}
         if isinstance(self.user_dbspace, BlockDbspace):
-            freelists[USER_DBSPACE] = self.user_dbspace.freelist.to_bytes()
+            freelists[USER_DBSPACE] = self.user_dbspace.freelist
         return freelists
 
     def checkpoint(self) -> None:
         """Persist recovery state: catalog, freelists, keygen, chain."""
         self._check_usable()
-        freelist_objects = {SYSTEM_DBSPACE: self.system_dbspace.freelist}
-        if isinstance(self.user_dbspace, BlockDbspace):
-            freelist_objects[USER_DBSPACE] = self.user_dbspace.freelist
         state = encode_checkpoint(
             self.catalog,
             self.keygen,
-            freelist_objects,
+            self._freelists(),
             self.txn_manager.chain_state(),
             self.txn_manager.commit_seq,
         )
@@ -864,7 +863,8 @@ class Database:
         snapshot = self.snapshot_manager.create_snapshot(
             self.catalog.to_bytes(),
             self.keygen.max_allocated_key,
-            self._freelists(),
+            {name: freelist.copy()
+             for name, freelist in self._freelists().items()},
             max_consumed_key=self.key_cache.last_consumed,
         )
         crash_point(CP_SNAPSHOT_BEFORE_LOG)
@@ -897,13 +897,11 @@ class Database:
             SnapshotManager.decode_metadata(snapshot.snapmgr_metadata),
             snapshot.created_at,
         )
-        for name, payload in snapshot.freelists.items():
-            from repro.blockstore.freelist import Freelist
-
+        for name, image in snapshot.freelists.items():
             if name == SYSTEM_DBSPACE:
-                self.system_dbspace.freelist = Freelist.from_bytes(payload)
+                self.system_dbspace.freelist = image.copy()
             elif name == USER_DBSPACE and isinstance(self.user_dbspace, BlockDbspace):
-                self.user_dbspace.freelist = Freelist.from_bytes(payload)
+                self.user_dbspace.freelist = image.copy()
         self.txn_manager = TransactionManager(
             self.catalog,
             self.log,

@@ -90,7 +90,6 @@ class TokenBucket:
         self._capacity = float(capacity)
         self._available = float(capacity)
         self._last_time = 0.0
-        self._total_tokens = 0.0
         self._throttled_requests = 0
 
     @property
@@ -100,10 +99,6 @@ class TokenBucket:
     @property
     def capacity(self) -> float:
         return self._capacity
-
-    @property
-    def total_tokens(self) -> float:
-        return self._total_tokens
 
     @property
     def throttled_requests(self) -> int:
@@ -129,7 +124,6 @@ class TokenBucket:
         if tokens < 0:
             raise ValueError(f"cannot request negative tokens {tokens!r}")
         self._refill(now)
-        self._total_tokens += tokens
         if self._available >= tokens:
             self._available -= tokens
             return max(now, self._last_time)

@@ -154,3 +154,21 @@ def test_snapshot_disabled_without_retention():
     assert db.snapshot_manager is None
     with pytest.raises(EngineError):
         db.create_snapshot()
+
+
+
+def test_restore_reinstalls_a_block_dbspace_freelist_from_its_snapshot():
+    """The snapshot keeps its own freelist: allocations made after it, or
+    after a restore from it, do not leak into a later restore."""
+    db = make_db(user_volume="ebs", retention_seconds=3600.0)
+    db.create_object("t")
+    write_and_commit(db, "t", range(3), b"v1")
+    snapshot = db.create_snapshot()
+    at_snapshot = list(db.user_dbspace.freelist.used_ranges())
+    write_and_commit(db, "t", range(6), b"v2")
+    assert list(db.user_dbspace.freelist.used_ranges()) != at_snapshot
+    db.restore_snapshot(snapshot.snapshot_id)
+    assert list(db.user_dbspace.freelist.used_ranges()) == at_snapshot
+    db.user_dbspace.freelist.allocate(16)
+    db.restore_snapshot(snapshot.snapshot_id)
+    assert list(db.user_dbspace.freelist.used_ranges()) == at_snapshot

@@ -1,8 +1,9 @@
 """Property tests: what a checkpoint charges the log device.
 
 A checkpoint is charged the length of its state serialized as JSON with
-every bytes value written as base64 text (the catalog and the freelist
-bitmaps are bytes).  The charge moves the virtual clock, so it is pinned
+every bytes value written as base64 text (the catalog is bytes; each
+freelist is held as a used-prefix copy and charged as the bytes of its
+full ``to_bytes()`` image).  The charge moves the virtual clock, so it is pinned
 two ways: a property over arbitrary nested states, and the exact device
 counters of one ``Database`` checkpoint and one ``Multiplex`` coordinator
 recovery.
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockstore.device import BlockDevice
+from repro.blockstore.freelist import Freelist
 from repro.blockstore.profiles import nvme_ssd
 from repro.core.log import TransactionLog
 from repro.core.multiplex import Multiplex, MultiplexConfig
@@ -77,6 +79,40 @@ def test_text_state_is_charged_its_json_length(state):
 @settings(max_examples=100, deadline=None)
 def test_bytes_are_charged_at_their_base64_length(state):
     assert checkpoint_charge(state) == len(json.dumps(b64(state)))
+
+
+def freelist_with(total, blocks):
+    freelist = Freelist(total)
+    for block in blocks:
+        freelist.mark_used(block)
+    return freelist
+
+
+@st.composite
+def freelists(draw):
+    total = draw(st.integers(1, 200))
+    blocks = draw(st.lists(st.integers(0, total - 1), max_size=12))
+    return freelist_with(total, blocks)
+
+
+@given(freelists(), states)
+@settings(max_examples=100, deadline=None)
+def test_a_freelist_is_charged_as_its_full_image(freelist, state):
+    image = dict(state, freelist=freelist.to_bytes())
+    assert checkpoint_charge(dict(state, freelist=freelist)) == len(
+        json.dumps(b64(image)))
+
+
+def test_a_freelist_set_in_its_final_byte_is_charged_as_its_full_image():
+    # The held prefix is the whole bitmap here, and an empty one before.
+    for total in (8, 13, 64, 1001):
+        for blocks in ([total - 1], [0, total - 1], []):
+            freelist = freelist_with(total, blocks)
+            image = freelist.to_bytes()
+            assert len(image) == 8 + (total + 7) // 8
+            state = {"freelists": {"system": freelist.copy()}}
+            assert checkpoint_charge(state) == checkpoint_charge(
+                {"freelists": {"system": image}})
 
 
 # Recorded before checkpoint state carried raw bytes; a sizing slip moves
