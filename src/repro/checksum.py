@@ -26,8 +26,8 @@ registers are python ints, so no step depends on the host's byte order.
 The module also provides the optional *page trailer* format used by
 ``DatabaseConfig.page_checksums``: a sealed page is
 ``b"CK1" | crc32c(payload) | payload`` so the integrity of a page image
-survives any storage path (OCM SSD cache, encryption, backups) end to
-end.  The trailer changes the bytes at rest, so it is a default-off knob
+survives any storage path (OCM SSD cache, replication) end to end.
+The trailer changes the bytes at rest, so it is a default-off knob
 guarded by the golden byte-identical regression.
 """
 

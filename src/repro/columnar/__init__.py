@@ -12,7 +12,6 @@ from repro.columnar.schema import ColumnSchema, TableSchema
 from repro.columnar.store import ColumnStore
 from repro.columnar.query import QueryContext
 from repro.columnar.hgindex import HgIndex
-from repro.columnar.niche import CmpIndex, DateIndex, TextIndex
 from repro.columnar.exec import (
     hash_join,
     group_by,
@@ -25,9 +24,6 @@ __all__ = [
     "ColumnStore",
     "QueryContext",
     "HgIndex",
-    "CmpIndex",
-    "DateIndex",
-    "TextIndex",
     "hash_join",
     "group_by",
     "order_by",

@@ -23,7 +23,6 @@ from repro.columnar.blob import read_blob
 from repro.columnar.deletes import RowIdSet
 from repro.columnar.encoding import decode_values_np
 from repro.columnar.hgindex import HgIndex
-from repro.columnar.niche import CmpIndex, DateIndex, TextIndex
 from repro.columnar.schema import TableState, make_row_id, split_row_id
 from repro.columnar.zonemap import ZoneMaps
 
@@ -169,24 +168,6 @@ class QueryContext:
                                    RowIdSet.from_bytes)
         except (CatalogError, KeyError):
             return RowIdSet()
-
-    def date_index(self, table: str, column: str) -> DateIndex:
-        """The column's DATE index (datepart buckets)."""
-        state = self.table(table)
-        return self._load_meta(state.schema.date_object(column),
-                               DateIndex.from_bytes)
-
-    def text_index(self, table: str, column: str) -> TextIndex:
-        """The column's TEXT (word-inverted) index."""
-        state = self.table(table)
-        return self._load_meta(state.schema.text_object(column),
-                               TextIndex.from_bytes)
-
-    def cmp_index(self, table: str, first: str, second: str) -> CmpIndex:
-        """The CMP index over the (first, second) column pair."""
-        state = self.table(table)
-        return self._load_meta(state.schema.cmp_object(first, second),
-                               CmpIndex.from_bytes)
 
     # ------------------------------------------------------------------ #
     # page access

@@ -39,32 +39,17 @@ class SchemaError(Exception):
 
 @dataclass(frozen=True)
 class ColumnSchema:
-    """One column: name, kind, optional secondary indexes.
-
-    Besides the High-Group index, the niche indexes of Section 1 are
-    available: DATE (datepart buckets, ``date`` columns only) and TEXT
-    (word-level inverted index, ``str`` columns only).
-    """
+    """One column: name, kind and an optional High-Group index."""
 
     name: str
     kind: str
     hg_index: bool = False
-    date_index: bool = False
-    text_index: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in COLUMN_KINDS:
             raise SchemaError(
                 f"column {self.name!r}: unknown kind {self.kind!r} "
                 f"(expected one of {COLUMN_KINDS})"
-            )
-        if self.date_index and self.kind != "date":
-            raise SchemaError(
-                f"column {self.name!r}: DATE indexes need a date column"
-            )
-        if self.text_index and self.kind != "str":
-            raise SchemaError(
-                f"column {self.name!r}: TEXT indexes need a str column"
             )
 
 
@@ -77,8 +62,6 @@ class TableSchema:
     partition_column: "Optional[str]" = None
     partition_count: int = 1
     rows_per_page: int = 2048
-    # CMP indexes: pairs of columns whose row-wise comparison is indexed.
-    cmp_indexes: "Sequence[Tuple[str, str]]" = ()
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -86,12 +69,6 @@ class TableSchema:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise SchemaError(f"table {self.name!r} has duplicate column names")
-        for first, second in self.cmp_indexes:
-            if first not in names or second not in names:
-                raise SchemaError(
-                    f"table {self.name!r}: CMP index columns "
-                    f"({first!r}, {second!r}) must exist"
-                )
         if self.partition_count < 1:
             raise SchemaError("partition count must be at least 1")
         if self.partition_count > 1 and self.partition_column is None:
@@ -119,12 +96,6 @@ class TableSchema:
     def indexed_columns(self) -> "List[str]":
         return [c.name for c in self.columns if c.hg_index]
 
-    def date_indexed_columns(self) -> "List[str]":
-        return [c.name for c in self.columns if c.date_index]
-
-    def text_indexed_columns(self) -> "List[str]":
-        return [c.name for c in self.columns if c.text_index]
-
     # ------------------------------------------------------------------ #
     # storage object names
     # ------------------------------------------------------------------ #
@@ -147,28 +118,6 @@ class TableSchema:
             )
         return f"{self.name}/{column}__hg"
 
-    def date_object(self, column: str) -> str:
-        if column not in self.date_indexed_columns():
-            raise SchemaError(
-                f"column {column!r} of {self.name!r} has no DATE index"
-            )
-        return f"{self.name}/{column}__date"
-
-    def text_object(self, column: str) -> str:
-        if column not in self.text_indexed_columns():
-            raise SchemaError(
-                f"column {column!r} of {self.name!r} has no TEXT index"
-            )
-        return f"{self.name}/{column}__text"
-
-    def cmp_object(self, first: str, second: str) -> str:
-        if (first, second) not in tuple(self.cmp_indexes):
-            raise SchemaError(
-                f"table {self.name!r} has no CMP index on "
-                f"({first!r}, {second!r})"
-            )
-        return f"{self.name}/{first}__cmp__{second}"
-
     def deleted_object(self) -> str:
         return f"{self.name}/__deleted"
 
@@ -180,6 +129,7 @@ class TableSchema:
     # ------------------------------------------------------------------ #
 
     def to_dict(self) -> "Dict[str, object]":
+        # The constant index keys keep stored ``__meta`` blobs byte-stable.
         return {
             "name": self.name,
             "columns": [
@@ -187,15 +137,15 @@ class TableSchema:
                     "name": c.name,
                     "kind": c.kind,
                     "hg_index": c.hg_index,
-                    "date_index": c.date_index,
-                    "text_index": c.text_index,
+                    "date_index": False,
+                    "text_index": False,
                 }
                 for c in self.columns
             ],
             "partition_column": self.partition_column,
             "partition_count": self.partition_count,
             "rows_per_page": self.rows_per_page,
-            "cmp_indexes": [list(pair) for pair in self.cmp_indexes],
+            "cmp_indexes": [],
         }
 
     @classmethod
@@ -203,20 +153,12 @@ class TableSchema:
         return cls(
             name=str(payload["name"]),
             columns=tuple(
-                ColumnSchema(
-                    c["name"], c["kind"], c["hg_index"],  # type: ignore[index]
-                    c.get("date_index", False),  # type: ignore[union-attr]
-                    c.get("text_index", False),  # type: ignore[union-attr]
-                )
+                ColumnSchema(c["name"], c["kind"], c["hg_index"])  # type: ignore[index]
                 for c in payload["columns"]  # type: ignore[union-attr]
             ),
             partition_column=payload["partition_column"],  # type: ignore[arg-type]
             partition_count=int(payload["partition_count"]),  # type: ignore[arg-type]
             rows_per_page=int(payload["rows_per_page"]),  # type: ignore[arg-type]
-            cmp_indexes=tuple(
-                (pair[0], pair[1])
-                for pair in payload.get("cmp_indexes", [])  # type: ignore[union-attr]
-            ),
         )
 
 

@@ -21,7 +21,6 @@ from repro.columnar.blob import write_blob
 from repro.columnar.deletes import RowIdSet
 from repro.columnar.encoding import decode_values, encode_values
 from repro.columnar.hgindex import HgIndex
-from repro.columnar.niche import CmpIndex, DateIndex, TextIndex
 from repro.columnar.schema import (
     SchemaError,
     TableSchema,
@@ -64,12 +63,6 @@ class ColumnStore:
         self.db.create_object(schema.zonemap_object(), dbspace)
         for column in schema.indexed_columns():
             self.db.create_object(schema.hg_object(column), dbspace)
-        for column in schema.date_indexed_columns():
-            self.db.create_object(schema.date_object(column), dbspace)
-        for column in schema.text_indexed_columns():
-            self.db.create_object(schema.text_object(column), dbspace)
-        for first, second in schema.cmp_indexes:
-            self.db.create_object(schema.cmp_object(first, second), dbspace)
         self.db.create_object(schema.deleted_object(), dbspace)
         self.db.create_object(schema.meta_object(), dbspace)
         self._schemas[schema.name] = schema
@@ -143,7 +136,6 @@ class ColumnStore:
             partition_column=schema.partition_column,
             partition_count=schema.partition_count,
             rows_per_page=effective,
-            cmp_indexes=schema.cmp_indexes,
         )
 
     @staticmethod
@@ -205,15 +197,13 @@ class ColumnStore:
         partition: int,
         rows: "Sequence[Tuple[object, ...]]",
         zonemaps: ZoneMaps,
-        niche: "Tuple[Dict[str, DateIndex], Dict[str, TextIndex], Dict[Tuple[str, str], CmpIndex]]",
     ) -> "Dict[str, Sequence[object]]":
         """Encode and write one partition's pages a column vector at a time.
 
-        Adds the zone maps, extends the niche indexes and charges the CPU
-        per page in the order the page writes interleave with it.  Returns
-        the HG-indexed columns' vectors.
+        Adds the zone maps and charges the CPU per page in the order the
+        page writes interleave with it.  Returns the HG-indexed columns'
+        vectors.
         """
-        date_indexes, text_indexes, cmp_indexes = niche
         cpu = self.db.cpu
         names = schema.column_names()
         kinds = [schema.column(column).kind for column in names]
@@ -237,24 +227,7 @@ class ColumnStore:
                                   *self._page_bounds(page), count)
                 if column in indexed:
                     cpu.charge(_INDEX_OPS * count)
-                if column in date_indexes:
-                    cpu.charge(_INDEX_OPS * count)
-                if column in text_indexes:
-                    cpu.charge(4 * _INDEX_OPS * count)
-            for __ in cmp_indexes:
-                cpu.charge(_INDEX_OPS * count)
-
-        # Row ids are consecutive within a partition, so the niche indexes
-        # take the whole partition in one call.
         named = dict(zip(names, columns))
-        base_row = make_row_id(partition, 0)
-        for column, date_index in date_indexes.items():
-            date_index.add_rows(to_list(named[column]), base_row)
-        for column, text_index in text_indexes.items():
-            text_index.add_rows(named[column], base_row)
-        for (first, second), cmp_index in cmp_indexes.items():
-            cmp_index.add_rows(to_list(named[first]), to_list(named[second]),
-                               base_row)
         return {column: named[column] for column in indexed}
 
     def load(
@@ -289,12 +262,6 @@ class ColumnStore:
         bounds, partition_of = self._route_rows(schema, materialized)
 
         zonemaps = ZoneMaps()
-        niche = (
-            {column: DateIndex() for column in schema.date_indexed_columns()},
-            {column: TextIndex() for column in schema.text_indexed_columns()},
-            {pair: CmpIndex() for pair in schema.cmp_indexes},
-        )
-        date_indexes, text_indexes, cmp_indexes = niche
         # Each HG index is built once, from every partition's values.
         hg_parts: "Dict[str, List[Sequence[object]]]" = {
             column: [] for column in schema.indexed_columns()
@@ -310,7 +277,7 @@ class ColumnStore:
             row_id_parts.append(
                 make_row_id(partition, 0) + np.arange(len(part_rows)))
             for column, values in self._write_partition(
-                txn, schema, partition, part_rows, zonemaps, niche
+                txn, schema, partition, part_rows, zonemaps
             ).items():
                 hg_parts[column].append(values)
         row_ids = np.concatenate(row_id_parts)
@@ -325,17 +292,6 @@ class ColumnStore:
         for column, index in indexes.items():
             hg_handle = self.db.open_for_write(txn, schema.hg_object(column))
             write_blob(self.db.buffer, hg_handle, index.to_bytes(), page_size)
-        for column, date_index in date_indexes.items():
-            handle = self.db.open_for_write(txn, schema.date_object(column))
-            write_blob(self.db.buffer, handle, date_index.to_bytes(), page_size)
-        for column, text_index in text_indexes.items():
-            handle = self.db.open_for_write(txn, schema.text_object(column))
-            write_blob(self.db.buffer, handle, text_index.to_bytes(), page_size)
-        for (first, second), cmp_index in cmp_indexes.items():
-            handle = self.db.open_for_write(
-                txn, schema.cmp_object(first, second)
-            )
-            write_blob(self.db.buffer, handle, cmp_index.to_bytes(), page_size)
         deleted_handle = self.db.open_for_write(txn, schema.deleted_object())
         write_blob(self.db.buffer, deleted_handle, RowIdSet().to_bytes(),
                    page_size)
@@ -401,7 +357,6 @@ class ColumnStore:
         Partition-encoded row ids keep existing index entries stable.
         """
         from repro.columnar.blob import read_blob
-        from repro.columnar.schema import make_row_id
 
         new_rows = list(rows)
         own_txn = txn is None
@@ -429,18 +384,6 @@ class ColumnStore:
         indexes = {
             column: HgIndex.from_bytes(load_blob(schema.hg_object(column)))
             for column in schema.indexed_columns()
-        }
-        date_indexes = {
-            column: DateIndex.from_bytes(load_blob(schema.date_object(column)))
-            for column in schema.date_indexed_columns()
-        }
-        text_indexes = {
-            column: TextIndex.from_bytes(load_blob(schema.text_object(column)))
-            for column in schema.text_indexed_columns()
-        }
-        cmp_indexes = {
-            (a, b): CmpIndex.from_bytes(load_blob(schema.cmp_object(a, b)))
-            for a, b in schema.cmp_indexes
         }
 
         # Route with the frozen bounds from the original load.
@@ -507,22 +450,6 @@ class ColumnStore:
                     if column in indexes and fresh_values:
                         cpu.charge(_INDEX_OPS * len(fresh_values))
                         indexes[column].add_rows(fresh_values, fresh_base)
-                    if column in date_indexes and fresh_values:
-                        date_indexes[column].add_rows(fresh_values, fresh_base)
-                    if column in text_indexes and fresh_values:
-                        text_indexes[column].add_rows(fresh_values, fresh_base)
-                fresh_start = tail_offset if index_offset == 0 else 0
-                fresh_chunk = chunk[fresh_start:]
-                for (first, second), cmp_index in cmp_indexes.items():
-                    if not fresh_chunk:
-                        continue
-                    first_i = column_names.index(first)
-                    second_i = column_names.index(second)
-                    cmp_index.add_rows(
-                        [row[first_i] for row in fresh_chunk],
-                        [row[second_i] for row in fresh_chunk],
-                        base_row + fresh_start,
-                    )
             state.partition_rows[partition] = existing + len(part_rows)
 
         # Rewrite metadata blobs.
@@ -532,75 +459,12 @@ class ColumnStore:
         for column, index in indexes.items():
             handle = self.db.open_for_write(txn, schema.hg_object(column))
             write_blob(buffer, handle, index.to_bytes(), page_size)
-        for column, date_index in date_indexes.items():
-            handle = self.db.open_for_write(txn, schema.date_object(column))
-            write_blob(buffer, handle, date_index.to_bytes(), page_size)
-        for column, text_index in text_indexes.items():
-            handle = self.db.open_for_write(txn, schema.text_object(column))
-            write_blob(buffer, handle, text_index.to_bytes(), page_size)
-        for pair, cmp_index in cmp_indexes.items():
-            handle = self.db.open_for_write(txn, schema.cmp_object(*pair))
-            write_blob(buffer, handle, cmp_index.to_bytes(), page_size)
         meta_handle = self.db.open_for_write(txn, schema.meta_object())
         write_blob(buffer, meta_handle, state.to_json(), page_size)
 
         if own_txn:
             self.db.commit(txn)
         return state
-
-    # ------------------------------------------------------------------ #
-    # moving data between storage providers
-    # ------------------------------------------------------------------ #
-
-    def move_table(self, table: str, target_dbspace: str) -> int:
-        """Re-home every storage object of a table onto another dbspace.
-
-        The paper's multi-provider story: "users have the ability to ...
-        move data between different storage providers as needed."  Each
-        object is rewritten page by page inside one transaction; at commit
-        the old dbspace's pages enter the RF bitmaps for garbage
-        collection.  Returns the number of pages copied.
-        """
-        schema = self.schema(table)
-        objects: "List[str]" = []
-        for partition in range(schema.partition_count):
-            objects.extend(
-                schema.column_object(column, partition)
-                for column in schema.column_names()
-            )
-        objects.append(schema.zonemap_object())
-        objects.extend(
-            schema.hg_object(column) for column in schema.indexed_columns()
-        )
-        objects.extend(
-            schema.date_object(column)
-            for column in schema.date_indexed_columns()
-        )
-        objects.extend(
-            schema.text_object(column)
-            for column in schema.text_indexed_columns()
-        )
-        objects.extend(
-            schema.cmp_object(first, second)
-            for first, second in schema.cmp_indexes
-        )
-        objects.append(schema.deleted_object())
-        objects.append(schema.meta_object())
-
-        txn = self.db.begin()
-        copied = 0
-        for object_name in objects:
-            source = self.db.open_for_read(txn, object_name)
-            target = self.db.txn_manager.open_for_rewrite(
-                txn, object_name, target_dbspace
-            )
-            for page_no in range(source.page_count):
-                data = self.db.buffer.get_page(source, page_no)
-                self.db.buffer.write_page(target, page_no, data)
-                copied += 1
-        self.db.commit(txn)
-        self._dbspaces[table] = target_dbspace
-        return copied
 
 
 def _vector(kind: str, values: "Sequence[object]") -> "Sequence[object]":

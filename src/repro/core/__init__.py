@@ -25,7 +25,6 @@ from repro.core.buffer import BufferManager
 from repro.core.txn import Transaction, TransactionManager, TransactionError
 from repro.core.ocm import ObjectCacheManager, OcmConfig
 from repro.core.snapshot import SnapshotManager, Snapshot
-from repro.core.backup import BackupManager, BackupRecord
 
 __all__ = [
     "LocatorBitmap",
@@ -42,6 +41,4 @@ __all__ = [
     "OcmConfig",
     "SnapshotManager",
     "Snapshot",
-    "BackupManager",
-    "BackupRecord",
 ]

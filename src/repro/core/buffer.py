@@ -65,9 +65,6 @@ class ObjectHandle:
         self.page_count = page_count
         self.writable = writable
         self.txn = txn
-        # Set when this handle rewrites the object into another dbspace:
-        # the base identity whose pages are superseded wholesale.
-        self.rewritten_from: "Optional[object]" = None
 
     def frame_tag(self) -> FrameTag:
         if self.writable:

@@ -368,44 +368,6 @@ class TransactionManager:
         txn.write_handles[object_id] = handle
         return handle
 
-    def open_for_rewrite(self, txn: Transaction, name: str,
-                         target_dbspace: str) -> ObjectHandle:
-        """Write handle that re-homes the object onto another dbspace.
-
-        The paper lets users "move data between different storage
-        providers as needed": the handle starts from an *empty* blockmap
-        on the target dbspace; the caller copies the pages it wants to
-        keep, and at commit every page of the superseded version enters
-        the RF bitmap for garbage collection on the old dbspace.
-        """
-        self._check_active(txn)
-        object_id = self.catalog.object_id(name)
-        if object_id in txn.write_handles:
-            raise TransactionError(
-                f"object {name!r} already opened for writing by this txn"
-            )
-        holder = self._write_locks.get(object_id)
-        if holder is not None and holder != txn.txn_id:
-            raise TransactionError(
-                f"write-write conflict on {name!r}: held by txn {holder}"
-            )
-        self._write_locks[object_id] = txn.txn_id
-        current = self.catalog.current(object_id)
-        target = txn.node.dbspace(target_dbspace)
-        handle = ObjectHandle(
-            object_id=object_id,
-            name=name,
-            dbspace=target,
-            blockmap=Blockmap(target),
-            version=current.version,
-            page_count=0,
-            writable=True,
-            txn=txn,
-        )
-        handle.rewritten_from = current
-        txn.write_handles[object_id] = handle
-        return handle
-
     def _check_active(self, txn: Transaction) -> None:
         if not txn.is_active():
             raise TransactionError(
@@ -446,14 +408,6 @@ class TransactionManager:
                 sink, txn_id=txn.txn_id, commit_mode=True
             )
             crash_point(CP_COMMIT_BEFORE_PUBLISH)
-            if handle.rewritten_from is not None:
-                # Re-homed object: every page of the superseded version on
-                # the old dbspace becomes RF garbage.
-                old = handle.rewritten_from
-                old_blockmap = txn.node.blockmap_for(old)  # type: ignore[arg-type]
-                old_rf = txn.rf_for(old.dbspace)  # type: ignore[attr-defined]
-                for locator in old_blockmap.live_locators():
-                    old_rf.add(locator)
             new_version = handle.version + 1
             identity = IdentityObject(
                 object_id=object_id,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple, TypeVar
+from typing import Dict, List, Optional, Set, Tuple, TypeVar
 
 from repro.blockstore.device import BlockDevice
 from repro.blockstore.freelist import Freelist
@@ -64,7 +64,6 @@ from repro.storage.dbspace import (
     ObjectIO,
     PageStore,
 )
-from repro.storage.encryption import PageEncryptor
 from repro.storage.identity import Catalog, IdentityObject
 from repro.storage.locator import NULL_LOCATOR, is_object_key
 from repro.storage.page import PageConfig
@@ -156,10 +155,10 @@ class DatabaseConfig:
     #   retry (and read-repair under replication) instead of reaching the
     #   engine, and the OCM re-verifies SSD cache hits against fill-time
     #   checksums;
-    # - page_checksums: every sealed page image carries a CRC-32C trailer
-    #   inside the encryption envelope, so corruption is caught even on
-    #   paths that bypass the store's checksum records (changes the bytes
-    #   at rest — guarded by the golden byte-identical regression).
+    # - page_checksums: every sealed page image carries a CRC-32C
+    #   trailer, so corruption is caught even on paths that bypass the
+    #   store's checksum records (changes the bytes at rest — guarded by
+    #   the golden byte-identical regression).
     verify_reads: bool = False
     page_checksums: bool = False
     # object store behaviour
@@ -176,9 +175,6 @@ class DatabaseConfig:
     # region, preserving baseline behaviour byte-for-byte; see
     # DESIGN.md §12 for the DR story this enables)
     replication: "Optional[ReplicationConfig]" = None
-    # page encryption: with a key, the OCM cache and the objects at rest
-    # hold ciphertext only (Section 4)
-    encryption_key: "Optional[bytes]" = None
     # adaptive OCM read re-routing (the paper's proposed future work)
     ocm_adaptive_routing: bool = False
     # snapshots: retention 0 disables the snapshot manager entirely
@@ -323,14 +319,12 @@ def build_cloud_dbspace(
     """A cloud dbspace that seals pages the way ``cfg`` says.
 
     Like :func:`build_object_io`, the one place every node's view of a
-    cloud dbspace is built: pages encrypted or checksummed by one node
-    must open on every other.
+    cloud dbspace is built: pages checksummed by one node must open on
+    every other.
     """
     return CloudDbspace(
         name, io, key_source,
         prefix_bits=cfg.prefix_bits if prefix_bits is None else prefix_bits,
-        encryptor=(PageEncryptor(cfg.encryption_key)
-                   if cfg.encryption_key is not None else None),
         page_size_limit=page_size_limit,
         page_checksums=cfg.page_checksums,
     )
@@ -375,67 +369,6 @@ class NodeRuntime:
     def invalidate_caches(self) -> None:
         self._blockmaps.clear()
         self.buffer.invalidate_all()
-
-
-class _ViewTransaction:
-    """Inert transaction token for read-only snapshot views."""
-
-    def __init__(self, txn_id: int) -> None:
-        self.txn_id = txn_id
-
-
-class SnapshotView:
-    """Read-only session over a past snapshot's catalog.
-
-    Pages of snapshot-referenced versions are retained on the object store
-    for the retention period, so reads resolve exactly as they would have
-    at snapshot time; writes are rejected.  The view shares the node's
-    buffer manager — version-tagged frames make that MVCC-safe (a version
-    number never maps to two different page images).
-    """
-
-    def __init__(self, db: "Database", snapshot: Snapshot) -> None:
-        self.db = db
-        self.snapshot = snapshot
-        self.catalog = Catalog.from_bytes(snapshot.catalog_bytes)
-        self.buffer = db.buffer
-        self.cpu = db.cpu
-        self.clock = db.clock
-        self._next_view_txn = -1
-
-    def begin(self) -> _ViewTransaction:
-        token = _ViewTransaction(self._next_view_txn)
-        self._next_view_txn -= 1
-        return token
-
-    def commit(self, txn: _ViewTransaction) -> None:
-        """Read-only views have nothing to commit."""
-
-    def rollback(self, txn: _ViewTransaction) -> None:
-        """Read-only views have nothing to roll back."""
-
-    def open_for_read(self, txn: _ViewTransaction, name: str) -> ObjectHandle:
-        object_id = self.catalog.object_id(name)
-        identity = self.catalog.current(object_id)
-        blockmap = self.db.node.blockmap_for(identity)
-        return ObjectHandle(
-            object_id=object_id,
-            name=name,
-            dbspace=self.db.node.dbspace(identity.dbspace),
-            blockmap=blockmap,
-            version=identity.version,
-            page_count=identity.page_count,
-            writable=False,
-        )
-
-    def open_for_write(self, txn: _ViewTransaction, name: str) -> ObjectHandle:
-        raise EngineError(
-            f"snapshot view #{self.snapshot.snapshot_id} is read-only"
-        )
-
-    def read_page(self, txn: _ViewTransaction, name: str,
-                  page_no: int) -> bytes:
-        return self.buffer.get_page(self.open_for_read(txn, name), page_no)
 
 
 class Database:
@@ -860,11 +793,15 @@ class Database:
             raise EngineError(
                 "snapshots need retention_seconds > 0 in DatabaseConfig"
             )
+        if isinstance(self.user_dbspace, BlockDbspace):
+            # Retention defers only object deletes: a block dbspace frees
+            # a superseded block at once, so its snapshot could not be
+            # restored.
+            raise EngineError("snapshots need a cloud user dbspace")
         snapshot = self.snapshot_manager.create_snapshot(
             self.catalog.to_bytes(),
             self.keygen.max_allocated_key,
-            {name: freelist.copy()
-             for name, freelist in self._freelists().items()},
+            {SYSTEM_DBSPACE: self.system_dbspace.freelist.copy()},
             max_consumed_key=self.key_cache.last_consumed,
         )
         crash_point(CP_SNAPSHOT_BEFORE_LOG)
@@ -892,16 +829,21 @@ class Database:
             self.txn_manager.rollback(txn)
         self.catalog = Catalog.from_bytes(snapshot.catalog_bytes)
         crash_point(CP_RESTORE_BEFORE_POLL)
-        self._rewind(
-            snapshot.max_consumed_key or snapshot.max_allocated_key,
-            SnapshotManager.decode_metadata(snapshot.snapmgr_metadata),
-            snapshot.created_at,
-        )
-        for name, image in snapshot.freelists.items():
-            if name == SYSTEM_DBSPACE:
-                self.system_dbspace.freelist = image.copy()
-            elif name == USER_DBSPACE and isinstance(self.user_dbspace, BlockDbspace):
-                self.user_dbspace.freelist = image.copy()
+        # GC back to the snapshot.  Keys consumed since lie above its
+        # floor (monotonic allocation); the poll keeps what the restored
+        # catalog reaches plus what the snapshot's retention FIFO holds.
+        # The FIFO and snapshot switch is a durable-metadata write, so it
+        # comes after the polls (DESIGN.md §10): a crash before them
+        # recovers the pre-restore FIFO and snapshots intact.
+        floor = snapshot.max_consumed_key or snapshot.max_allocated_key
+        fifo = SnapshotManager.decode_metadata(snapshot.snapmgr_metadata)
+        reachable = self._reachable_cloud_keys()
+        keep = reachable.union(locator for __, locator, __ in fifo)
+        reclaim(list(self.cloud_dbspaces().values()),
+                [(floor + 1, self.keygen.max_allocated_key)], keep)
+        self.snapshot_manager.rewind(fifo, reachable, snapshot.created_at)
+        self.system_dbspace.freelist = (
+            snapshot.freelists[SYSTEM_DBSPACE].copy())
         self.txn_manager = TransactionManager(
             self.catalog,
             self.log,
@@ -913,24 +855,6 @@ class Database:
         self.node.invalidate_caches()
         self.drop_query_caches()
         self.checkpoint()
-
-    def _rewind(self, floor: int, fifo: "List[Tuple[str, int, float]]",
-                taken_at: float) -> None:
-        """GC back to a restore point whose catalog is installed.
-
-        Keys consumed since lie above its ``floor`` (monotonic allocation).
-        The poll keeps what the catalog reaches plus what the restore
-        point's retention ``fifo`` holds.  The FIFO and snapshot switch is
-        a durable-metadata write, so it comes after the polls (DESIGN.md
-        §10): a crash before the polls recovers the pre-restore FIFO and
-        snapshots intact.
-        """
-        reachable = self._reachable_cloud_keys()
-        keep = set(reachable).union(locator for __, locator, __ in fifo)
-        reclaim(list(self.cloud_dbspaces().values()),
-                [(floor + 1, self.keygen.max_allocated_key)], keep)
-        if self.snapshot_manager is not None:
-            self.snapshot_manager.rewind(fifo, reachable, taken_at)
 
     def drop_query_caches(self) -> None:
         """Empty the session's version-keyed query caches.
@@ -944,25 +868,9 @@ class Database:
         if cache is not None:
             cache.clear()
 
-    def open_snapshot_view(self, snapshot_id: int) -> "SnapshotView":
-        """A read-only, query-capable view over a past snapshot.
-
-        The paper lists read-only views over snapshots (without restoring
-        the database) as future work; retention makes them possible: every
-        page a live snapshot references is still on the object store.  The
-        view is a session-like object usable with
-        :class:`~repro.columnar.query.QueryContext`.
-        """
-        self._check_usable()
-        if self.snapshot_manager is None:
-            raise EngineError("no snapshot manager configured")
-        snapshot = self.snapshot_manager.get_snapshot(snapshot_id)
-        return SnapshotView(self, snapshot)
-
-    def _reachable_cloud_keys(self) -> "Dict[int, str]":
-        """Object key -> dbspace of every page the catalog reaches: the one
-        metadata walk (restores keep by key, backups copy by dbspace)."""
-        keys: "Dict[int, str]" = {}
+    def _reachable_cloud_keys(self) -> "Set[int]":
+        """The object key of every page the catalog reaches."""
+        keys: "Set[int]" = set()
         for identity in self.catalog.all_identities():
             try:
                 store = self.node.dbspace(identity.dbspace)
@@ -977,7 +885,7 @@ class Database:
             )
             for locator in blockmap.live_locators():
                 if is_object_key(locator):
-                    keys.setdefault(locator, identity.dbspace)
+                    keys.add(locator)
         return keys
 
     # ------------------------------------------------------------------ #

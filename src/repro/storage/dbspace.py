@@ -298,16 +298,11 @@ class BlockDbspace(PageStore):
 class CloudDbspace(PageStore):
     """A cloud dbspace: pages are immutable objects named by fresh keys.
 
-    With an ``encryptor``, page images are encrypted *before* entering the
-    I/O path, so both the OCM's local cache and the objects at rest hold
-    ciphertext only (Section 4).
-
     With ``page_checksums``, every page image is framed with a CRC-32C
-    trailer header (:mod:`repro.checksum`) *inside* the encryption
-    envelope: seal applies trailer-then-encrypt, open applies
-    decrypt-then-verify.  The trailer travels with the page through every
-    path — OCM SSD cache, backups, replication — so damage is caught at
-    unseal even where the store's own checksum records are out of reach.
+    trailer header (:mod:`repro.checksum`) before it enters the I/O path,
+    and verified when it leaves it.  The trailer travels with the page
+    through every path — OCM SSD cache, replication — so damage is caught
+    at unseal even where the store's own checksum records are out of reach.
     """
 
     def __init__(
@@ -316,7 +311,6 @@ class CloudDbspace(PageStore):
         io: ObjectIO,
         key_source: KeySource,
         prefix_bits: int = 16,
-        encryptor: "Optional[object]" = None,
         page_size_limit: "Optional[int]" = None,
         page_checksums: bool = False,
     ) -> None:
@@ -325,7 +319,6 @@ class CloudDbspace(PageStore):
         self.clock = io.clock
         self.key_source = key_source
         self.prefix_bits = prefix_bits
-        self.encryptor = encryptor
         self.page_checksums = page_checksums
 
     @property
@@ -333,18 +326,10 @@ class CloudDbspace(PageStore):
         return True
 
     def _seal(self, payload: bytes) -> bytes:
-        if self.page_checksums:
-            payload = seal_page(payload)
-        if self.encryptor is None:
-            return payload
-        return self.encryptor.encrypt(payload)  # type: ignore[attr-defined]
+        return seal_page(payload) if self.page_checksums else payload
 
     def _open(self, payload: bytes) -> bytes:
-        if self.encryptor is not None:
-            payload = self.encryptor.decrypt(payload)  # type: ignore[attr-defined]
-        if self.page_checksums:
-            payload = open_page(payload)
-        return payload
+        return open_page(payload) if self.page_checksums else payload
 
     def object_name(self, locator: int) -> str:
         if not is_object_key(locator):

@@ -2,7 +2,7 @@
 
 Restart GC polls the key ranges a node was handed; a restore polls the
 keys consumed after its restore point.  These tests pin what each of the
-five entry points costs on the store — HEAD and DELETE requests per
+four entry points costs on the store — HEAD and DELETE requests per
 bucket — and what it reports reclaimed, so that one reclaim body can
 replace the per-site loops without moving a single request.  The virtual
 clock at the end is pinned too: the fence a restore gains must not move it
@@ -12,11 +12,9 @@ when no write is in flight.
 import pytest
 
 from repro.core.audit import StoreAuditor
-from repro.core.backup import BackupManager
 from repro.core.multiplex import Multiplex, MultiplexConfig
 from repro.core.snapshot import SnapshotError
 from repro.engine import DatabaseConfig
-from repro.objectstore import InMemoryObjectStore
 from repro.objectstore.faults import FaultSchedule, LatencySpike
 from repro.sim.crashpoints import CRASH_POINTS, SimulatedCrash
 from tests.conftest import make_db
@@ -136,28 +134,8 @@ def test_restore_snapshot_polls_every_cloud_bucket():
     assert db.clock.now() == 3.355202503769597
 
 
-def test_backup_restore_polls_every_cloud_bucket():
-    db = two_bucket_db()
-    manager = BackupManager(db, InMemoryObjectStore())
-    commit_pages(db, "t", range(3), b"v1")
-    commit_pages(db, "u", range(2), b"v1")
-    record = manager.full_backup()
-    assert sorted(name for name, __ in record.objects) == (
-        ["second"] * 3 + ["user"] * 4)
-    commit_pages(db, "t", range(3), b"v2")
-    commit_pages(db, "u", [0], b"v2")
-    before = requests(db)
-    # Without retention GC deleted the superseded v1 pages: six come back.
-    assert manager.restore(record.backup_id) == 6
-    # One HEAD per captured object (is it still there?), then the poll.
-    assert spent(before, requests(db)) == {"second": (3 + 57, 57),
-                                           "user": (4 + 57, 57)}
-    assert objects(db) == {"second": 3, "user": 4}
-    assert db.clock.now() == 3.6967358227500067
-
-
 # ---------------------------------------------------------------------- #
-# what a restore keeps: one rule for both restores
+# what a restore keeps
 # ---------------------------------------------------------------------- #
 
 def read_all(db, name, pages):
@@ -171,22 +149,6 @@ def read_all(db, name, pages):
 def expire_and_reap(db):
     db.clock.advance(3601.0)
     db.snapshot_manager.reap()
-
-
-def test_backup_restore_takes_revived_pages_out_of_retention():
-    """v2 superseded v1, so the FIFO queued v1 for reaping; the restore
-    brings v1 back, and the reaper must not delete it later."""
-    db = make_db(retention_seconds=3600.0)
-    manager = BackupManager(db, InMemoryObjectStore())
-    db.create_object("t")
-    commit_pages(db, "t", range(3), b"v1")
-    record = manager.full_backup()
-    commit_pages(db, "t", range(3), b"v2")
-    manager.restore(record.backup_id)
-    assert StoreAuditor(db).audit().ok()
-    expire_and_reap(db)
-    assert StoreAuditor(db).audit().ok()
-    assert read_all(db, "t", range(3)) == [b"v1-0", b"v1-1", b"v1-2"]
 
 
 def test_restore_snapshot_drops_later_snapshots():
@@ -203,25 +165,6 @@ def test_restore_snapshot_drops_later_snapshots():
     assert StoreAuditor(db).audit().ok()
     with pytest.raises(SnapshotError, match="does not exist or has expired"):
         db.restore_snapshot(s2.snapshot_id)
-    expire_and_reap(db)
-    assert StoreAuditor(db).audit().ok()
-    assert read_all(db, "t", range(3)) == [b"v1-0", b"v1-1", b"v1-2"]
-
-
-def test_backup_restore_drops_later_snapshots():
-    db = make_db(retention_seconds=3600.0)
-    manager = BackupManager(db, InMemoryObjectStore())
-    db.create_object("t")
-    commit_pages(db, "t", range(3), b"v1")
-    record = manager.full_backup()
-    commit_pages(db, "t", range(3), b"v2")
-    later = db.create_snapshot()
-    commit_pages(db, "t", range(3), b"v3")
-    manager.restore(record.backup_id)
-    assert db.snapshot_manager.snapshots() == []
-    assert StoreAuditor(db).audit().ok()
-    with pytest.raises(SnapshotError, match="does not exist or has expired"):
-        db.restore_snapshot(later.snapshot_id)
     expire_and_reap(db)
     assert StoreAuditor(db).audit().ok()
     assert read_all(db, "t", range(3)) == [b"v1-0", b"v1-1", b"v1-2"]

@@ -156,19 +156,13 @@ def test_snapshot_disabled_without_retention():
         db.create_snapshot()
 
 
-
-def test_restore_reinstalls_a_block_dbspace_freelist_from_its_snapshot():
-    """The snapshot keeps its own freelist: allocations made after it, or
-    after a restore from it, do not leak into a later restore."""
-    db = make_db(user_volume="ebs", retention_seconds=3600.0)
+@pytest.mark.parametrize("volume", ["ebs", "efs"])
+def test_snapshot_refused_on_a_block_user_dbspace(volume):
+    """Retention defers only object deletes: a block dbspace frees a
+    superseded block at once, so no restore could serve the snapshot."""
+    db = make_db(user_volume=volume, retention_seconds=3600.0)
     db.create_object("t")
     write_and_commit(db, "t", range(3), b"v1")
-    snapshot = db.create_snapshot()
-    at_snapshot = list(db.user_dbspace.freelist.used_ranges())
-    write_and_commit(db, "t", range(6), b"v2")
-    assert list(db.user_dbspace.freelist.used_ranges()) != at_snapshot
-    db.restore_snapshot(snapshot.snapshot_id)
-    assert list(db.user_dbspace.freelist.used_ranges()) == at_snapshot
-    db.user_dbspace.freelist.allocate(16)
-    db.restore_snapshot(snapshot.snapshot_id)
-    assert list(db.user_dbspace.freelist.used_ranges()) == at_snapshot
+    with pytest.raises(EngineError, match="snapshots need a cloud user dbspace"):
+        db.create_snapshot()
+    assert db.snapshot_manager.snapshots() == []

@@ -16,8 +16,8 @@ def loaded():
         "events",
         (
             ColumnSchema("id", "int", hg_index=True),
-            ColumnSchema("when", "date", date_index=True),
-            ColumnSchema("note", "str", text_index=True),
+            ColumnSchema("when", "date"),
+            ColumnSchema("note", "str"),
             ColumnSchema("value", "float"),
         ),
         partition_column="id",
@@ -95,19 +95,6 @@ def test_hg_index_extended(loaded):
         # Old entries still resolve.
         rows = ctx.read_rows("events", ["id"], hg.lookup(42))
         assert rows["id"] == [42]
-
-
-def test_date_and_text_indexes_extended(loaded):
-    db, store, __ = loaded
-    store.append("events", make_new_rows(501, 30))
-    with QueryContext(db) as ctx:
-        date_index = ctx.date_index("events", "when")
-        in_1995 = ctx.read_rows("events", ["id"],
-                                date_index.lookup_year(1995))
-        assert set(in_1995["id"]) == set(range(501, 531))
-        text = ctx.text_index("events", "note")
-        fresh = ctx.read_rows("events", ["id"], text.lookup("fresh"))
-        assert set(fresh["id"]) == set(range(501, 531))
 
 
 def test_zone_maps_cover_appended_pages(loaded):

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.engine import EngineError
 from repro.objectstore.s3sim import AZURE_BLOB_PROFILE
-from tests.conftest import lists, make_db
+from tests.conftest import make_db
 
 
 def test_create_cloud_dbspace_and_store_pages():
@@ -144,58 +143,3 @@ def test_gc_after_recovery_reaches_extra_dbspaces():
     reader = db.begin()
     assert db.read_page(reader, "t", 0) == b"v2" * 100
     db.commit(reader)
-
-
-class TestMoveTable:
-    def make_loaded(self):
-        db = make_db()
-        db.create_cloud_dbspace("cold", profile=AZURE_BLOB_PROFILE)
-        store = ColumnStore(db)
-        store.create_table(TableSchema(
-            "facts",
-            (ColumnSchema("k", "int", hg_index=True),
-             ColumnSchema("v", "float")),
-            partition_column="k",
-            partition_count=2,
-            rows_per_page=128,
-        ))
-        store.load("facts", [(i, float(i) * 1.5) for i in range(600)])
-        return db, store
-
-    def test_move_preserves_data(self):
-        db, store = self.make_loaded()
-        moved_pages = store.move_table("facts", "cold")
-        assert moved_pages > 0
-        with QueryContext(db) as ctx:
-            rel = lists(ctx.read("facts", ["k", "v"], {"k": (10, 12)}))
-        assert sorted(rel["k"]) == [10, 11, 12]
-        assert rel["v"] == [k * 1.5 for k in rel["k"]]
-
-    def test_move_rehomes_storage(self):
-        db, store = self.make_loaded()
-        cold = db.node.dbspace("cold")
-        before_cold = cold.stored_bytes()
-        user_before = db.node.dbspace("user").stored_bytes()
-        store.move_table("facts", "cold")
-        db.txn_manager.collect_garbage()
-        assert cold.stored_bytes() > before_cold
-        # The old copies were garbage collected off the source dbspace.
-        assert db.node.dbspace("user").stored_bytes() < user_before / 2
-
-    def test_move_updates_catalog(self):
-        db, store = self.make_loaded()
-        store.move_table("facts", "cold")
-        oid = db.catalog.object_id("facts/k#p0")
-        assert db.catalog.current(oid).dbspace == "cold"
-
-    def test_queries_identical_after_move(self):
-        db, store = self.make_loaded()
-        with QueryContext(db) as ctx:
-            before = lists(ctx.read("facts", ["k", "v"]))
-        store.move_table("facts", "cold")
-        db.node.invalidate_caches()
-        if hasattr(db, "_query_meta_cache"):
-            db._query_meta_cache.clear()
-        with QueryContext(db) as ctx:
-            after = lists(ctx.read("facts", ["k", "v"]))
-        assert before == after

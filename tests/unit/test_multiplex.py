@@ -51,9 +51,8 @@ def test_secondaries_inherit_the_coordinators_io_settings():
 
 
 SEALED = pytest.mark.parametrize("sealing", [
-    {"encryption_key": b"k" * 32},
     {"page_checksums": True},
-], ids=["encrypted", "checksummed"])
+], ids=["checksummed"])
 
 
 @SEALED
@@ -83,11 +82,6 @@ def test_coordinator_opens_what_a_writer_sealed(sealing):
     assert (coordinator.read_page(read_txn, "t", 0)
             == b"PLAINTEXT-MARKER " * 50)
     coordinator.commit(read_txn)
-    if "encryption_key" in sealing:
-        # The writer's pages are ciphertext at rest, like the coordinator's.
-        store = coordinator.object_store
-        assert not any(b"PLAINTEXT-MARKER" in store.get(name)
-                       for name in store.list_keys())
 
 
 def test_requires_cloud_dbspace():

@@ -35,10 +35,11 @@ def write_and_commit(db, name, pages, tag):
 
 
 def read_snapshot_pages(db, snapshot_id, name, pages):
-    view = db.open_snapshot_view(snapshot_id)
-    token = view.begin()
-    data = [view.read_page(token, name, page) for page in pages]
-    view.rollback(token)
+    """Restore the snapshot, then read its pages back."""
+    db.restore_snapshot(snapshot_id)
+    txn = db.begin()
+    data = [db.read_page(txn, name, page) for page in pages]
+    db.rollback(txn)
     return data
 
 
