@@ -64,7 +64,8 @@ def test_figure6_policy_ablation_scan_latencies(benchmark, suite):
     On the plain TPC-H pass (no cache-pressure churn) the eviction
     policies see the same physical I/O, so lru and arc2q query times
     must agree closely — the scan-resistance win only appears under
-    churn (see test_perf_pr3.py), and a divergence here would mean the
+    churn (the suite's ``churn_scan``; DESIGN.md §19's ``ocm_policy``
+    row), and a divergence here would mean the
     policy layer itself perturbs the read path.  The adaptive
     re-routing arm *intentionally* moves saturated-SSD hits to the
     object store, so it is only held to a loose envelope.

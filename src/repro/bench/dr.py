@@ -1,7 +1,7 @@
 """The disaster-recovery drill: outage -> failover -> heal -> fsck -> restore.
 
 One deterministic end-to-end scenario shared by the ``repro dr`` CLI
-command and the PR 6 benchmark.  A two-region multiplex commits data and
+command and the failover tests.  A two-region multiplex commits data and
 takes a snapshot, the primary region drops off the map, the coordinator
 fails over to the surviving region, business continues, the dead region
 heals and reconciles, the auditor checks every region, and finally the
@@ -27,7 +27,7 @@ and reproducible for a given seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.bench.crash_explorer import base_config
 from repro.core.audit import AuditReport, StoreAuditor
@@ -304,19 +304,3 @@ def run_dr_drill(config: "Optional[DrillConfig]" = None) -> DrillResult:
                     f"{new_primary}: "
                     f"{'ok' if result.restore_ok else 'FAILED'}")
     return result
-
-
-def run_dr_matrix(
-    lag_settings: "Sequence[float]" = (0.1, 0.5, 2.0),
-    seed: int = 0,
-    staleness_horizon: float = 30.0,
-) -> "List[DrillResult]":
-    """One drill per replication-lag setting (the PR 6 benchmark table)."""
-    return [
-        run_dr_drill(DrillConfig(
-            seed=seed,
-            mean_lag_seconds=lag,
-            staleness_horizon=staleness_horizon,
-        ))
-        for lag in lag_settings
-    ]

@@ -7,8 +7,7 @@ comparable to the paper's SF-1000 numbers in shape.
 
 The table and figure drivers reproduce the paper, so they run
 ``DatabaseConfig.paper()``'s fields (``PAPER_IO``) — its per-page I/O path
-— not the batched path the engine ships with; the two ``optimized=``
-workloads compare the two.
+— not the batched path the engine ships with.
 
 Query phases start from a cold buffer/OCM (the paper's query experiments
 show cold-cache warm-up behaviour, so their runs began with empty caches).
@@ -16,26 +15,18 @@ show cold-cache warm-up behaviour, so their runs began with empty caches).
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.bench.configs import (
-    BENCH_PARTITIONS,
-    BENCH_ROWS_PER_PAGE,
     BENCH_SCALE_FACTOR,
     PAPER_SCALE_FACTOR,
     load_engine,
-    make_engine,
 )
 from repro.bench.report import geomean
-from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
-from repro.core.multiplex import Multiplex  # noqa: F401  (re-export for examples)
 from repro.costs.pricing import DEFAULT_PRICES
 from repro.engine import PAPER_IO, Database, paper_units
-from repro.objectstore.faults import FaultSchedule, ThrottleStorm
-from repro.sim.metrics import snapshot_delta
 from repro.tpch import power_run
-from repro.tpch.runner import load_tpch_timed, make_streams, run_stream
+from repro.tpch.runner import make_streams, run_stream
 
 GIB = 1024 ** 3
 # Average compressed object size in the real system (~520 GB over ~1.4M
@@ -316,204 +307,6 @@ def policy_ablation_rows(
             run.query_seconds,
         ])
     return rows
-
-
-# ---------------------------------------------------------------------- #
-# PR 3 target workload: churn + scan-heavy queries (Figure-6 style)
-# ---------------------------------------------------------------------- #
-
-def run_churn_query_workload(
-    optimized: bool = False,
-    rounds: int = 3,
-    scale_factor: float = BENCH_SCALE_FACTOR,
-    instance_type: str = "m5ad.24xlarge",
-    churn_rows: int = 2000,
-    query_numbers: "Tuple[int, ...]" = (1, 6),
-) -> "Dict[str, object]":
-    """Interleave append churn with scan-heavy TPC-H queries.
-
-    Each round appends ``churn_rows`` rows to a small fact table, re-reads
-    it (the OCM's hot working set), then runs full-scan queries (Q1/Q6 by
-    default) over ``lineitem`` — the access pattern in which the paper's
-    single LRU lets every scan flush the cache.
-
-    ``optimized=True`` runs the engine as shipped (``arc2q``, pipelined
-    prefetch, GET/PUT coalescing, group commit); the default runs the
-    ``paper()`` profile.  Returns a JSON-ready summary with virtual
-    seconds, wall seconds, object-store request deltas and workload USD.
-    """
-    wall_started = time.monotonic()
-    # The Figure-6 pressure condition: the OCM is smaller than the scan
-    # working set (~60% of the Q1/Q6 footprint at this scale), so under
-    # the paper's single LRU every round's scan cycles the cache and
-    # re-misses, while arc2q's ghost lists readmit the recurring keys to
-    # the protected segment.  Applied to BOTH configs — it is workload
-    # shape, not part of the optimisation under test.
-    ocm_capacity = max(int(384 * 1024 * (scale_factor / 0.01)), 64 * 1024)
-    db, store, load_seconds = load_engine(
-        instance_type, "s3", scale_factor, True,
-        ocm_capacity_bytes=ocm_capacity, **({} if optimized else PAPER_IO)
-    )
-    assert db.object_store is not None
-    store.create_table(TableSchema(
-        "churn_facts",
-        (ColumnSchema("key", "int"), ColumnSchema("value", "float")),
-        partition_column="key",
-        partition_count=1,
-        rows_per_page=512,
-    ))
-    # Seed load: append() routes rows via the bounds of an existing load.
-    store.load("churn_facts", [
-        (i, float(i % 97)) for i in range(1, churn_rows + 1)
-    ])
-    _cold_caches(db)
-
-    workload_started = db.clock.now()
-    before = db.object_store.metrics.snapshot()
-    churn_seconds = 0.0
-    scan_seconds = 0.0
-    query_times: "Dict[int, List[float]]" = {}
-    next_key = churn_rows + 1
-    for __round in range(rounds):
-        churn_started = db.clock.now()
-        rows = [
-            (next_key + i, float((next_key + i) % 97))
-            for i in range(churn_rows)
-        ]
-        next_key += churn_rows
-        store.append("churn_facts", rows)
-        with QueryContext(db) as ctx:
-            ctx.read("churn_facts", ["key", "value"])
-        churn_seconds += db.clock.now() - churn_started
-
-        scan_started = db.clock.now()
-        times = power_run(db, scale_factor,
-                          query_numbers=list(query_numbers))
-        scan_seconds += db.clock.now() - scan_started
-        for q, seconds in times.items():
-            query_times.setdefault(q, []).append(seconds)
-
-    requests = snapshot_delta(before, db.object_store.metrics.snapshot())
-    workload_seconds = db.clock.now() - workload_started
-    ratio = PAPER_SCALE_FACTOR / scale_factor
-    paper_gets = int(requests.get("get_bytes", 0.0) * ratio / REAL_OBJECT_BYTES)
-    paper_puts = int(requests.get("put_bytes", 0.0) * ratio / REAL_OBJECT_BYTES)
-    workload_usd = (
-        DEFAULT_PRICES.instance_rate(instance_type) * workload_seconds / 3600.0
-        + DEFAULT_PRICES.request_price("s3").cost(
-            puts=paper_puts, gets=paper_gets
-        )
-    )
-    ocm_stats = db.ocm.stats() if db.ocm is not None else {}
-    hits = ocm_stats.get("hits", 0.0)
-    misses = ocm_stats.get("misses", 0.0)
-    return {
-        "optimized": optimized,
-        "config": {
-            "ocm_policy": db.config.ocm_policy,
-            "pipelined_prefetch": db.config.pipelined_prefetch,
-            "coalesce_max_run": db.config.coalesce_max_run,
-            "instance_type": instance_type,
-            "scale_factor": scale_factor,
-            "rounds": rounds,
-            "churn_rows": churn_rows,
-            "query_numbers": list(query_numbers),
-        },
-        "load_virtual_seconds": load_seconds,
-        "churn_virtual_seconds": churn_seconds,
-        "scan_virtual_seconds": scan_seconds,
-        "workload_virtual_seconds": workload_seconds,
-        "query_virtual_seconds": {
-            f"Q{q}": sum(values) / len(values)
-            for q, values in sorted(query_times.items())
-        },
-        "get_requests": requests.get("get_requests", 0.0),
-        "put_requests": requests.get("put_requests", 0.0),
-        "ranged_get_requests": requests.get("ranged_get_requests", 0.0),
-        "workload_usd": workload_usd,
-        "ocm_hit_rate": hits / (hits + misses) if hits + misses else None,
-        "wall_seconds": time.monotonic() - wall_started,
-    }
-
-
-# ---------------------------------------------------------------------- #
-# Table 2's load column: the write-back pipeline
-# ---------------------------------------------------------------------- #
-
-def run_bulk_load_workload(
-    optimized: bool = False,
-    scale_factor: float = BENCH_SCALE_FACTOR,
-    instance_type: str = "m5ad.24xlarge",
-    throttle_rate_factor: "Optional[float]" = None,
-) -> "Dict[str, object]":
-    """TPC-H bulk load measuring the write path (DESIGN.md §11).
-
-    ``optimized=True`` runs the engine as shipped (adjacent-key PUT
-    coalescing, group commit flush); the default is the ``paper()``
-    profile's one-PUT-per-page drain.  With
-    ``throttle_rate_factor`` set, a ThrottleStorm clamps the store's
-    per-prefix PUT rate to that fraction for the whole load — the
-    regime real S3 enforces at full scale (the sim's scaled-up request
-    rates never bind at bench scale factors, so a clean-store load hides
-    the request-count savings in the virtual-time column).
-
-    USD/load extrapolates *request counts* (not bytes) to the paper's
-    SF 1000: coalescing cuts requests while moving the same bytes, so a
-    byte-volume extrapolation would price both configurations
-    identically and erase exactly the effect under test.
-    """
-    wall_started = time.monotonic()
-    overrides: "Dict[str, object]" = {} if optimized else dict(PAPER_IO)
-    if throttle_rate_factor is not None:
-        overrides["fault_schedule"] = FaultSchedule(
-            [ThrottleStorm(0.0, float("inf"), ops=("put",),
-                           rate_factor=throttle_rate_factor)],
-            name="load-throttle",
-        )
-    db = make_engine(instance_type, "s3", scale_factor, True, **overrides)
-    assert db.object_store is not None
-    store = ColumnStore(db)
-    before = db.object_store.metrics.snapshot()
-    load_started = db.clock.now()
-    __states, table_seconds = load_tpch_timed(
-        store, scale_factor, partitions=BENCH_PARTITIONS,
-        rows_per_page=BENCH_ROWS_PER_PAGE,
-    )
-    load_seconds = db.clock.now() - load_started
-    requests = snapshot_delta(before, db.object_store.metrics.snapshot())
-    ratio = PAPER_SCALE_FACTOR / scale_factor
-    paper_puts = int(requests.get("put_requests", 0.0) * ratio)
-    paper_gets = int(requests.get("get_requests", 0.0) * ratio)
-    load_usd = (
-        DEFAULT_PRICES.instance_rate(instance_type) * load_seconds / 3600.0
-        + DEFAULT_PRICES.request_price("s3").cost(
-            puts=paper_puts, gets=paper_gets
-        )
-    )
-    ocm_stats = db.ocm.stats() if db.ocm is not None else {}
-    return {
-        "optimized": optimized,
-        "config": {
-            "coalesce_max_run": db.config.coalesce_max_run,
-            "instance_type": instance_type,
-            "scale_factor": scale_factor,
-            "throttle_rate_factor": throttle_rate_factor,
-        },
-        "load_virtual_seconds": load_seconds,
-        "table_virtual_seconds": dict(sorted(table_seconds.items())),
-        "put_requests": requests.get("put_requests", 0.0),
-        "get_requests": requests.get("get_requests", 0.0),
-        "ranged_put_requests": requests.get("ranged_put_requests", 0.0),
-        "ranged_put_keys": requests.get("ranged_put_keys", 0.0),
-        "put_bytes": requests.get("put_bytes", 0.0),
-        "throttled_requests": db.object_store.throttled_requests(),
-        "write_back": ocm_stats.get("write_back", 0.0),
-        "write_through": ocm_stats.get("write_through", 0.0),
-        "flush_for_commit_jobs": ocm_stats.get("flush_for_commit_jobs", 0.0),
-        "batched_flush_uploads": ocm_stats.get("batched_flush_uploads", 0.0),
-        "load_usd": load_usd,
-        "wall_seconds": time.monotonic() - wall_started,
-    }
 
 
 # ---------------------------------------------------------------------- #

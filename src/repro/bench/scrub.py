@@ -1,7 +1,7 @@
 """The scrub drill: rot a replicated store at rest, scrub it, fsck it.
 
-One deterministic scenario shared by the ``repro scrub`` CLI command, the
-integrity tests and the PR 9 benchmark.
+One deterministic scenario shared by the ``repro scrub`` CLI command and
+the integrity tests.
 """
 
 from __future__ import annotations
@@ -85,9 +85,9 @@ def run_scrub_scenario(
     damaged = damage_at_rest(store, damage, flips)
     auditor = StoreAuditor(db)
     before = auditor.audit(deep=True)
-    scrubber = Scrubber(
-        db, bytes_per_second=budget or DEFAULT_BYTES_PER_SECOND
-    )
+    if budget is None:
+        budget = DEFAULT_BYTES_PER_SECOND
+    scrubber = Scrubber(db, bytes_per_second=budget)
     report = scrubber.run()
     after = auditor.audit(deep=True)
     return {

@@ -36,6 +36,7 @@ region's in-flight orphan (DESIGN.md §12).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,19 +83,23 @@ class ReplicationConfig:
             raise ValueError("replication needs at least two regions")
         if len(set(self.regions)) != len(self.regions):
             raise ValueError(f"duplicate regions in {self.regions!r}")
-        if self.staleness_horizon <= 0:
+        if not 0 < self.staleness_horizon < math.inf:
             raise ValueError(
-                f"staleness horizon must be positive, got {self.staleness_horizon!r}"
+                "staleness horizon must be positive and finite, "
+                f"got {self.staleness_horizon!r}"
             )
-        if self.mean_lag_seconds < 0:
+        if not 0 <= self.mean_lag_seconds < math.inf:
             raise ValueError(
-                f"mean lag must be non-negative, got {self.mean_lag_seconds!r}"
+                "mean lag must be non-negative and finite, "
+                f"got {self.mean_lag_seconds!r}"
             )
         for region, lag in self.region_lags or ():
             if region not in self.regions:
                 raise ValueError(f"lag override for unknown region {region!r}")
-            if lag < 0:
-                raise ValueError(f"lag override must be non-negative, got {lag!r}")
+            if not 0 <= lag < math.inf:
+                raise ValueError(
+                    f"lag override must be non-negative and finite, got {lag!r}"
+                )
 
     def lag_for(self, region: str) -> float:
         for name, lag in self.region_lags or ():

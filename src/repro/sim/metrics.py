@@ -275,19 +275,3 @@ def merged_histogram(registry: "MetricsRegistry", base: str) -> Histogram:
     for histogram in labeled_histograms(registry, base).values():
         merged.merge(histogram)
     return merged
-
-
-def snapshot_delta(before: "Dict[str, float]",
-                   after: "Dict[str, float]") -> "Dict[str, float]":
-    """Per-metric change between two :meth:`MetricsRegistry.snapshot` calls.
-
-    Metrics absent from ``before`` count from zero; only non-zero deltas
-    are reported.  Benchmarks use this to attribute request counts to one
-    workload phase.
-    """
-    delta: "Dict[str, float]" = {}
-    for name, value in after.items():
-        change = value - before.get(name, 0.0)
-        if change:
-            delta[name] = change
-    return delta

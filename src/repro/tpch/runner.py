@@ -45,34 +45,6 @@ def load_tpch(
     return states
 
 
-def load_tpch_timed(
-    store: ColumnStore,
-    scale_factor: float,
-    partitions: int = 4,
-    rows_per_page: int = 2048,
-    seed: int = 7,
-) -> "Tuple[Dict[str, TableState], Dict[str, float]]":
-    """:func:`load_tpch`, plus per-table virtual load seconds.
-
-    The write-path benchmarks use the breakdown to show *where* a bulk
-    load spends its time (lineitem dominates) without changing what gets
-    loaded: the same schemas, generator, and order as :func:`load_tpch`.
-    """
-    schemas = tpch_schema(partitions, rows_per_page)
-    generator = TpchGenerator(scale_factor, seed)
-    tables = generator.all_tables()
-    states: Dict[str, TableState] = {}
-    seconds: Dict[str, float] = {}
-    clock = store.db.clock
-    for name in LOAD_ORDER:
-        store.create_table(schemas[name])
-    for name in LOAD_ORDER:
-        started = clock.now()
-        states[name] = store.load(name, tables[name])
-        seconds[name] = clock.now() - started
-    return states, seconds
-
-
 def power_run(
     session,
     scale_factor: float,

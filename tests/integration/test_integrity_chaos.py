@@ -113,16 +113,31 @@ def test_chaos_bitrot_scenario_detects_everything():
 
 
 def test_scrub_scenario_repairs_and_deep_fsck_is_clean():
+    """Every budget repairs all the rot; a tighter one stretches the
+    pass on the virtual clock (8 KiB/s up to the 8 MiB/s default)."""
     from repro.bench.scrub import run_scrub_scenario
 
-    result = run_scrub_scenario(seed=3, regions=3, damage=5, flips=2)
-    assert result["damaged"] == 5
-    assert result["scrub"]["corrupt_found"] == 5
-    assert result["scrub"]["repaired"] == 5
-    assert result["scrub"]["ok"] is True
-    assert result["corrupt_before"] == 5
-    assert result["corrupt_after"] == 0
-    assert result["audit_ok_after"] is True
+    pass_seconds = []
+    for budget in (8 * 1024, 64 * 1024, MIB, None):
+        result = run_scrub_scenario(seed=3, regions=3, damage=5, flips=2,
+                                    budget=budget)
+        assert result["damaged"] == 5
+        assert result["scrub"]["corrupt_found"] == 5
+        assert result["scrub"]["repaired"] == 5
+        assert result["scrub"]["ok"] is True
+        assert result["corrupt_before"] == 5
+        assert result["corrupt_after"] == 0
+        assert result["audit_ok_after"] is True
+        pass_seconds.append(result["scrub_virtual_seconds"])
+    assert all(a > b for a, b in zip(pass_seconds, pass_seconds[1:])), \
+        pass_seconds
+
+
+def test_scrub_scenario_refuses_a_zero_budget():
+    from repro.bench.scrub import run_scrub_scenario
+
+    with pytest.raises(ValueError, match="scrub budget must be positive"):
+        run_scrub_scenario(budget=0)
 
 
 def test_scrub_crash_points_recover_idempotently():

@@ -186,13 +186,19 @@ def test_failover_episode_survives_mid_promotion_crash():
 
 
 def test_dr_drill_measures_rto_and_rpo():
-    result = run_dr_drill(DrillConfig(mean_lag_seconds=0.2))
-    assert result.ok, result.violations
-    assert result.failover_region == "region-b"
-    assert result.rto_seconds > 0.0
-    assert result.rpo_acknowledged_seconds == 0.0
-    assert result.max_observed_lag_seconds <= result.rpo_bound_seconds
-    assert result.audit_ok and result.restore_ok
-    payload = result.to_dict()
-    assert payload["ok"] is True
-    assert payload["rto_seconds"] == pytest.approx(result.rto_seconds)
+    rtos = []
+    for lag in (0.1, 0.5, 2.0):
+        result = run_dr_drill(DrillConfig(mean_lag_seconds=lag,
+                                          staleness_horizon=30.0))
+        assert result.ok, (lag, result.violations)
+        assert result.failover_region == "region-b"
+        assert result.rto_seconds > 0.0
+        assert result.rpo_acknowledged_seconds == 0.0
+        assert result.max_observed_lag_seconds <= result.rpo_bound_seconds
+        assert result.audit_ok and result.restore_ok
+        payload = result.to_dict()
+        assert payload["ok"] is True
+        assert payload["rto_seconds"] == round(result.rto_seconds, 6)
+        rtos.append(result.rto_seconds)
+    # More lag leaves more queue to drain at promotion: RTO never falls.
+    assert rtos == sorted(rtos), rtos

@@ -79,6 +79,17 @@ def test_config_rejects_bad_lag_and_horizon():
         )
 
 
+@pytest.mark.parametrize("field", [
+    {"staleness_horizon": float("nan")},
+    {"mean_lag_seconds": float("nan")},
+    {"regions": ("a", "b"), "region_lags": (("b", float("nan")),)},
+], ids=["staleness_horizon", "mean_lag_seconds", "region_lags"])
+def test_config_rejects_nan(field):
+    # NaN fails every ordered comparison, so a sign check alone lets it in.
+    with pytest.raises(ValueError, match="finite"):
+        ReplicationConfig(**field)
+
+
 def test_per_region_lag_override():
     config = ReplicationConfig(
         regions=("a", "b", "c"),
