@@ -27,6 +27,7 @@ gates on.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
@@ -90,6 +91,12 @@ DEFAULT_TENANTS: "Tuple[TenantSpec, ...]" = (
 )
 
 
+# The bursty profile's duty cycle.
+BURST_FACTOR = 8.0   # rate multiplier inside a burst
+BURST_DUTY = 0.2     # fraction of the period bursting
+BURST_PERIOD = 4.0   # seconds per on/off cycle
+
+
 @dataclass(frozen=True)
 class LoadConfig:
     """Shape of one load run (everything the summary depends on)."""
@@ -99,9 +106,6 @@ class LoadConfig:
     profile: str = "poisson"          # "poisson" | "bursty" | "closed"
     arrival_rate: float = 40.0        # stage-1 session arrivals per second
     stages: int = 3                   # open-loop ramp stages (stage s: s*rate)
-    burst_factor: float = 8.0         # bursty: rate multiplier inside a burst
-    burst_duty: float = 0.2           # bursty: fraction of the period bursting
-    burst_period: float = 4.0         # bursty: seconds per on/off cycle
     admission_limit: int = 0          # concurrent in-engine ops, per serving
                                       # node when nodes > 1 (0 = off)
     scale_factor: float = 0.002
@@ -128,8 +132,8 @@ class LoadConfig:
             )
         if self.profile not in ("poisson", "bursty", "closed"):
             raise ValueError(f"unknown arrival profile {self.profile!r}")
-        if self.arrival_rate <= 0:
-            raise ValueError("arrival rate must be positive")
+        if not 0 < self.arrival_rate < math.inf:
+            raise ValueError("arrival rate must be positive and finite")
         if self.stages < 1:
             raise ValueError("need at least one ramp stage")
         if self.admission_limit < 0:
@@ -289,7 +293,7 @@ class LoadHarness:
 
         Secondary nodes take the coordinator's bench sizing (buffer, OCM,
         NIC, vcpus) for the $/query ablation, but only the coordinator's
-        NIC is capped at ``s3_effective_gbits`` (9 Gbit/s).
+        NIC is capped at ``S3_EFFECTIVE_GBITS`` (9 Gbit/s).
         """
         cfg = self.config
         base = bench_config(
@@ -349,7 +353,7 @@ class LoadHarness:
         Open-loop stages ramp the offered rate: stage ``s`` (1-based)
         draws inter-arrival gaps at ``s * arrival_rate``.  The bursty
         profile duty-cycles each stage's rate: inside the burst window of
-        every ``burst_period`` the rate is multiplied by ``burst_factor``,
+        every ``BURST_PERIOD`` the rate is multiplied by ``BURST_FACTOR``,
         outside it the residual rate keeps the stage average comparable.
         """
         cfg = self.config
@@ -368,15 +372,15 @@ class LoadHarness:
             for __ in range(count):
                 rate = stage_rate
                 if cfg.profile == "bursty":
-                    phase = cursor % cfg.burst_period
-                    in_burst = phase < cfg.burst_duty * cfg.burst_period
+                    phase = cursor % BURST_PERIOD
+                    in_burst = phase < BURST_DUTY * BURST_PERIOD
                     if in_burst:
-                        rate = stage_rate * cfg.burst_factor
+                        rate = stage_rate * BURST_FACTOR
                     else:
                         off_scale = max(
                             1e-6,
-                            (1.0 - cfg.burst_duty * cfg.burst_factor)
-                            / max(1e-6, 1.0 - cfg.burst_duty),
+                            (1.0 - BURST_DUTY * BURST_FACTOR)
+                            / max(1e-6, 1.0 - BURST_DUTY),
                         )
                         rate = stage_rate * off_scale
                 cursor += rng.expovariate(rate)

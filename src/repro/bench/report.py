@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 
 def geomean(values: "Iterable[float]") -> float:
@@ -35,7 +35,3 @@ def format_table(headers: "Sequence[str]",
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines)
 
-
-def format_query_times(times: "Dict[int, float]") -> str:
-    rows = [(f"Q{number}", times[number]) for number in sorted(times)]
-    return format_table(["query", "seconds"], rows)

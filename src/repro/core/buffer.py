@@ -25,7 +25,7 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.tracing import NULL_TRACER
 from repro.storage.blockmap import Blockmap
-from repro.storage.compression import PageCodec, codec_by_name
+from repro.storage.compression import ZlibCodec
 from repro.storage.dbspace import PageStore, Wait
 from repro.storage.locator import NULL_LOCATOR
 from repro.storage.page import PageConfig
@@ -100,13 +100,12 @@ class BufferManager:
         self,
         capacity_bytes: int,
         page_config: "Optional[PageConfig]" = None,
-        codec: "Optional[PageCodec]" = None,
     ) -> None:
         if capacity_bytes <= 0:
             raise BufferError(f"capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
         self.page_config = page_config or PageConfig()
-        self.codec = codec or codec_by_name(self.page_config.codec_name)
+        self.codec = ZlibCodec()
         self.metrics = MetricsRegistry()
         self.tracer = NULL_TRACER
         self._frames: "OrderedDict[Tuple[int, int, FrameTag], Frame]" = OrderedDict()

@@ -57,9 +57,6 @@ class KeyRange:
     def __iter__(self) -> "Iterator[int]":
         return iter(range(self.lo, self.hi + 1))
 
-    def to_pair(self) -> "Tuple[int, int]":
-        return self.lo, self.hi
-
 
 class ActiveSet:
     """The not-yet-committed key intervals handed out to one node."""

@@ -77,6 +77,10 @@ CP_RETIRE_AFTER_DETACH = register_crash_point(
 )
 
 
+# One-way latency of a coordinator RPC (0.5 ms), fixed at every scale.
+RPC_LATENCY = 0.0005
+
+
 class MultiplexError(Exception):
     """Invalid cluster operations (writes on readers, unknown nodes...)."""
 
@@ -87,7 +91,6 @@ class MultiplexConfig:
 
     writers: int = 1
     readers: int = 0
-    rpc_latency: float = 0.0005
     secondary_buffer_bytes: int = 64 * 1024 * 1024
     secondary_ocm_bytes: int = 256 * 1024 * 1024
     secondary_ocm_ssd_count: int = 2
@@ -135,7 +138,7 @@ class SecondaryNode:
         # QueryContext reads ``session.config``: the coordinator's.
         self.config = coordinator.config
         self.clock = coordinator.clock
-        self.rpc = Rpc(self.clock, config.rpc_latency)
+        self.rpc = Rpc(self.clock, RPC_LATENCY)
         hardware = scaled(self.config, NodeHardware(
             self.config.cpu_ops_per_second, config.secondary_nic_gbits * GBIT,
         ))
@@ -312,18 +315,6 @@ class Multiplex:
     @property
     def clock(self):
         return self.coordinator.clock
-
-    def new_session_scheduler(self):
-        """A session scheduler over the cluster's shared clock.
-
-        Every node — the coordinator and all secondaries — charges the
-        same clock, so sessions spawned against *different* nodes
-        interleave on one timeline: a reader node's scan overlaps a
-        writer node's commit exactly as the shared-storage multiplex
-        intends, with contention emerging from the shared object store's
-        token buckets and each node's own NIC/SSD pipes.
-        """
-        return self.coordinator.new_session_scheduler()
 
     def node(self, node_id: str) -> SecondaryNode:
         try:

@@ -26,6 +26,7 @@ is idempotent — the crash explorer's scrub episodes prove it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
@@ -89,10 +90,9 @@ class Scrubber:
 
     def __init__(self, db: "Database",
                  bytes_per_second: float = DEFAULT_BYTES_PER_SECOND) -> None:
-        if bytes_per_second <= 0:
-            raise ValueError(
-                f"scrub budget must be positive, got {bytes_per_second!r}"
-            )
+        if not 0 < bytes_per_second < math.inf:
+            raise ValueError(f"scrub budget must be positive and finite, "
+                             f"got {bytes_per_second!r}")
         self.db = db
         self.bytes_per_second = bytes_per_second
         # The budget pipe persists across passes: back-to-back passes

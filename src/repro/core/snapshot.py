@@ -108,10 +108,6 @@ class SnapshotManager:
     def retained_count(self) -> int:
         return len(self._fifo)
 
-    def fifo(self) -> "List[Tuple[str, int, float]]":
-        """The retention FIFO's (dbspace, locator, expiry) entries."""
-        return list(self._fifo)
-
     def retained_locators(self) -> "Dict[str, List[int]]":
         """Currently retained locators per dbspace (restore-GC skip set)."""
         out: Dict[str, List[int]] = {}

@@ -612,11 +612,6 @@ class TransactionManager:
             self._commit_seq = max(self._commit_seq,
                                    self._chain[-1].commit_seq)
 
-    def note_replayed_commit(self, entry: CommitChainEntry) -> None:
-        """Re-enter a replayed committed transaction into the chain."""
-        self._chain.append(entry)
-        self._commit_seq = max(self._commit_seq, entry.commit_seq)
-
     def adopt(self, txn: Transaction) -> None:
         """Re-register a surviving transaction after coordinator recovery.
 

@@ -1,9 +1,8 @@
 """Monetary cost accounting for the simulated cloud.
 
 Price tables mirror the publicly listed AWS prices the paper used (us-east-1,
-circa 2020).  The :class:`~repro.costs.meter.CostMeter` accumulates compute
-hours, storage-months and per-request charges, and renders the bills behind
-Tables 3 and 4.
+circa 2020).  The :class:`~repro.costs.meter.CostMeter` counts per-request
+charges and prices storage-months, the costs behind Tables 3 and 4.
 """
 
 from repro.costs.pricing import (

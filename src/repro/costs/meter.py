@@ -1,59 +1,32 @@
-"""Cost meter: turns simulated activity into an itemized bill.
+"""Cost meter: turns simulated request counts and bytes at rest into USD.
 
-Compute cost is EC2 rate x virtual hours; request cost is the S3 PUT/GET
-charges; storage cost is compressed bytes at rest x the volume's monthly
-rate.  This is the machinery behind Tables 3 and 4.
+Request cost is the S3 PUT/GET/DELETE charges; storage cost is compressed
+bytes at rest x the volume's monthly rate.  This is the machinery behind
+Tables 3 and 4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 from repro.costs.pricing import DEFAULT_PRICES, PriceTable
 
 
-@dataclass
-class BillLine:
-    """A single itemized charge."""
-
-    category: str  # "compute", "requests" or "storage"
-    description: str
-    usd: float
-
-
 class CostMeter:
-    """Accumulates charges during a simulated run."""
+    """Accumulates request counts during a simulated run."""
 
     def __init__(self, prices: PriceTable = DEFAULT_PRICES) -> None:
         self._prices = prices
-        self._lines: List[BillLine] = []
         self._request_counts: Dict[str, Dict[str, int]] = {}
 
     @property
     def prices(self) -> PriceTable:
         return self._prices
 
-    def charge_compute(
-        self, instance_type: str, hours: float, count: int = 1
-    ) -> float:
-        """Charge ``count`` instances of ``instance_type`` for ``hours``."""
-        if hours < 0:
-            raise ValueError(f"cannot charge negative hours {hours!r}")
-        usd = self._prices.instance_rate(instance_type) * hours * count
-        self._lines.append(
-            BillLine(
-                "compute",
-                f"{count} x {instance_type} for {hours:.4f}h",
-                usd,
-            )
-        )
-        return usd
-
     def record_requests(
         self, volume: str, puts: int = 0, gets: int = 0, deletes: int = 0
     ) -> None:
-        """Count requests; they are priced when the bill is rendered."""
+        """Count requests; :meth:`request_cost` prices them."""
         counts = self._request_counts.setdefault(
             volume, {"puts": 0, "gets": 0, "deletes": 0}
         )
@@ -72,45 +45,3 @@ class CostMeter:
     def storage_monthly_cost(self, volume: str, nbytes: int) -> float:
         """Monthly cost of ``nbytes`` at rest on ``volume``."""
         return self._prices.storage_price(volume).monthly_cost(nbytes)
-
-    def charge_storage_month(self, volume: str, nbytes: int) -> float:
-        usd = self.storage_monthly_cost(volume, nbytes)
-        self._lines.append(
-            BillLine("storage", f"{nbytes} bytes on {volume} for 1 month", usd)
-        )
-        return usd
-
-    def finalize_requests(self) -> None:
-        """Convert recorded request counts into bill lines."""
-        for volume, counts in self._request_counts.items():
-            usd = self.request_cost(volume)
-            if usd > 0:
-                self._lines.append(
-                    BillLine(
-                        "requests",
-                        f"{volume}: {counts['puts']} PUT, {counts['gets']} GET, "
-                        f"{counts['deletes']} DELETE",
-                        usd,
-                    )
-                )
-        self._request_counts.clear()
-
-    @property
-    def lines(self) -> "List[BillLine]":
-        return list(self._lines)
-
-    def total(self, category: "str | None" = None) -> float:
-        """Total billed USD, optionally restricted to one category."""
-        return sum(
-            line.usd
-            for line in self._lines
-            if category is None or line.category == category
-        )
-
-    def render(self) -> str:
-        """Human-readable bill."""
-        out = ["category    usd        description"]
-        for line in self._lines:
-            out.append(f"{line.category:<11} {line.usd:<10.4f} {line.description}")
-        out.append(f"TOTAL       {self.total():.4f}")
-        return "\n".join(out)

@@ -73,6 +73,15 @@ MIB = 1024 ** 2
 GBIT = 1_000_000_000 / 8
 T = TypeVar("T")
 
+# One node's object requests in flight: a scan's GET window (the client's
+# and the OCM's read window) and the OCM's write-back upload window.
+PARALLEL_WINDOW = 32
+OCM_UPLOAD_WINDOW = 16
+# Effective per-node S3 throughput ceiling in Gbit/s.  The paper observes
+# saturation slightly above 9 Gbit/s even on a 20 Gbit NIC and attributes
+# it to the engine's 512 KB page size (Figure 8).
+S3_EFFECTIVE_GBITS = 9.0
+
 SYSTEM_DBSPACE = "system"
 USER_DBSPACE = "user"
 
@@ -118,7 +127,6 @@ class DatabaseConfig:
     node_id: str = "coordinator"
     seed: int = 0
     page_size: int = 64 * 1024
-    codec_name: str = "zlib"
     buffer_capacity_bytes: int = 64 * MIB
     vcpus: int = 8
     cpu_ops_per_second: float = 50e6
@@ -132,7 +140,6 @@ class DatabaseConfig:
     ocm_enabled: bool = True
     ocm_capacity_bytes: int = 256 * MIB
     ocm_ssd_count: int = 2
-    ocm_upload_window: int = 16
     # The batched I/O path (DESIGN.md §19) — what the engine ships with;
     # paper() below is the per-page composition the paper describes.
     # OCM eviction policy: "arc2q" (scan-resistant probation/protected
@@ -164,7 +171,6 @@ class DatabaseConfig:
     # object store behaviour
     consistency: ConsistencyModel = EVENTUAL
     prefix_bits: int = 16
-    parallel_window: int = 32
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     # resilience machinery (None = disabled, preserving baseline behaviour)
     breaker: "Optional[CircuitBreakerConfig]" = None
@@ -184,10 +190,6 @@ class DatabaseConfig:
     # commits yield span trees (DESIGN.md §8).  Off by default: tracing
     # retains every span in memory.
     tracing_enabled: bool = False
-    # Effective per-node S3 throughput ceiling in Gbit/s.  The paper
-    # observes saturation slightly above 9 Gbit/s even on a 20 Gbit NIC
-    # and attributes it to the engine's 512 KB page size (Figure 8).
-    s3_effective_gbits: float = 9.0
     # The factor HARDWARE's rate rows are slowed by for a scaled-down
     # dataset (bench_config: SF / 1000); 1.0 runs the paper's hardware.
     rate_scale: float = 1.0
@@ -223,7 +225,7 @@ FIXED = "fixed"  # real at every scale
 
 HARDWARE: "Dict[str, Tuple[str, str]]" = {
     "cpu_ops_per_second": (RATE, "DatabaseConfig.cpu_ops_per_second"),
-    "nic": (RATE, "min(nic_gbits, s3_effective_gbits); secondary_nic_gbits"),
+    "nic": (RATE, "min(nic_gbits, S3_EFFECTIVE_GBITS); secondary_nic_gbits"),
     "bandwidth": (RATE, "nvme_ssd x ocm_ssd_count, ebs_gp2, efs_standard"),
     "iops": (PER_OP, "ebs_gp2, efs_standard"),
     "per_prefix_put_rate": (PER_OP, "S3_PROFILE, AZURE_BLOB_PROFILE"),
@@ -238,7 +240,7 @@ HARDWARE: "Dict[str, Tuple[str, str]]" = {
     "get_latency": (FIXED, "ObjectStoreProfile"),
     "delete_latency": (FIXED, "ObjectStoreProfile"),
     "system_volume_size_bytes": (FIXED, "64 GiB gp2 system dbspace"),
-    "rpc_latency": (FIXED, "MultiplexConfig.rpc_latency"),
+    "rpc_latency": (FIXED, "multiplex.RPC_LATENCY"),
 }
 
 
@@ -288,7 +290,7 @@ def build_object_io(
     local cache, ``None`` for direct object I/O.
     """
     client = RetryingObjectClient(
-        store, policy=cfg.retry, parallel_window=cfg.parallel_window,
+        store, policy=cfg.retry, parallel_window=PARALLEL_WINDOW,
         bandwidth=nic, node_id=node_id, breaker=cfg.breaker, hedge=cfg.hedge,
         rng=rng.substream("object-client"), verify_reads=cfg.verify_reads,
         max_run=cfg.coalesce_max_run,
@@ -302,8 +304,8 @@ def build_object_io(
         client, scaled(cfg, ssd),
         OcmConfig(
             capacity_bytes=capacity_bytes,
-            upload_window=cfg.ocm_upload_window,
-            read_window=cfg.parallel_window,
+            upload_window=OCM_UPLOAD_WINDOW,
+            read_window=PARALLEL_WINDOW,
             adaptive_read_routing=cfg.ocm_adaptive_routing,
             policy=cfg.ocm_policy,
         ),
@@ -380,12 +382,12 @@ class Database:
         self.clock = VirtualClock()
         self.rng = DeterministicRng(cfg.seed, "database")
         self.meter = CostMeter()
-        self.page_config = PageConfig(cfg.page_size, cfg.codec_name)
+        self.page_config = PageConfig(cfg.page_size)
         # The NIC carries load input *and* object store traffic; the
         # engine cannot push S3 past ~9 Gbit/s (512 KB page limitation the
         # paper reports), so the pipe is capped at the lower of the two.
         hardware = scaled(cfg, NodeHardware(cfg.cpu_ops_per_second, min(
-            cfg.nic_gbits, cfg.s3_effective_gbits) * GBIT))
+            cfg.nic_gbits, S3_EFFECTIVE_GBITS) * GBIT))
         self.cpu = CpuModel(self.clock, cfg.vcpus, hardware.cpu_ops_per_second)
         self.nic = Pipe(hardware.nic, name="nic")
         self.crashed = False

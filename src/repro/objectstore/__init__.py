@@ -1,4 +1,4 @@
-"""Object store substrate: API, in-memory store, S3 simulator, retries.
+"""Object store substrate: S3 simulator, replication, retries.
 
 The paper stores database pages directly as objects on AWS S3 / Azure Blob.
 We substitute a deterministic simulator that reproduces the properties the
@@ -21,8 +21,6 @@ from repro.objectstore.errors import (
     OverwriteForbiddenError,
     RetriesExhaustedError,
 )
-from repro.objectstore.base import ObjectStore
-from repro.objectstore.memory import InMemoryObjectStore
 from repro.objectstore.consistency import ConsistencyModel, STRONG, EVENTUAL
 from repro.objectstore.faults import (
     ErrorStorm,
@@ -53,8 +51,6 @@ from repro.objectstore.client import (
 )
 
 __all__ = [
-    "ObjectStore",
-    "InMemoryObjectStore",
     "SimulatedObjectStore",
     "ObjectStoreProfile",
     "S3_PROFILE",

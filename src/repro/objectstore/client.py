@@ -138,15 +138,12 @@ class CircuitBreakerConfig:
 
     failure_threshold: int = 5
     reset_timeout: float = 5.0
-    half_open_successes: int = 1
 
     def __post_init__(self) -> None:
         if self.failure_threshold < 1:
             raise ValueError("failure threshold must be at least 1")
         if self.reset_timeout <= 0:
             raise ValueError("reset timeout must be positive")
-        if self.half_open_successes < 1:
-            raise ValueError("half-open success count must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,6 @@ class CircuitBreaker:
         self._state = self.CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._half_open_successes = 0
         self.metrics.gauge(f"breaker_state{suffix}").set(0.0)
 
     def state_at(self, now: float) -> str:
@@ -224,13 +220,10 @@ class CircuitBreaker:
             self._transition(self.HALF_OPEN, now)
 
     def record_success(self, now: float) -> None:
-        if self._state == self.HALF_OPEN:
-            self._half_open_successes += 1
-            if self._half_open_successes >= self.config.half_open_successes:
-                self._transition(self.CLOSED, now)
-        elif self._state == self.OPEN:
-            # A breaker-bypassing operation (commit write-through) succeeded
-            # while open: the store is demonstrably healthy again.
+        if self._state != self.CLOSED:
+            # The half-open probe succeeded, or a breaker-bypassing
+            # operation (commit write-through) succeeded while open: the
+            # store is demonstrably healthy again.
             self._transition(self.CLOSED, now)
         self._consecutive_failures = 0
 
@@ -250,7 +243,6 @@ class CircuitBreaker:
             self._opened_at = now
             self.metrics.counter(f"breaker_opened{self.suffix}").increment()
         elif state == self.HALF_OPEN:
-            self._half_open_successes = 0
             self.metrics.counter(f"breaker_half_open{self.suffix}").increment()
         else:
             self._consecutive_failures = 0

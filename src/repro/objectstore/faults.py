@@ -48,6 +48,7 @@ probabilities combine to the maximum per kind.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -79,9 +80,12 @@ class FaultEvent:
     region: "Optional[str]" = None           # None = every region
 
     def __post_init__(self) -> None:
-        if self.end <= self.start:
+        # Written so that NaN fails: a NaN window would match no request
+        # and leave a drill silently fault-free.  ``end`` may be infinite.
+        if not (math.isfinite(self.start) and self.start < self.end):
             raise ValueError(
-                f"fault window must be non-empty, got [{self.start}, {self.end})"
+                f"fault window must be non-empty with a finite start, "
+                f"got [{self.start}, {self.end})"
             )
         object.__setattr__(self, "ops", _normalize_ops(self.ops))
 

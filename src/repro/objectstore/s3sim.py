@@ -26,9 +26,8 @@ Two APIs are exposed: the *timed* API — one batch-first method per verb
 (``put_range_at``/``get_range_at``/``delete_at``/``exists_at``; a single
 request is a batch of one) — returns virtual completion times and never
 touches the clock — the engine's I/O scheduler uses it to model parallel
-requests — and the plain
-:class:`~repro.objectstore.base.ObjectStore` API which advances the shared
-clock to each operation's completion (convenient in tests and examples).
+requests — and the plain put/get/delete/exists/list API which advances the
+shared clock to each operation's completion (convenient in tests and examples).
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.costs.meter import CostMeter
-from repro.objectstore.base import ObjectStore
 from repro.objectstore.consistency import (
     ConsistencyModel,
     EVENTUAL,
@@ -131,7 +129,7 @@ def run_and_advance(clock: VirtualClock, timed, *args):
     return value
 
 
-class SimulatedObjectStore(ObjectStore):
+class SimulatedObjectStore:
     """One simulated bucket."""
 
     def __init__(
@@ -616,7 +614,7 @@ class SimulatedObjectStore(ObjectStore):
         return True
 
     # ------------------------------------------------------------------ #
-    # plain ObjectStore API (advances the shared clock)
+    # plain API (advances the shared clock)
     # ------------------------------------------------------------------ #
 
     def put(self, key: str, data: bytes) -> None:

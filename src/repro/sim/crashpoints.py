@@ -89,9 +89,6 @@ class CrashPointRegistry:
     def names(self) -> "List[str]":
         return sorted(self._points)
 
-    def points(self) -> "Dict[str, CrashPoint]":
-        return dict(self._points)
-
     def point(self, name: str) -> CrashPoint:
         try:
             return self._points[name]

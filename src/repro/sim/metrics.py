@@ -43,9 +43,6 @@ class Gauge:
     def increment(self, amount: float = 1.0) -> None:
         self._value += amount
 
-    def decrement(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value

@@ -69,9 +69,6 @@ class DeterministicRng:
     def sample(self, seq, k: int):
         return self._random.sample(seq, k)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
-
     def words(self) -> "Callable[[], int]":
         """A ``next``-style callable over this stream's raw 32-bit words.
 

@@ -17,17 +17,11 @@ from repro.storage.locator import (
     describe_locator,
 )
 from repro.storage.keys import hashed_object_name, object_key_from_name
-from repro.storage.compression import (
-    PageCodec,
-    ZlibCodec,
-    NoCompressionCodec,
-    codec_by_name,
-)
+from repro.storage.compression import ZlibCodec
 from repro.storage.page import PageConfig
 from repro.storage.blockmap import Blockmap, BlockmapError
 from repro.storage.identity import IdentityObject
 from repro.storage.dbspace import (
-    Dbspace,
     BlockDbspace,
     CloudDbspace,
     DbspaceError,
@@ -43,15 +37,11 @@ __all__ = [
     "describe_locator",
     "hashed_object_name",
     "object_key_from_name",
-    "PageCodec",
     "ZlibCodec",
-    "NoCompressionCodec",
-    "codec_by_name",
     "PageConfig",
     "Blockmap",
     "BlockmapError",
     "IdentityObject",
-    "Dbspace",
     "BlockDbspace",
     "CloudDbspace",
     "DbspaceError",

@@ -264,9 +264,6 @@ class Blockmap:
         leaf.dirty = True
         return old
 
-    def lookup_many(self, page_nos: "List[int]") -> "List[int]":
-        return [self.lookup(page_no) for page_no in page_nos]
-
     # ------------------------------------------------------------------ #
     # persistence
     # ------------------------------------------------------------------ #

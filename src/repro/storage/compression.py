@@ -1,73 +1,24 @@
-"""Page-level compression codecs.
+"""Page-level compression.
 
 SAP IQ compresses pages before they hit storage; the compressed size (in
-blocks) is recorded in the blockmap.  We provide a zlib codec (the default)
-and a pass-through codec for tests; the columnar layer adds dictionary and
-n-bit encodings *inside* the page before page-level compression, mirroring
-the paper's two-level scheme.
+blocks) is recorded in the blockmap.  Every page goes through zlib at level
+1; the columnar layer adds dictionary and n-bit encodings *inside* the page
+before page-level compression, mirroring the paper's two-level scheme.
 """
 
 from __future__ import annotations
 
 import zlib
-from abc import ABC, abstractmethod
-from typing import Dict
+
+# Level 1 mimics a fast LZ page compressor.
+ZLIB_LEVEL = 1
 
 
-class PageCodec(ABC):
-    """Compress/decompress whole page images."""
-
-    name: str = "abstract"
-
-    @abstractmethod
-    def compress(self, data: bytes) -> bytes:
-        """Return the on-storage image of ``data``."""
-
-    @abstractmethod
-    def decompress(self, payload: bytes) -> bytes:
-        """Invert :meth:`compress`."""
-
-
-class NoCompressionCodec(PageCodec):
-    """Pass-through codec (tests, incompressible data)."""
-
-    name = "none"
+class ZlibCodec:
+    """Compress/decompress whole page images with zlib."""
 
     def compress(self, data: bytes) -> bytes:
-        return bytes(data)
-
-    def decompress(self, payload: bytes) -> bytes:
-        return bytes(payload)
-
-
-class ZlibCodec(PageCodec):
-    """zlib page compression; level 1 mimics a fast LZ page compressor."""
-
-    name = "zlib"
-
-    def __init__(self, level: int = 1) -> None:
-        if not 0 <= level <= 9:
-            raise ValueError(f"zlib level must be in [0, 9], got {level}")
-        self._level = level
-
-    def compress(self, data: bytes) -> bytes:
-        return zlib.compress(bytes(data), self._level)
+        return zlib.compress(bytes(data), ZLIB_LEVEL)
 
     def decompress(self, payload: bytes) -> bytes:
         return zlib.decompress(payload)
-
-
-_CODECS: "Dict[str, PageCodec]" = {
-    "none": NoCompressionCodec(),
-    "zlib": ZlibCodec(),
-}
-
-
-def codec_by_name(name: str) -> PageCodec:
-    """Resolve a codec by its registered name."""
-    try:
-        return _CODECS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown page codec {name!r}; known: {sorted(_CODECS)}"
-        ) from None

@@ -388,23 +388,3 @@ class CloudDbspace(PageStore):
 
     def flush_for_commit(self, txn_id: int) -> None:
         self.io.flush_for_commit(txn_id)
-
-
-class Dbspace:
-    """User-facing dbspace record: a named PageStore plus its kind."""
-
-    def __init__(self, store: PageStore, system: bool = False) -> None:
-        self.store = store
-        self.system = system
-
-    @property
-    def name(self) -> str:
-        return self.store.name
-
-    @property
-    def is_cloud(self) -> bool:
-        return self.store.is_cloud
-
-    def __repr__(self) -> str:
-        kind = "cloud" if self.is_cloud else ("system" if self.system else "block")
-        return f"Dbspace({self.name!r}, {kind})"

@@ -18,7 +18,6 @@ class PageConfig:
     """Database-wide page geometry."""
 
     page_size: int = 64 * 1024
-    codec_name: str = "zlib"
 
     def __post_init__(self) -> None:
         if self.page_size <= 0 or self.page_size % MAX_BLOCKS_PER_PAGE != 0:

@@ -1,6 +1,7 @@
 """Integration tests for the multi-tenant load harness (DESIGN.md §13)."""
 
 import json
+import math
 
 import pytest
 
@@ -120,8 +121,9 @@ class TestProfiles:
             LoadConfig(sessions=0)
         with pytest.raises(ValueError):
             LoadConfig(profile="warp")
-        with pytest.raises(ValueError):
-            LoadConfig(arrival_rate=0.0)
+        for rate in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                LoadConfig(arrival_rate=rate)
         with pytest.raises(ValueError):
             LoadConfig(tenants=(
                 TenantSpec("only", 0.5, "lookup", 0.1, 1, 1.0),

@@ -26,6 +26,22 @@ def test_table1(capsys):
     assert "(empty)" in out
 
 
+def test_compare_prints_the_volume_table(capsys):
+    assert main(["compare", "--scale-factor", "0.001"]) == 0
+    out = capsys.readouterr().out
+    assert "$/month at SF1000" in out
+    for volume in ("S3", "EBS", "EFS"):
+        assert volume in out
+
+
+def test_load_prints_tenant_and_stage_tables(capsys):
+    assert main(["load", "--sessions", "20", "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "load run: 20 sessions" in out
+    assert "SLO attainment" in out
+    assert "offered /s" in out
+
+
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])

@@ -61,16 +61,6 @@ class TestInstances:
 
 
 class TestCostMeter:
-    def test_compute_charge(self):
-        meter = CostMeter()
-        usd = meter.charge_compute("m5ad.4xlarge", hours=2.0)
-        assert usd == pytest.approx(2 * 0.824)
-        assert meter.total("compute") == pytest.approx(usd)
-
-    def test_negative_hours_rejected(self):
-        with pytest.raises(ValueError):
-            CostMeter().charge_compute("m5ad.4xlarge", hours=-1)
-
     def test_request_accumulation(self):
         meter = CostMeter()
         meter.record_requests("s3", puts=500, gets=1000)
@@ -79,21 +69,7 @@ class TestCostMeter:
             0.005 + 0.0004
         )
 
-    def test_finalize_moves_requests_to_bill(self):
-        meter = CostMeter()
-        meter.record_requests("s3", puts=1000)
-        meter.finalize_requests()
-        assert meter.total("requests") == pytest.approx(0.005)
-        # Finalizing again adds nothing.
-        meter.finalize_requests()
-        assert meter.total("requests") == pytest.approx(0.005)
-
     def test_storage_month(self):
         meter = CostMeter()
-        usd = meter.charge_storage_month("s3", 100 * GIB)
+        usd = meter.storage_monthly_cost("s3", 100 * GIB)
         assert usd == pytest.approx(2.3)
-
-    def test_render_contains_total(self):
-        meter = CostMeter()
-        meter.charge_compute("r5.large", 1.0)
-        assert "TOTAL" in meter.render()

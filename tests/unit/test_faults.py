@@ -1,5 +1,7 @@
 """Unit tests for the deterministic fault-schedule framework."""
 
+import math
+
 import pytest
 
 from repro.objectstore import (
@@ -75,6 +77,16 @@ def test_event_validation():
         LatencySpike(0.0, 1.0, multiplier=0.0)
     with pytest.raises(ValueError):
         ThrottleStorm(0.0, 1.0, rate_factor=0.0)
+
+
+@pytest.mark.parametrize("start, end", [
+    (math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan),
+], ids=["nan-start", "nan-end", "nan-both"])
+def test_nan_fault_window_is_refused(start, end):
+    with pytest.raises(ValueError, match="fault window"):
+        OutageWindow(start, end)
+    # An open-ended window stays valid.
+    assert OutageWindow(0.0, math.inf).matches("get", "k", None, 1e9)
 
 
 def test_decide_composes_overlapping_events():

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.multiplex import Multiplex, MultiplexConfig, MultiplexError
+from repro.core.multiplex import (
+    RPC_LATENCY,
+    Multiplex,
+    MultiplexConfig,
+    MultiplexError,
+)
 from repro.engine import DatabaseConfig
 
 MIB = 1024 * 1024
@@ -32,8 +37,7 @@ def test_secondaries_inherit_the_coordinators_io_settings():
     coordinator uses, so no behaviour field is dropped on the way."""
     mx = make_multiplex(
         verify_reads=True, coalesce_max_run=8,
-        ocm_policy="arc2q", ocm_upload_window=8,
-        parallel_window=12, ocm_adaptive_routing=True,
+        ocm_policy="arc2q", ocm_adaptive_routing=True,
     )
     coordinator = mx.coordinator
     for node in mx.secondaries():
@@ -45,7 +49,6 @@ def test_secondaries_inherit_the_coordinators_io_settings():
         assert node.client.bandwidth is node.nic
         assert node.client.node_id == node.node_id
         assert node.ocm.config == coordinator.ocm.config
-        assert node.ocm.config.read_window == 12
         assert node.ocm._verify
         assert node.config is coordinator.config
 
@@ -211,7 +214,7 @@ def test_rpc_charges_latency():
     clock = mx.clock
     before = clock.now()
     txn = mx.node("writer-1").begin()
-    assert clock.now() >= before + 2 * mx.config.rpc_latency
+    assert clock.now() >= before + 2 * RPC_LATENCY
     mx.node("writer-1").rollback(txn)
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for object stores: memory, consistency model, S3 simulator."""
+"""Unit tests for object stores: consistency model, S3 simulator."""
 
 import inspect
 
@@ -7,8 +7,6 @@ import pytest
 from repro.costs.meter import CostMeter
 from repro.objectstore import (
     ConsistencyModel,
-    InMemoryObjectStore,
-    NoSuchKeyError,
     ReplicatedObjectStore,
     SimulatedObjectStore,
     STRONG,
@@ -17,40 +15,6 @@ from repro.objectstore.consistency import VersionedObject
 from repro.objectstore.s3sim import ObjectStoreProfile
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import DeterministicRng
-
-
-class TestInMemoryStore:
-    def test_put_get_roundtrip(self):
-        store = InMemoryObjectStore()
-        store.put("a/1", b"hello")
-        assert store.get("a/1") == b"hello"
-
-    def test_missing_key_raises(self):
-        with pytest.raises(NoSuchKeyError):
-            InMemoryObjectStore().get("nope")
-
-    def test_delete_is_idempotent(self):
-        store = InMemoryObjectStore()
-        store.put("k", b"x")
-        store.delete("k")
-        store.delete("k")  # no error, mirrors S3
-        assert not store.exists("k")
-
-    def test_stored_bytes_tracks_overwrites(self):
-        store = InMemoryObjectStore()
-        store.put("k", b"12345")
-        store.put("k", b"12")
-        assert store.stored_bytes() == 2
-
-    def test_list_keys_sorted_with_prefix(self):
-        store = InMemoryObjectStore()
-        for key in ("b/2", "a/1", "a/3"):
-            store.put(key, b"x")
-        assert list(store.list_keys("a/")) == ["a/1", "a/3"]
-
-    def test_rejects_non_bytes(self):
-        with pytest.raises(TypeError):
-            InMemoryObjectStore().put("k", "not bytes")  # type: ignore
 
 
 class TestVersionedObject:

@@ -4,6 +4,7 @@ import math
 
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.columnar.schema import make_row_id
+from repro.engine import PARALLEL_WINDOW
 from repro.sim.rng import DeterministicRng
 from repro.sim.tracing import Tracer, overlap_seconds
 from tests.conftest import lists, make_db
@@ -164,7 +165,7 @@ def test_row_lookup_fetches_every_page_in_one_batch():
         elapsed = db.clock.now() - start
     assert len(rel["key"]) == len(pages)
     assert rel["b"] == [key % 7 for key in rel["key"]]
-    bound = math.ceil(len(pages) * len(columns) / db.config.parallel_window)
+    bound = math.ceil(len(pages) * len(columns) / PARALLEL_WINDOW)
     assert elapsed <= bound * round_trip
 
 

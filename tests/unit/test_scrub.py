@@ -1,5 +1,7 @@
 """Unit tests for the background scrubber and the deep (content) audit."""
 
+import math
+
 import pytest
 
 from repro.core.audit import StoreAuditor
@@ -53,8 +55,10 @@ def damage_some(db, count=3, flips=2):
 
 class TestScrubber:
     def test_rejects_nonpositive_budget(self):
-        with pytest.raises(ValueError):
-            Scrubber(make_db(), bytes_per_second=0)
+        db = make_db()
+        for budget in (0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                Scrubber(db, bytes_per_second=budget)
 
     def test_clean_store_scans_without_repairs(self):
         db = make_db()

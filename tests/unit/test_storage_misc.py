@@ -9,11 +9,7 @@ from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
 from repro.objectstore.consistency import STRONG
 from repro.objectstore.s3sim import ObjectStoreProfile
 from repro.sim.clock import VirtualClock
-from repro.storage.compression import (
-    NoCompressionCodec,
-    ZlibCodec,
-    codec_by_name,
-)
+from repro.storage.compression import ZlibCodec
 from repro.storage.dbspace import (
     BlockDbspace,
     CloudDbspace,
@@ -46,20 +42,6 @@ class TestCodecs:
         compressed = codec.compress(data)
         assert len(compressed) < len(data)
         assert codec.decompress(compressed) == data
-
-    def test_none_roundtrip(self):
-        codec = NoCompressionCodec()
-        assert codec.decompress(codec.compress(b"abc")) == b"abc"
-
-    def test_lookup_by_name(self):
-        assert codec_by_name("zlib").name == "zlib"
-        assert codec_by_name("none").name == "none"
-        with pytest.raises(KeyError):
-            codec_by_name("snappy")
-
-    def test_zlib_level_validated(self):
-        with pytest.raises(ValueError):
-            ZlibCodec(level=10)
 
 
 class TestPageConfig:
