@@ -22,12 +22,10 @@ from repro.bench.chaos import run_chaos_scenario
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--schedule", default="storm",
-                        choices=["storm", "outage", "latency", "throttle"])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    result = run_chaos_scenario(args.schedule, seed=args.seed)
+    result = run_chaos_scenario("storm", seed=args.seed)
 
     client = result["client_metrics"]
     store = result["store_metrics"]

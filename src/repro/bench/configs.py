@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.columnar import ColumnStore
-from repro.costs.instances import INSTANCE_CATALOG, InstanceProfile
+from repro.costs.instances import INSTANCE_CATALOG
 from repro.engine import Database, DatabaseConfig
 from repro.tpch import check_scale_factor, load_tpch
 

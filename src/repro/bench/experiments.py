@@ -26,7 +26,7 @@ from repro.bench.report import geomean
 from repro.costs.pricing import DEFAULT_PRICES
 from repro.engine import PAPER_IO, Database, paper_units
 from repro.tpch import power_run
-from repro.tpch.runner import make_streams, run_stream
+from repro.tpch.runner import throughput_streams
 
 GIB = 1024 ** 3
 # Average compressed object size in the real system (~520 GB over ~1.4M
@@ -318,12 +318,12 @@ def run_scale_out(
     n_streams: int = 8,
     scale_factor: float = BENCH_SCALE_FACTOR,
 ) -> "List[Dict[str, object]]":
-    """Throughput runs with n secondary nodes.
+    """Throughput runs over n nodes.
 
-    Secondary nodes are m5ad.4xlarge readers with independent caches and
-    NICs over shared S3 (S3 throughput scales with node count); each node
-    runs its assigned streams on its own timeline and the experiment
-    finishes when the slowest node does.
+    Each node is an independent single-node m5ad.4xlarge engine with its
+    own bucket, caches, NIC and clock; nothing is shared between them.
+    The streams are dealt round-robin, each node runs its share on its own
+    timeline, and the experiment finishes when the slowest node does.
     """
     points = []
     for nodes in node_counts:
@@ -334,16 +334,6 @@ def run_scale_out(
             )
             _cold_caches(db)
             sessions.append(db)
-        streams = make_streams(n_streams)
-        per_node = [0.0] * nodes
-        for index, stream in enumerate(streams):
-            node = index % nodes
-            per_node[node] += run_stream(sessions[node], scale_factor, stream)
-        points.append(
-            {
-                "nodes": nodes,
-                "total": max(per_node),
-                "per_node": per_node,
-            }
-        )
+        total, per_node = throughput_streams(sessions, scale_factor, n_streams)
+        points.append({"nodes": nodes, "total": total, "per_node": per_node})
     return points

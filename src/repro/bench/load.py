@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.bench.configs import (
@@ -91,10 +91,12 @@ DEFAULT_TENANTS: "Tuple[TenantSpec, ...]" = (
 )
 
 
-# The bursty profile's duty cycle.
-BURST_FACTOR = 8.0   # rate multiplier inside a burst
+# The bursty profile's duty cycle.  BURST_FACTOR * BURST_DUTY must stay
+# below 1: the off-burst rate makes up the rest of the stage average.
+BURST_FACTOR = 4.0   # rate multiplier inside a burst
 BURST_DUTY = 0.2     # fraction of the period bursting
 BURST_PERIOD = 4.0   # seconds per on/off cycle
+OFF_BURST_SCALE = (1.0 - BURST_DUTY * BURST_FACTOR) / (1.0 - BURST_DUTY)
 
 
 @dataclass(frozen=True)
@@ -354,7 +356,7 @@ class LoadHarness:
         draws inter-arrival gaps at ``s * arrival_rate``.  The bursty
         profile duty-cycles each stage's rate: inside the burst window of
         every ``BURST_PERIOD`` the rate is multiplied by ``BURST_FACTOR``,
-        outside it the residual rate keeps the stage average comparable.
+        outside it by ``OFF_BURST_SCALE``, so the stage keeps its average.
         """
         cfg = self.config
         plan = self._stage_plan()
@@ -374,15 +376,8 @@ class LoadHarness:
                 if cfg.profile == "bursty":
                     phase = cursor % BURST_PERIOD
                     in_burst = phase < BURST_DUTY * BURST_PERIOD
-                    if in_burst:
-                        rate = stage_rate * BURST_FACTOR
-                    else:
-                        off_scale = max(
-                            1e-6,
-                            (1.0 - BURST_DUTY * BURST_FACTOR)
-                            / max(1e-6, 1.0 - BURST_DUTY),
-                        )
-                        rate = stage_rate * off_scale
+                    rate = stage_rate * (
+                        BURST_FACTOR if in_burst else OFF_BURST_SCALE)
                 cursor += rng.expovariate(rate)
                 arrivals.append((cursor, stage))
             self._stage_windows.append((window_start, cursor))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def geomean(values: "Iterable[float]") -> float:

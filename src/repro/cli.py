@@ -595,8 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="run a named fault schedule and report resilience"
     )
     chaos.add_argument("--schedule", default="storm",
-                       choices=["storm", "outage", "latency", "throttle",
-                                "bitrot", "torn-read"],
+                       choices=["storm", "bitrot", "torn-read"],
                        help="named fault schedule to run (bitrot and "
                             "torn-read corrupt payloads and turn on "
                             "verified reads)")

@@ -45,28 +45,24 @@ class ColumnStore:
         self.db = db
         self.metrics = MetricsRegistry()
         self._schemas: Dict[str, TableSchema] = {}
-        self._dbspaces: Dict[str, str] = {}
 
     # ------------------------------------------------------------------ #
     # DDL
     # ------------------------------------------------------------------ #
 
-    def create_table(self, schema: TableSchema, dbspace: str = "user") -> None:
+    def create_table(self, schema: TableSchema) -> None:
         """Register every storage object the table needs."""
         if schema.name in self._schemas:
             raise SchemaError(f"table {schema.name!r} already exists")
         for partition in range(schema.partition_count):
             for column in schema.column_names():
-                self.db.create_object(
-                    schema.column_object(column, partition), dbspace
-                )
-        self.db.create_object(schema.zonemap_object(), dbspace)
+                self.db.create_object(schema.column_object(column, partition))
+        self.db.create_object(schema.zonemap_object())
         for column in schema.indexed_columns():
-            self.db.create_object(schema.hg_object(column), dbspace)
-        self.db.create_object(schema.deleted_object(), dbspace)
-        self.db.create_object(schema.meta_object(), dbspace)
+            self.db.create_object(schema.hg_object(column))
+        self.db.create_object(schema.deleted_object())
+        self.db.create_object(schema.meta_object())
         self._schemas[schema.name] = schema
-        self._dbspaces[schema.name] = dbspace
 
     def schema(self, name: str) -> TableSchema:
         try:
@@ -247,7 +243,7 @@ class ColumnStore:
         if own_txn:
             txn = self.db.begin()
         clock = self.db.clock
-        page_size = self.db.page_size_for(self._dbspaces.get(table, "user"))
+        page_size = self.db.page_config.page_size
         schema = self._fit_rows_per_page(schema, materialized, page_size)
 
         # Input arrives from an S3 staging bucket through the same NIC the
@@ -329,9 +325,7 @@ class ColumnStore:
         deleted = RowIdSet.from_bytes(read_blob(self.db.buffer, handle))
         added = deleted.add_many(row_ids)
         if added:
-            page_size = self.db.page_size_for(
-                self._dbspaces.get(table, "user")
-            )
+            page_size = self.db.page_config.page_size
             out_handle = self.db.open_for_write(txn, schema.deleted_object())
             write_blob(self.db.buffer, out_handle, deleted.to_bytes(),
                        page_size)
@@ -363,7 +357,7 @@ class ColumnStore:
         if own_txn:
             txn = self.db.begin()
         cpu = self.db.cpu
-        page_size = self.db.page_size_for(self._dbspaces.get(table, "user"))
+        page_size = self.db.page_config.page_size
 
         def load_blob(object_name: str):
             handle = self.db.open_for_read(txn, object_name)

@@ -19,7 +19,7 @@ Eviction is LRU by bytes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.metrics import MetricsRegistry
@@ -303,7 +303,7 @@ class BufferManager:
         """Install a dirty page image for the handle's transaction."""
         if not handle.writable:
             raise BufferError(f"handle {handle!r} is read-only")
-        limit = handle.dbspace.page_size_limit or self.page_config.page_size
+        limit = self.page_config.page_size
         if len(data) > limit:
             raise BufferError(
                 f"page image of {len(data)} bytes exceeds page size "

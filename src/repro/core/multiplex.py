@@ -27,11 +27,11 @@ from typing import Dict, List, Optional
 from repro.core.buffer import BufferManager
 from repro.core.keygen import KeyRange, NodeKeyCache
 from repro.core.recovery import fence_in_flight_writes
-from repro.core.txn import Transaction, TransactionError
+from repro.core.txn import Transaction
 from repro.engine import Database, DatabaseConfig, NodeRuntime, SYSTEM_DBSPACE, USER_DBSPACE
 from repro.engine import GBIT, NodeHardware, scaled
 from repro.engine import build_cloud_dbspace, build_object_io
-from repro.objectstore.faults import FaultSchedule, OutageWindow, RegionOutage
+from repro.objectstore.faults import RegionOutage
 from repro.objectstore.replicated import ReplicatedObjectStore
 from repro.sim.cpu import CpuModel
 from repro.sim.crashpoints import (
@@ -412,39 +412,10 @@ class Multiplex:
         dbspace: existing objects are deleted (they belonged to aborted
         transactions or unconsumed allocations); missing ones are no-ops —
         including keys already reclaimed by local rollbacks, which the
-        coordinator was deliberately never told about.  A secondary's
-        runtime holds only the system and the user dbspace, so its keys
-        can only live in the user bucket.
+        coordinator was deliberately never told about.
         """
         crash_point(CP_RESTART_GC_BEFORE_POLL)
-        coordinator = self.coordinator
-        return coordinator._restart_gc(node_id, [coordinator.user_dbspace],
-                                       CP_RESTART_GC_MID_POLL)
-
-    def inject_store_outage(self, node_id: str, window) -> OutageWindow:
-        """Model a per-node network partition from the shared bucket.
-
-        ``window`` is either ``(start, end)`` in virtual seconds or an
-        :class:`~repro.objectstore.faults.OutageWindow` (re-scoped to the
-        node).  Only the named node's requests fail during the window —
-        the coordinator and other secondaries keep the bucket, which is
-        exactly the asymmetric partition the paper's restart-GC protocol
-        has to tolerate.
-        """
-        self.node(node_id)  # validates the node exists
-        if isinstance(window, OutageWindow):
-            event = OutageWindow(window.start, window.end, ops=window.ops,
-                                 prefix=window.prefix, node=node_id)
-        else:
-            start, end = window
-            event = OutageWindow(start, end, node=node_id)
-        store = self.coordinator.object_store
-        if store is None:
-            raise MultiplexError("multiplex requires an S3 user dbspace")
-        if store.fault_schedule is None:
-            store.fault_schedule = FaultSchedule(name="injected")
-        store.fault_schedule.add(event)
-        return event
+        return self.coordinator._restart_gc(node_id, CP_RESTART_GC_MID_POLL)
 
     def _replicated_store(self) -> ReplicatedObjectStore:
         store = self.coordinator.object_store
@@ -502,7 +473,7 @@ class Multiplex:
         elif to_region not in store.regions:
             raise MultiplexError(f"no region named {to_region!r}")
         crash_point(CP_FAILOVER_BEFORE_FENCE)
-        fence_in_flight_writes([self.coordinator.user_dbspace])
+        fence_in_flight_writes(self.coordinator.user_dbspace)
         crash_point(CP_FAILOVER_BEFORE_PROMOTE)
         drained = store.promote(to_region, self.clock.now())
         self.coordinator.metrics.counter("region_failovers").increment()

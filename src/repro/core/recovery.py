@@ -20,8 +20,8 @@ the coordinator's active set for the node (Table 1, clock 150).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.blockstore.freelist import Freelist
 from repro.core.keygen import ObjectKeyGenerator
@@ -40,41 +40,36 @@ from repro.storage.identity import Catalog, IdentityObject
 from repro.storage.locator import block_range
 
 
-def fence_in_flight_writes(stores: "Sequence[CloudDbspace]") -> None:
+def fence_in_flight_writes(dbspace: CloudDbspace) -> None:
     """Wait out every accepted-but-unsettled store request.
 
     A late-completing put would otherwise outrun a blind delete under
     last-writer-wins and resurrect the orphan: the clock advances past the
-    stores' write horizon, so the deletes that follow are unambiguously last.
+    store's write horizon, so the deletes that follow are unambiguously last.
     """
-    horizon = 0.0
-    for dbspace in stores:
-        write_horizon = getattr(dbspace.io.client.store, "write_horizon", None)
-        if write_horizon is not None:
-            horizon = max(horizon, write_horizon())
-    for dbspace in stores:  # one shared clock: only the first advances it
-        if horizon > dbspace.clock.now():
-            dbspace.clock.advance_to(horizon + 1e-6)
+    horizon = dbspace.io.client.store.write_horizon()
+    if horizon > dbspace.clock.now():
+        dbspace.clock.advance_to(horizon + 1e-6)
 
 
 def reclaim(
-    stores: "Sequence[CloudDbspace]",
+    dbspace: CloudDbspace,
     ranges: "Iterable[Tuple[int, int]]",
     keep: "AbstractSet[int]" = frozenset(),
     mid_poll: "Optional[str]" = None,
 ) -> int:
-    """The one GC poll of consumed keys: restart GC and both restores.
+    """The one GC poll of consumed keys: restart GC and restore.
 
     Keys are monotone and never reused, so an allocated key in the
     inclusive ``ranges`` that is not in ``keep`` can only hold an orphan.
-    After the fence, each is polled on every store (HEAD, then a blind
+    After the fence, each is polled on the bucket (HEAD, then a blind
     DELETE); polls are idempotent, so a reclaim that died part-way is run
     again.  ``mid_poll`` is the caller's crash point before each key.
     Returns how many objects existed.
     """
     ranges = [(lo, hi) for lo, hi in ranges if lo <= hi]
     if ranges:
-        fence_in_flight_writes(stores)
+        fence_in_flight_writes(dbspace)
     reclaimed = 0
     for lo, hi in ranges:
         for key in range(lo, hi + 1):
@@ -82,7 +77,7 @@ def reclaim(
                 continue
             if mid_poll is not None:
                 crash_point(mid_poll)
-            reclaimed += sum(store.poll_and_free(key) for store in stores)
+            reclaimed += dbspace.poll_and_free(key)
     return reclaimed
 
 

@@ -90,9 +90,6 @@ class SnapshotManager:
         self._next_snapshot_id = 1
         self.stats = {"retained": 0, "reaped": 0, "snapshots": 0}
 
-    def register_dbspace(self, name: str, store: PageStore) -> None:
-        self._dbspaces[name] = store
-
     # ------------------------------------------------------------------ #
     # retention
     # ------------------------------------------------------------------ #

@@ -27,7 +27,7 @@ Garbage collection follows Section 3.3:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Deque, Dict, List, Optional, Protocol, Tuple
 
@@ -45,7 +45,6 @@ from repro.sim.tracing import NULL_TRACER
 from repro.storage.blockmap import Blockmap
 from repro.storage.dbspace import PageStore
 from repro.storage.identity import Catalog, IdentityObject
-from repro.storage.locator import is_object_key
 
 CP_COMMIT_BEFORE_FLUSH = register_crash_point(
     "txn.commit.before_flush",
@@ -282,9 +281,6 @@ class TransactionManager:
     @property
     def commit_seq(self) -> int:
         return self._commit_seq
-
-    def register_gc_dbspace(self, name: str, store: PageStore) -> None:
-        self.gc_dbspaces[name] = store
 
     def active_transactions(self) -> "List[Transaction]":
         return list(self._active.values())

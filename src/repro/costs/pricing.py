@@ -67,7 +67,6 @@ class PriceTable:
 DEFAULT_PRICES = PriceTable(
     storage={
         "s3": StoragePrice("s3", 0.023),
-        "azure-blob": StoragePrice("azure-blob", 0.0184),
         "ebs-gp2": StoragePrice("ebs-gp2", 0.10),
         "efs": StoragePrice("efs", 0.30),
     },
@@ -76,12 +75,6 @@ DEFAULT_PRICES = PriceTable(
             "s3",
             put_usd_per_1000=0.005,
             get_usd_per_1000=0.0004,
-            delete_usd_per_1000=0.0,
-        ),
-        "azure-blob": RequestPrice(
-            "azure-blob",
-            put_usd_per_1000=0.0065,
-            get_usd_per_1000=0.0005,
             delete_usd_per_1000=0.0,
         ),
     },

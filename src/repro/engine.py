@@ -19,18 +19,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple, TypeVar
+from typing import Dict, Optional, Set, Tuple, TypeVar
 
 from repro.blockstore.device import BlockDevice
 from repro.blockstore.freelist import Freelist
 from repro.blockstore.profiles import ebs_gp2, efs_standard, nvme_ssd
 from repro.core.buffer import BufferManager, ObjectHandle
-from repro.core.keygen import NodeKeyCache, ObjectKeyGenerator, RangeSizePolicy
+from repro.core.keygen import NodeKeyCache, ObjectKeyGenerator
 from repro.core.log import OBJECT_CREATED, SNAPSHOT_CREATED, TransactionLog
 from repro.core.ocm import ObjectCacheManager, OcmConfig
 from repro.core.recovery import encode_checkpoint, reclaim, recover
 from repro.core.snapshot import Snapshot, SnapshotManager
-from repro.core.txn import Transaction, TransactionError, TransactionManager
+from repro.core.txn import Transaction, TransactionManager
 from repro.costs.meter import CostMeter
 from repro.objectstore.client import (
     COALESCE_MAX_RUN,
@@ -42,7 +42,7 @@ from repro.objectstore.client import (
 from repro.objectstore.consistency import ConsistencyModel, EVENTUAL
 from repro.objectstore.faults import FaultSchedule
 from repro.objectstore.replicated import ReplicationConfig, build_replicated_store
-from repro.objectstore.s3sim import ObjectStoreProfile, S3_PROFILE, SimulatedObjectStore
+from repro.objectstore.s3sim import S3_PROFILE, SimulatedObjectStore
 from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuModel
 from repro.sim.crashpoints import (
@@ -194,9 +194,6 @@ class DatabaseConfig:
     # dataset (bench_config: SF / 1000); 1.0 runs the paper's hardware.
     rate_scale: float = 1.0
 
-    def with_overrides(self, **kwargs: object) -> "DatabaseConfig":
-        return replace(self, **kwargs)  # type: ignore[arg-type]
-
     @classmethod
     def paper(cls, **fields: object) -> "DatabaseConfig":
         """The paper's per-page I/O path, as one named profile.
@@ -228,8 +225,8 @@ HARDWARE: "Dict[str, Tuple[str, str]]" = {
     "nic": (RATE, "min(nic_gbits, S3_EFFECTIVE_GBITS); secondary_nic_gbits"),
     "bandwidth": (RATE, "nvme_ssd x ocm_ssd_count, ebs_gp2, efs_standard"),
     "iops": (PER_OP, "ebs_gp2, efs_standard"),
-    "per_prefix_put_rate": (PER_OP, "S3_PROFILE, AZURE_BLOB_PROFILE"),
-    "per_prefix_get_rate": (PER_OP, "S3_PROFILE, AZURE_BLOB_PROFILE"),
+    "per_prefix_put_rate": (PER_OP, "S3_PROFILE"),
+    "per_prefix_get_rate": (PER_OP, "S3_PROFILE"),
     "buffer_capacity_bytes": (CAPACITY, "half of the instance's RAM"),
     "ocm_capacity_bytes": (CAPACITY, "the instance's SSDs"),
     "user_volume_size_bytes": (CAPACITY, "1 TiB gp2, 1.5 TiB EFS"),
@@ -252,18 +249,18 @@ class NodeHardware:
     nic: float  # bytes/second
 
 
-def scaled(cfg: DatabaseConfig, paper: T, page_size: Optional[int] = None) -> T:
+def scaled(cfg: DatabaseConfig, paper: T) -> T:
     """``paper`` (a NodeHardware, DeviceProfile or ObjectStoreProfile)
     with every field HARDWARE lists as a rate scaled to ``cfg``.
 
-    ``page_size`` (default ``cfg.page_size``) is what its per-op rates
-    serve: a simulated page stands for a fraction of the paper's 512 KiB
-    page, and real systems coalesce adjacent reads (the x2).
+    ``cfg.page_size`` is what its per-op rates serve: a simulated page
+    stands for a fraction of the paper's 512 KiB page, and real systems
+    coalesce adjacent reads (the x2).
     """
     if not 0 < cfg.rate_scale < math.inf:
         raise ValueError(f"rate scale must be positive and finite, got "
                          f"{cfg.rate_scale}")
-    per_op = cfg.rate_scale * (2 * 524288 / (page_size or cfg.page_size))
+    per_op = cfg.rate_scale * (2 * 524288 / cfg.page_size)
     factors = {RATE: cfg.rate_scale, PER_OP: per_op}
     return replace(paper, **{  # type: ignore[type-var]
         name: getattr(paper, name) * factors[kind]
@@ -283,11 +280,11 @@ def build_object_io(
 ) -> "Tuple[RetryingObjectClient, Optional[ObjectCacheManager]]":
     """One node's client (and OCM) into ``store`` — the only wiring there is.
 
-    The coordinator's user store, every extra cloud dbspace and every
-    multiplex secondary come through here, so a behaviour field of ``cfg``
-    reaches all of them or none.  ``nic`` is the node's own pipe (``None``:
-    the store's); ``ocm`` is ``(capacity_bytes, ssd_count)`` of the node's
-    local cache, ``None`` for direct object I/O.
+    The coordinator's user store and every multiplex secondary come
+    through here, so a behaviour field of ``cfg`` reaches all of them or
+    none.  ``nic`` is the node's own pipe (``None``: the store's); ``ocm``
+    is ``(capacity_bytes, ssd_count)`` of the node's local cache, ``None``
+    for direct object I/O.
     """
     client = RetryingObjectClient(
         store, policy=cfg.retry, parallel_window=PARALLEL_WINDOW,
@@ -315,8 +312,6 @@ def build_object_io(
 
 def build_cloud_dbspace(
     cfg: DatabaseConfig, name: str, io: ObjectIO, key_source: KeySource,
-    prefix_bits: "Optional[int]" = None,
-    page_size_limit: "Optional[int]" = None,
 ) -> CloudDbspace:
     """A cloud dbspace that seals pages the way ``cfg`` says.
 
@@ -326,8 +321,7 @@ def build_cloud_dbspace(
     """
     return CloudDbspace(
         name, io, key_source,
-        prefix_bits=cfg.prefix_bits if prefix_bits is None else prefix_bits,
-        page_size_limit=page_size_limit,
+        prefix_bits=cfg.prefix_bits,
         page_checksums=cfg.page_checksums,
     )
 
@@ -347,9 +341,6 @@ class NodeRuntime:
 
     def dbspaces(self) -> "Dict[str, PageStore]":
         return dict(self._dbspaces)
-
-    def add_dbspace(self, name: str, store: PageStore) -> None:
-        self._dbspaces[name] = store
 
     def blockmap_for(self, identity: IdentityObject) -> Blockmap:
         key = (identity.object_id, identity.version)
@@ -488,13 +479,10 @@ class Database:
         self.tracer = tracer
         self.buffer.tracer = tracer
         self.txn_manager.tracer = tracer
-        for dbspace in self.cloud_dbspaces().values():
-            io = dbspace.io
-            io.tracer = tracer
-            client = getattr(io, "client", None)
-            if client is not None:
-                client.tracer = tracer
-                client.store.tracer = tracer
+        if isinstance(self.user_dbspace, CloudDbspace):
+            self.user_dbspace.io.tracer = tracer
+            self.object_client.tracer = tracer
+            self.object_store.tracer = tracer
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -551,84 +539,18 @@ class Database:
             raise EngineError("the database is crashed; call restart() first")
 
     # ------------------------------------------------------------------ #
-    # dbspace management
-    # ------------------------------------------------------------------ #
-
-    def create_cloud_dbspace(
-        self,
-        name: str,
-        page_size: "Optional[int]" = None,
-        profile: "Optional[ObjectStoreProfile]" = None,
-        prefix_bits: "Optional[int]" = None,
-    ) -> CloudDbspace:
-        """CREATE DBSPACE ... USING OBJECT STORE: an additional bucket.
-
-        The paper lets users mix dbspaces across providers and proposes
-        per-dbspace page sizes as future work; both are supported here.
-        The new dbspace shares the global key space (the Object Key
-        Generator) and the node NIC, but has its own bucket (and optional
-        page size and store profile — e.g. an Azure-Blob-like one).
-        """
-        self._check_usable()
-        if name in self.node.dbspaces():
-            raise EngineError(f"dbspace {name!r} already exists")
-        if page_size is not None and (
-            page_size <= 0 or page_size % 16 != 0
-        ):
-            raise EngineError("page size must be a positive multiple of 16")
-        cfg = self.config
-        store = SimulatedObjectStore(
-            scaled(cfg, profile or replace(
-                S3_PROFILE, name=name, consistency=cfg.consistency,
-            ), page_size),
-            clock=self.clock,
-            rng=self.rng.substream(f"store/{name}"),
-            bandwidth=self.nic,
-            meter=self.meter,
-        )
-        client, __ = build_object_io(
-            cfg, store, None, cfg.node_id,
-            self.rng.substream(f"store/{name}"), None,
-        )
-        client.tracer = self.tracer
-        store.tracer = self.tracer
-        dbspace = build_cloud_dbspace(
-            cfg, name, DirectObjectIO(client), self.key_cache,
-            prefix_bits=prefix_bits, page_size_limit=page_size,
-        )
-        self.node.add_dbspace(name, dbspace)
-        self.txn_manager.register_gc_dbspace(name, dbspace)
-        if self.snapshot_manager is not None:
-            self.snapshot_manager.register_dbspace(name, dbspace)
-        return dbspace
-
-    def cloud_dbspaces(self) -> "Dict[str, CloudDbspace]":
-        """All registered cloud dbspaces, by name."""
-        return {
-            name: store
-            for name, store in self.node.dbspaces().items()
-            if isinstance(store, CloudDbspace)
-        }
-
-    def page_size_for(self, dbspace: str) -> int:
-        """Effective page size of a dbspace (its override or the default)."""
-        store = self.node.dbspace(dbspace)
-        return store.page_size_limit or self.page_config.page_size
-
-    # ------------------------------------------------------------------ #
     # DDL and transactions
     # ------------------------------------------------------------------ #
 
-    def create_object(self, name: str, dbspace: str = USER_DBSPACE) -> int:
-        """Register a paged storage object (autocommitted, logged DDL)."""
+    def create_object(self, name: str) -> int:
+        """Register a paged storage object in the user dbspace
+        (autocommitted, logged DDL)."""
         self._check_usable()
-        if dbspace not in self.node.dbspaces():
-            raise EngineError(f"unknown dbspace {dbspace!r}")
-        object_id = self.catalog.register_object(name, dbspace)
+        object_id = self.catalog.register_object(name, USER_DBSPACE)
         crash_point(CP_CREATE_OBJECT_BEFORE_LOG)
         self.log.append(
             OBJECT_CREATED,
-            {"name": name, "dbspace": dbspace, "object_id": object_id},
+            {"name": name, "dbspace": USER_DBSPACE, "object_id": object_id},
         )
         return object_id
 
@@ -759,16 +681,14 @@ class Database:
         )
         self.crashed = False
         crash_point(CP_RESTART_BEFORE_GC)
-        # The key space is global across cloud dbspaces, so every cloud
-        # bucket is polled for each outstanding key.
-        self._restart_gc(self.config.node_id,
-                         list(self.cloud_dbspaces().values()),
-                         CP_RESTART_GC_MID_POLL)
+        self._restart_gc(self.config.node_id, CP_RESTART_GC_MID_POLL)
         self.checkpoint()
 
-    def _restart_gc(self, node_id: str, stores: "List[CloudDbspace]",
-                    mid_poll: str) -> int:
+    def _restart_gc(self, node_id: str, mid_poll: str) -> int:
         """Poll and reclaim a node's outstanding key allocations.
+
+        Only a cloud user dbspace draws keys, so on a block one the active
+        set is empty and nothing is polled.
 
         The active set is cleared only *after* every key was polled:
         clearing first would lose the remaining keys forever if the
@@ -778,7 +698,8 @@ class Database:
         """
         active = self.keygen.active_set(node_id)
         with self.tracer.span("restart_gc", "recovery", node=node_id):
-            reclaimed = reclaim(stores, active.intervals(), mid_poll=mid_poll)
+            reclaimed = reclaim(self.user_dbspace, active.intervals(),
+                                mid_poll=mid_poll)
             self.keygen.clear_active_set(node_id)
         self.metrics.counter("restart_gc_polled_keys").increment(
             active.key_count())
@@ -841,7 +762,7 @@ class Database:
         fifo = SnapshotManager.decode_metadata(snapshot.snapmgr_metadata)
         reachable = self._reachable_cloud_keys()
         keep = reachable.union(locator for __, locator, __ in fifo)
-        reclaim(list(self.cloud_dbspaces().values()),
+        reclaim(self.user_dbspace,
                 [(floor + 1, self.keygen.max_allocated_key)], keep)
         self.snapshot_manager.rewind(fifo, reachable, snapshot.created_at)
         self.system_dbspace.freelist = (
@@ -874,14 +795,10 @@ class Database:
         """The object key of every page the catalog reaches."""
         keys: "Set[int]" = set()
         for identity in self.catalog.all_identities():
-            try:
-                store = self.node.dbspace(identity.dbspace)
-            except KeyError:
-                continue
-            if not store.is_cloud or identity.root_locator == NULL_LOCATOR:
+            if identity.root_locator == NULL_LOCATOR:
                 continue
             blockmap = Blockmap(
-                store,
+                self.user_dbspace,
                 root_locator=identity.root_locator,
                 height=identity.height,
             )

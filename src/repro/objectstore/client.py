@@ -56,7 +56,6 @@ from repro.checksum import crc32c
 from repro.objectstore.errors import (
     CircuitOpenError,
     CorruptObjectError,
-    NoSuchKeyError,
     OverwriteForbiddenError,
     RetriesExhaustedError,
 )

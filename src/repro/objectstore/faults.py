@@ -380,26 +380,6 @@ def canonical_storm(start: float = 5.0) -> FaultSchedule:
     )
 
 
-def outage_only(start: float = 5.0, duration: float = 10.0) -> FaultSchedule:
-    return FaultSchedule([OutageWindow(start, start + duration)], name="outage")
-
-
-def latency_spike(start: float = 5.0, duration: float = 30.0,
-                  multiplier: float = 8.0) -> FaultSchedule:
-    return FaultSchedule(
-        [LatencySpike(start, start + duration, multiplier=multiplier)],
-        name="latency",
-    )
-
-
-def throttle_storm(start: float = 5.0, duration: float = 30.0,
-                   rate_factor: float = 0.1) -> FaultSchedule:
-    return FaultSchedule(
-        [ThrottleStorm(start, start + duration, rate_factor=rate_factor)],
-        name="throttle",
-    )
-
-
 def bitrot_schedule(start: float = 5.0, duration: float = 30.0,
                     probability: float = 0.3, flips: int = 1) -> FaultSchedule:
     """Silent bit rot over both paths: a ``get`` window serves flipped
@@ -432,9 +412,6 @@ def torn_read_schedule(start: float = 5.0, duration: float = 30.0,
 
 NAMED_SCHEDULES: "Dict[str, object]" = {
     "storm": canonical_storm,
-    "outage": outage_only,
-    "latency": latency_spike,
-    "throttle": throttle_storm,
     "bitrot": bitrot_schedule,
     "torn-read": torn_read_schedule,
 }

@@ -32,7 +32,7 @@ shared clock to each operation's completion (convenient in tests and examples).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.costs.meter import CostMeter
@@ -70,18 +70,6 @@ class ObjectStoreProfile:
 
 
 S3_PROFILE = ObjectStoreProfile(name="s3")
-
-# Azure Blob Storage: the paper's other supported provider.  Broadly
-# similar trade-offs to S3; slightly different latencies and pricing.
-AZURE_BLOB_PROFILE = ObjectStoreProfile(
-    name="azure-blob",
-    put_latency=0.035,
-    get_latency=0.018,
-    delete_latency=0.012,
-    per_prefix_put_rate=2000.0,
-    per_prefix_get_rate=4000.0,
-    volume="azure-blob",
-)
 
 
 class TransientRequestError(Exception):

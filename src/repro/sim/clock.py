@@ -3,7 +3,7 @@
 The clock only moves forward.  Components *charge* durations to the clock
 (``advance``) or declare that an operation completes at an absolute virtual
 time (``advance_to``).  Benchmarks read elapsed virtual seconds through
-:meth:`VirtualClock.now` and :class:`Stopwatch`.
+:meth:`VirtualClock.now`.
 
 With a :class:`~repro.sim.sessions.SessionScheduler` attached, an advance
 made from inside a scheduled session becomes a *timed wait*: the session
@@ -96,29 +96,3 @@ class VirtualClock:
 
     def __repr__(self) -> str:
         return f"VirtualClock(now={self._now:.6f})"
-
-
-class Stopwatch:
-    """Measure elapsed virtual time across a code region."""
-
-    def __init__(self, clock: VirtualClock) -> None:
-        self._clock = clock
-        self._start: float = clock.now()
-        self._elapsed: float = 0.0
-        self._running = False
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = self._clock.now()
-        self._running = True
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._elapsed = self._clock.now() - self._start
-        self._running = False
-
-    @property
-    def elapsed(self) -> float:
-        """Elapsed virtual seconds (live while running)."""
-        if self._running:
-            return self._clock.now() - self._start
-        return self._elapsed

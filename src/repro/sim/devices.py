@@ -21,7 +21,7 @@ background work (fire-and-forget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.clock import VirtualClock

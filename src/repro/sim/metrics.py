@@ -52,7 +52,7 @@ class Gauge:
 
 
 class Histogram:
-    """Stores observations; offers mean/percentile/geomean summaries.
+    """Stores observations; offers mean/percentile summaries.
 
     Percentile queries keep a cached sorted copy of the observations,
     invalidated by :meth:`observe`: the load harness asks for
@@ -113,19 +113,12 @@ class Histogram:
         frac = rank - low
         return ordered[low] * (1 - frac) + ordered[high] * frac
 
-    def geomean(self) -> float:
-        """Geometric mean of positive observations (paper's query summary)."""
-        positives = [v for v in self._values if v > 0]
-        if not positives:
-            return 0.0
-        return math.exp(sum(math.log(v) for v in positives) / len(positives))
-
     def __repr__(self) -> str:
         return f"Histogram({self.name!r}, count={self.count})"
 
 
 class TimeSeries:
-    """(virtual-time, value) samples; supports bucketed rate aggregation."""
+    """(virtual-time, value) samples; supports step-function reads."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -153,23 +146,6 @@ class TimeSeries:
             if t <= when and (best_when is None or t >= best_when):
                 best_when, best = t, value
         return best
-
-    def bucketed_sum(self, bucket_seconds: float) -> "List[Tuple[float, float]]":
-        """Sum sample values per fixed-width time bucket.
-
-        Returns ``(bucket_start_time, sum)`` pairs for non-empty buckets.
-        Used e.g. to turn per-request byte counts into a bandwidth curve.
-        """
-        if bucket_seconds <= 0:
-            raise ValueError("bucket width must be positive")
-        buckets: Dict[int, float] = {}
-        for when, value in self._samples:
-            buckets.setdefault(int(when // bucket_seconds), 0.0)
-            buckets[int(when // bucket_seconds)] += value
-        return [
-            (index * bucket_seconds, total)
-            for index, total in sorted(buckets.items())
-        ]
 
     def __repr__(self) -> str:
         return f"TimeSeries({self.name!r}, samples={len(self._samples)})"

@@ -14,7 +14,6 @@ from repro.storage.locator import (
     is_object_key,
     make_block_locator,
     block_range,
-    describe_locator,
 )
 from repro.storage.keys import hashed_object_name, object_key_from_name
 from repro.storage.compression import ZlibCodec
@@ -34,7 +33,6 @@ __all__ = [
     "is_object_key",
     "make_block_locator",
     "block_range",
-    "describe_locator",
     "hashed_object_name",
     "object_key_from_name",
     "ZlibCodec",

@@ -16,7 +16,7 @@ MVCC.
 from __future__ import annotations
 
 import struct
-from typing import Callable, Dict, Iterator, List, Optional, Protocol, Tuple
+from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 
 from repro.storage.dbspace import PageStore
 from repro.storage.locator import NULL_LOCATOR

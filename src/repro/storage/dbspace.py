@@ -163,19 +163,13 @@ class DirectObjectIO(ObjectIO):
 class PageStore(ABC):
     """A dbspace's page I/O surface.
 
-    ``page_size_limit`` optionally overrides the engine-wide page size for
-    objects living on this dbspace (the paper's future-work item of
-    per-dbspace page sizes; the uniform-size requirement came from shared
-    block devices and does not apply to object stores).  Implementations
-    provide one body per verb — :meth:`read_pages_at`, :meth:`write_pages`,
-    :meth:`free_pages` — and ``self.clock``; the single-page and blocking
-    forms live here.
+    Implementations provide one body per verb — :meth:`read_pages_at`,
+    :meth:`write_pages`, :meth:`free_pages` — and ``self.clock``; the
+    single-page and blocking forms live here.
     """
 
-    def __init__(self, name: str,
-                 page_size_limit: "Optional[int]" = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.page_size_limit = page_size_limit
 
     @property
     @abstractmethod
@@ -311,10 +305,9 @@ class CloudDbspace(PageStore):
         io: ObjectIO,
         key_source: KeySource,
         prefix_bits: int = 16,
-        page_size_limit: "Optional[int]" = None,
         page_checksums: bool = False,
     ) -> None:
-        super().__init__(name, page_size_limit)
+        super().__init__(name)
         self.io = io
         self.clock = io.clock
         self.key_source = key_source

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 
 class CatalogError(Exception):

@@ -59,13 +59,3 @@ def block_range(locator: int) -> "tuple[int, int]":
     if not 1 <= nblocks <= MAX_BLOCKS_PER_PAGE:
         raise LocatorError(f"corrupt run length in locator {locator:#x}")
     return start, nblocks
-
-
-def describe_locator(locator: int) -> str:
-    """Human-readable form, for logs and error messages."""
-    if locator == NULL_LOCATOR:
-        return "<null>"
-    if is_object_key(locator):
-        return f"object-key:{locator - OBJECT_KEY_BASE}"
-    start, nblocks = block_range(locator)
-    return f"blocks:{start}+{nblocks}"

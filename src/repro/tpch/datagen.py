@@ -12,7 +12,7 @@ Q16 grep for).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sim.rng import DeterministicRng
 from repro.tpch.dates import CURRENT_DATE, d

@@ -89,7 +89,7 @@ def test_never_visible_key_hits_deadline_budget_during_storm():
 
 
 def test_injected_node_outage_partitions_one_node_only():
-    """`inject_store_outage` models an asymmetric network partition:
+    """A node-scoped outage window models an asymmetric network partition:
     the named node loses the bucket while everyone else keeps it."""
     mx = Multiplex(
         DatabaseConfig(buffer_capacity_bytes=8 * MIB, page_size=16 * 1024,
@@ -102,8 +102,8 @@ def test_injected_node_outage_partitions_one_node_only():
     coordinator.object_client.put("shared/obj", b"shared-data")
 
     now = coordinator.clock.now()
-    event = mx.inject_store_outage("writer-1", (now, now + 5.0))
-    assert event.node == "writer-1"
+    coordinator.object_store.fault_schedule = FaultSchedule(
+        [OutageWindow(now, now + 5.0, node="writer-1")])
 
     writer = mx.node("writer-1")
     with pytest.raises(RetriesExhaustedError):
@@ -117,6 +117,3 @@ def test_injected_node_outage_partitions_one_node_only():
     # Once the window lapses the partitioned node recovers on its own.
     data, __ = writer.client.get_at("shared/obj", now + 5.0)
     assert data == b"shared-data"
-
-    with pytest.raises(Exception):
-        mx.inject_store_outage("no-such-node", (0.0, 1.0))

@@ -116,6 +116,21 @@ class TestProfiles:
             != json.dumps(poisson, sort_keys=True)
         )
 
+    def test_bursty_stages_keep_their_offered_rate(self):
+        """The off-burst rate makes up each stage's average, so a stage's
+        realised arrival rate stays near its offered rate however many
+        sessions arrive (the arrivals are drawn, not run)."""
+        harness = LoadHarness(LoadConfig(
+            sessions=1000, seed=0, profile="bursty", scale_factor=0.001,
+        ))
+        harness._arrival_times()
+        config = harness.config
+        for stage, ((start, end), sessions) in enumerate(
+                zip(harness._stage_windows, harness._stage_sessions), 1):
+            realised = sessions / (end - start)
+            offered = config.arrival_rate * stage
+            assert offered / 2 <= realised <= offered * 2
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             LoadConfig(sessions=0)

@@ -13,6 +13,7 @@ run with ``verify_reads=True`` pins that checking costs no virtual time.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -55,12 +56,12 @@ def runs():
 
 def test_profiles_differ_only_in_the_named_fields(runs):
     paper, default = runs
-    assert paper.db.config == default.db.config.with_overrides(
+    assert paper.db.config == replace(
+        default.db.config,
         ocm_policy="lru", pipelined_prefetch=False, coalesce_max_run=1,
     )
     assert paper.db.config != default.db.config
-    assert DatabaseConfig.paper() == DatabaseConfig().with_overrides(
-        **PAPER_IO)
+    assert DatabaseConfig.paper() == replace(DatabaseConfig(), **PAPER_IO)
     assert DatabaseConfig.paper(ocm_policy="arc2q").ocm_policy == "arc2q"
 
 

@@ -2,8 +2,8 @@
 
 Restart GC polls the key ranges a node was handed; a restore polls the
 keys consumed after its restore point.  These tests pin what each of the
-four entry points costs on the store — HEAD and DELETE requests per
-bucket — and what it reports reclaimed, so that one reclaim body can
+four entry points costs on the user bucket — one HEAD and one DELETE per
+polled key — and what it reports reclaimed, so that one reclaim body can
 replace the per-site loops without moving a single request.  The virtual
 clock at the end is pinned too: the fence a restore gains must not move it
 when no write is in flight.
@@ -23,23 +23,18 @@ MIB = 1024 * 1024
 
 
 def requests(db):
-    """(HEAD, DELETE) requests so far, per cloud dbspace."""
-    out = {}
-    for name, dbspace in sorted(db.cloud_dbspaces().items()):
-        counters = dbspace.io.client.store.metrics.snapshot()
-        out[name] = (int(counters.get("head_requests", 0)),
-                     int(counters.get("delete_requests", 0)))
-    return out
+    """(HEAD, DELETE) requests so far on the user bucket."""
+    counters = db.object_store.metrics.snapshot()
+    return (int(counters.get("head_requests", 0)),
+            int(counters.get("delete_requests", 0)))
 
 
 def spent(before, after):
-    return {name: (after[name][0] - before[name][0],
-                   after[name][1] - before[name][1]) for name in after}
+    return (after[0] - before[0], after[1] - before[1])
 
 
 def objects(db):
-    return {name: dbspace.io.client.store.object_count()
-            for name, dbspace in sorted(db.cloud_dbspaces().items())}
+    return db.object_store.object_count()
 
 
 def polled(db):
@@ -53,15 +48,6 @@ def commit_pages(db, name, pages, label):
     db.commit(txn)
 
 
-def two_bucket_db(**overrides):
-    """An engine whose user dbspace and one extra cloud dbspace hold data."""
-    db = make_db(**overrides)
-    db.create_cloud_dbspace("second")
-    db.create_object("t")
-    db.create_object("u", dbspace="second")
-    return db
-
-
 def make_multiplex(**overrides):
     return Multiplex(
         DatabaseConfig(buffer_capacity_bytes=8 * MIB, page_size=16 * 1024,
@@ -71,22 +57,20 @@ def make_multiplex(**overrides):
     )
 
 
-def test_engine_restart_gc_polls_every_cloud_bucket():
-    db = two_bucket_db()
+def test_engine_restart_gc_polls_the_user_bucket():
+    db = make_db()
+    db.create_object("t")
     commit_pages(db, "t", range(3), b"v1")
-    commit_pages(db, "u", range(2), b"v1")
     for i in range(3):
         db.user_dbspace.write_page(b"orphan-%d" % i, commit_mode=True)
-    db.node.dbspace("second").write_page(b"orphan", commit_mode=True)
-    assert objects(db) == {"second": 4, "user": 7}
+    assert objects(db) == 7
     db.crash()
     before = requests(db)
     db.restart()
-    assert spent(before, requests(db)) == {"second": (57, 57),
-                                           "user": (57, 57)}
-    assert polled(db) == 57
-    assert objects(db) == {"second": 3, "user": 4}
-    assert db.clock.now() == 3.2768223069015563
+    assert spent(before, requests(db)) == (60, 60)
+    assert polled(db) == 60
+    assert objects(db) == 4
+    assert db.clock.now() == 1.7894452395388722
 
 
 def test_multiplex_restart_gc_polls_the_user_bucket():
@@ -99,9 +83,9 @@ def test_multiplex_restart_gc_polls_the_user_bucket():
     writer.crash()
     before = requests(coordinator)
     assert writer.restart() == 3
-    assert spent(before, requests(coordinator)) == {"user": (60, 60)}
+    assert spent(before, requests(coordinator)) == (60, 60)
     assert polled(coordinator) == 60
-    assert objects(coordinator) == {"user": 4}
+    assert objects(coordinator) == 4
     assert coordinator.clock.now() == 1.7393996919091783
 
 
@@ -113,25 +97,23 @@ def test_retire_secondary_reclaims_through_restart_gc():
     writer.user_dbspace.write_page(b"orphan", commit_mode=True)
     before = requests(coordinator)
     assert mux.retire_secondary("writer-1") == 1
-    assert spent(before, requests(coordinator)) == {"user": (61, 61)}
+    assert spent(before, requests(coordinator)) == (61, 61)
     assert polled(coordinator) == 61
-    assert objects(coordinator) == {"user": 3}
+    assert objects(coordinator) == 3
     assert coordinator.clock.now() == 1.7020049044209966
 
 
-def test_restore_snapshot_polls_every_cloud_bucket():
-    db = two_bucket_db(retention_seconds=3600.0)
+def test_restore_snapshot_polls_the_user_bucket():
+    db = make_db(retention_seconds=3600.0)
+    db.create_object("t")
     commit_pages(db, "t", range(3), b"v1")
-    commit_pages(db, "u", range(2), b"v1")
     snapshot = db.create_snapshot()
     commit_pages(db, "t", range(3), b"v2")
-    commit_pages(db, "u", [0], b"v2")
     before = requests(db)
     db.restore_snapshot(snapshot.snapshot_id)
-    assert spent(before, requests(db)) == {"second": (57, 57),
-                                           "user": (57, 57)}
-    assert objects(db) == {"second": 3, "user": 4}
-    assert db.clock.now() == 3.355202503769597
+    assert spent(before, requests(db)) == (60, 60)
+    assert objects(db) == 4
+    assert db.clock.now() == 1.8016112789684176
 
 
 # ---------------------------------------------------------------------- #

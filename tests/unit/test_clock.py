@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.clock import ClockError, Stopwatch, VirtualClock
+from repro.sim.clock import ClockError, VirtualClock
 
 
 def test_clock_starts_at_zero():
@@ -63,19 +63,3 @@ def test_advance_to_same_time_is_noop():
     clock = VirtualClock(3.0)
     clock.advance_to(3.0)
     assert clock.now() == 3.0
-
-
-def test_stopwatch_measures_elapsed():
-    clock = VirtualClock()
-    with Stopwatch(clock) as watch:
-        clock.advance(4.0)
-    assert watch.elapsed == pytest.approx(4.0)
-
-
-def test_stopwatch_live_reading():
-    clock = VirtualClock()
-    with Stopwatch(clock) as watch:
-        clock.advance(1.0)
-        assert watch.elapsed == pytest.approx(1.0)
-        clock.advance(1.0)
-    assert watch.elapsed == pytest.approx(2.0)

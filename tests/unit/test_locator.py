@@ -8,7 +8,6 @@ from repro.storage.locator import (
     OBJECT_KEY_BASE,
     LocatorError,
     block_range,
-    describe_locator,
     is_object_key,
     make_block_locator,
 )
@@ -59,9 +58,3 @@ def test_is_object_key_rejects_out_of_range():
         is_object_key(1 << 64)
     with pytest.raises(LocatorError):
         is_object_key(-1)
-
-
-def test_describe():
-    assert describe_locator(NULL_LOCATOR) == "<null>"
-    assert "object-key:5" == describe_locator(OBJECT_KEY_BASE + 5)
-    assert "blocks:3+2" == describe_locator(make_block_locator(3, 2))

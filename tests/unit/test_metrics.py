@@ -38,7 +38,6 @@ class TestHistogram:
         hist = Histogram("h")
         assert hist.mean == 0.0
         assert hist.percentile(50) == 0.0
-        assert hist.geomean() == 0.0
 
     def test_percentiles(self):
         hist = Histogram("h")
@@ -53,18 +52,6 @@ class TestHistogram:
         hist.observe(1.0)
         with pytest.raises(ValueError):
             hist.percentile(101)
-
-    def test_geomean(self):
-        hist = Histogram("h")
-        hist.observe(1.0)
-        hist.observe(100.0)
-        assert hist.geomean() == pytest.approx(10.0)
-
-    def test_geomean_skips_nonpositive(self):
-        hist = Histogram("h")
-        hist.observe(0.0)
-        hist.observe(4.0)
-        assert hist.geomean() == pytest.approx(4.0)
 
     def test_sorted_cache_invalidated_by_observe(self):
         """Regression: percentile caches the sorted values; interleaving
@@ -131,23 +118,11 @@ class TestLabeledFamilies:
 
 
 class TestTimeSeries:
-    def test_bucketed_sum(self):
-        series = TimeSeries("s")
-        series.record(0.1, 10)
-        series.record(0.9, 20)
-        series.record(1.5, 5)
-        buckets = series.bucketed_sum(1.0)
-        assert buckets == [(0.0, 30.0), (1.0, 5.0)]
-
     def test_out_of_order_samples_allowed(self):
         series = TimeSeries("s")
         series.record(5.0, 1)
         series.record(1.0, 2)
         assert series.samples == [(1.0, 2.0), (5.0, 1.0)]
-
-    def test_bucket_width_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TimeSeries("s").bucketed_sum(0)
 
 
 class TestRegistry:
