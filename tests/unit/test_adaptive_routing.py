@@ -9,9 +9,11 @@ from repro.blockstore.profiles import nvme_ssd
 from repro.core.ocm import ObjectCacheManager, OcmConfig
 from repro.objectstore import RetryingObjectClient, SimulatedObjectStore
 from repro.objectstore.consistency import STRONG
+from repro.objectstore.replicated import ReplicationConfig
 from repro.objectstore.s3sim import ObjectStoreProfile
 from repro.sim.clock import VirtualClock
 from repro.sim.devices import DeviceProfile
+from tests.conftest import make_db
 
 
 def make_ocm(adaptive: bool, ssd_bandwidth: float = 50_000.0):
@@ -120,3 +122,23 @@ def test_all_three_read_forms_route_alike():
         assert ocm.stats().get("rerouted_reads", 0) == 1, form
         latencies[form] = ocm.clock.now() - start
     assert len(set(latencies.values())) == 1, latencies
+
+
+def test_replicated_engine_routes_uploaded_hits():
+    """The routing estimate reads the store's profile; a replicated
+    database's store is the region wrapper, which must expose it."""
+    db = make_db(
+        replication=ReplicationConfig(regions=("route-a", "route-b")),
+        ocm_adaptive_routing=True,
+    )
+    db.create_object("t")
+    txn = db.begin()
+    for page in range(4):
+        db.write_page(txn, "t", page, b"p%d" % page)
+    db.commit(txn)
+    db.buffer.invalidate_all()
+    txn = db.begin()
+    assert [db.read_page(txn, "t", page) for page in range(4)] == [
+        b"p%d" % page for page in range(4)
+    ]
+    assert db.ocm.stats()["hits"] >= 4
