@@ -62,7 +62,7 @@ def run_table1_scenario():
     for page in range(2):
         w1.write_page(t3, "tc", page, b"t3-%d" % page)
     w1.buffer.flush_txn(t3.txn_id, commit_mode=False)
-    t3_keys = len(t3.rb_for("user").cloud_keys())
+    t3_keys = len(t3.rb.cloud_keys())
     note(100, "T3 begins on W1", "objects flushed; recorded in T3's RB")
 
     before = coordinator.keygen.active_set("writer-1").intervals()

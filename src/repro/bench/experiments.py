@@ -61,7 +61,6 @@ class VolumeRun:
             instance_type, volume, scale_factor, ocm_enabled,
             **{**PAPER_IO, **overrides}
         )
-        meter = self.db.meter
         self._load_requests = dict(
             puts=self._request_bytes("put_bytes"),
             gets=self._request_bytes("get_bytes"),

@@ -310,9 +310,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             buffer_capacity_bytes=8 << 20,
             ocm_capacity_bytes=32 << 20,
             page_size=16 * 1024,
-            tracing_enabled=True,
         ))
-        tracer = db.tracer
+        tracer = Tracer(db.clock, meter=db.meter)
+        db.attach_tracer(tracer)
         db.create_object("demo")
         txn = db.begin()
         for page in range(16):

@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.engine import USER_DBSPACE
 from repro.objectstore.replicated import ReplicatedObjectStore
 from repro.storage.blockmap import Blockmap, BlockmapError
 from repro.storage.dbspace import CloudDbspace
@@ -250,16 +249,15 @@ class StoreAuditor:
     def _chain_refs(self) -> "Set[int]":
         refs: "Set[int]" = set()
         for entry in self.db.txn_manager.chain_entries():
-            for bitmaps in (entry.rf, entry.rb):
-                if USER_DBSPACE in bitmaps:
-                    refs.update(bitmaps[USER_DBSPACE].cloud_keys())
+            refs.update(entry.rf.cloud_keys())
+            refs.update(entry.rb.cloud_keys())
         return refs
 
     def _retained_refs(self) -> "Set[int]":
         manager = self.db.snapshot_manager
         if manager is None:
             return set()
-        return set(manager.retained_locators().get(USER_DBSPACE, ()))
+        return set(manager.retained_locators())
 
     def _active_intervals(self) -> "List[Tuple[int, int]]":
         merged: "List[Tuple[int, int]]" = []

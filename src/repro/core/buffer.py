@@ -377,12 +377,11 @@ class BufferManager:
                 handle = frame.handle
                 assert handle is not None and handle.txn is not None
                 frame_txn = handle.txn
-                sink = frame_txn.sink_for(handle.dbspace.name)  # type: ignore[attr-defined]
                 old_locator = frame.locator
                 was_fresh = frame.fresh
-                sink.on_allocate(new_locator)
+                frame_txn.on_allocate(new_locator)  # type: ignore[attr-defined]
                 if old_locator != NULL_LOCATOR:
-                    sink.on_replace(old_locator, fresh=was_fresh)
+                    frame_txn.on_replace(old_locator, fresh=was_fresh)  # type: ignore[attr-defined]
                 handle.blockmap.set(frame.page_no, new_locator)
                 frame.locator = new_locator
                 frame.fresh = True

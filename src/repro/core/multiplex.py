@@ -15,7 +15,7 @@ storage.  In this reproduction:
   virtual clock and bumps a counter;
 - crashing a writer abandons its active transactions and wipes its caches;
   on restart the node RPCs the coordinator, which polls the node's active
-  key set against the cloud dbspaces and garbage-collects orphans — the
+  key set against the user dbspace and garbage-collects orphans — the
   Table 1 walkthrough.
 """
 
@@ -28,7 +28,7 @@ from repro.core.buffer import BufferManager
 from repro.core.keygen import KeyRange, NodeKeyCache
 from repro.core.recovery import fence_in_flight_writes
 from repro.core.txn import Transaction
-from repro.engine import Database, DatabaseConfig, NodeRuntime, SYSTEM_DBSPACE, USER_DBSPACE
+from repro.engine import Database, DatabaseConfig, NodeRuntime
 from repro.engine import GBIT, NodeHardware, scaled
 from repro.engine import build_cloud_dbspace, build_object_io
 from repro.objectstore.faults import RegionOutage
@@ -164,19 +164,12 @@ class SecondaryNode:
         )
         io = self.ocm or DirectObjectIO(self.client)
         self.user_dbspace = build_cloud_dbspace(
-            coordinator.config, USER_DBSPACE, io, self.key_cache,
+            coordinator.config, io, self.key_cache,
         )
         self.buffer = BufferManager(
             config.secondary_buffer_bytes, coordinator.page_config
         )
-        self.runtime = NodeRuntime(
-            node_id,
-            self.buffer,
-            {
-                SYSTEM_DBSPACE: coordinator.system_dbspace,
-                USER_DBSPACE: self.user_dbspace,
-            },
-        )
+        self.runtime = NodeRuntime(node_id, self.buffer, self.user_dbspace)
 
     # ------------------------------------------------------------------ #
     # coordinator RPCs

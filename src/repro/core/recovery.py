@@ -5,10 +5,11 @@ Recovery starts from the last checkpoint and replays the transaction log:
 - ``alloc_range`` records rebuild the key generator's active sets and the
   maximum allocated key (Table 1, steps at clock 120);
 - ``txn_commit`` records re-publish identities, re-enter the commit chain,
-  trim the active sets, and re-apply RB block allocations to the freelists;
+  trim the active sets, and re-apply RB block allocations to the user
+  dbspace's freelist (a block user dbspace only; a cloud one has none);
 - ``gc_collect`` records mark chain entries whose RF pages were already
   deleted before the crash: they leave the chain and their RF block runs
-  are freed in the reconstructed freelists;
+  are freed in the reconstructed freelist;
 - ``txn_rollback`` records need no action: a rolled-back transaction's
   block allocations never made it into any checkpoint or commit record, and
   its cloud allocations remain covered by the (untrimmed) active set.
@@ -36,7 +37,7 @@ from repro.core.log import (
 from repro.core.txn import CommitChainEntry
 from repro.sim.crashpoints import crash_point
 from repro.storage.dbspace import CloudDbspace
-from repro.storage.identity import Catalog, IdentityObject
+from repro.storage.identity import USER_DBSPACE, Catalog, IdentityObject
 from repro.storage.locator import block_range
 
 
@@ -88,7 +89,8 @@ class RecoveredState:
     catalog: Catalog
     keygen: ObjectKeyGenerator
     chain_entries: "List[CommitChainEntry]"
-    freelists: "Dict[str, Freelist]"
+    # The block user dbspace's freelist; None on a cloud user dbspace.
+    freelist: "Optional[Freelist]"
     commit_seq: int
     replayed_commits: int = 0
     replayed_allocations: int = 0
@@ -105,6 +107,8 @@ def encode_checkpoint(
 
     JSON apart from the catalog's bytes and each freelist's used-prefix
     copy; the log charges both at the base64 length of their images.
+    ``freelists`` maps a volume's name to its freelist: ``"system"``
+    always, :data:`USER_DBSPACE` on a block user dbspace.
     """
     return {
         "catalog": catalog.to_bytes(),
@@ -123,10 +127,8 @@ def recover(log: TransactionLog) -> RecoveredState:
     if state is not None:
         catalog = Catalog.from_bytes(state["catalog"])  # type: ignore[arg-type]
         keygen = ObjectKeyGenerator.from_checkpoint(log, state["keygen"])  # type: ignore[arg-type]
-        freelists = {
-            name: image.copy()
-            for name, image in state["freelists"].items()  # type: ignore[union-attr]
-        }
+        image = state["freelists"].get(USER_DBSPACE)  # type: ignore[union-attr]
+        freelist = None if image is None else image.copy()
         chain = [
             CommitChainEntry.from_payload(payload)
             for payload in state["chain"]  # type: ignore[union-attr]
@@ -135,7 +137,7 @@ def recover(log: TransactionLog) -> RecoveredState:
     else:
         catalog = Catalog()
         keygen = ObjectKeyGenerator.from_checkpoint(log, None)
-        freelists = {}
+        freelist = None
         chain = []
         commit_seq = 0
 
@@ -143,7 +145,7 @@ def recover(log: TransactionLog) -> RecoveredState:
         catalog=catalog,
         keygen=keygen,
         chain_entries=chain,
-        freelists=freelists,
+        freelist=freelist,
         commit_seq=commit_seq,
     )
 
@@ -157,9 +159,7 @@ def recover(log: TransactionLog) -> RecoveredState:
         elif record.kind == OBJECT_CREATED:
             payload = record.payload
             if not catalog.has_object(str(payload["name"])):
-                created = catalog.register_object(
-                    str(payload["name"]), str(payload["dbspace"])
-                )
+                created = catalog.register_object(str(payload["name"]))
                 if created != int(payload["object_id"]):  # type: ignore[arg-type]
                     raise RuntimeError(
                         "DDL replay produced object id "
@@ -184,20 +184,17 @@ def _replay_commit(state: RecoveredState, payload: "Dict[str, object]") -> None:
         identity = IdentityObject.from_dict(identity_dict)
         if not state.catalog.has_object(identity.name):
             # Object was created after the checkpoint; recreate it.
-            state.catalog.register_object(identity.name, identity.dbspace)
+            state.catalog.register_object(identity.name)
         if not state.catalog.has_version(identity.object_id, identity.version):
             state.catalog.publish(identity)
     consumed = [tuple(pair) for pair in payload["consumed_key_ranges"]]  # type: ignore[union-attr]
     if consumed:
         state.keygen.notify_committed(str(payload["node"]), consumed)  # type: ignore[arg-type]
-    # Re-apply RB block allocations to the reconstructed freelists.
-    for dbspace_name, bitmap in entry.rb.items():
-        freelist = state.freelists.get(dbspace_name)
-        if freelist is None:
-            continue
-        for locator in bitmap.block_locators():
+    # Re-apply RB block allocations to the reconstructed freelist.
+    if state.freelist is not None:
+        for locator in entry.rb.block_locators():
             start, nblocks = block_range(locator)
-            freelist.mark_used(start, nblocks)
+            state.freelist.mark_used(start, nblocks)
 
 
 def _replay_gc(state: RecoveredState, payload: "Dict[str, object]") -> None:
@@ -211,13 +208,10 @@ def _replay_gc(state: RecoveredState, payload: "Dict[str, object]") -> None:
     # The entry's RF pages were deleted before the crash: block runs leave
     # the freelist, catalog versions disappear.  Cloud deletions already
     # happened on the durable store, so nothing more is needed for them.
-    for dbspace_name, bitmap in entry.rf.items():
-        freelist = state.freelists.get(dbspace_name)
-        if freelist is None:
-            continue
-        for locator in bitmap.block_locators():
+    if state.freelist is not None:
+        for locator in entry.rf.block_locators():
             start, nblocks = block_range(locator)
-            freelist.mark_free(start, nblocks)
+            state.freelist.mark_free(start, nblocks)
     for object_id, version in entry.superseded:
         if state.catalog.has_version(object_id, version):
             current = state.catalog.current(object_id)

@@ -8,8 +8,10 @@ window could reference is thereby retained, taking a snapshot reduces to
 backing up metadata:
 
 - the snapshot manager's own FIFO metadata, and
-- the system catalog (plus non-cloud dbspaces, which the simulation
-  captures as the catalog + freelist state).
+- the system catalog.
+
+Only a cloud user dbspace takes snapshots: a block dbspace frees a
+superseded block at once, so nothing would retain it.
 
 Point-in-time restore re-installs the snapshot's catalog; the keys consumed
 *after* the snapshot form a contiguous range (key monotonicity) that the
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Container, Deque, Dict, List, Optional, Tuple
 
-from repro.blockstore.freelist import Freelist
 from repro.sim.clock import VirtualClock
 from repro.sim.crashpoints import crash_point, register_crash_point
 from repro.storage.dbspace import PageStore
+from repro.storage.identity import USER_DBSPACE
 
 CP_RETAIN_MID = register_crash_point(
     "snapshot.retain.mid",
@@ -61,7 +63,6 @@ class Snapshot:
     catalog_bytes: bytes
     max_allocated_key: int
     snapmgr_metadata: bytes
-    freelists: "Dict[str, Freelist]" = field(default_factory=dict)
     # Largest key actually *consumed* when the snapshot was taken; the
     # restore-time GC polls keys above this floor (keys below were either
     # committed — hence reachable from the restored catalog — retained, or
@@ -70,22 +71,25 @@ class Snapshot:
 
 
 class SnapshotManager:
-    """FIFO of retained pages + the registry of snapshots."""
+    """FIFO of retained pages + the registry of snapshots.
+
+    ``dbspace`` is the view the reaper deletes expired pages through.
+    """
 
     def __init__(
         self,
         clock: VirtualClock,
         retention_seconds: float,
-        dbspaces: "Optional[Dict[str, PageStore]]" = None,
+        dbspace: PageStore,
     ) -> None:
         if retention_seconds < 0:
             raise SnapshotError("retention must be non-negative")
         self.clock = clock
         self.retention_seconds = retention_seconds
-        self._dbspaces: Dict[str, PageStore] = dict(dbspaces or {})
-        # FIFO of (dbspace, locator, expiry): pages enter in expiry order
-        # because the expiry is always now + retention.
-        self._fifo: Deque[Tuple[str, int, float]] = deque()
+        self._dbspace = dbspace
+        # FIFO of (locator, expiry): pages enter in expiry order because
+        # the expiry is always now + retention.
+        self._fifo: Deque[Tuple[int, float]] = deque()
         self._snapshots: Dict[int, Snapshot] = {}
         self._next_snapshot_id = 1
         self.stats = {"retained": 0, "reaped": 0, "snapshots": 0}
@@ -94,23 +98,20 @@ class SnapshotManager:
     # retention
     # ------------------------------------------------------------------ #
 
-    def retain(self, dbspace_name: str, locators: "List[int]") -> None:
+    def retain(self, locators: "List[int]") -> None:
         """Take ownership of superseded pages; delete after retention."""
         expiry = self.clock.now() + self.retention_seconds
         for locator in locators:
             crash_point(CP_RETAIN_MID)
-            self._fifo.append((dbspace_name, locator, expiry))
+            self._fifo.append((locator, expiry))
         self.stats["retained"] += len(locators)
 
     def retained_count(self) -> int:
         return len(self._fifo)
 
-    def retained_locators(self) -> "Dict[str, List[int]]":
-        """Currently retained locators per dbspace (restore-GC skip set)."""
-        out: Dict[str, List[int]] = {}
-        for dbspace_name, locator, __ in self._fifo:
-            out.setdefault(dbspace_name, []).append(locator)
-        return out
+    def retained_locators(self) -> "List[int]":
+        """Currently retained locators (the auditor's retained set)."""
+        return [locator for locator, __ in self._fifo]
 
     def reap(self) -> int:
         """Background deletion of pages whose retention expired.
@@ -122,25 +123,18 @@ class SnapshotManager:
         forever if the node died before the deletes went out.
         """
         now = self.clock.now()
-        expired = 0
-        by_dbspace: Dict[str, List[int]] = {}
-        for dbspace_name, locator, expiry in self._fifo:
+        locators: List[int] = []
+        for locator, expiry in self._fifo:
             if expiry > now:
                 break
-            expired += 1
-            by_dbspace.setdefault(dbspace_name, []).append(locator)
-        if expired:
+            locators.append(locator)
+        if locators:
             crash_point(CP_REAP_BEFORE_FREE)
-        reaped = 0
-        for dbspace_name, locators in by_dbspace.items():
-            store = self._dbspaces.get(dbspace_name)
-            if store is not None:
-                store.free_pages(locators)
-            reaped += len(locators)
-        if expired:
+            self._dbspace.free_pages(locators)
             crash_point(CP_REAP_AFTER_FREE)
-        for __ in range(expired):
+        for __ in locators:
             self._fifo.popleft()
+        reaped = len(locators)
         self.stats["reaped"] += reaped
         self._expire_snapshots(now)
         return reaped
@@ -162,7 +156,6 @@ class SnapshotManager:
         self,
         catalog_bytes: bytes,
         max_allocated_key: int,
-        freelists: "Optional[Dict[str, Freelist]]" = None,
         max_consumed_key: "Optional[int]" = None,
     ) -> Snapshot:
         """Record a snapshot: metadata only, hence near-instantaneous."""
@@ -174,7 +167,6 @@ class SnapshotManager:
             catalog_bytes=bytes(catalog_bytes),
             max_allocated_key=max_allocated_key,
             snapmgr_metadata=self.metadata_bytes(),
-            freelists=dict(freelists or {}),
             max_consumed_key=(
                 max_consumed_key if max_consumed_key is not None
                 else max_allocated_key
@@ -198,27 +190,31 @@ class SnapshotManager:
         return sorted(self._snapshots.values(), key=lambda s: s.snapshot_id)
 
     @staticmethod
-    def decode_metadata(payload: bytes) -> "List[Tuple[str, int, float]]":
-        """The (dbspace, locator, expiry) entries of a :meth:`metadata_bytes`
+    def decode_metadata(payload: bytes) -> "List[Tuple[int, float]]":
+        """The (locator, expiry) entries of a :meth:`metadata_bytes`
         payload; :meth:`rewind` installs them."""
         data = json.loads(payload.decode("utf-8"))
         return [
-            (str(name), int(locator), float(expiry))
-            for name, locator, expiry in data["fifo"]
+            (int(locator), float(expiry))
+            for __, locator, expiry in data["fifo"]
         ]
 
-    def rewind(self, fifo: "List[Tuple[str, int, float]]",
+    def rewind(self, fifo: "List[Tuple[int, float]]",
                live: "Container[int]", taken_at: float) -> None:
         """Install a restore point's ``fifo``, minus the pages the restored
         catalog revived (``live``), and drop the snapshots taken after it:
         the restore deleted the pages only they referenced."""
-        self._fifo = deque(entry for entry in fifo if entry[1] not in live)
+        self._fifo = deque(entry for entry in fifo if entry[0] not in live)
         for snapshot in self.snapshots():
             if snapshot.created_at > taken_at:
                 del self._snapshots[snapshot.snapshot_id]
 
     def metadata_bytes(self) -> bytes:
-        """Serialize the FIFO (stored on the object store, like user data)."""
+        """Serialize the FIFO (stored on the object store, like user data).
+
+        The persisted form names each entry's dbspace.
+        """
         return json.dumps(
-            {"fifo": [[name, locator, expiry] for name, locator, expiry in self._fifo]}
+            {"fifo": [[USER_DBSPACE, locator, expiry]
+                      for locator, expiry in self._fifo]}
         ).encode("utf-8")

@@ -8,7 +8,8 @@ carries metadata only) and publish a new identity at commit.
 Garbage collection follows Section 3.3:
 
 - each transaction records allocations in its **RB** bitmap and superseded
-  committed pages in its **RF** bitmap, both partitioned by dbspace;
+  committed pages in its **RF** bitmap (pages live in the one user
+  dbspace, so one bitmap of each suffices);
 - pages superseded *within* the same transaction are immediately dead
   ("local garbage") and are reclaimed at commit;
 - on rollback, everything the transaction allocated is deleted right away —
@@ -20,8 +21,8 @@ Garbage collection follows Section 3.3:
   deleted only once no active transaction can still reference the
   superseded versions;
 - when a :class:`~repro.core.snapshot.SnapshotManager` is attached, RF
-  pages on cloud dbspaces are handed to it for retention-deferred deletion
-  instead of being deleted (Section 5).
+  pages on a cloud dbspace are handed to it for retention-deferred
+  deletion instead of being deleted (Section 5).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.sim.crashpoints import crash_point, register_crash_point
 from repro.sim.tracing import NULL_TRACER
 from repro.storage.blockmap import Blockmap
 from repro.storage.dbspace import PageStore
-from repro.storage.identity import Catalog, IdentityObject
+from repro.storage.identity import USER_DBSPACE, Catalog, IdentityObject
 
 CP_COMMIT_BEFORE_FLUSH = register_crash_point(
     "txn.commit.before_flush",
@@ -113,39 +114,18 @@ class NodeContext(Protocol):
 
     node_id: str
     buffer: BufferManager
-
-    def dbspace(self, name: str) -> PageStore:
-        """The node's I/O view of the named dbspace."""
-        ...
+    dbspace: PageStore  # the node's I/O view of the user dbspace
 
     def blockmap_for(self, identity: IdentityObject) -> Blockmap:
         """A (cached) read-only blockmap for a committed identity."""
         ...
 
 
-class _DbspaceSink:
-    """GC sink bound to one (transaction, dbspace) pair."""
-
-    def __init__(self, txn: "Transaction", dbspace_name: str) -> None:
-        self._txn = txn
-        self._name = dbspace_name
-
-    def on_allocate(self, locator: int) -> None:
-        txn = self._txn
-        txn.rb_for(self._name).add(locator)
-        txn.all_allocated_for(self._name).add(locator)
-
-    def on_replace(self, old_locator: int, fresh: bool) -> None:
-        txn = self._txn
-        if fresh:
-            txn.rb_for(self._name).discard(old_locator)
-            txn.local_garbage.setdefault(self._name, []).append(old_locator)
-        else:
-            txn.rf_for(self._name).add(old_locator)
-
-
 class Transaction:
-    """One transaction: snapshot, write handles, RF/RB bitmaps."""
+    """One transaction: snapshot, write handles, RF/RB bitmaps.
+
+    It is also the GC sink of its blockmaps and page flushes.
+    """
 
     def __init__(self, txn_id: int, node: NodeContext, begin_seq: int,
                  snapshot: "Dict[int, int]") -> None:
@@ -154,40 +134,30 @@ class Transaction:
         self.begin_seq = begin_seq
         self.snapshot = snapshot
         self.status = TxnStatus.ACTIVE
-        self.rf: Dict[str, LocatorBitmap] = {}
-        self.rb: Dict[str, LocatorBitmap] = {}
-        self.all_allocated: Dict[str, LocatorBitmap] = {}
-        self.local_garbage: Dict[str, List[int]] = {}
+        self.rf = LocatorBitmap()
+        self.rb = LocatorBitmap()
+        self.all_allocated = LocatorBitmap()
+        self.local_garbage: List[int] = []
         self.write_handles: Dict[int, ObjectHandle] = {}
         self.read_handles: Dict[int, ObjectHandle] = {}
-        self._sinks: Dict[str, _DbspaceSink] = {}
 
     @property
     def node_id(self) -> str:
         return self.node.node_id
 
-    def rf_for(self, dbspace: str) -> LocatorBitmap:
-        return self.rf.setdefault(dbspace, LocatorBitmap())
+    def on_allocate(self, locator: int) -> None:
+        self.rb.add(locator)
+        self.all_allocated.add(locator)
 
-    def rb_for(self, dbspace: str) -> LocatorBitmap:
-        return self.rb.setdefault(dbspace, LocatorBitmap())
-
-    def all_allocated_for(self, dbspace: str) -> LocatorBitmap:
-        return self.all_allocated.setdefault(dbspace, LocatorBitmap())
-
-    def sink_for(self, dbspace: str) -> _DbspaceSink:
-        if dbspace not in self._sinks:
-            self._sinks[dbspace] = _DbspaceSink(self, dbspace)
-        return self._sinks[dbspace]
+    def on_replace(self, old_locator: int, fresh: bool) -> None:
+        if fresh:
+            self.rb.discard(old_locator)
+            self.local_garbage.append(old_locator)
+        else:
+            self.rf.add(old_locator)
 
     def is_active(self) -> bool:
         return self.status is TxnStatus.ACTIVE
-
-    def touched_dbspaces(self) -> "List[str]":
-        names = set(self.rf) | set(self.rb) | set(self.local_garbage)
-        for handle in self.write_handles.values():
-            names.add(handle.dbspace.name)
-        return sorted(names)
 
     def __repr__(self) -> str:
         return (
@@ -203,17 +173,32 @@ class CommitChainEntry:
     commit_seq: int
     txn_id: int
     node_id: str
-    rf: "Dict[str, LocatorBitmap]"
-    rb: "Dict[str, LocatorBitmap]"
+    rf: LocatorBitmap
+    rb: LocatorBitmap
     superseded: "List[Tuple[int, int]]"  # (object_id, old_version)
+
+    @staticmethod
+    def _encode(bitmap: LocatorBitmap) -> "Dict[str, str]":
+        # The persisted form keys the bitmap by dbspace name and leaves
+        # out an empty one.
+        if not bitmap:
+            return {}
+        return {USER_DBSPACE: bitmap.to_bytes().decode("utf-8")}
+
+    @staticmethod
+    def _decode(encoded: "Dict[str, str]") -> LocatorBitmap:
+        raw = encoded.get(USER_DBSPACE)
+        if raw is None:
+            return LocatorBitmap()
+        return LocatorBitmap.from_bytes(raw.encode("utf-8"))
 
     def to_payload(self) -> "Dict[str, object]":
         return {
             "commit_seq": self.commit_seq,
             "txn_id": self.txn_id,
             "node_id": self.node_id,
-            "rf": {name: bm.to_bytes().decode("utf-8") for name, bm in self.rf.items()},
-            "rb": {name: bm.to_bytes().decode("utf-8") for name, bm in self.rb.items()},
+            "rf": self._encode(self.rf),
+            "rb": self._encode(self.rb),
             "superseded": list(self.superseded),
         }
 
@@ -223,14 +208,8 @@ class CommitChainEntry:
             commit_seq=int(payload["commit_seq"]),  # type: ignore[arg-type]
             txn_id=int(payload["txn_id"]),  # type: ignore[arg-type]
             node_id=str(payload["node_id"]),
-            rf={
-                name: LocatorBitmap.from_bytes(raw.encode("utf-8"))
-                for name, raw in payload["rf"].items()  # type: ignore[union-attr]
-            },
-            rb={
-                name: LocatorBitmap.from_bytes(raw.encode("utf-8"))
-                for name, raw in payload["rb"].items()  # type: ignore[union-attr]
-            },
+            rf=cls._decode(payload["rf"]),  # type: ignore[arg-type]
+            rb=cls._decode(payload["rb"]),  # type: ignore[arg-type]
             superseded=[tuple(pair) for pair in payload["superseded"]],  # type: ignore[union-attr,misc]
         )
 
@@ -240,23 +219,24 @@ class TransactionManager:
 
     Owns the catalog, the commit chain, begin/commit sequencing, table
     write locks and garbage collection.  Nodes supply their local I/O
-    context (buffer manager, dbspace views) per transaction.
+    context (buffer manager, dbspace view) per transaction; ``dbspace`` is
+    the coordinator's view of the user dbspace, which commit-chain GC
+    deletes through.
     """
 
     def __init__(
         self,
         catalog: Catalog,
         log: TransactionLog,
+        dbspace: PageStore,
         keygen: "Optional[ObjectKeyGenerator]" = None,
-        gc_dbspaces: "Optional[Dict[str, PageStore]]" = None,
         snapshot_manager: "Optional[object]" = None,
         identity_write_cost: "Optional[Callable[[], None]]" = None,
     ) -> None:
         self.catalog = catalog
         self.log = log
+        self.dbspace = dbspace
         self.keygen = keygen
-        # Dbspace views used for GC deletions (the coordinator's views).
-        self.gc_dbspaces: Dict[str, PageStore] = dict(gc_dbspaces or {})
         self.snapshot_manager = snapshot_manager
         self._identity_write_cost = identity_write_cost
         self._next_txn_id = 1
@@ -321,7 +301,7 @@ class TransactionManager:
         handle = ObjectHandle(
             object_id=object_id,
             name=name,
-            dbspace=txn.node.dbspace(identity.dbspace),
+            dbspace=txn.node.dbspace,
             blockmap=blockmap,
             version=version,
             page_count=identity.page_count,
@@ -354,7 +334,7 @@ class TransactionManager:
         handle = ObjectHandle(
             object_id=object_id,
             name=name,
-            dbspace=txn.node.dbspace(current.dbspace),
+            dbspace=txn.node.dbspace,
             blockmap=base_blockmap.fork(),
             version=current.version,
             page_count=current.page_count,
@@ -383,11 +363,11 @@ class TransactionManager:
         #    uploads and switch its writes to write-through (Section 4).
         #    They drain as adjacent-key batches of up to the client's
         #    run length; either way the commit waits for every upload.
-        touched = txn.touched_dbspaces()
+        touched = bool(txn.write_handles)
         with self.tracer.span("commit_flush_promotion", "txn",
-                              txn_id=txn.txn_id, dbspaces=len(touched)):
-            for dbspace_name in touched:
-                node.dbspace(dbspace_name).flush_for_commit(txn.txn_id)
+                              txn_id=txn.txn_id, dbspaces=int(touched)):
+            if touched:
+                node.dbspace.flush_for_commit(txn.txn_id)
                 self.stats["flush_promotions"] += 1
         crash_point(CP_COMMIT_AFTER_FLUSH_FOR_COMMIT)
         # 2. Flush remaining dirty pages write-through; durability before
@@ -399,9 +379,8 @@ class TransactionManager:
         superseded: List[Tuple[int, int]] = []
         identities: List[IdentityObject] = []
         for object_id, handle in sorted(txn.write_handles.items()):
-            sink = txn.sink_for(handle.dbspace.name)
             new_root = handle.blockmap.flush(
-                sink, txn_id=txn.txn_id, commit_mode=True
+                txn, txn_id=txn.txn_id, commit_mode=True
             )
             crash_point(CP_COMMIT_BEFORE_PUBLISH)
             new_version = handle.version + 1
@@ -412,7 +391,6 @@ class TransactionManager:
                 root_locator=new_root,
                 height=handle.blockmap.height,
                 page_count=handle.page_count,
-                dbspace=handle.dbspace.name,
             )
             self.catalog.publish(identity)
             identities.append(identity)
@@ -431,8 +409,8 @@ class TransactionManager:
             commit_seq=self._commit_seq,
             txn_id=txn.txn_id,
             node_id=txn.node_id,
-            rf={name: bm for name, bm in txn.rf.items() if bm},
-            rb={name: bm for name, bm in txn.rb.items() if bm},
+            rf=txn.rf,
+            rb=txn.rb,
             superseded=superseded,
         )
         self._chain.append(entry)
@@ -464,27 +442,12 @@ class TransactionManager:
         self.collect_garbage()
 
     def _consumed_key_ranges(self, txn: Transaction) -> "List[Tuple[int, int]]":
-        merged = LocatorBitmap()
-        for bitmap in txn.all_allocated.values():
-            for key in bitmap.cloud_keys():
-                merged.add(key)
-        return [tuple(pair) for pair in merged.cloud_key_ranges()]
+        return [tuple(pair) for pair in txn.all_allocated.cloud_key_ranges()]
 
     def _reclaim_local_garbage(self, txn: Transaction) -> None:
-        for dbspace_name, locators in txn.local_garbage.items():
-            store = self._store_for(txn, dbspace_name)
-            if store is not None:
-                store.free_pages(locators)
-        txn.local_garbage.clear()
-
-    def _store_for(self, txn: "Optional[Transaction]",
-                   dbspace_name: str) -> "Optional[PageStore]":
-        if txn is not None:
-            try:
-                return txn.node.dbspace(dbspace_name)
-            except KeyError:
-                pass
-        return self.gc_dbspaces.get(dbspace_name)
+        if txn.local_garbage:
+            txn.node.dbspace.free_pages(txn.local_garbage)
+            txn.local_garbage = []
 
     # ------------------------------------------------------------------ #
     # rollback
@@ -496,18 +459,15 @@ class TransactionManager:
         node = txn.node
         crash_point(CP_ROLLBACK_BEFORE_FREE)
         node.buffer.drop_txn_frames(txn.txn_id)
-        for dbspace_name in txn.touched_dbspaces():
-            store = self._store_for(txn, dbspace_name)
-            if store is None:
-                continue
+        if txn.write_handles:
+            store = node.dbspace
             store_discard = getattr(store.io, "discard_txn", None) if store.is_cloud else None
             if store_discard is not None:
                 # Drop the OCM's pending background uploads for this txn.
                 store_discard(txn.txn_id)
-            allocated = txn.all_allocated.get(dbspace_name)
-            if allocated:
+            if txn.all_allocated:
                 # Deleting never-uploaded keys is a no-op (S3 semantics).
-                store.free_pages(list(allocated))
+                store.free_pages(list(txn.all_allocated))
         # Deliberately NOT notifying the key generator: the active set keeps
         # the rolled-back keys, and a future node-restart GC will re-poll
         # them — cheaper than an RPC per rollback (Section 3.3, Table 1).
@@ -573,21 +533,17 @@ class TransactionManager:
         return freed
 
     def _apply_rf(self, entry: CommitChainEntry) -> int:
-        freed = 0
-        for dbspace_name, bitmap in entry.rf.items():
-            store = self.gc_dbspaces.get(dbspace_name)
-            if store is None:
-                continue
-            locators = list(bitmap)
-            if store.is_cloud and self.snapshot_manager is not None:
-                # Retention: ownership moves to the snapshot manager.
-                self.snapshot_manager.retain(dbspace_name, locators)  # type: ignore[attr-defined]
-                self.stats["gc_pages_retained"] += len(locators)
-            else:
-                store.free_pages(locators)
-                self.stats["gc_pages_deleted"] += len(locators)
-            freed += len(locators)
-        return freed
+        locators = list(entry.rf)
+        if not locators:
+            return 0
+        if self.dbspace.is_cloud and self.snapshot_manager is not None:
+            # Retention: ownership moves to the snapshot manager.
+            self.snapshot_manager.retain(locators)  # type: ignore[attr-defined]
+            self.stats["gc_pages_retained"] += len(locators)
+        else:
+            self.dbspace.free_pages(locators)
+            self.stats["gc_pages_deleted"] += len(locators)
+        return len(locators)
 
     # ------------------------------------------------------------------ #
     # checkpointing

@@ -4,10 +4,12 @@
 deployment does:
 
 - a **system dbspace** on an EBS gp2 block volume (strongly consistent;
-  holds the transaction log, checkpoints, freelist and catalog),
-- a **user dbspace** either on a simulated object store (``s3``) — with or
-  without an Object Cache Manager on local NVMe — or on a block volume
-  (``ebs`` / ``efs``) for the paper's comparison runs,
+  holds the transaction log, checkpoints, freelist and catalog, but no
+  pages),
+- one **user dbspace**, which holds every page: either on a simulated
+  object store (``s3``) — with or without an Object Cache Manager on
+  local NVMe — or on a block volume (``ebs`` / ``efs``) for the paper's
+  comparison runs,
 - the Object Key Generator with a node-local key cache,
 - the transaction manager, snapshot manager, and crash/restart machinery.
 
@@ -54,7 +56,7 @@ from repro.sim.devices import raid0
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.pipes import Pipe
 from repro.sim.rng import DeterministicRng
-from repro.sim.tracing import NULL_TRACER, Tracer
+from repro.sim.tracing import NULL_TRACER
 from repro.storage.blockmap import Blockmap
 from repro.storage.dbspace import (
     BlockDbspace,
@@ -64,7 +66,7 @@ from repro.storage.dbspace import (
     ObjectIO,
     PageStore,
 )
-from repro.storage.identity import Catalog, IdentityObject
+from repro.storage.identity import USER_DBSPACE, Catalog, IdentityObject
 from repro.storage.locator import NULL_LOCATOR, is_object_key
 from repro.storage.page import PageConfig
 
@@ -82,8 +84,8 @@ OCM_UPLOAD_WINDOW = 16
 # it to the engine's 512 KB page size (Figure 8).
 S3_EFFECTIVE_GBITS = 9.0
 
+# The system volume's name in a checkpoint's freelist images.
 SYSTEM_DBSPACE = "system"
-USER_DBSPACE = "user"
 
 CP_CREATE_OBJECT_BEFORE_LOG = register_crash_point(
     "engine.create_object.before_log",
@@ -185,11 +187,6 @@ class DatabaseConfig:
     ocm_adaptive_routing: bool = False
     # snapshots: retention 0 disables the snapshot manager entirely
     retention_seconds: float = 0.0
-    # End-to-end request tracing: build a Tracer on the engine clock and
-    # propagate it through buffer -> OCM -> client -> store so queries and
-    # commits yield span trees (DESIGN.md §8).  Off by default: tracing
-    # retains every span in memory.
-    tracing_enabled: bool = False
     # The factor HARDWARE's rate rows are slowed by for a scaled-down
     # dataset (bench_config: SF / 1000); 1.0 runs the paper's hardware.
     rate_scale: float = 1.0
@@ -311,36 +308,30 @@ def build_object_io(
 
 
 def build_cloud_dbspace(
-    cfg: DatabaseConfig, name: str, io: ObjectIO, key_source: KeySource,
+    cfg: DatabaseConfig, io: ObjectIO, key_source: KeySource,
 ) -> CloudDbspace:
-    """A cloud dbspace that seals pages the way ``cfg`` says.
+    """A node's view of the cloud user dbspace, sealing pages the way
+    ``cfg`` says.
 
-    Like :func:`build_object_io`, the one place every node's view of a
-    cloud dbspace is built: pages checksummed by one node must open on
-    every other.
+    Like :func:`build_object_io`, the one place every node's view of it is
+    built: pages checksummed by one node must open on every other.
     """
     return CloudDbspace(
-        name, io, key_source,
+        USER_DBSPACE, io, key_source,
         prefix_bits=cfg.prefix_bits,
         page_checksums=cfg.page_checksums,
     )
 
 
 class NodeRuntime:
-    """A node's local execution context: buffer, dbspace views, caches."""
+    """A node's local execution context: buffer, user dbspace view, caches."""
 
     def __init__(self, node_id: str, buffer: BufferManager,
-                 dbspaces: "Dict[str, PageStore]") -> None:
+                 dbspace: PageStore) -> None:
         self.node_id = node_id
         self.buffer = buffer
-        self._dbspaces = dict(dbspaces)
+        self.dbspace = dbspace
         self._blockmaps: Dict[Tuple[int, int], Blockmap] = {}
-
-    def dbspace(self, name: str) -> PageStore:
-        return self._dbspaces[name]
-
-    def dbspaces(self) -> "Dict[str, PageStore]":
-        return dict(self._dbspaces)
 
     def blockmap_for(self, identity: IdentityObject) -> Blockmap:
         key = (identity.object_id, identity.version)
@@ -348,7 +339,7 @@ class NodeRuntime:
         if cached is not None:
             return cached
         blockmap = Blockmap(
-            self.dbspace(identity.dbspace),
+            self.dbspace,
             root_locator=identity.root_locator,
             height=identity.height,
         )
@@ -386,11 +377,7 @@ class Database:
         # Name of the crash point whose firing killed this node last
         # (set by crash_from; None for clean crashes).
         self.last_crash_point: "Optional[str]" = None
-        self.tracer = (
-            Tracer(self.clock, meter=self.meter)
-            if cfg.tracing_enabled
-            else NULL_TRACER
-        )
+        self.tracer = NULL_TRACER
 
         # --- system dbspace (strong consistency, holds log/catalog) ---- #
         # The system dbspace carries only metadata (log, catalog,
@@ -404,7 +391,9 @@ class Database:
             clock=self.clock,
             rng=self.rng.substream("system-device"),
         )
-        self.system_dbspace = BlockDbspace(SYSTEM_DBSPACE, self.system_device)
+        # No page is allocated from the system volume, but every
+        # checkpoint still writes (and is charged for) its freelist image.
+        self._system_freelist = Freelist(system_blocks)
         self.log = TransactionLog(self.system_device)
 
         # --- key generation --------------------------------------------- #
@@ -424,30 +413,14 @@ class Database:
         self.buffer = BufferManager(
             cfg.buffer_capacity_bytes, self.page_config
         )
-        self.node = NodeRuntime(
-            cfg.node_id,
-            self.buffer,
-            {SYSTEM_DBSPACE: self.system_dbspace, USER_DBSPACE: self.user_dbspace},
-        )
+        self.node = NodeRuntime(cfg.node_id, self.buffer, self.user_dbspace)
         self.catalog = Catalog()
         self.snapshot_manager: "Optional[SnapshotManager]" = None
         if cfg.retention_seconds > 0:
             self.snapshot_manager = SnapshotManager(
-                self.clock,
-                cfg.retention_seconds,
-                {USER_DBSPACE: self.user_dbspace},
+                self.clock, cfg.retention_seconds, self.user_dbspace,
             )
-        self.txn_manager = TransactionManager(
-            self.catalog,
-            self.log,
-            keygen=self.keygen,
-            gc_dbspaces={
-                SYSTEM_DBSPACE: self.system_dbspace,
-                USER_DBSPACE: self.user_dbspace,
-            },
-            snapshot_manager=self.snapshot_manager,
-            identity_write_cost=lambda: self.system_device.charge_write(256),
-        )
+        self._new_txn_manager()
         # An initial checkpoint anchors recovery for logs with no history.
         self.checkpoint()
         self.attach_tracer(self.tracer)
@@ -514,7 +487,7 @@ class Database:
                 if cfg.ocm_enabled else None,
             )
             io = self.ocm or DirectObjectIO(self.object_client)
-            return build_cloud_dbspace(cfg, USER_DBSPACE, io, self.key_cache)
+            return build_cloud_dbspace(cfg, io, self.key_cache)
         if cfg.user_volume in ("ebs", "efs"):
             if cfg.user_volume == "ebs":
                 profile = ebs_gp2(cfg.user_volume_size_bytes, name="user-gp2")
@@ -534,6 +507,18 @@ class Database:
             "(expected 's3', 'ebs' or 'efs')"
         )
 
+    def _new_txn_manager(self) -> None:
+        """Build the transaction manager over the current catalog and keygen
+        (at start-up, after recovery and after a restore)."""
+        self.txn_manager = TransactionManager(
+            self.catalog,
+            self.log,
+            self.user_dbspace,
+            keygen=self.keygen,
+            snapshot_manager=self.snapshot_manager,
+            identity_write_cost=lambda: self.system_device.charge_write(256),
+        )
+
     def _check_usable(self) -> None:
         if self.crashed:
             raise EngineError("the database is crashed; call restart() first")
@@ -546,7 +531,7 @@ class Database:
         """Register a paged storage object in the user dbspace
         (autocommitted, logged DDL)."""
         self._check_usable()
-        object_id = self.catalog.register_object(name, USER_DBSPACE)
+        object_id = self.catalog.register_object(name)
         crash_point(CP_CREATE_OBJECT_BEFORE_LOG)
         self.log.append(
             OBJECT_CREATED,
@@ -595,8 +580,8 @@ class Database:
     # ------------------------------------------------------------------ #
 
     def _freelists(self) -> "Dict[str, Freelist]":
-        """The live freelists; checkpoints and snapshots keep copies."""
-        freelists = {SYSTEM_DBSPACE: self.system_dbspace.freelist}
+        """The live freelists; checkpoints keep copies."""
+        freelists = {SYSTEM_DBSPACE: self._system_freelist}
         if isinstance(self.user_dbspace, BlockDbspace):
             freelists[USER_DBSPACE] = self.user_dbspace.freelist
         return freelists
@@ -656,26 +641,15 @@ class Database:
         )
         self.catalog = recovered.catalog
         self.keygen = recovered.keygen
-        if SYSTEM_DBSPACE in recovered.freelists:
-            self.system_dbspace.freelist = recovered.freelists[SYSTEM_DBSPACE]
-        if (
-            isinstance(self.user_dbspace, BlockDbspace)
-            and USER_DBSPACE in recovered.freelists
-        ):
-            self.user_dbspace.freelist = recovered.freelists[USER_DBSPACE]
+        if isinstance(self.user_dbspace, BlockDbspace):
+            assert recovered.freelist is not None
+            self.user_dbspace.freelist = recovered.freelist
         self.key_cache = NodeKeyCache(
             self.config.node_id, self.keygen.allocate_range, self.clock.now
         )
         if isinstance(self.user_dbspace, CloudDbspace):
             self.user_dbspace.key_source = self.key_cache
-        self.txn_manager = TransactionManager(
-            self.catalog,
-            self.log,
-            keygen=self.keygen,
-            gc_dbspaces=self.node.dbspaces(),
-            snapshot_manager=self.snapshot_manager,
-            identity_write_cost=lambda: self.system_device.charge_write(256),
-        )
+        self._new_txn_manager()
         self.txn_manager.restore_chain(
             [entry.to_payload() for entry in recovered.chain_entries]
         )
@@ -724,7 +698,6 @@ class Database:
         snapshot = self.snapshot_manager.create_snapshot(
             self.catalog.to_bytes(),
             self.keygen.max_allocated_key,
-            {SYSTEM_DBSPACE: self.system_dbspace.freelist.copy()},
             max_consumed_key=self.key_cache.last_consumed,
         )
         crash_point(CP_SNAPSHOT_BEFORE_LOG)
@@ -761,20 +734,11 @@ class Database:
         floor = snapshot.max_consumed_key or snapshot.max_allocated_key
         fifo = SnapshotManager.decode_metadata(snapshot.snapmgr_metadata)
         reachable = self._reachable_cloud_keys()
-        keep = reachable.union(locator for __, locator, __ in fifo)
+        keep = reachable.union(locator for locator, __ in fifo)
         reclaim(self.user_dbspace,
                 [(floor + 1, self.keygen.max_allocated_key)], keep)
         self.snapshot_manager.rewind(fifo, reachable, snapshot.created_at)
-        self.system_dbspace.freelist = (
-            snapshot.freelists[SYSTEM_DBSPACE].copy())
-        self.txn_manager = TransactionManager(
-            self.catalog,
-            self.log,
-            keygen=self.keygen,
-            gc_dbspaces=self.node.dbspaces(),
-            snapshot_manager=self.snapshot_manager,
-            identity_write_cost=lambda: self.system_device.charge_write(256),
-        )
+        self._new_txn_manager()
         self.node.invalidate_caches()
         self.drop_query_caches()
         self.checkpoint()

@@ -12,8 +12,8 @@ an in-memory version history:
   :class:`~repro.objectstore.consistency.ConsistencyModel`, so reads may
   observe "no such key" (scenario 3 of Section 3) or stale data
   (scenario 2, only when a key is overwritten);
-- PUT/GET/DELETE counts are recorded against a
-  :class:`~repro.costs.meter.CostMeter`;
+- PUT/GET/DELETE counts are metered per verb, and traced requests are
+  priced through a :class:`~repro.costs.meter.CostMeter`;
 - every accepted PUT records the CRC-32C of the *intended* payload (the
   store's ETag) keyed by version op-time; scheduled corruption events
   (:class:`~repro.objectstore.faults.BitRot` and friends) damage the
@@ -319,12 +319,6 @@ class SimulatedObjectStore:
                     best = version
         return best[2] if best is not None else None
 
-    def _record_requests(self, puts: int = 0, gets: int = 0, deletes: int = 0) -> None:
-        if self.meter is not None:
-            self.meter.record_requests(
-                self.profile.volume, puts=puts, gets=gets, deletes=deletes
-            )
-
     def _trace_request(self, op: str, key: str, start: float, end: float,
                        nbytes: int = 0, fault: "Optional[str]" = None,
                        puts: int = 0, gets: int = 0,
@@ -360,8 +354,8 @@ class SimulatedObjectStore:
         """The prologue every request shares; returns ``(fault, ready)``.
 
         Fault schedule → per-prefix token bucket → (PUT only) upload
-        transfer → jittered latency → request counters → billing →
-        failure draw.  The schedule, the bucket, the latency, the bill and
+        transfer → jittered latency → request counters → failure draw.
+        The schedule, the bucket, the latency, the billed request count and
         the failure draw all apply *once*, to the first key of the batch.
         ``ready`` is when the store answers.  A (simulated) retryable failure raises :class:`TransientRequestError`
         — the failed attempt is still billed and still takes time, which
@@ -391,7 +385,6 @@ class SimulatedObjectStore:
             # Recorded at transfer completion: the bandwidth curve then
             # shows what the pipe actually sustained (Figure 8).
             self.metrics.series("net_bytes").record(start, nbytes)
-        self._record_requests(**{billed: 1})
         kind = self._scheduled_failure(fault)
         p = self.profile.transient_failure_probability
         if kind is None and p > 0 and getattr(self, failure_rng).random() < p:

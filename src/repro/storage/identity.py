@@ -18,6 +18,11 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List
 
 
+# The one page dbspace.  The persisted formats keyed by dbspace name
+# (catalog entries, commit records, snapshot metadata, checkpoints) write it.
+USER_DBSPACE = "user"
+
+
 class CatalogError(Exception):
     """Unknown objects/versions or invalid catalog transitions."""
 
@@ -32,14 +37,14 @@ class IdentityObject:
     root_locator: int
     height: int
     page_count: int
-    dbspace: str
 
     def to_dict(self) -> "Dict[str, object]":
-        return asdict(self)
+        return {**asdict(self), "dbspace": USER_DBSPACE}
 
     @classmethod
     def from_dict(cls, payload: "Dict[str, object]") -> "IdentityObject":
-        return cls(**payload)  # type: ignore[arg-type]
+        fields = {k: v for k, v in payload.items() if k != "dbspace"}
+        return cls(**fields)  # type: ignore[arg-type]
 
 
 class Catalog:
@@ -51,7 +56,7 @@ class Catalog:
         self._identities: Dict[int, Dict[int, IdentityObject]] = {}
         self._current_version: Dict[int, int] = {}
 
-    def register_object(self, name: str, dbspace: str) -> int:
+    def register_object(self, name: str) -> int:
         """Create a storage object; returns its id (version 0, empty)."""
         if name in self._names:
             raise CatalogError(f"storage object {name!r} already exists")
@@ -65,7 +70,6 @@ class Catalog:
             root_locator=0,
             height=1,
             page_count=0,
-            dbspace=dbspace,
         )
         self._identities[object_id] = {0: identity}
         self._current_version[object_id] = 0

@@ -48,14 +48,14 @@ def test_table1_event_sequence(cluster):
     range_lo, range_hi = allocated[0]
 
     # Clock 70: T1 flushed objects; its keys are in its RB bitmap.
-    t1_keys = set(t1.rb_for("user").cloud_keys())
+    t1_keys = set(t1.rb.cloud_keys())
     assert t1_keys
     assert all(range_lo <= key <= range_hi for key in t1_keys)
 
     # Clock 80: T2 begins on W1 and consumes more keys from the range.
     t2 = w1.begin()
     flushed_writes(w1, t2, "tb", range(10, 13))
-    t2_keys = set(t2.rb_for("user").cloud_keys())
+    t2_keys = set(t2.rb.cloud_keys())
     assert t2_keys and t2_keys.isdisjoint(t1_keys)
 
     # Clock 90: T1 commits; its keys leave the active set.
@@ -70,7 +70,7 @@ def test_table1_event_sequence(cluster):
     # Clock 100: T3 begins and flushes more objects.
     t3 = w1.begin()
     flushed_writes(w1, t3, "tc", range(20, 22))
-    t3_keys = set(t3.rb_for("user").cloud_keys())
+    t3_keys = set(t3.rb.cloud_keys())
 
     # Clock 110-120: the coordinator crashes and recovers; the active set
     # is reconstructed from the log (allocation replayed, T1's commit

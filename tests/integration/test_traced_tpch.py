@@ -33,13 +33,15 @@ def traced_run():
     return db, tracer, times
 
 
-def test_tracing_enabled_config_builds_tracer():
-    db = make_db(tracing_enabled=True)
-    assert db.tracer is not NULL_TRACER
-    assert db.tracer.enabled
-    assert db.buffer.tracer is db.tracer
-    default = make_db()
-    assert default.tracer is NULL_TRACER
+def test_attach_tracer_shares_one_tracer():
+    db = make_db()
+    assert db.tracer is NULL_TRACER
+    tracer = Tracer(db.clock, meter=db.meter)
+    db.attach_tracer(tracer)
+    assert db.tracer is tracer and tracer.enabled
+    assert db.buffer.tracer is tracer
+    assert db.txn_manager.tracer is tracer
+    assert db.object_store.tracer is tracer
 
 
 def test_query_root_span_matches_measured_time(traced_run):

@@ -1,9 +1,12 @@
-"""Property tests: whole-engine invariants under random transaction mixes."""
+"""Property tests: whole-engine invariants under random transaction mixes.
+
+The committed state's serial-model check lives in the stateful machine
+(``test_engine_machine.py``), whose commit and rollback rules cover it.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.locator import is_object_key
 from tests.conftest import make_db
 
 
@@ -20,30 +23,6 @@ def workload(draw):
         min_size=1, max_size=8,
     ))
     return txns
-
-
-@given(workload())
-@settings(max_examples=25, deadline=None)
-def test_committed_state_matches_serial_model(txns):
-    """The engine's visible state equals a serial dict-model replay."""
-    db = make_db()
-    db.create_object("t")
-    model = {}
-    for writes, outcome in txns:
-        txn = db.begin()
-        local = {}
-        for page, data in writes:
-            db.write_page(txn, "t", page, data)
-            local[page] = data
-        if outcome == "commit":
-            db.commit(txn)
-            model.update(local)
-        else:
-            db.rollback(txn)
-    check = db.begin()
-    for page, expected in model.items():
-        assert db.read_page(check, "t", page) == expected
-    db.commit(check)
 
 
 @given(workload())

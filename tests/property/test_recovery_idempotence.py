@@ -30,10 +30,7 @@ def state_fingerprint(recovered):
     return (
         recovered.catalog.to_bytes(),
         json.dumps(recovered.keygen.checkpoint_state(), sort_keys=True),
-        sorted(
-            (name, freelist.to_bytes())
-            for name, freelist in recovered.freelists.items()
-        ),
+        None if recovered.freelist is None else recovered.freelist.to_bytes(),
         [entry.to_payload() for entry in recovered.chain_entries],
         recovered.commit_seq,
     )
@@ -93,7 +90,7 @@ def test_recover_over_recovered_checkpoint_is_fixed_point(spec):
     db.log.checkpoint(encode_checkpoint(
         first.catalog,
         first.keygen,
-        first.freelists,
+        {} if first.freelist is None else {"user": first.freelist},
         [entry.to_payload() for entry in first.chain_entries],
         first.commit_seq,
     ))

@@ -124,12 +124,12 @@ def test_flush_records_rb_and_local_garbage():
     handle = make_handle(dbspace, txn)
     buffer.write_page(handle, 0, b"v1")
     buffer.flush_txn(txn.txn_id)
-    assert len(txn.rb_for("user")) == 1
+    assert len(txn.rb) == 1
     buffer.write_page(handle, 0, b"v2")
     buffer.flush_txn(txn.txn_id)
     # The first key was superseded by the same transaction: local garbage.
-    assert txn.local_garbage["user"]
-    assert len(txn.rb_for("user")) == 1
+    assert txn.local_garbage
+    assert len(txn.rb) == 1
 
 
 def test_eviction_flushes_dirty_pages():

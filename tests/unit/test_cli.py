@@ -1,8 +1,16 @@
 """Unit tests for the command-line interface."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_quickstart(capsys):
@@ -87,3 +95,55 @@ def test_parser_accepts_trace_and_report():
     assert args.workload == "tpch"
     args = build_parser().parse_args(["report"])
     assert args.input == "trace.json"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tpch", "--scale-factor", "nan"],
+     "scale factor must be positive and finite"),
+    (["dr", "--lag", "nan"], "mean lag must be non-negative and finite"),
+    (["chaos", "--start", "nan"],
+     "fault window must be non-empty with a finite start"),
+], ids=["tpch", "dr", "chaos"])
+def test_a_non_finite_input_is_refused_with_its_reason(argv, message):
+    with pytest.raises(ValueError, match=message):
+        main(argv)
+
+
+def load_json_twice(argv):
+    """``repro load --json`` output, checked byte-identical across two
+    processes (each with its own hash seed), parsed."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    outputs = [
+        subprocess.run([sys.executable, "-m", "repro", "load", *argv,
+                        "--json"], env=env, capture_output=True, check=True,
+                       ).stdout
+        for __ in range(2)
+    ]
+    assert outputs[0] == outputs[1]
+    return json.loads(outputs[0])
+
+
+def test_load_json_is_deterministic_and_reports_the_slo_schema():
+    summary = load_json_twice(["--sessions", "250", "--seed", "0"])
+    assert summary["schema"] == "repro.load/v2"
+    assert summary["ops"]["completed"] > 0
+    for tenant in summary["tenants"].values():
+        assert {"p50", "p95", "p99"} <= tenant["latency_seconds"].keys()
+        assert tenant["slo_attainment"] is not None
+    assert summary["saturation"]
+
+
+def test_autoscaled_load_json_is_deterministic_and_scales_out():
+    summary = load_json_twice([
+        "--sessions", "60", "--seed", "0", "--scale-factor", "0.001",
+        "--rate", "60", "--admission", "3", "--autoscale",
+        "--autoscale-max", "3",
+    ])
+    scale = summary["autoscale"]
+    assert scale is not None and scale["scale_outs"] >= 1
+    outs = [e for e in scale["events"] if e["action"] == "scale_out"]
+    assert all(e["prewarmed_entries"] > 0 for e in outs)
+    dynamic = {node: ops for node, ops in summary["routing"].items()
+               if node != "coordinator"}
+    assert dynamic and any(ops > 0 for ops in dynamic.values())

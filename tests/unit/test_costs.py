@@ -61,14 +61,6 @@ class TestInstances:
 
 
 class TestCostMeter:
-    def test_request_accumulation(self):
-        meter = CostMeter()
-        meter.record_requests("s3", puts=500, gets=1000)
-        meter.record_requests("s3", puts=500)
-        assert meter.request_cost("s3") == pytest.approx(
-            0.005 + 0.0004
-        )
-
     def test_storage_month(self):
         meter = CostMeter()
         usd = meter.storage_monthly_cost("s3", 100 * GIB)

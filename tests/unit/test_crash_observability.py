@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.audit import StoreAuditor
 from repro.sim.crashpoints import CRASH_POINTS, SimulatedCrash
+from repro.sim.tracing import Tracer
 from tests.conftest import make_db
 
 
@@ -13,13 +14,18 @@ def _disarm():
     CRASH_POINTS.disarm_all()
 
 
+def traced_db(**overrides):
+    db = make_db(**overrides)
+    db.attach_tracer(Tracer(db.clock, meter=db.meter))
+    return db
+
+
 def span_keys(db):
     return {(span.name, span.layer) for span in db.tracer.all_spans()}
 
 
 def test_restart_emits_recovery_spans_and_poll_metric():
-    db = make_db(system_volume_size_bytes=32 * 1024 * 1024,
-                 tracing_enabled=True)
+    db = traced_db(system_volume_size_bytes=32 * 1024 * 1024)
     db.create_object("t")
     txn = db.begin()
     db.write_page(txn, "t", 0, b"payload")
@@ -33,7 +39,7 @@ def test_restart_emits_recovery_spans_and_poll_metric():
 
 
 def test_audit_emits_fsck_span_and_gauges():
-    db = make_db(tracing_enabled=True)
+    db = traced_db()
     db.create_object("t")
     txn = db.begin()
     db.write_page(txn, "t", 0, b"payload")

@@ -261,17 +261,11 @@ def test_coordinator_crash_preserves_snapshot_retention():
         writer.commit(txn)
     co.txn_manager.collect_garbage()
     manager = co.snapshot_manager
-    before = sorted(
-        (name, locator) for name, locators
-        in manager.retained_locators().items() for locator in locators
-    )
+    before = sorted(manager.retained_locators())
     assert before  # the superseded "old" page is awaiting retention expiry
     mx.coordinator_crash_and_recover()
     manager = mx.coordinator.snapshot_manager
-    after = sorted(
-        (name, locator) for name, locators
-        in manager.retained_locators().items() for locator in locators
-    )
+    after = sorted(manager.retained_locators())
     assert after == before
     # The retained page is eventually reaped, not leaked.
     mx.clock.advance(mx.coordinator.config.retention_seconds + 1.0)

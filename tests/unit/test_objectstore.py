@@ -15,6 +15,7 @@ from repro.objectstore.consistency import VersionedObject
 from repro.objectstore.s3sim import ObjectStoreProfile
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import DeterministicRng
+from repro.sim.tracing import Tracer
 
 
 class TestVersionedObject:
@@ -119,11 +120,11 @@ class TestSimulatedStore:
         assert last < 1.0
 
     def test_request_costs_metered(self):
-        meter = CostMeter()
-        store = make_store(meter=meter)
+        store = make_store(meter=CostMeter())
+        store.tracer = Tracer(store.clock)
         store.put("a/1", b"x")
         store.get("a/1")
-        assert meter.request_cost("s3") == pytest.approx(
+        assert store.tracer.cost_totals()["store"] == pytest.approx(
             0.005 / 1000 + 0.0004 / 1000
         )
 

@@ -1,7 +1,6 @@
 """Unit tests for crash recovery: checkpoint + log replay."""
 
 from repro.core.recovery import recover
-from repro.engine import SYSTEM_DBSPACE
 from tests.conftest import make_db
 
 
@@ -100,11 +99,11 @@ def test_rollback_replay_is_a_noop():
 
 
 def test_checkpoint_does_not_alias_the_live_freelist():
-    db = make_db()
+    db = make_db(user_volume="ebs", user_volume_size_bytes=1 << 30)
     db.checkpoint()
-    freelist = db.system_dbspace.freelist
+    freelist = db.user_dbspace.freelist
     at_checkpoint = freelist.to_bytes()
     freelist.allocate(10)
     recovered = recover(db.log)
-    assert recovered.freelists[SYSTEM_DBSPACE].to_bytes() == at_checkpoint
+    assert recovered.freelist.to_bytes() == at_checkpoint
     assert freelist.to_bytes() != at_checkpoint

@@ -27,14 +27,14 @@ def make_env(retention=100.0):
     store = SimulatedObjectStore(profile, clock=clock)
     dbspace = CloudDbspace("user", DirectObjectIO(RetryingObjectClient(store)),
                            CounterKeys())
-    manager = SnapshotManager(clock, retention, {"user": dbspace})
+    manager = SnapshotManager(clock, retention, dbspace)
     return manager, dbspace, store, clock
 
 
 def test_retained_pages_survive_until_expiry():
     manager, dbspace, store, clock = make_env(retention=50.0)
     locator = dbspace.write_page(b"retained")
-    manager.retain("user", [locator])
+    manager.retain([locator])
     clock.advance(10.0)
     assert manager.reap() == 0
     assert store.object_count() == 1
@@ -46,10 +46,10 @@ def test_retained_pages_survive_until_expiry():
 def test_fifo_reaps_in_order():
     manager, dbspace, store, clock = make_env(retention=10.0)
     first = dbspace.write_page(b"first")
-    manager.retain("user", [first])
+    manager.retain([first])
     clock.advance(5.0)
     second = dbspace.write_page(b"second")
-    manager.retain("user", [second])
+    manager.retain([second])
     clock.advance(6.0)  # first expired, second not
     assert manager.reap() == 1
     assert not store.exists(dbspace.object_name(first))
@@ -75,7 +75,7 @@ def test_snapshot_expires_with_retention():
 
 def test_metadata_roundtrip():
     manager, dbspace, __, clock = make_env()
-    manager.retain("user", [dbspace.write_page(b"x")])
+    manager.retain([dbspace.write_page(b"x")])
     payload = manager.metadata_bytes()
     other, __, __, __ = make_env()
     other.rewind(SnapshotManager.decode_metadata(payload), set(), clock.now())
@@ -89,8 +89,9 @@ def test_unknown_snapshot_raises():
 
 
 def test_negative_retention_rejected():
+    __, dbspace, __, __ = make_env()
     with pytest.raises(SnapshotError):
-        SnapshotManager(VirtualClock(), -1.0)
+        SnapshotManager(VirtualClock(), -1.0, dbspace)
 
 
 def test_snapshots_listing():

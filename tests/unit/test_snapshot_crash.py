@@ -86,7 +86,7 @@ def test_fifo_outlives_every_snapshot_it_protects():
     db.txn_manager.collect_garbage()
     manager = db.snapshot_manager
     snapshot_expiry = snapshot.expires_at
-    for __, __, expiry in manager._fifo:
+    for __, expiry in manager._fifo:
         assert expiry >= snapshot_expiry
 
 

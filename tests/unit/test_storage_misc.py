@@ -59,35 +59,35 @@ class TestPageConfig:
 class TestCatalog:
     def test_register_and_lookup(self):
         catalog = Catalog()
-        oid = catalog.register_object("t1", "user")
+        oid = catalog.register_object("t1")
         assert catalog.object_id("t1") == oid
         assert catalog.current(oid).version == 0
         assert catalog.current(oid).root_locator == NULL_LOCATOR
 
     def test_duplicate_name_rejected(self):
         catalog = Catalog()
-        catalog.register_object("t1", "user")
+        catalog.register_object("t1")
         with pytest.raises(CatalogError):
-            catalog.register_object("t1", "user")
+            catalog.register_object("t1")
 
     def test_publish_advances_version(self):
         catalog = Catalog()
-        oid = catalog.register_object("t", "user")
-        catalog.publish(IdentityObject(oid, "t", 1, 100, 1, 5, "user"))
+        oid = catalog.register_object("t")
+        catalog.publish(IdentityObject(oid, "t", 1, 100, 1, 5))
         assert catalog.current(oid).version == 1
         assert catalog.identity(oid, 0).version == 0
 
     def test_publish_must_advance(self):
         catalog = Catalog()
-        oid = catalog.register_object("t", "user")
-        catalog.publish(IdentityObject(oid, "t", 1, 100, 1, 5, "user"))
+        oid = catalog.register_object("t")
+        catalog.publish(IdentityObject(oid, "t", 1, 100, 1, 5))
         with pytest.raises(CatalogError):
-            catalog.publish(IdentityObject(oid, "t", 1, 200, 1, 5, "user"))
+            catalog.publish(IdentityObject(oid, "t", 1, 200, 1, 5))
 
     def test_drop_version(self):
         catalog = Catalog()
-        oid = catalog.register_object("t", "user")
-        catalog.publish(IdentityObject(oid, "t", 1, 100, 1, 5, "user"))
+        oid = catalog.register_object("t")
+        catalog.publish(IdentityObject(oid, "t", 1, 100, 1, 5))
         catalog.drop_version(oid, 0)
         assert not catalog.has_version(oid, 0)
         with pytest.raises(CatalogError):
@@ -95,15 +95,15 @@ class TestCatalog:
 
     def test_serialization_roundtrip(self):
         catalog = Catalog()
-        oid = catalog.register_object("t", "user")
-        catalog.publish(IdentityObject(oid, "t", 1, 42, 2, 7, "user"))
+        oid = catalog.register_object("t")
+        catalog.publish(IdentityObject(oid, "t", 1, 42, 2, 7))
         restored = Catalog.from_bytes(catalog.to_bytes())
         assert restored.current(oid).root_locator == 42
         assert restored.object_names() == ["t"]
 
     def test_drop_object(self):
         catalog = Catalog()
-        oid = catalog.register_object("t", "user")
+        oid = catalog.register_object("t")
         catalog.drop_object(oid)
         assert not catalog.has_object("t")
 

@@ -128,7 +128,7 @@ def test_begin_makes_constant_catalog_calls_whatever_the_catalog_size(monkeypatc
     for size in (50, 2000):
         db = make_db()
         for index in range(size):
-            db.catalog.register_object(f"obj{index}", "user")
+            db.catalog.register_object(f"obj{index}")
         for name in calls:
             calls[name] = 0
         txn = db.begin()
