@@ -35,11 +35,10 @@ def test_table5_ocm_utilization(benchmark, suite):
 def test_table5_policy_ablation_hit_ratios(benchmark, suite):
     """Table 5 companion: OCM utilization per eviction policy.
 
-    At the default (working-set-sized) OCM capacity the three read-path
-    variants must all sustain a healthy hit-rate majority — the arc2q
-    segmentation and the adaptive re-routing arm may move requests
-    around, but neither is allowed to wreck utilization on the plain
-    TPC-H pass.
+    At the default (working-set-sized) OCM capacity both policies must
+    sustain a healthy hit-rate majority — the arc2q segmentation may move
+    requests around, but it is not allowed to wreck utilization on the
+    plain TPC-H pass.
     """
     runs = benchmark.pedantic(suite.policy_ablation, rounds=1, iterations=1)
     rows = policy_ablation_rows(runs)

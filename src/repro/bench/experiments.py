@@ -266,7 +266,6 @@ def figure8_series(
 POLICY_ABLATION_CONFIGS: "Dict[str, Dict[str, object]]" = {
     "lru": {},
     "arc2q": {"ocm_policy": "arc2q"},
-    "adaptive_read_routing": {"ocm_adaptive_routing": True},
 }
 
 
@@ -274,12 +273,9 @@ def run_policy_ablation(
     scale_factor: float = BENCH_SCALE_FACTOR,
     instance_type: str = "m5ad.24xlarge",
 ) -> "Dict[str, VolumeRun]":
-    """The TPC-H query pass under each OCM read-path variant.
+    """The TPC-H query pass under each OCM eviction policy.
 
-    ``lru`` is the paper's cache, ``arc2q`` the scan-resistant policy,
-    ``adaptive_read_routing`` the paper's proposed hot-entry re-routing
-    (orthogonal to the eviction policy, kept as a third arm for
-    comparison).
+    ``lru`` is the paper's cache, ``arc2q`` the scan-resistant policy.
     """
     return {
         name: VolumeRun("s3", instance_type=instance_type,

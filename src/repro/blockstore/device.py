@@ -101,10 +101,6 @@ class BlockDevice:
         """Drop the stored run (blocks freed via the freelist); no timing."""
         self._data.pop(start, None)
 
-    def backlog(self, now: "Optional[float]" = None) -> float:
-        """Seconds of queued work on the device (OCM saturation probe)."""
-        return self._device.backlog(now)
-
     def charge_write(self, nbytes: int) -> None:
         """Charge a raw synchronous write without storing data.
 

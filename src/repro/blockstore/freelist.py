@@ -6,8 +6,9 @@ dbspaces do not use a freelist at all (objects are allocated by key), which
 is why the paper's system dbspace shrinks and snapshots get cheap.
 
 The allocator is next-fit over contiguous runs: pages occupy 1-16 contiguous
-blocks, so allocation asks for a run length.  The bitmap serializes to bytes
-for checkpointing and crash recovery.
+blocks, so allocation asks for a run length.  A checkpoint keeps a
+:meth:`Freelist.copy` and is charged the length of the freelist's byte image
+(:meth:`Freelist.image_length`); recovery starts from a copy of that copy.
 
 The bitmap is held only up to its high-water byte, the last one that has
 ever had a bit set; every block past it is free.  A freelist therefore
@@ -18,16 +19,9 @@ empty bitmap, not 8 MiB of zeros.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 
 class FreelistError(Exception):
     """Raised on invalid freelist operations (double free, overflow...)."""
-
-
-#: byte value -> number of set bits, for counting used blocks with
-#: ``bytes.translate`` (C speed) instead of one Python call per byte.
-_POPCOUNT = bytes(bin(value).count("1") for value in range(256))
 
 
 class Freelist:
@@ -140,30 +134,13 @@ class Freelist:
                 self._clear(block)
                 self._used -= 1
 
-    def used_ranges(self) -> "Iterator[Tuple[int, int]]":
-        """Yield maximal ``(start, count)`` runs of allocated blocks."""
-        start = None
-        held = len(self._bits) << 3  # every block past it is free
-        for block in range(held):
-            if self._get(block):
-                if start is None:
-                    start = block
-            elif start is not None:
-                yield start, block - start
-                start = None
-        if start is not None:
-            yield start, held - start
-
     # ------------------------------------------------------------------ #
     # persistence (checkpointing)
     # ------------------------------------------------------------------ #
 
     def to_bytes(self) -> bytes:
-        """Serialize for inclusion in a checkpoint: ``8-byte total ‖ bitmap``.
-
-        The bitmap is written out in full, zeros past the high-water byte
-        included, so the format does not depend on how much is held.
-        """
+        """The byte image a checkpoint is charged for (see
+        :meth:`image_length`)."""
         return b"".join((
             self._total.to_bytes(8, "big"),
             self._bits,
@@ -171,46 +148,22 @@ class Freelist:
         ))
 
     def image_length(self) -> int:
-        """``len(self.to_bytes())``, without building it."""
+        """Bytes a checkpoint charges for this freelist: an 8-byte
+        big-endian ``total_blocks``, then the full bitmap of
+        ``ceil(total_blocks / 8)`` bytes (bit ``b & 7`` of byte ``b >> 3``
+        set when block ``b`` is used), zeros past the high-water byte
+        included, so the charge does not depend on how much is held."""
         return 8 + (self._total + 7) // 8
-
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "Freelist":
-        if len(payload) < 8:
-            raise FreelistError("truncated freelist payload")
-        total = int.from_bytes(payload[:8], "big")
-        if total <= 0:
-            raise FreelistError(f"freelist needs a positive size, got {total}")
-        if len(payload) - 8 != (total + 7) // 8:
-            raise FreelistError("freelist payload size mismatch")
-        if total & 7 and payload[-1] >> (total & 7):
-            raise FreelistError("freelist payload has bits set past total_blocks")
-        # Trailing zero bytes are free blocks past the high-water byte.
-        bits = bytearray(memoryview(payload)[8:]).rstrip(b"\x00")
-        # Wholly used and wholly free bytes are counted and dropped in C;
-        # only the bytes at run boundaries reach the Python-level sum.
-        used = 8 * bits.count(b"\xff") + sum(
-            bits.translate(_POPCOUNT, b"\x00\xff")
-        )
-        return cls._around(total, bits, used)
 
     def copy(self) -> "Freelist":
         """An independent freelist with the same bitmap, held up to its
-        last set bit: checkpoints and snapshots keep such copies.
-
-        Like a checkpoint round trip, the copy scans from block 0.
+        last set bit: checkpoints keep such copies, and recovery restores
+        from a copy of one.  The copy scans from block 0.
         """
-        return self._around(self._total, self._bits.rstrip(b"\x00"), self._used)
-
-    @classmethod
-    def _around(cls, total: int, bits: bytearray, used: int) -> "Freelist":
-        """A freelist over an existing bitmap (no zeroed one is built first)."""
-        freelist = cls.__new__(cls)
-        freelist._total = total
-        freelist._bits = bits
-        freelist._used = used
-        freelist._cursor = 0
-        return freelist
+        clone = Freelist(self._total)
+        clone._bits = self._bits.rstrip(b"\x00")
+        clone._used = self._used
+        return clone
 
     def __repr__(self) -> str:
         return f"Freelist(total={self._total}, used={self._used})"

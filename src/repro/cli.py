@@ -552,19 +552,10 @@ def cmd_crashtest(args: argparse.Namespace) -> int:
 
 
 def cmd_table1(args: argparse.Namespace) -> int:
-    import pathlib
-    benchmarks = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
-    sys.path.insert(0, str(benchmarks))
-    try:
-        from test_table1_recovery import run_table1_scenario
+    from repro.bench.table1 import run_table1_scenario
 
-        from repro.bench.report import format_table as fmt
-
-        events = run_table1_scenario()
-        print(fmt(["Clock", "Event", "Description", "Active Set (W1)"],
-                  events))
-    finally:
-        sys.path.remove(str(benchmarks))
+    print(format_table(["Clock", "Event", "Description", "Active Set (W1)"],
+                       run_table1_scenario()))
     return 0
 
 

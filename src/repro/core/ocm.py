@@ -81,10 +81,6 @@ class OcmConfig:
     # Ablation knob: insert write-back pages into the LRU immediately
     # instead of after upload success (the paper's rule is False).
     lru_insert_before_upload: bool = False
-    # The paper's proposed future work (Section 6's Figure 6 analysis):
-    # monitor SSD vs object-store read latency and re-route cache hits to
-    # the object store while asynchronous fills saturate the SSD.
-    adaptive_read_routing: bool = False
 
 
 class _CacheEntry:
@@ -314,30 +310,6 @@ class ObjectCacheManager(ObjectIO):
     # reads
     # ------------------------------------------------------------------ #
 
-    def _ssd_read_estimate(self, nbytes: int, now: float) -> float:
-        """Expected SSD read latency including queued asynchronous work."""
-        return (
-            self.device.backlog(now)
-            + nbytes / self.device.profile.bandwidth
-            + self.device.profile.read_latency
-        )
-
-    def _store_read_estimate(self, nbytes: int) -> float:
-        """Expected object-store read latency for ``nbytes``."""
-        store = self.client.store
-        pipe = self.client.bandwidth
-        rate = pipe.rate if pipe is not None else store.profile.default_bandwidth
-        return store.profile.get_latency + nbytes / rate
-
-    def _should_reroute(self, entry: _CacheEntry, now: float) -> bool:
-        """Adaptive routing: is the SSD so saturated with asynchronous
-        fills that the store would serve this uploaded hit sooner?"""
-        return (
-            self.config.adaptive_read_routing and entry.uploaded
-            and self._ssd_read_estimate(entry.size, now)
-            > self._store_read_estimate(entry.size)
-        )
-
     def get_many_at(self, names: "Sequence[str]", now: float,
                     scan_hint: bool = False, wait: "Optional[Wait]" = None,
                     ) -> "Tuple[Dict[str, bytes], float]":
@@ -360,7 +332,6 @@ class ObjectCacheManager(ObjectIO):
         span = self.tracer.begin("get_many", "ocm", start=now, count=count)
         results: Dict[str, bytes] = {}
         misses: List[str] = []
-        rerouted: List[str] = []
         missed = 0
         done = now
         span_end: "Optional[float]" = now  # a failed read's span is empty
@@ -370,29 +341,18 @@ class ObjectCacheManager(ObjectIO):
                 if entry is None:
                     misses.append(name)
                     continue
-                # Degraded mode: the store is fenced off; serve the hit
-                # from the SSD without considering adaptive rerouting.
-                if not degraded and self._should_reroute(entry, now):
-                    rerouted.append(name)
-                    self.metrics.counter("rerouted_reads").increment()
-                else:
-                    # Cache hit: read from the local SSD.  The shared
-                    # bandwidth pipe means queued asynchronous fills
-                    # delay this read.
-                    read_done = self.device.read(entry.size, now)
-                    self.tracer.record("read", "ssd", now, read_done,
-                                       key=name, nbytes=entry.size)
-                    if read_done > done:
-                        done = read_done
-                    if degraded:
-                        self.metrics.counter("degraded_reads").increment()
+                # Cache hit: read from the local SSD.  The shared bandwidth
+                # pipe means queued asynchronous fills delay this read.
+                read_done = self.device.read(entry.size, now)
+                self.tracer.record("read", "ssd", now, read_done,
+                                   key=name, nbytes=entry.size)
+                if read_done > done:
+                    done = read_done
+                if degraded:
+                    self.metrics.counter("degraded_reads").increment()
                 self._policy.on_access(name, scan_hint)
                 self.metrics.counter("hits").increment()
                 results[name] = entry.data
-            # Rerouted hits are object-store reads, bytes included.
-            for name in rerouted:
-                results[name], store_done = self.client.get_at(name, now)
-                done = max(done, store_done)
             missed = len(misses)
             if missed:
                 self.metrics.counter("misses").increment(missed)

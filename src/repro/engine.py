@@ -183,8 +183,6 @@ class DatabaseConfig:
     # region, preserving baseline behaviour byte-for-byte; see
     # DESIGN.md §12 for the DR story this enables)
     replication: "Optional[ReplicationConfig]" = None
-    # adaptive OCM read re-routing (the paper's proposed future work)
-    ocm_adaptive_routing: bool = False
     # snapshots: retention 0 disables the snapshot manager entirely
     retention_seconds: float = 0.0
     # The factor HARDWARE's rate rows are slowed by for a scaled-down
@@ -300,7 +298,6 @@ def build_object_io(
             capacity_bytes=capacity_bytes,
             upload_window=OCM_UPLOAD_WINDOW,
             read_window=PARALLEL_WINDOW,
-            adaptive_read_routing=cfg.ocm_adaptive_routing,
             policy=cfg.ocm_policy,
         ),
         rng=rng.substream("ocm"),
@@ -518,6 +515,7 @@ class Database:
             snapshot_manager=self.snapshot_manager,
             identity_write_cost=lambda: self.system_device.charge_write(256),
         )
+        self.txn_manager.tracer = self.tracer
 
     def _check_usable(self) -> None:
         if self.crashed:

@@ -203,12 +203,6 @@ class ReplicatedObjectStore:
         return self.primary.clock
 
     @property
-    def profile(self):
-        """The primary's profile: the OCM's adaptive routing estimates a
-        store read from it."""
-        return self.primary.profile
-
-    @property
     def metrics(self) -> MetricsRegistry:
         """Request metrics of the store callers talk to: the primary."""
         return self.primary.metrics

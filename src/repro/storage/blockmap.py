@@ -325,32 +325,6 @@ class Blockmap:
     # introspection
     # ------------------------------------------------------------------ #
 
-    def mapped_pages(self) -> "Iterator[Tuple[int, int]]":
-        """Yield ``(page_no, locator)`` for every mapped logical page.
-
-        Walks the whole tree, loading nodes as needed (test/GC audits).
-        """
-        root = self._root_node()
-        if root is None:
-            return
-        stack: List[_Node] = [root]
-        while stack:
-            node = stack.pop()
-            if node.level == 0:
-                base_page = node.index * self.fanout
-                for slot, locator in enumerate(node.slots):
-                    if locator != NULL_LOCATOR:
-                        yield base_page + slot, locator
-                continue
-            for slot, locator in enumerate(node.slots):
-                if locator == NULL_LOCATOR:
-                    continue
-                child_index = node.index * self.fanout + slot
-                child = self._peek_node(node.level - 1, child_index)
-                if child is None:
-                    child = self._load_node(node.level - 1, child_index, locator)
-                stack.append(child)
-
     def live_locators(self) -> "Iterator[int]":
         """All reachable locators: data pages plus blockmap pages."""
         root = self._root_node()

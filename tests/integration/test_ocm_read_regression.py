@@ -1,13 +1,15 @@
 """Read-path characterisation golden: OCM and buffer-manager reads.
 
-The default-path goldens run one policy, no rerouting, no breaker and no
-sessions.  This one drives a seeded script through a real
+The default-path goldens run one policy, no breaker and no sessions.
+This one drives a seeded script through a real
 :class:`ObjectCacheManager` small enough to evict — single-stream and as
 three :class:`SessionScheduler` sessions over overlapping key sets — using
 every read form (``get``, ``get_many`` with and without ``scan_hint``,
-``get_many_at``) across eviction policy ``lru``/``arc2q`` ×
-``adaptive_read_routing`` off/on against an SSD that cache fills saturate,
-plus ``lru_insert_before_upload`` and ``verify_reads`` variants.  The
+``get_many_at``) under eviction policy ``lru`` and ``arc2q`` against an
+SSD that cache fills saturate, plus ``lru_insert_before_upload`` and
+``verify_reads`` variants.  Each key still carries ``no_routing``: the
+golden was cut when OCM hits could be re-routed to the store, and the
+re-routed combinations were deleted with that feature.  The
 script also opens the client's breaker (degraded hits and
 :class:`DegradedCacheMissError`), queues write-backs that later fills must
 evict, and corrupts cached entries after their fill.  Per call it pins the
@@ -69,17 +71,15 @@ NAMES = [hashed_object_name(BASE + i) for i in range(KEYS + 4)]
 OUTAGE = OutageWindow(2.0, 3.0)
 
 # A fill of one object keeps the SSD busy ~25 ms, a store GET takes ~15 ms:
-# two queued fills are enough for adaptive routing to prefer the store.
+# hits right behind queued fills wait longer than a miss would.
 SSD = DeviceProfile(name="ssd", read_latency=1e-4, write_latency=2e-4,
                     bandwidth=400_000.0, write_cost_multiplier=4.0)
 
 COMBINATIONS = [
-    {"policy": policy, "routing": routing, "sessions": sessions, "knob": None}
-    for policy, routing, sessions in itertools.product(
-        ("lru", "arc2q"), (False, True), (False, True)
-    )
+    {"policy": policy, "sessions": sessions, "knob": None}
+    for policy, sessions in itertools.product(("lru", "arc2q"), (False, True))
 ] + [
-    {"policy": "lru", "routing": False, "sessions": sessions, "knob": knob}
+    {"policy": "lru", "sessions": sessions, "knob": knob}
     for knob, sessions in (
         # Single-stream only: a forced upload waits before it dequeues its
         # job, so a second session evicting meanwhile PUTs the key again
@@ -91,8 +91,7 @@ COMBINATIONS = [
 
 
 def _combo_id(combo: dict) -> str:
-    parts = [combo["policy"],
-             "routing" if combo["routing"] else "no_routing",
+    parts = [combo["policy"], "no_routing",
              "sessions" if combo["sessions"] else "single"]
     if combo["knob"]:
         parts.append(combo["knob"])
@@ -155,7 +154,7 @@ def _program(session: int) -> list:
 
 
 class _OcmRig:
-    def __init__(self, policy: str, routing: bool, knob) -> None:
+    def __init__(self, policy: str, knob) -> None:
         self.clock = VirtualClock()
         rng = DeterministicRng(11, "ocm-read-golden")
         profile = ObjectStoreProfile(name="s3", consistency=STRONG,
@@ -178,7 +177,6 @@ class _OcmRig:
             self.client, SSD,
             OcmConfig(
                 capacity_bytes=6 * 2400, read_window=4, policy=policy,
-                adaptive_read_routing=routing,
                 lru_insert_before_upload=knob == "lru_insert_before_upload",
             ),
             rng=rng.substream("ssd"),
@@ -235,8 +233,8 @@ class _OcmRig:
             entry["digest"] = _digest(got[name] for name in names)
 
 
-def run_ocm_script(policy: str, routing: bool, sessions: bool, knob) -> dict:
-    rig = _OcmRig(policy, routing, knob)
+def run_ocm_script(policy: str, sessions: bool, knob) -> dict:
+    rig = _OcmRig(policy, knob)
     tracer = None
     if sessions:
         scheduler = SessionScheduler(rig.clock)
@@ -434,9 +432,6 @@ def test_script_reaches_every_read_path(golden):
         errors = {call["op"] for call in run["calls"]
                   if call.get("error") == "DegradedCacheMissError"}
         assert errors == {"get", "get_many", "get_many_at"}, name
-    assert ocm["lru-routing-single"]["ocm"]["rerouted_reads"] > 0
-    assert ocm["arc2q-routing-sessions"]["ocm"]["rerouted_reads"] > 0
-    assert "rerouted_reads" not in ocm["lru-no_routing-single"]["ocm"]
     assert ocm["arc2q-no_routing-single"]["ocm"]["policy_promotions"] > 0
     forced = ocm["lru-no_routing-single-lru_insert_before_upload"]
     assert forced["ocm"]["forced_uploads"] > 0

@@ -44,6 +44,31 @@ def test_attach_tracer_shares_one_tracer():
     assert db.object_store.tracer is tracer
 
 
+def test_tracer_survives_restart_and_restore():
+    """Recovery and restore rebuild the transaction manager; the new one
+    keeps the database's tracer, so commits stay traced."""
+    db = make_db(retention_seconds=3600.0)
+    tracer = Tracer(db.clock, meter=db.meter)
+    db.attach_tracer(tracer)
+    db.create_object("t")
+
+    def commit_once(page):
+        txn = db.begin()
+        db.write_page(txn, "t", page, b"page %d" % page)
+        db.commit(txn)
+        assert db.txn_manager.tracer is tracer
+        return sum(1 for span in tracer.all_spans() if span.layer == "txn")
+
+    before_crash = commit_once(0)
+    snapshot = db.create_snapshot()
+    db.crash()
+    db.restart()
+    after_restart = commit_once(1)
+    assert after_restart == before_crash + 1
+    db.restore_snapshot(snapshot.snapshot_id)
+    assert commit_once(2) == after_restart + 1
+
+
 def test_query_root_span_matches_measured_time(traced_run):
     __, tracer, times = traced_run
     roots = [s for s in tracer.roots if s.layer == "query"]

