@@ -49,6 +49,8 @@ def run_chaos_scenario(
         raise ValueError(
             f"regions must be in [1, {len(REGION_NAMES)}]"
         )
+    if pages < 1:
+        raise ValueError(f"the drill verifies at least one page, got {pages}")
     replication = (
         ReplicationConfig(regions=REGION_NAMES[:regions])
         if regions > 1 else None

@@ -39,7 +39,6 @@ from repro.core.multiplex import Multiplex, MultiplexConfig, SecondaryNode
 from repro.engine import Database, DatabaseConfig
 from repro.objectstore.replicated import ReplicationConfig
 from repro.sim.crashpoints import CRASH_POINTS, SimulatedCrash
-from repro.sim.rng import DeterministicRng
 
 PAGE_SIZE = 4096
 PAYLOAD_BYTES = 1024
@@ -779,16 +778,3 @@ def _route_episode(crash_point_name: "Optional[str]", seed: int,
 def explore_all_points(seed: int = 0) -> "List[EpisodeResult]":
     """One episode per registered crash point, in sorted name order."""
     return [run_episode(name, seed=seed) for name in registered_points()]
-
-
-def explore_random(count: int = 10, seed: int = 0) -> "List[EpisodeResult]":
-    """Seeded random schedules: random point, random arming delay."""
-    points = registered_points()
-    rng = DeterministicRng(seed, "crash-explorer")
-    results = []
-    for i in range(count):
-        sub = rng.substream(f"episode/{i}")
-        name = sub.choice(points)
-        skip = sub.randint(0, 2)
-        results.append(run_episode(name, seed=seed + i, arm_skip=skip))
-    return results

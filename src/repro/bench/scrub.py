@@ -57,6 +57,11 @@ def run_scrub_scenario(
         raise ValueError(
             f"regions must be in [1, {len(REGION_NAMES)}]"
         )
+    if damage < 1 or flips < 1:
+        raise ValueError(
+            f"the drill damages at least one object with at least one bit "
+            f"flip, got damage={damage}, flips={flips}"
+        )
     replication = (
         ReplicationConfig(regions=REGION_NAMES[:regions],
                           mean_lag_seconds=0.2, staleness_horizon=5.0)

@@ -133,13 +133,6 @@ class BlockDevice:
             last = max(last, done)
         return results, last
 
-    def read_many(
-        self, starts: "Iterable[int]", window: int = 32
-    ) -> "Dict[int, bytes]":
-        results, done = self.read_many_at(starts, self.clock.now(), window)
-        self.clock.advance_to(done)
-        return results
-
     def write_many(
         self, items: "Iterable[Tuple[int, bytes]]", window: int = 32
     ) -> None:

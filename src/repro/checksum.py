@@ -22,18 +22,9 @@ register bytes it cannot absorb shift out unchanged, as in the byte
 loop.  The table is 1024 × 256 ``uint32`` (1 MiB resident), built once
 at import in a few milliseconds.  Bytes are read as ``uint8`` and
 registers are python ints, so no step depends on the host's byte order.
-
-The module also provides the optional *page trailer* format used by
-``DatabaseConfig.page_checksums``: a sealed page is
-``b"CK1" | crc32c(payload) | payload`` so the integrity of a page image
-survives any storage path (OCM SSD cache, replication) end to end.
-The trailer changes the bytes at rest, so it is a default-off knob
-guarded by the golden byte-identical regression.
 """
 
 from __future__ import annotations
-
-import struct
 
 import numpy as np
 
@@ -94,46 +85,3 @@ def crc32c(data: bytes, value: int = 0) -> int:
 #: The canonical object checksum used across the storage stack.
 checksum = crc32c
 
-
-class ChecksumError(Exception):
-    """A payload failed checksum verification (silent corruption)."""
-
-
-# --------------------------------------------------------------------- #
-# the optional page trailer (DatabaseConfig.page_checksums)
-# --------------------------------------------------------------------- #
-
-PAGE_CHECKSUM_MAGIC = b"CK1"
-_HEADER = struct.Struct(">3sI")
-
-#: Bytes added to every sealed page image.
-PAGE_CHECKSUM_OVERHEAD = _HEADER.size
-
-
-def seal_page(payload: bytes) -> bytes:
-    """Frame ``payload`` with the checksum trailer header."""
-    return _HEADER.pack(PAGE_CHECKSUM_MAGIC, crc32c(payload)) + payload
-
-
-def open_page(sealed: bytes) -> bytes:
-    """Verify and strip a sealed page; raise :class:`ChecksumError`."""
-    if len(sealed) < _HEADER.size:
-        raise ChecksumError(
-            f"sealed page too short: {len(sealed)} bytes"
-        )
-    magic, expected = _HEADER.unpack_from(sealed)
-    if magic != PAGE_CHECKSUM_MAGIC:
-        raise ChecksumError(f"bad page-checksum magic {magic!r}")
-    payload = sealed[_HEADER.size:]
-    actual = crc32c(payload)
-    if actual != expected:
-        raise ChecksumError(
-            f"page checksum mismatch: stored {expected:#010x}, "
-            f"computed {actual:#010x}"
-        )
-    return payload
-
-
-def is_sealed(payload: bytes) -> bool:
-    """Whether a page image carries the checksum trailer header."""
-    return payload[:3] == PAGE_CHECKSUM_MAGIC and len(payload) >= _HEADER.size

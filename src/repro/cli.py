@@ -456,6 +456,11 @@ def cmd_scrub(args: argparse.Namespace) -> int:
         ]))
         for region, name in scrub["quarantined"][:10]:
             print(f"  QUARANTINED [{region}] {name}")
+    if result["corrupt_before"] != result["damaged"]:
+        print(f"scrub: deep fsck counted {result['corrupt_before']} CORRUPT "
+              f"copies before the pass, not the {result['damaged']} damaged",
+              file=sys.stderr)
+        return 1
     scrub_ok = result["scrub"]["ok"]
     if not (scrub_ok and result["corrupt_after"] == 0
             and result["audit_ok_after"]):
@@ -514,16 +519,10 @@ def cmd_dr(args: argparse.Namespace) -> int:
 
 
 def cmd_crashtest(args: argparse.Namespace) -> int:
-    from repro.bench.crash_explorer import (
-        explore_all_points,
-        explore_random,
-        run_episode,
-    )
+    from repro.bench.crash_explorer import explore_all_points, run_episode
 
     if args.point:
         results = [run_episode(args.point, seed=args.seed)]
-    elif args.random:
-        results = explore_random(count=args.random, seed=args.seed)
     else:
         results = explore_all_points(seed=args.seed)
     rows = []
@@ -710,8 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="one episode per registered point (default)")
     crashtest.add_argument("--point", default="",
                            help="run a single named crash point")
-    crashtest.add_argument("--random", type=int, default=0, metavar="N",
-                           help="N seeded random point/schedule episodes")
     crashtest.add_argument("--seed", type=int, default=0)
     return parser
 

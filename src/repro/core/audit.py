@@ -54,19 +54,6 @@ class _MissingPageError(Exception):
         self.locator = locator
 
 
-class _TornPageError(Exception):
-    """A metadata walk read a page whose stored bytes do not decode.
-
-    At-rest rot on a blockmap page surfaces here: decompression,
-    decryption or the page trailer rejects the damaged bytes before the
-    blockmap even sees them.
-    """
-
-    def __init__(self, locator: int) -> None:
-        super().__init__(f"page {locator:#x} does not decode")
-        self.locator = locator
-
-
 class _PeekPageStore:
     """Un-timed, visibility-blind page reads for metadata walks.
 
@@ -82,13 +69,14 @@ class _PeekPageStore:
         self._store = store
 
     def read_page(self, locator: int) -> bytes:
-        raw = self._store.latest_data(self._dbspace.object_name(locator))
+        # A rotted interior slot can hold a block locator: it names no
+        # object, so the page it points at is missing from the store.
+        raw = None
+        if is_object_key(locator):
+            raw = self._store.latest_data(self._dbspace.object_name(locator))
         if raw is None:
             raise _MissingPageError(locator)
-        try:
-            return self._dbspace._open(raw)
-        except Exception as exc:
-            raise _TornPageError(locator) from exc
+        return raw
 
 
 @dataclass
@@ -206,11 +194,11 @@ class StoreAuditor:
     ) -> None:
         """Add every cloud locator reachable from ``catalog`` to ``target``.
 
-        A walk that dies on a missing, undecodable, or structurally
-        nonsensical interior page adds what it can attribute and moves on —
-        the audit must survive the very corruption it is looking for.  (A
-        rotted blockmap page stays *present*, so the classification pass
-        counts it and the deep pass flags it CORRUPT.)
+        A walk that dies on a missing or structurally nonsensical interior
+        page adds what it can attribute and moves on — the audit must
+        survive the very corruption it is looking for.  (A rotted blockmap
+        page stays *present*, so the classification pass counts it and
+        the deep pass flags it CORRUPT.)
         """
         peek = _PeekPageStore(dbspace, dbspace.io.client.store)
         for identity in catalog.all_identities():
@@ -225,8 +213,8 @@ class StoreAuditor:
                 for locator in blockmap.live_locators():
                     if is_object_key(locator):
                         target.add(locator)
-            except (_MissingPageError, _TornPageError) as error:
-                # Both the unreadable page and the root belong to the
+            except _MissingPageError as error:
+                # Both the missing page and the root belong to the
                 # reference set; the classification pass reports whichever
                 # of them the store does not hold as MISSING.
                 target.add(identity.root_locator)

@@ -681,10 +681,3 @@ class ObjectCacheManager(ObjectIO):
         for key, value in self._policy.stats().items():
             snapshot[f"policy_{key}"] = value
         return snapshot
-
-    def hit_rate(self) -> float:
-        stats = self.stats()
-        total = stats["hits"] + stats["misses"]
-        if total == 0:
-            return 0.0
-        return stats["hits"] / total

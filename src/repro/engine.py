@@ -157,19 +157,13 @@ class DatabaseConfig:
     # OCM's FlushForCommit drains a transaction's queued write-backs as
     # such batches (group commit); 1 is one request per page
     coalesce_max_run: int = COALESCE_MAX_RUN
-    # End-to-end integrity (DESIGN.md §15; both off by default so the
-    # stock configuration stays byte-identical to the seed):
-    # - verify_reads: the object client recomputes CRC-32C over every
-    #   served payload against the store's recorded checksum; mismatches
-    #   retry (and read-repair under replication) instead of reaching the
-    #   engine, and the OCM re-verifies SSD cache hits against fill-time
-    #   checksums;
-    # - page_checksums: every sealed page image carries a CRC-32C
-    #   trailer, so corruption is caught even on paths that bypass the
-    #   store's checksum records (changes the bytes at rest — guarded by
-    #   the golden byte-identical regression).
+    # End-to-end integrity (DESIGN.md §15; off by default, because it
+    # costs CPU on the wall clock): the object client recomputes CRC-32C
+    # over every served payload against the store's recorded checksum;
+    # mismatches retry (and read-repair under replication) instead of
+    # reaching the engine, and the OCM re-verifies SSD cache hits against
+    # fill-time checksums
     verify_reads: bool = False
-    page_checksums: bool = False
     # object store behaviour
     consistency: ConsistencyModel = EVENTUAL
     prefix_bits: int = 16
@@ -307,17 +301,14 @@ def build_object_io(
 def build_cloud_dbspace(
     cfg: DatabaseConfig, io: ObjectIO, key_source: KeySource,
 ) -> CloudDbspace:
-    """A node's view of the cloud user dbspace, sealing pages the way
-    ``cfg`` says.
+    """A node's view of the cloud user dbspace.
 
     Like :func:`build_object_io`, the one place every node's view of it is
-    built: pages checksummed by one node must open on every other.
+    built: keys one node names must hash to the same objects on every
+    other.
     """
-    return CloudDbspace(
-        USER_DBSPACE, io, key_source,
-        prefix_bits=cfg.prefix_bits,
-        page_checksums=cfg.page_checksums,
-    )
+    return CloudDbspace(USER_DBSPACE, io, key_source,
+                        prefix_bits=cfg.prefix_bits)
 
 
 class NodeRuntime:

@@ -33,7 +33,7 @@ shared clock to each operation's completion (convenient in tests and examples).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.costs.meter import CostMeter
 from repro.objectstore.consistency import (
@@ -523,17 +523,6 @@ class SimulatedObjectStore:
     # repair surface (scrubber / read-repair / deep audit)
     # ------------------------------------------------------------------ #
 
-    def recorded_checksum(self, key: str) -> "Optional[int]":
-        """Clean checksum of the latest version (``None`` if absent/tombstone)."""
-        versioned = self._objects.get(key)
-        idx = self._latest_version_index(versioned)
-        if idx is None:
-            return None
-        op_time, __, data = versioned._versions[idx]
-        if data is None:
-            return None
-        return self._checksum_for(key, op_time, data)
-
     def verify_at_rest(self, key: str) -> "Optional[bool]":
         """Whether the latest stored bytes match their recorded checksum.
 
@@ -576,6 +565,9 @@ class SimulatedObjectStore:
         injecting damage never perturbs any random stream) and records
         the clean checksum first so the damage is *detectable*.
         """
+        if flips < 1:
+            raise ValueError(
+                f"damage needs at least one bit flip, got {flips}")
         versioned = self._objects.get(key)
         idx = self._latest_version_index(versioned)
         if idx is None:
@@ -613,12 +605,6 @@ class SimulatedObjectStore:
 
     def exists(self, key: str) -> bool:
         return run_and_advance(self.clock, self.exists_at, key)
-
-    def list_keys(self, prefix: str = "") -> "Iterator[str]":
-        now = self.clock.now()
-        for key in sorted(self._objects):
-            if key.startswith(prefix) and self._objects[key].visible_data(now) is not None:
-                yield key
 
     def stored_bytes(self) -> int:
         """Bytes at rest counting the *latest* version of each key."""
@@ -663,10 +649,10 @@ class SimulatedObjectStore:
     def all_keys(self, prefix: str = "") -> "List[str]":
         """Keys whose latest version exists, regardless of visibility.
 
-        The auditor's enumeration primitive: unlike :meth:`list_keys` it
-        must see freshly written objects that eventual consistency still
-        hides, and it charges no virtual time (fsck inspects the store's
-        ground truth, it does not model LIST billing).
+        The auditor's enumeration primitive: it must see freshly written
+        objects that eventual consistency still hides, and it charges no
+        virtual time (fsck inspects the store's ground truth, it does not
+        model LIST billing).
         """
         return [
             key

@@ -23,9 +23,8 @@ recovery pass never re-trips the crash that interrupted it.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from repro.sim.metrics import MetricsRegistry
 
@@ -57,10 +56,6 @@ class CrashPoint:
     fired: int = 0
     # None = disarmed; N = crash on the (N+1)-th traversal from now.
     armed_countdown: "Optional[int]" = None
-
-    @property
-    def armed(self) -> bool:
-        return self.armed_countdown is not None
 
 
 class CrashPointRegistry:
@@ -108,30 +103,10 @@ class CrashPointRegistry:
             self._armed_count += 1
         point.armed_countdown = skip
 
-    def disarm(self, name: str) -> None:
-        point = self.point(name)
-        if point.armed_countdown is not None:
-            point.armed_countdown = None
-            self._armed_count -= 1
-
     def disarm_all(self) -> None:
         for point in self._points.values():
             point.armed_countdown = None
         self._armed_count = 0
-
-    def armed_points(self) -> "List[str]":
-        return sorted(
-            name for name, point in self._points.items() if point.armed
-        )
-
-    @contextmanager
-    def armed(self, name: str, skip: int = 0) -> "Iterator[None]":
-        """Arm ``name`` for the duration of a ``with`` block."""
-        self.arm(name, skip=skip)
-        try:
-            yield
-        finally:
-            self.disarm(name)
 
     # ------------------------------------------------------------------ #
     # traversal
@@ -159,25 +134,6 @@ class CrashPointRegistry:
         self.metrics.counter("crashpoints_fired").increment()
         self.metrics.counter(f"crashpoint_fired:{name}").increment()
         raise SimulatedCrash(name)
-
-    # ------------------------------------------------------------------ #
-    # bookkeeping
-    # ------------------------------------------------------------------ #
-
-    def reset_counts(self) -> None:
-        """Zero hit/fired counters (registrations and arming survive)."""
-        for point in self._points.values():
-            point.hits = 0
-            point.fired = 0
-        self.fired_total = 0
-        self.metrics = MetricsRegistry()
-
-    def snapshot(self) -> "Dict[str, Dict[str, int]]":
-        """Machine-readable traversal/fire counts per point."""
-        return {
-            name: {"hits": point.hits, "fired": point.fired}
-            for name, point in sorted(self._points.items())
-        }
 
 
 #: The process-wide registry every instrumented module reports into.

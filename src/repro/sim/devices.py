@@ -83,11 +83,6 @@ class QueueingDevice:
             return latency
         return latency * self._rng.lognormal(0.0, self.profile.latency_jitter)
 
-    def backlog(self, now: Optional[float] = None) -> float:
-        """Seconds of queued (not yet drained) work on the bandwidth pipe."""
-        when = self._clock.now() if now is None else now
-        return self._bandwidth.backlog(when)
-
     def _submit(self, now: float, nbytes: int, base_latency: float,
                 cost_multiplier: float = 1.0) -> float:
         """Queue one operation; return its virtual completion time."""

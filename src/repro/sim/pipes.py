@@ -52,10 +52,6 @@ class Pipe:
         """Total units of work accepted so far."""
         return self._total_units
 
-    def backlog(self, now: float) -> float:
-        """Seconds of queued work remaining at virtual time ``now``."""
-        return max(0.0, self._next_free - now)
-
     def request(self, now: float, amount: float) -> "tuple[float, float]":
         """Reserve ``amount`` units of service; return ``(start, end)``."""
         if amount < 0:
@@ -112,12 +108,6 @@ class TokenBucket:
                 self._available + (now - self._last_time) * self._rate,
             )
             self._last_time = now
-
-    def available(self, now: float) -> float:
-        """Tokens available at virtual time ``now`` (without consuming)."""
-        if now <= self._last_time:
-            return self._available
-        return min(self._capacity, self._available + (now - self._last_time) * self._rate)
 
     def request(self, now: float, tokens: float = 1.0) -> float:
         """Consume ``tokens``; return the virtual time they become available."""

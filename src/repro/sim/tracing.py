@@ -226,15 +226,6 @@ class Tracer:
             return _NULL_CONTEXT
         return _SpanContext(self, self.begin(name, layer, **attrs))
 
-    def current(self) -> "Optional[Span]":
-        return self._stack[-1] if self._stack else None
-
-    def reset(self) -> None:
-        """Drop all recorded spans and histograms (new trace session)."""
-        self.roots = []
-        self._stack = []
-        self.metrics = MetricsRegistry()
-
     # ------------------------------------------------------------------ #
     # aggregation
     # ------------------------------------------------------------------ #
@@ -251,14 +242,6 @@ class Tracer:
         totals: "Dict[str, float]" = {}
         for span in self.all_spans():
             totals[span.layer] = totals.get(span.layer, 0.0) + span.duration
-        return totals
-
-    def histogram_totals(self) -> "Dict[str, float]":
-        """Summed histogram time per layer — must reconcile with spans."""
-        totals: "Dict[str, float]" = {}
-        for key, histogram in sorted(self.metrics.histograms().items()):
-            layer = key.split("/", 1)[0]
-            totals[layer] = totals.get(layer, 0.0) + histogram.total
         return totals
 
     def cost_totals(self) -> "Dict[str, float]":
@@ -379,17 +362,6 @@ class Tracer:
             )
             self._render_folded(grand, base, depth + 1, max_depth, min_pct,
                                 lines)
-
-
-def overlap_seconds(a: Span, b: Span) -> float:
-    """Virtual seconds during which both spans were in flight.
-
-    Open spans (no end yet) contribute nothing.  Used by pipeline tests
-    to assert that batch N's decode genuinely overlaps batch N+1's I/O.
-    """
-    if a.end is None or b.end is None:
-        return 0.0
-    return max(0.0, min(a.end, b.end) - max(a.start, b.start))
 
 
 def load_chrome_trace(path: str) -> "Dict[str, object]":

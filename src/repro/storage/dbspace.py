@@ -24,7 +24,6 @@ from typing import (
 
 from repro.blockstore.device import BlockDevice
 from repro.blockstore.freelist import Freelist, FreelistError
-from repro.checksum import open_page, seal_page
 from repro.sim.crashpoints import crash_point, register_crash_point
 from repro.storage.keys import hashed_object_name
 from repro.storage.locator import block_range, is_object_key, make_block_locator
@@ -218,9 +217,6 @@ class PageStore(ABC):
     def free_pages(self, locators: "Sequence[int]") -> None:
         """Release pages' storage (GC batches)."""
 
-    def free_page(self, locator: int) -> None:
-        self.free_pages([locator])
-
     @abstractmethod
     def stored_bytes(self) -> int:
         """Bytes at rest on the dbspace (billing)."""
@@ -290,14 +286,7 @@ class BlockDbspace(PageStore):
 
 
 class CloudDbspace(PageStore):
-    """A cloud dbspace: pages are immutable objects named by fresh keys.
-
-    With ``page_checksums``, every page image is framed with a CRC-32C
-    trailer header (:mod:`repro.checksum`) before it enters the I/O path,
-    and verified when it leaves it.  The trailer travels with the page
-    through every path — OCM SSD cache, replication — so damage is caught
-    at unseal even where the store's own checksum records are out of reach.
-    """
+    """A cloud dbspace: pages are immutable objects named by fresh keys."""
 
     def __init__(
         self,
@@ -305,24 +294,16 @@ class CloudDbspace(PageStore):
         io: ObjectIO,
         key_source: KeySource,
         prefix_bits: int = 16,
-        page_checksums: bool = False,
     ) -> None:
         super().__init__(name)
         self.io = io
         self.clock = io.clock
         self.key_source = key_source
         self.prefix_bits = prefix_bits
-        self.page_checksums = page_checksums
 
     @property
     def is_cloud(self) -> bool:
         return True
-
-    def _seal(self, payload: bytes) -> bytes:
-        return seal_page(payload) if self.page_checksums else payload
-
-    def _open(self, payload: bytes) -> bytes:
-        return open_page(payload) if self.page_checksums else payload
 
     def object_name(self, locator: int) -> str:
         if not is_object_key(locator):
@@ -336,8 +317,7 @@ class CloudDbspace(PageStore):
                       ) -> "Tuple[Dict[int, bytes], float]":
         names = {self.object_name(loc): loc for loc in locators}
         raw, done = self.io.get_many_at(list(names), now, scan_hint, wait)
-        pages = {names[name]: self._open(data) for name, data in raw.items()}
-        return pages, done
+        return {names[name]: data for name, data in raw.items()}, done
 
     def write_pages(
         self,
@@ -348,7 +328,7 @@ class CloudDbspace(PageStore):
         keys = [self.key_source.next_key() for __ in payloads]
         crash_point(CP_WRITE_PAGE_BEFORE_PUT)
         items = [
-            (self.object_name(key), self._seal(payload))
+            (self.object_name(key), payload)
             for key, payload in zip(keys, payloads)
         ]
         self.io.put_many(items, txn_id=txn_id, commit_mode=commit_mode)

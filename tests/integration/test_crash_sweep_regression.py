@@ -5,8 +5,8 @@ Four seeded sweeps of the crash explorer, 141 episodes in all:
 - ``all_points``: :func:`explore_all_points` at seed 0 — one episode per
   registered crash point, routed to the churn, multiplex, scale,
   restore, failover or scrub episode that traverses it;
-- ``random``: :func:`explore_random` with 25 schedules at seed 1
-  (random points, random arming delays, per-episode seeds);
+- ``random``: 25 seeded schedules at seed 1 (random points, random
+  arming delays, per-episode seeds), drawn by :func:`random_schedules`;
 - ``paper_io``: every churn point that exists on both I/O paths,
   crashed once more under the ``DatabaseConfig.paper()`` fields;
 - ``broken_gc``: every churn point under the deliberately broken GC,
@@ -30,15 +30,30 @@ import pytest
 from repro.bench.crash_explorer import (
     WRITE_PIPELINE_PREFIXES,
     explore_all_points,
-    explore_random,
     registered_points,
     run_churn_episode,
+    run_episode,
 )
 from repro.engine import PAPER_IO
+from repro.sim.rng import DeterministicRng
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "crash_sweep_golden.json"
 
 SETS = ("all_points", "random", "paper_io", "broken_gc")
+
+
+def random_schedules(count: int, seed: int) -> "list":
+    """Seeded random episodes: a random point, armed after skipping 0-2
+    traversals, each at its own seed."""
+    points = registered_points()
+    rng = DeterministicRng(seed, "crash-explorer")
+    results = []
+    for i in range(count):
+        sub = rng.substream(f"episode/{i}")
+        name = sub.choice(points)
+        skip = sub.randint(0, 2)
+        results.append(run_episode(name, seed=seed + i, arm_skip=skip))
+    return results
 
 
 @functools.lru_cache(maxsize=None)
@@ -53,7 +68,7 @@ def run_sweep(name: str) -> "list":
     if name == "all_points":
         results = explore_all_points(seed=0)
     elif name == "random":
-        results = explore_random(count=25, seed=1)
+        results = random_schedules(count=25, seed=1)
     elif name == "paper_io":
         results = [
             run_churn_episode(point, seed=0, config_overrides=dict(PAPER_IO))

@@ -78,19 +78,18 @@ def test_explicit_fixed_window_reproduces_golden(golden):
 
 
 def test_integrity_knobs_off_reproduce_golden(golden):
-    """Checksumming off — implicitly or spelled out — changes no byte.
+    """Verification off — implicitly or spelled out — changes no byte.
 
     Checksums are *recorded* unconditionally at PUT time (pure
-    computation, no RNG draw, no timed request), but verification and
-    the page trailer are strictly opt-in; with both knobs at their
-    explicit-false defaults the ``paper()`` run must still match the
-    golden digest captured before the integrity machinery existed.
+    computation, no RNG draw, no timed request), but verification is
+    strictly opt-in; with ``verify_reads`` at its explicit-false default
+    the ``paper()`` run must still match the golden digest captured
+    before the integrity machinery existed.
     """
     run = VolumeRun(
         "s3",
         instance_type="m5ad.24xlarge",
         verify_reads=False,
-        page_checksums=False,
     )
     assert _digest(run) == golden
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.configs import load_engine
+from repro.checksum import crc32c
 from repro.columnar.blob import read_blob
 from repro.engine import PAPER_IO
 from repro.tpch.datagen import TpchGenerator
@@ -34,6 +35,14 @@ PROFILES = {"default": {}, "paper": PAPER_IO}
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def recorded_checksum(objects, key: str) -> int:
+    """The CRC-32C the store recorded for ``key``: its bytes verify at
+    rest, so the record is their checksum."""
+    data = objects.latest_data(key)
+    assert objects.verify_at_rest(key) is True, key
+    return crc32c(data)
 
 
 def churn_rows():
@@ -63,7 +72,7 @@ def load_and_append(profile: str) -> dict:
     return {
         "objects": {
             key: [_sha(objects.latest_data(key)),
-                  objects.recorded_checksum(key)]
+                  recorded_checksum(objects, key)]
             for key in objects.all_keys()
         },
         "blobs": blobs,

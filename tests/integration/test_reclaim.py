@@ -182,9 +182,12 @@ def test_restore_outlasts_a_secondarys_in_flight_put():
     txn = writer.begin()
     for page in range(4):
         writer.write_page(txn, "t", page, bytes([65 + page]) * 12000)
-    with pytest.raises(SimulatedCrash) as crash:
-        with CRASH_POINTS.armed("client.put.before_request", skip=3):
+    CRASH_POINTS.arm("client.put.before_request", skip=3)
+    try:
+        with pytest.raises(SimulatedCrash) as crash:
             writer.commit(txn)
+    finally:
+        CRASH_POINTS.disarm_all()
     writer.crash_from(crash.value)
     assert store.write_horizon() > coordinator.clock.now()
     assert store.object_count() > at_snapshot

@@ -74,7 +74,7 @@ def test_query_root_span_matches_measured_time(traced_run):
     roots = [s for s in tracer.roots if s.layer == "query"]
     assert [s.name for s in roots] == ["Q1"]
     assert roots[0].duration == pytest.approx(times[1])
-    assert tracer.current() is None  # nothing left open
+    assert all(span.end is not None for span in tracer.all_spans())
 
 
 def test_span_tree_shows_full_storage_stack(traced_run):
@@ -108,7 +108,10 @@ def test_children_start_no_earlier_than_parent(traced_run):
 def test_layer_totals_reconcile_with_histograms(traced_run):
     __, tracer, __ = traced_run
     span_totals = tracer.layer_totals()
-    hist_totals = tracer.histogram_totals()
+    hist_totals = {}
+    for key, histogram in tracer.metrics.histograms().items():
+        layer = key.split("/", 1)[0]
+        hist_totals[layer] = hist_totals.get(layer, 0.0) + histogram.total
     assert set(span_totals) == set(hist_totals)
     for layer, total in span_totals.items():
         assert total == pytest.approx(hist_totals[layer]), layer

@@ -8,9 +8,10 @@ as under ``DatabaseConfig()`` and ``DatabaseConfig.paper()``).  The OCM
 runs plain and with ``lru_insert_before_upload`` forced uploads.  The
 script covers single
 and batch writes in write-back and write-through mode, FlushForCommit and
-``discard_txn``, a free that cancels a queued upload, ``free_page(s)``
-and ``poll_and_free``, a breaker-open window (degraded queuing, then the
-drain), and the block dbspace's allocate/write/free cycle.
+``discard_txn``, a free that cancels a queued upload, one-page and batched
+``free_pages`` and ``poll_and_free``, a breaker-open window (degraded
+queuing, then the drain), and the block dbspace's allocate/write/free
+cycle.
 
 Per call it pins the completion (clock) time, the locators handed out,
 the error raised if any and a digest of what reads return; at the end
@@ -234,7 +235,7 @@ class _Rig:
             entry["locators"] = [self._label(loc) for loc in locators]
         elif kind == "free":
             for i in ids:
-                dbspace.free_page(self.locators[i])
+                dbspace.free_pages([self.locators[i]])
         elif kind == "free_many":
             dbspace.free_pages([self.locators[i] for i in ids])
         elif kind == "poll":

@@ -109,6 +109,35 @@ def test_a_non_finite_input_is_refused_with_its_reason(argv, message):
         main(argv)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scrub", "--flips", "0"], "at least one bit flip"),
+    (["scrub", "--damage", "0"], "damages at least one object"),
+    (["scrub", "--damage", "-1"], "damages at least one object"),
+    (["chaos", "--pages", "0"], "verifies at least one page"),
+], ids=["scrub-flips", "scrub-damage", "scrub-negative-damage",
+        "chaos-pages"])
+def test_a_drill_that_would_check_nothing_is_refused(argv, message):
+    with pytest.raises(ValueError, match=message):
+        main(argv)
+
+
+def test_scrub_fails_when_fsck_misses_damage(monkeypatch, capsys):
+    """The drill's verdict needs the deep fsck before the pass to have
+    counted every object it damaged."""
+    from repro.bench import scrub
+
+    real = scrub.run_scrub_scenario
+
+    def undercounted(**kwargs):
+        result = real(**kwargs)
+        result["corrupt_before"] -= 1
+        return result
+
+    monkeypatch.setattr(scrub, "run_scrub_scenario", undercounted)
+    assert main(["scrub", "--seed", "0"]) == 1
+    assert "not the 4 damaged" in capsys.readouterr().err
+
+
 def load_json_twice(argv):
     """``repro load --json`` output, checked byte-identical across two
     processes (each with its own hash seed), parsed."""

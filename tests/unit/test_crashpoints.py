@@ -33,7 +33,7 @@ def test_armed_point_fires_once_then_disarms():
     with pytest.raises(SimulatedCrash) as exc:
         reg.hit("step")
     assert exc.value.point == "step"
-    assert not reg.point("step").armed
+    assert reg.point("step").armed_countdown is None
     reg.hit("step")  # no longer armed: must not raise
     assert reg.point("step").fired == 1
     assert reg.fired_total == 1
@@ -74,20 +74,11 @@ def test_disarm_all_clears_every_armed_point():
     reg.register("b")
     reg.arm("a")
     reg.arm("b", skip=5)
-    assert reg.armed_points() == ["a", "b"]
+    assert [reg.point(name).armed_countdown for name in "ab"] == [0, 5]
     reg.disarm_all()
-    assert reg.armed_points() == []
+    assert [reg.point(name).armed_countdown for name in "ab"] == [None, None]
     reg.hit("a")
     reg.hit("b")
-
-
-def test_armed_context_manager_disarms_on_exit():
-    reg = CrashPointRegistry()
-    reg.register("step")
-    with reg.armed("step", skip=10):
-        reg.hit("step")
-        assert reg.point("step").armed
-    assert not reg.point("step").armed
 
 
 def test_fired_metrics_and_snapshot():
@@ -99,18 +90,8 @@ def test_fired_metrics_and_snapshot():
     counters = reg.metrics.snapshot()
     assert counters["crashpoints_fired"] == 1
     assert counters["crashpoint_fired:step"] == 1
-    assert reg.snapshot()["step"] == {"hits": 1, "fired": 1}
-
-
-def test_reset_counts_preserves_registration_and_arming():
-    reg = CrashPointRegistry()
-    reg.register("step")
-    reg.hit("step")
-    reg.arm("step", skip=3)
-    reg.reset_counts()
-    assert reg.point("step").hits == 0
-    assert reg.point("step").armed
-    assert reg.names() == ["step"]
+    point = reg.point("step")
+    assert (point.hits, point.fired) == (1, 1)
 
 
 def test_engine_registers_a_wide_point_inventory():

@@ -50,10 +50,12 @@ def test_iops_pipe_throttles_small_ops():
 
 
 def test_backlog():
-    device = make_device(bandwidth=100.0)
-    device.write(100, now=0.0)
-    assert device.backlog(0.0) == pytest.approx(1.0)
-    assert device.backlog(2.0) == 0.0
+    """An empty read waits out the transfer queued ahead of it, and only
+    while that transfer lasts."""
+    device = make_device(bandwidth=100.0, read_latency=0.01)
+    device.write(100, now=0.0)  # one second of transfer queued
+    assert device.read(0, now=0.0) == pytest.approx(1.0 + 0.01)
+    assert device.read(0, now=2.0) == pytest.approx(2.0 + 0.01)
 
 
 def test_negative_size_rejected():

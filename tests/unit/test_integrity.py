@@ -3,14 +3,7 @@ verified reads, read-repair, and checksum preservation across replicas."""
 
 import pytest
 
-from repro.checksum import (
-    PAGE_CHECKSUM_OVERHEAD,
-    ChecksumError,
-    crc32c,
-    is_sealed,
-    open_page,
-    seal_page,
-)
+from repro.checksum import crc32c
 from repro.objectstore import RetryingObjectClient, STRONG
 from repro.objectstore.client import HedgePolicy, RetryPolicy
 from repro.objectstore.errors import CorruptObjectError
@@ -77,7 +70,7 @@ def make_replicated(regions=("a", "b"), mean_lag=0.1, horizon=5.0, seed=7,
 
 
 # --------------------------------------------------------------------- #
-# the CRC-32C primitive and the page trailer
+# the CRC-32C primitive
 # --------------------------------------------------------------------- #
 
 class TestChecksumPrimitive:
@@ -90,27 +83,6 @@ class TestChecksumPrimitive:
 
     def test_incremental_equals_one_shot(self):
         assert crc32c(b"cloud", crc32c(b"native ")) == crc32c(b"native cloud")
-
-    def test_seal_open_roundtrip(self):
-        payload = b"page bytes" * 40
-        sealed = seal_page(payload)
-        assert len(sealed) == len(payload) + PAGE_CHECKSUM_OVERHEAD
-        assert is_sealed(sealed)
-        assert not is_sealed(payload)
-        assert open_page(sealed) == payload
-
-    def test_open_detects_payload_tamper(self):
-        sealed = bytearray(seal_page(b"x" * 64))
-        sealed[-1] ^= 0x40
-        with pytest.raises(ChecksumError):
-            open_page(bytes(sealed))
-
-    def test_open_detects_truncation_and_bad_magic(self):
-        sealed = seal_page(b"y" * 64)
-        with pytest.raises(ChecksumError):
-            open_page(sealed[:-3])
-        with pytest.raises(ChecksumError):
-            open_page(b"ZZ" + sealed[2:])
 
 
 # --------------------------------------------------------------------- #
@@ -172,8 +144,9 @@ class TestCorruptionEvents:
 class TestStoreIntegrity:
     def test_checksum_recorded_at_put(self):
         store = make_store()
-        store.put_range_at([("k", b"payload")], 0.0)
-        assert store.recorded_checksum("k") == crc32c(b"payload")
+        done = store.put_range_at([("k", b"payload")], 0.0)
+        (data, expected), __ = get_one(store, "k", done)
+        assert data == b"payload" and expected == crc32c(b"payload")
         assert store.verify_at_rest("k") is True
 
     def test_put_window_bitrot_is_silent_but_detectable(self):
@@ -184,10 +157,9 @@ class TestStoreIntegrity:
         # The write "succeeded" — no error — but the stored bytes rotted
         # while the recorded checksum still names the intended payload.
         assert store.verify_at_rest("k") is False
-        assert store.recorded_checksum("k") == crc32c(b"intended bytes")
         (data, expected), __ = get_one(store, "k", done + 11.0)
         assert data != b"intended bytes"
-        assert crc32c(data) != expected
+        assert expected == crc32c(b"intended bytes") != crc32c(data)
 
     def test_get_window_bitrot_is_transient(self):
         schedule = FaultSchedule([BitRot(0.0, 5.0, ops="get",
@@ -225,13 +197,21 @@ class TestStoreIntegrity:
         assert store.inject_damage("k", flips=3)
         assert store.verify_at_rest("k") is False
         assert store.overwrite_latest("k", b"clean bytes")
-        assert store.verify_at_rest("k") is True
         # The repair kept the version's identity: its recorded checksum
         # still matches without any re-PUT having happened.
-        assert store.recorded_checksum("k") == crc32c(b"clean bytes")
+        assert store.verify_at_rest("k") is True
+        assert store.latest_data("k") == b"clean bytes"
 
     def test_inject_damage_missing_key(self):
         assert not make_store().inject_damage("nope")
+
+    @pytest.mark.parametrize("flips", [0, -1])
+    def test_inject_damage_refuses_fewer_than_one_flip(self, flips):
+        store = make_store()
+        store.put_range_at([("k", b"clean bytes")], 0.0)
+        with pytest.raises(ValueError, match="at least one bit flip"):
+            store.inject_damage("k", flips=flips)
+        assert store.verify_at_rest("k") is True
 
     def test_verified_range_get_reports_per_key_checksums(self):
         store = make_store()
@@ -344,7 +324,8 @@ class TestReplicatedIntegrity:
         done = store.put_range_at([("k", b"bytes")], 0.0)
         store.pump(done + 5.0)
         secondary = store.store_for("b")
-        assert secondary.recorded_checksum("k") == crc32c(b"bytes")
+        (data, expected), __ = get_one(secondary, "k", done + 5.0)
+        assert data == b"bytes" and expected == crc32c(b"bytes")
         assert secondary.verify_at_rest("k") is True
 
     def test_repair_from_queued_entry_before_apply(self):

@@ -53,14 +53,8 @@ def test_secondaries_inherit_the_coordinators_io_settings():
         assert node.config is coordinator.config
 
 
-SEALED = pytest.mark.parametrize("sealing", [
-    {"page_checksums": True},
-], ids=["checksummed"])
-
-
-@SEALED
-def test_secondary_opens_what_the_coordinator_sealed(sealing):
-    mx = make_multiplex(**sealing)
+def test_secondary_reads_what_the_coordinator_wrote():
+    mx = make_multiplex()
     coordinator = mx.coordinator
     coordinator.create_object("t")
     txn = coordinator.begin()
@@ -72,9 +66,8 @@ def test_secondary_opens_what_the_coordinator_sealed(sealing):
     reader.rollback(read_txn)
 
 
-@SEALED
-def test_coordinator_opens_what_a_writer_sealed(sealing):
-    mx = make_multiplex(**sealing)
+def test_coordinator_reads_what_a_writer_wrote():
+    mx = make_multiplex()
     coordinator = mx.coordinator
     coordinator.create_object("t")
     writer = mx.node("writer-1")

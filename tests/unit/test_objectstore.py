@@ -141,12 +141,12 @@ class TestSimulatedStore:
         store.put("a/2", b"123")
         assert store.stored_bytes() == 8
 
-    def test_list_keys_visible_only(self):
+    def test_all_keys_skips_deleted_keys(self):
         store = make_store()
         store.put("a/1", b"x")
         store.put("b/2", b"y")
         store.delete("b/2")
-        assert list(store.list_keys()) == ["a/1"]
+        assert store.all_keys() == ["a/1"]
 
 
 def _timed_api(cls):

@@ -241,7 +241,9 @@ def test_hit_rate():
     ocm.get("a/1")
     ocm.get("a/1")
     ocm.get("a/1")
-    assert ocm.hit_rate() == pytest.approx(2 / 3)
+    stats = ocm.stats()
+    hit_rate = stats["hits"] / (stats["hits"] + stats["misses"])
+    assert hit_rate == pytest.approx(2 / 3)
 
 
 def test_capacity_validation():

@@ -6,7 +6,7 @@ from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.columnar.schema import make_row_id
 from repro.engine import PARALLEL_WINDOW
 from repro.sim.rng import DeterministicRng
-from repro.sim.tracing import Tracer, overlap_seconds
+from repro.sim.tracing import Tracer
 from tests.conftest import lists, make_db
 
 
@@ -79,7 +79,7 @@ def test_pipeline_overlap_accounting():
     decodes = [s for s in spans if s.key == "query/decode"]
     assert issues and decodes
     overlap = sum(
-        overlap_seconds(issue, decode)
+        max(0.0, min(issue.end, decode.end) - max(issue.start, decode.start))
         for issue in issues
         for decode in decodes
     )

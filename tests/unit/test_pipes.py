@@ -28,9 +28,10 @@ class TestPipe:
     def test_backlog_reflects_queued_work(self):
         pipe = Pipe(rate=10.0)
         pipe.request(0.0, 30.0)
-        assert pipe.backlog(0.0) == pytest.approx(3.0)
-        assert pipe.backlog(2.0) == pytest.approx(1.0)
-        assert pipe.backlog(10.0) == 0.0
+        # An empty request starts once the queued work has drained.
+        assert pipe.request(0.0, 0.0)[0] == pytest.approx(3.0)
+        assert pipe.request(2.0, 0.0)[0] - 2.0 == pytest.approx(1.0)
+        assert pipe.request(10.0, 0.0)[0] == 10.0
 
     def test_zero_amount_allowed(self):
         pipe = Pipe(rate=10.0)
@@ -73,7 +74,11 @@ class TestTokenBucket:
 
     def test_refill_capped_at_capacity(self):
         bucket = TokenBucket(rate=10.0, capacity=10.0)
-        assert bucket.available(100.0) == pytest.approx(10.0)
+        bucket.request(0.0, 10.0)
+        # 100 seconds refill the bucket to its capacity and no further:
+        # ten tokens are free, the eleventh waits a refill period.
+        assert bucket.request(100.0, 10.0) == 100.0
+        assert bucket.request(100.0, 1.0) == pytest.approx(100.1)
 
     def test_oversized_request_takes_multiple_periods(self):
         bucket = TokenBucket(rate=10.0, capacity=10.0)

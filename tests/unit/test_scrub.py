@@ -132,6 +132,43 @@ class TestDeepAudit:
         assert db.metrics.counter("fsck_deep_runs").value == 1
         assert db.metrics.gauge("fsck_corrupt").value == damaged
 
+    def test_deep_audit_flags_a_rotted_blockmap_page(self):
+        """A bit-flipped blockmap page reaches the walk undecoded: the
+        audit attributes what it can, never raises, and the deep pass
+        names the page CORRUPT."""
+        db = make_db()
+        write_generations(db)
+        catalog = db.catalog
+        root = catalog.current(catalog.object_id("t")).root_locator
+        name = db.user_dbspace.object_name(root)
+        assert db.object_store.inject_damage(name, flips=3)
+        report = StoreAuditor(db).audit(deep=True)
+        assert report.corrupt == [(db.user_dbspace.name, root)]
+        assert not report.ok()
+
+    def test_deep_audit_survives_a_slot_rotted_into_a_block_locator(self):
+        """Rot that sets the top bit of an interior blockmap slot turns an
+        object key into a block locator, which names no object: the walk
+        attributes the root and goes on instead of raising."""
+        db = make_db(page_size=4096)
+        db.create_object("t")
+        txn = db.begin()
+        for page in range(600):  # two leaves: the root is interior
+            db.write_page(txn, "t", page, b"p%d" % page)
+        db.commit(txn)
+        catalog = db.catalog
+        identity = catalog.current(catalog.object_id("t"))
+        assert identity.height == 2
+        name = db.user_dbspace.object_name(identity.root_locator)
+        store = db.object_store
+        rotted = bytearray(store.latest_data(name))
+        rotted[15] ^= 0x80  # past the 15-byte header: the first slot's top bit
+        assert store.overwrite_latest(name, bytes(rotted))
+        report = StoreAuditor(db).audit(deep=True)
+        root = identity.root_locator
+        assert report.corrupt == [(db.user_dbspace.name, root)]
+        assert not report.ok()
+
     def test_deep_audit_clean_after_scrub(self):
         db = make_replicated_db()
         write_generations(db)
@@ -145,18 +182,6 @@ class TestDeepAudit:
 
 
 class TestEngineKnobs:
-    def test_page_checksums_roundtrip(self):
-        db = make_db(page_checksums=True, verify_reads=True)
-        write_generations(db)
-        db.buffer.invalidate_all()
-        if db.ocm is not None:
-            db.ocm.drain_all()
-            db.ocm.invalidate_all()
-        txn = db.begin()
-        for page in range(4):
-            assert db.read_page(txn, "t", page) == b"g1-p%d" % page
-        db.commit(txn)
-
     def test_verified_reads_survive_cold_cache(self):
         db = make_replicated_db()
         write_generations(db)

@@ -173,7 +173,7 @@ class TestBlockDbspace:
         dbspace = make_block()
         locator = dbspace.write_page(b"x" * 5000)
         used = dbspace.freelist.used_blocks
-        dbspace.free_page(locator)
+        dbspace.free_pages([locator])
         assert dbspace.freelist.used_blocks < used
 
     def test_freelist_device_agreement_checked(self):
