@@ -72,18 +72,6 @@ class EpisodeResult:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> "Dict[str, object]":
-        return {
-            "crash_point": self.crash_point,
-            "seed": self.seed,
-            "mode": self.mode,
-            "fired": self.fired,
-            "crashes": self.crashes,
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "audit": self.report.to_dict() if self.report else None,
-        }
-
 
 # Every episode runs the engine as shipped.  These points exist only on
 # its batched write path — a ranged PUT needs a run length above 1 — so

@@ -9,8 +9,9 @@ compression on top.  This module implements the inner layer:
 - **floats**: raw IEEE doubles (page-level zlib still helps);
 - **strings**: a page-local dictionary of distinct values with n-bit codes.
 
-Every encoder returns ``bytes`` and every decoder returns the exact value
-list, so encode/decode is a strict round trip (property-tested).
+Every encoder returns ``bytes`` and :func:`decode_values_np` returns the
+exact values as a numpy vector, so encode/decode is a strict round trip
+(property-tested).
 """
 
 from __future__ import annotations
@@ -152,11 +153,11 @@ def encode_values(kind: str, values: "Sequence[object]") -> bytes:
 def decode_values_np(payload: bytes):
     """Decode a page into a read-only numpy column vector.
 
-    The query executor's decode path (DESIGN.md §14): floats come
+    The one page decoder, for the query executor (DESIGN.md §14) and
+    for the tail page an append rewrites: floats come
     back as a zero-copy big-endian view straight over the page bytes,
     ints as a frame-of-reference bias over a vectorized n-bit unpack,
-    and strings as a fancy-indexed page dictionary.  Values are
-    element-wise identical to :func:`decode_values`; arrays are marked
+    and strings as a fancy-indexed page dictionary.  Arrays are marked
     read-only so a query's decode cache can share them between scans.
     """
     from repro.columnar import vec
@@ -191,31 +192,3 @@ def decode_values_np(payload: bytes):
         raise EncodingError(f"unknown page tag {tag!r}")
     values.setflags(write=False)
     return values
-
-
-def decode_values(payload: bytes) -> "List[object]":
-    """Invert :func:`encode_values` (the tag identifies the kind)."""
-    if len(payload) < _HEADER.size:
-        raise EncodingError("truncated page payload")
-    tag, count = _HEADER.unpack_from(payload)
-    offset = _HEADER.size
-    if tag == INT_TAG:
-        if count == 0:
-            return []
-        lo, width = struct.unpack_from(">qB", payload, offset)
-        offset += struct.calcsize(">qB")
-        deltas = _unpack_nbit(payload[offset:], width, count)
-        return [lo + d for d in deltas]
-    if tag == FLOAT_TAG:
-        return list(struct.unpack_from(f">{count}d", payload, offset))
-    if tag == STR_TAG:
-        dict_len, width = struct.unpack_from(">IB", payload, offset)
-        offset += struct.calcsize(">IB")
-        dictionary_raw = payload[offset:offset + dict_len].decode("utf-8")
-        distinct = dictionary_raw.split("\x00") if dict_len else [""]
-        offset += dict_len
-        if count == 0:
-            return []
-        codes = _unpack_nbit(payload[offset:], width, count)
-        return [distinct[code] for code in codes]
-    raise EncodingError(f"unknown page tag {tag!r}")

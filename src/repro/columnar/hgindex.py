@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import json
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,28 +23,17 @@ class HgIndex:
         self._ranges: Dict[object, List[Tuple[int, int]]] = {}
         self._sorted_values: "Optional[List[object]]" = None
 
-    def add(self, value: object, row_id: int) -> None:
-        ranges = self._ranges.setdefault(value, [])
-        if ranges and ranges[-1][1] + 1 == row_id:
-            ranges[-1] = (ranges[-1][0], row_id)
-        else:
-            ranges.append((row_id, row_id))
-        self._sorted_values = None
-
-    def add_rows(self, values: "Iterable[object]", first_row_id: int) -> None:
-        """Bulk append of consecutive rows starting at ``first_row_id``."""
-        for offset, value in enumerate(values):
-            self.add(value, first_row_id + offset)
-
     @classmethod
     def build(cls, values: "np.ndarray", row_ids: "np.ndarray") -> "HgIndex":
-        """The index :meth:`add` makes of ``values[i]`` at ``row_ids[i]``.
+        """The index of ``values[i]`` at ``row_ids[i]``, for ascending
+        ``row_ids``.
 
-        ``row_ids`` ascend.  A stable argsort groups equal values with
-        their row ids still ascending (an ``object`` vector sorts by
-        python comparisons); a range breaks where the value changes or the
-        row ids stop being consecutive, which is exactly where :meth:`add`
-        opens a new one.  Each value keeps its first occurrence as its key.
+        A stable argsort groups equal values with their row ids still
+        ascending (an ``object`` vector sorts by python comparisons); a
+        range breaks where the value changes or the row ids stop being
+        consecutive, which is exactly where adding the rows one at a time
+        would open a new one.  Each value keeps its first occurrence as
+        its key.
         """
         index = cls()
         if not len(values):
@@ -66,6 +55,22 @@ class HgIndex:
             map(pairs.__getitem__, map(slice, cuts[:-1], cuts[1:])),
         ))
         return index
+
+    def extend(self, values: "np.ndarray", row_ids: "np.ndarray") -> None:
+        """Index ``values[i]`` at ``row_ids[i]``, ids ascending past every
+        id already indexed (an append's rows).
+
+        :meth:`build` indexes the new rows; a value's first new range then
+        joins its last stored range when the row ids run on, as adding the
+        rows one at a time would.
+        """
+        for value, ranges in HgIndex.build(values, row_ids)._ranges.items():
+            stored = self._ranges.setdefault(value, [])
+            if stored and stored[-1][1] + 1 == ranges[0][0]:
+                stored[-1] = (stored[-1][0], ranges[0][1])
+                ranges = ranges[1:]
+            stored.extend(ranges)
+        self._sorted_values = None
 
     def _values(self) -> "List[object]":
         if self._sorted_values is None:

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from contextlib import contextmanager
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.columnar.blob import write_blob
+from repro.columnar.blob import read_blob, write_blob
 from repro.columnar.deletes import RowIdSet
-from repro.columnar.encoding import decode_values, encode_values
+from repro.columnar.encoding import decode_values_np, encode_values
 from repro.columnar.hgindex import HgIndex
 from repro.columnar.schema import (
     SchemaError,
@@ -30,6 +31,7 @@ from repro.columnar.schema import (
 from repro.columnar.vec import to_list
 from repro.columnar.zonemap import ZoneMaps
 from repro.engine import Database
+from repro.sim.crashpoints import SimulatedCrash
 from repro.sim.metrics import MetricsRegistry
 
 # CPU work units per value for load-path operations.
@@ -157,19 +159,40 @@ class ColumnStore:
         count = schema.partition_count
         if count == 1:
             return [], None
-        column = schema.partition_column
-        index = schema.column_names().index(column)  # type: ignore[arg-type]
-        keys = _vector(schema.column(column).kind,  # type: ignore[arg-type]
-                       tuple(map(itemgetter(index), rows)))
+        keys = self._keys(schema, rows)
         ordered = sorted(to_list(keys))
         bounds = [ordered[(i * len(ordered)) // count] for i in range(1, count)]
         self.db.cpu.charge(_ROUTE_OPS * len(rows))
         return bounds, self._partitions_of(keys, bounds)
 
     @staticmethod
-    def _columns(kinds: "Sequence[str]",
+    def _keys(schema: TableSchema,
+              rows: "Sequence[Tuple[object, ...]]") -> "Sequence[object]":
+        """The partition column of ``rows`` (see :func:`_vector`)."""
+        column = schema.partition_column
+        index = schema.column_names().index(column)  # type: ignore[arg-type]
+        return _vector(schema.column(column).kind,  # type: ignore[arg-type]
+                       tuple(map(itemgetter(index), rows)))
+
+    @staticmethod
+    def _split(
+        rows: "List[Tuple[object, ...]]",
+        partition_of: "Optional[np.ndarray]",
+        count: int,
+    ) -> "Iterator[List[Tuple[object, ...]]]":
+        """Each partition's rows in turn, in input order."""
+        if partition_of is None:
+            yield rows
+            return
+        for partition in range(count):
+            yield list(map(rows.__getitem__,
+                           np.flatnonzero(partition_of == partition).tolist()))
+
+    @staticmethod
+    def _columns(schema: TableSchema,
                  rows: "Sequence[Tuple[object, ...]]") -> "List[Sequence[object]]":
         """Transpose ``rows`` into one vector per column (see :func:`_vector`)."""
+        kinds = [schema.column(column).kind for column in schema.column_names()]
         if not rows:
             return [() for __ in kinds]
         columns = list(zip(*rows))
@@ -186,45 +209,119 @@ class ColumnStore:
             return int(values.min()), int(values.max())
         return min(values), max(values)
 
+    def _stage_input(self, rows: "Sequence[Tuple[object, ...]]") -> None:
+        """Reserve the NIC for reading ``rows`` from the S3 staging bucket.
+
+        Input arrives through the same NIC the dbspace uses, so loads are
+        network-visible.  Input streaming overlaps with processing: the
+        clock does not wait for it, but the reservation delays dbspace I/O.
+        """
+        input_bytes = self._input_bytes(rows)
+        if input_bytes:
+            clock = self.db.clock
+            self.metrics.series("input_bytes").record(clock.now(), input_bytes)
+            self.db.nic.request(clock.now(), float(input_bytes))
+
+    @contextmanager
+    def _transaction(self, txn) -> "Iterator[object]":
+        """``txn``, or a fresh transaction committed after the body.
+
+        A fresh transaction is rolled back when the body raises, so a
+        refused load, append or delete keeps no write lock and does not
+        hold back GC.  A :class:`SimulatedCrash` is left to
+        ``crash()``/``restart()``, and an error from the commit itself to
+        the commit protocol.
+        """
+        if txn is not None:
+            yield txn
+            return
+        txn = self.db.begin()
+        try:
+            yield txn
+        except SimulatedCrash:
+            raise
+        except Exception:
+            self.db.rollback(txn)
+            raise
+        self.db.commit(txn)
+
     def _write_partition(
         self,
         txn,
         schema: TableSchema,
         partition: int,
-        rows: "Sequence[Tuple[object, ...]]",
+        columns: "List[Sequence[object]]",
         zonemaps: ZoneMaps,
+        first_page: int = 0,
+        rewritten: int = 0,
     ) -> "Dict[str, Sequence[object]]":
         """Encode and write one partition's pages a column vector at a time.
 
-        Adds the zone maps and charges the CPU per page in the order the
-        page writes interleave with it.  Returns the HG-indexed columns'
-        vectors.
+        Pages start at ``first_page``.  An append whose partition ends in
+        a partial page passes that page and its row count, ``rewritten``:
+        those rows are read back and written again ahead of ``columns``,
+        and their index entries, which exist already, are not charged
+        again.  Sets the zone maps and charges the CPU per page in the
+        order the page writes interleave with it.  Returns the HG-indexed
+        columns' vectors of the rows in ``columns``.
         """
         cpu = self.db.cpu
         names = schema.column_names()
         kinds = [schema.column(column).kind for column in names]
         indexed = schema.indexed_columns()
-        columns = self._columns(kinds, rows)
         handles = [
             self.db.open_for_write(txn, schema.column_object(column, partition))
             for column in names
         ]
+        if rewritten:
+            columns = [
+                _prepend(decode_values_np(
+                    self.db.buffer.get_page(handle, first_page)), values)
+                for handle, values in zip(handles, columns)
+            ]
+        total = len(columns[0])
         per_page = schema.rows_per_page
-        for start in range(0, len(rows), per_page):
-            page_no = start // per_page
-            count = min(per_page, len(rows) - start)
+        for start in range(0, total, per_page):
+            page_no = first_page + start // per_page
+            count = min(per_page, total - start)
+            fresh = count - rewritten if start == 0 else count
             for column, kind, values, handle in zip(names, kinds, columns,
                                                     handles):
                 page = values[start:start + per_page]
                 cpu.charge(_ENCODE_OPS * count)
                 self.db.buffer.write_page(handle, page_no,
                                           encode_values(kind, page))
-                zonemaps.add_page(column, partition,
+                zonemaps.set_page(column, partition, page_no,
                                   *self._page_bounds(page), count)
                 if column in indexed:
-                    cpu.charge(_INDEX_OPS * count)
+                    cpu.charge(_INDEX_OPS * fresh)
         named = dict(zip(names, columns))
-        return {column: named[column] for column in indexed}
+        return {column: named[column][rewritten:] for column in indexed}
+
+    def _write_metadata(
+        self,
+        txn,
+        state: TableState,
+        zonemaps: ZoneMaps,
+        indexes: "Dict[str, HgIndex]",
+        deleted: "Optional[RowIdSet]" = None,
+    ) -> None:
+        """Persist the zone maps, the HG indexes, the tombstones (a load
+        starts an empty set; an append keeps the stored one) and the
+        table state, in that order."""
+        schema = state.schema
+        page_size = self.db.page_config.page_size
+
+        def put(object_name: str, payload: bytes) -> None:
+            handle = self.db.open_for_write(txn, object_name)
+            write_blob(self.db.buffer, handle, payload, page_size)
+
+        put(schema.zonemap_object(), zonemaps.to_bytes())
+        for column, index in indexes.items():
+            put(schema.hg_object(column), index.to_bytes())
+        if deleted is not None:
+            put(schema.deleted_object(), deleted.to_bytes())
+        put(schema.meta_object(), state.to_json())
 
     def load(
         self,
@@ -239,68 +336,40 @@ class ColumnStore:
         """
         schema = self.schema(table)
         materialized = list(rows)
-        own_txn = txn is None
-        if own_txn:
-            txn = self.db.begin()
-        clock = self.db.clock
-        page_size = self.db.page_config.page_size
-        schema = self._fit_rows_per_page(schema, materialized, page_size)
+        with self._transaction(txn) as txn:
+            schema = self._fit_rows_per_page(
+                schema, materialized, self.db.page_config.page_size)
+            self._stage_input(materialized)
+            bounds, partition_of = self._route_rows(schema, materialized)
 
-        # Input arrives from an S3 staging bucket through the same NIC the
-        # dbspace uses; reserve the bandwidth so loads are network-visible.
-        input_bytes = self._input_bytes(materialized)
-        if input_bytes:
-            self.metrics.series("input_bytes").record(clock.now(), input_bytes)
-            __, input_done = self.db.nic.request(clock.now(), float(input_bytes))
-            # Input streaming overlaps with processing: the clock does not
-            # wait for it here, but the NIC reservation delays dbspace I/O.
-
-        bounds, partition_of = self._route_rows(schema, materialized)
-
-        zonemaps = ZoneMaps()
-        # Each HG index is built once, from every partition's values.
-        hg_parts: "Dict[str, List[Sequence[object]]]" = {
-            column: [] for column in schema.indexed_columns()
-        }
-        row_id_parts: "List[np.ndarray]" = []
-        partition_rows: List[int] = []
-        for partition in range(schema.partition_count):
-            part_rows = materialized if partition_of is None else list(map(
-                materialized.__getitem__,
-                np.flatnonzero(partition_of == partition).tolist(),
-            ))
-            partition_rows.append(len(part_rows))
-            row_id_parts.append(
-                make_row_id(partition, 0) + np.arange(len(part_rows)))
-            for column, values in self._write_partition(
-                txn, schema, partition, part_rows, zonemaps
-            ).items():
-                hg_parts[column].append(values)
-        row_ids = np.concatenate(row_id_parts)
-        indexes = {
-            column: HgIndex.build(_concat(parts), row_ids)
-            for column, parts in hg_parts.items()
-        }
-
-        # Persist metadata blobs: zone maps, HG indexes, table state.
-        zm_handle = self.db.open_for_write(txn, schema.zonemap_object())
-        write_blob(self.db.buffer, zm_handle, zonemaps.to_bytes(), page_size)
-        for column, index in indexes.items():
-            hg_handle = self.db.open_for_write(txn, schema.hg_object(column))
-            write_blob(self.db.buffer, hg_handle, index.to_bytes(), page_size)
-        deleted_handle = self.db.open_for_write(txn, schema.deleted_object())
-        write_blob(self.db.buffer, deleted_handle, RowIdSet().to_bytes(),
-                   page_size)
-        state = TableState(
-            schema=schema,
-            partition_rows=partition_rows,
-            partition_bounds=bounds,
-        )
-        meta_handle = self.db.open_for_write(txn, schema.meta_object())
-        write_blob(self.db.buffer, meta_handle, state.to_json(), page_size)
-
-        if own_txn:
-            self.db.commit(txn)
+            zonemaps = ZoneMaps()
+            # Each HG index is built once, from every partition's values.
+            hg_parts: "Dict[str, List[Sequence[object]]]" = {
+                column: [] for column in schema.indexed_columns()
+            }
+            row_id_parts: "List[np.ndarray]" = []
+            partition_rows: List[int] = []
+            for partition, part_rows in enumerate(self._split(
+                    materialized, partition_of, schema.partition_count)):
+                partition_rows.append(len(part_rows))
+                row_id_parts.append(
+                    make_row_id(partition, 0) + np.arange(len(part_rows)))
+                for column, values in self._write_partition(
+                    txn, schema, partition, self._columns(schema, part_rows),
+                    zonemaps,
+                ).items():
+                    hg_parts[column].append(values)
+            row_ids = np.concatenate(row_id_parts)
+            indexes = {
+                column: HgIndex.build(_concat(parts), row_ids)
+                for column, parts in hg_parts.items()
+            }
+            state = TableState(
+                schema=schema,
+                partition_rows=partition_rows,
+                partition_bounds=bounds,
+            )
+            self._write_metadata(txn, state, zonemaps, indexes, RowIdSet())
         return state
 
     # ------------------------------------------------------------------ #
@@ -315,22 +384,16 @@ class ColumnStore:
         rows.  Find row ids through scans (``with_rowids=True``) or through
         any secondary index.
         """
-        from repro.columnar.blob import read_blob
-
         schema = self.schema(table)
-        own_txn = txn is None
-        if own_txn:
-            txn = self.db.begin()
-        handle = self.db.open_for_read(txn, schema.deleted_object())
-        deleted = RowIdSet.from_bytes(read_blob(self.db.buffer, handle))
-        added = deleted.add_many(row_ids)
-        if added:
-            page_size = self.db.page_config.page_size
-            out_handle = self.db.open_for_write(txn, schema.deleted_object())
-            write_blob(self.db.buffer, out_handle, deleted.to_bytes(),
-                       page_size)
-        if own_txn:
-            self.db.commit(txn)
+        with self._transaction(txn) as txn:
+            handle = self.db.open_for_read(txn, schema.deleted_object())
+            deleted = RowIdSet.from_bytes(read_blob(self.db.buffer, handle))
+            added = deleted.add_many(row_ids)
+            if added:
+                out_handle = self.db.open_for_write(txn,
+                                                    schema.deleted_object())
+                write_blob(self.db.buffer, out_handle, deleted.to_bytes(),
+                           self.db.page_config.page_size)
         return added
 
     # ------------------------------------------------------------------ #
@@ -350,116 +413,53 @@ class ColumnStore:
         added; zone maps and every secondary index are extended in place.
         Partition-encoded row ids keep existing index entries stable.
         """
-        from repro.columnar.blob import read_blob
-
         new_rows = list(rows)
-        own_txn = txn is None
-        if own_txn:
-            txn = self.db.begin()
-        cpu = self.db.cpu
-        page_size = self.db.page_config.page_size
+        with self._transaction(txn) as txn:
 
-        def load_blob(object_name: str):
-            handle = self.db.open_for_read(txn, object_name)
-            return read_blob(self.db.buffer, handle)
+            def load_blob(object_name: str) -> bytes:
+                handle = self.db.open_for_read(txn, object_name)
+                return read_blob(self.db.buffer, handle)
 
-        state = TableState.from_json(load_blob(f"{table}/__meta"))
-        schema = state.schema  # carries the effective rows_per_page
-        per_page = schema.rows_per_page
-        column_names = schema.column_names()
-        if new_rows:
-            input_bytes = self._input_bytes(new_rows)
-            self.metrics.series("input_bytes").record(
-                self.db.clock.now(), input_bytes
-            )
-            self.db.nic.request(self.db.clock.now(), float(input_bytes))
-
-        zonemaps = ZoneMaps.from_bytes(load_blob(schema.zonemap_object()))
-        indexes = {
-            column: HgIndex.from_bytes(load_blob(schema.hg_object(column)))
-            for column in schema.indexed_columns()
-        }
-
-        # Route with the frozen bounds from the original load.
-        per_partition: "Dict[int, List[Tuple[object, ...]]]" = {}
-        if schema.partition_count == 1:
-            per_partition[0] = new_rows
-        else:
-            key_index = column_names.index(schema.partition_column)  # type: ignore[arg-type]
-            cpu.charge(_ROUTE_OPS * len(new_rows))
-            partition_ids = self._partitions_of(
-                [row[key_index] for row in new_rows], state.partition_bounds
-            ).tolist()
-            for row, partition in zip(new_rows, partition_ids):
-                per_partition.setdefault(partition, []).append(row)
-
-        for partition, part_rows in sorted(per_partition.items()):
-            if not part_rows:
-                continue
-            existing = state.partition_rows[partition]
-            handles = {
-                column: self.db.open_for_write(
-                    txn, schema.column_object(column, partition)
-                )
-                for column in column_names
+            state = TableState.from_json(load_blob(f"{table}/__meta"))
+            schema = state.schema  # carries the effective rows_per_page
+            self._stage_input(new_rows)
+            zonemaps = ZoneMaps.from_bytes(load_blob(schema.zonemap_object()))
+            indexes = {
+                column: HgIndex.from_bytes(load_blob(schema.hg_object(column)))
+                for column in schema.indexed_columns()
             }
-            # Merge into the last partial page, then write whole new pages.
-            tail_rows: "List[Tuple[object, ...]]" = []
-            tail_page = existing // per_page
-            tail_offset = existing % per_page
-            if tail_offset:
-                decoded = {
-                    column: decode_values(
-                        self.db.buffer.get_page(handles[column], tail_page)
-                    )
-                    for column in column_names
-                }
-                tail_rows = list(
-                    zip(*(decoded[column] for column in column_names))
-                )
-            combined = tail_rows + part_rows
-            for index_offset in range(0, len(combined), per_page):
-                chunk = combined[index_offset:index_offset + per_page]
-                page_no = tail_page + index_offset // per_page
-                base_row = make_row_id(partition, page_no * per_page)
-                for col_index, column in enumerate(column_names):
-                    values = [row[col_index] for row in chunk]
-                    cpu.charge(_ENCODE_OPS * len(values))
-                    payload = encode_values(schema.column(column).kind, values)
-                    if len(payload) > page_size:
-                        raise SchemaError(
-                            f"appended page for {column!r} exceeds the page "
-                            "size; append smaller batches"
-                        )
-                    self.db.buffer.write_page(handles[column], page_no, payload)
-                    zonemaps.replace_page(
-                        column, partition, page_no,
-                        min(values), max(values), len(values),
-                    )
-                    # Indexes: only the genuinely new rows get entries (the
-                    # rewritten tail rows already have them).
-                    fresh_start = tail_offset if index_offset == 0 else 0
-                    fresh_values = values[fresh_start:]
-                    fresh_base = base_row + fresh_start
-                    if column in indexes and fresh_values:
-                        cpu.charge(_INDEX_OPS * len(fresh_values))
-                        indexes[column].add_rows(fresh_values, fresh_base)
-            state.partition_rows[partition] = existing + len(part_rows)
 
-        # Rewrite metadata blobs.
-        buffer = self.db.buffer
-        zm_handle = self.db.open_for_write(txn, schema.zonemap_object())
-        write_blob(buffer, zm_handle, zonemaps.to_bytes(), page_size)
-        for column, index in indexes.items():
-            handle = self.db.open_for_write(txn, schema.hg_object(column))
-            write_blob(buffer, handle, index.to_bytes(), page_size)
-        meta_handle = self.db.open_for_write(txn, schema.meta_object())
-        write_blob(buffer, meta_handle, state.to_json(), page_size)
+            # Route with the frozen bounds from the original load.
+            partition_of = None
+            if schema.partition_count > 1:
+                self.db.cpu.charge(_ROUTE_OPS * len(new_rows))
+                partition_of = self._partitions_of(
+                    self._keys(schema, new_rows), state.partition_bounds)
 
-        if own_txn:
-            self.db.commit(txn)
+            per_page = schema.rows_per_page
+            fresh: "Dict[str, List[Sequence[object]]]" = {
+                column: [] for column in indexes
+            }
+            row_id_parts: "List[np.ndarray]" = []
+            for partition, part_rows in enumerate(self._split(
+                    new_rows, partition_of, schema.partition_count)):
+                if not part_rows:
+                    continue
+                existing = state.partition_rows[partition]
+                for column, values in self._write_partition(
+                    txn, schema, partition, self._columns(schema, part_rows),
+                    zonemaps, existing // per_page, existing % per_page,
+                ).items():
+                    fresh[column].append(values)
+                row_id_parts.append(
+                    make_row_id(partition, existing) + np.arange(len(part_rows)))
+                state.partition_rows[partition] = existing + len(part_rows)
+            if row_id_parts:
+                row_ids = np.concatenate(row_id_parts)
+                for column, index in indexes.items():
+                    index.extend(_concat(fresh[column]), row_ids)
+            self._write_metadata(txn, state, zonemaps, indexes)
         return state
-
 
 def _vector(kind: str, values: "Sequence[object]") -> "Sequence[object]":
     """One column's values in the form the load encodes from.
@@ -476,6 +476,14 @@ def _vector(kind: str, values: "Sequence[object]") -> "Sequence[object]":
         except (TypeError, OverflowError):
             pass
     return values
+
+
+def _prepend(tail: "np.ndarray",
+             values: "Sequence[object]") -> "Sequence[object]":
+    """A decoded tail page ahead of new values, in :func:`_vector`'s form."""
+    if isinstance(values, np.ndarray):
+        return np.concatenate((tail, values))
+    return to_list(tail) + list(values)
 
 
 def _concat(parts: "List[Sequence[object]]") -> "np.ndarray":

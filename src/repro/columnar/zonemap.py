@@ -18,20 +18,18 @@ class ZoneMaps:
         # (column, partition) -> list over pages of (min, max, rows)
         self._zones: Dict[Tuple[str, int], List[Tuple[object, object, int]]] = {}
 
-    def add_page(self, column: str, partition: int,
+    def set_page(self, column: str, partition: int, page_no: int,
                  lo: object, hi: object, rows: int) -> None:
-        self._zones.setdefault((column, partition), []).append((lo, hi, rows))
+        """Set the entry of a stored page (an append's rewritten tail) or
+        add the entry of the next one."""
+        zones = self._zones.setdefault((column, partition), [])
+        if page_no == len(zones):
+            zones.append((lo, hi, rows))
+        else:
+            zones[page_no] = (lo, hi, rows)
 
     def pages(self, column: str, partition: int) -> "List[Tuple[object, object, int]]":
         return list(self._zones.get((column, partition), ()))
-
-    def replace_page(self, column: str, partition: int, page_no: int,
-                     lo: object, hi: object, rows: int) -> None:
-        """Set (or extend to) the zone entry of one page — append path."""
-        zones = self._zones.setdefault((column, partition), [])
-        while len(zones) <= page_no:
-            zones.append((None, None, 0))
-        zones[page_no] = (lo, hi, rows)
 
     def prune(
         self,

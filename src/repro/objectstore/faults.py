@@ -28,7 +28,7 @@ coordinator kept it" or "us-east-1 went away" is one event.
 against the region fails while it is active, and the replication pump
 defers queued applies into the region until it lifts.
 
-Beyond availability faults, three *silent corruption* events model the
+Beyond availability faults, two *silent corruption* events model the
 failure mode checksums exist for — requests **succeed**, but the bytes
 are wrong:
 
@@ -36,9 +36,7 @@ are wrong:
   flips with probability ``probability`` (damage during a ``put`` window
   persists at rest; during a ``get`` window it is transient);
 - :class:`TruncatedObject` — matching payloads are cut to a
-  substream-drawn prefix (a torn read / partial object);
-- :class:`StaleRead` — a ``get`` is served an *older* version's bytes
-  while the store still advertises the current version's checksum.
+  substream-drawn prefix (a torn read / partial object).
 
 Overlapping events compose: any active outage wins, error-storm
 probabilities combine to the maximum, latency multipliers multiply,
@@ -207,16 +205,6 @@ class TruncatedObject(CorruptionEvent):
 
 
 @dataclass(frozen=True)
-class StaleRead(CorruptionEvent):
-    """Serve a previous version's bytes for the current version.
-
-    Only meaningful on reads; the store pairs the stale bytes with the
-    *visible* version's checksum, so a verified reader detects the
-    mismatch while an unverified one silently consumes old data.
-    """
-
-
-@dataclass(frozen=True)
 class FaultDecision:
     """What the schedule prescribes for one request at one virtual time."""
 
@@ -227,7 +215,6 @@ class FaultDecision:
     bitrot_probability: float = 0.0
     bitrot_flips: int = 0
     truncate_probability: float = 0.0
-    stale_probability: float = 0.0
 
     @property
     def corrupting(self) -> bool:
@@ -235,7 +222,6 @@ class FaultDecision:
         return (
             self.bitrot_probability > 0.0
             or self.truncate_probability > 0.0
-            or self.stale_probability > 0.0
         )
 
     @property
@@ -312,7 +298,7 @@ class FaultSchedule:
         True when any corruption event covers ``put``: the damage it
         stores persists past :attr:`horizon` until read-repair or a
         scrubber pass heals it.  Purely read-side corruption
-        (``ops="get"`` windows, :class:`StaleRead`) is transient.
+        (``ops="get"`` windows) is transient.
         """
         return any(
             isinstance(event, (BitRot, TruncatedObject))
@@ -330,7 +316,6 @@ class FaultSchedule:
         bitrot = 0.0
         flips = 0
         truncate = 0.0
-        stale = 0.0
         for event in self._events:
             if not event.matches(op, key, node, now, region):
                 continue
@@ -347,16 +332,13 @@ class FaultSchedule:
                 flips = max(flips, event.flips)
             elif isinstance(event, TruncatedObject):
                 truncate = max(truncate, event.probability)
-            elif isinstance(event, StaleRead):
-                stale = max(stale, event.probability)
         if (
             not outage and probability == 0.0 and multiplier == 1.0
             and throttle == 1.0 and bitrot == 0.0 and truncate == 0.0
-            and stale == 0.0
         ):
             return NO_FAULT
         return FaultDecision(outage, probability, multiplier, throttle,
-                             bitrot, flips, truncate, stale)
+                             bitrot, flips, truncate)
 
     def __repr__(self) -> str:
         return f"FaultSchedule({self.name!r}, events={len(self._events)})"

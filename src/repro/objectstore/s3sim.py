@@ -281,19 +281,10 @@ class SimulatedObjectStore:
             self.metrics.counter("fault_corrupted_puts").increment()
         return damaged
 
-    def _corrupt_served(self, versioned: VersionedObject, op_time: float,
-                        data: bytes, fault: FaultDecision) -> bytes:
+    def _corrupt_served(self, data: bytes, fault: FaultDecision) -> bytes:
         """Transient read-side damage: the at-rest bytes stay intact, so
         a (verified) retry of the same GET can come back clean."""
         rng = self._corruption_rng
-        if (
-            fault.stale_probability > 0.0
-            and rng.random() < fault.stale_probability
-        ):
-            stale = self._stale_predecessor(versioned, op_time)
-            if stale is not None:
-                self.metrics.counter("fault_stale_reads_served").increment()
-                return stale
         if (
             fault.truncate_probability > 0.0 and len(data) > 1
             and rng.random() < fault.truncate_probability
@@ -307,17 +298,6 @@ class SimulatedObjectStore:
             self.metrics.counter("fault_bitrot_reads").increment()
             return self._flip_bits(data, fault.bitrot_flips)
         return data
-
-    @staticmethod
-    def _stale_predecessor(versioned: VersionedObject,
-                           op_time: float) -> "Optional[bytes]":
-        """The newest non-tombstone version strictly older than ``op_time``."""
-        best: "Optional[Tuple[float, float, Optional[bytes]]]" = None
-        for version in versioned._versions:
-            if version[0] < op_time and version[2] is not None:
-                if best is None or version[0] > best[0]:
-                    best = version
-        return best[2] if best is not None else None
 
     def _trace_request(self, op: str, key: str, start: float, end: float,
                        nbytes: int = 0, fault: "Optional[str]" = None,
@@ -482,7 +462,7 @@ class SimulatedObjectStore:
                 self.metrics.counter("stale_reads").increment()
             expected = self._checksum_for(key, version[0], data)
             if fault.corrupting:
-                data = self._corrupt_served(versioned, version[0], data, fault)
+                data = self._corrupt_served(data, fault)
             results[key] = (data, expected)
             served += 1
             total += len(data)

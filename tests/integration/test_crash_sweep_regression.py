@@ -12,7 +12,7 @@ Four seeded sweeps of the crash explorer, 141 episodes in all:
 - ``broken_gc``: every churn point under the deliberately broken GC,
   where the auditor must flag leaks.
 
-Each episode's ``EpisodeResult.to_dict()`` is pinned: crash point, seed,
+Each episode's :func:`episode_dict` is pinned: crash point, seed,
 mode, firings, crashes, the verdict and the full audit report.  Any
 change in routing, in how an episode recovers, or in what it verifies
 moves the golden.
@@ -40,6 +40,20 @@ from repro.sim.rng import DeterministicRng
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "crash_sweep_golden.json"
 
 SETS = ("all_points", "random", "paper_io", "broken_gc")
+
+
+def episode_dict(result) -> dict:
+    """An :class:`EpisodeResult` as the golden stores it."""
+    return {
+        "crash_point": result.crash_point,
+        "seed": result.seed,
+        "mode": result.mode,
+        "fired": result.fired,
+        "crashes": result.crashes,
+        "ok": result.ok,
+        "violations": list(result.violations),
+        "audit": result.report.to_dict() if result.report else None,
+    }
 
 
 def random_schedules(count: int, seed: int) -> "list":
@@ -80,7 +94,7 @@ def run_sweep(name: str) -> "list":
             run_churn_episode(point, seed=0, broken_gc=True)
             for point in _churn_points()
         ]
-    return [result.to_dict() for result in results]
+    return [episode_dict(result) for result in results]
 
 
 @pytest.fixture(scope="module")

@@ -17,10 +17,10 @@ from repro.columnar.encoding import (
     EncodingError,
     _pack_nbit,
     _unpack_nbit,
-    decode_values,
     decode_values_np,
     encode_values,
 )
+from tests.reference_columnar import decode_values
 
 ints = st.lists(
     st.integers(min_value=-(2 ** 47), max_value=2 ** 47 - 1), max_size=300

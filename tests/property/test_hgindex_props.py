@@ -1,10 +1,12 @@
-"""Property tests: the one-pass HG-index build equals the incremental one.
+"""Property tests: the one-pass HG-index build and extend equal the
+row-at-a-time insert.
 
 A bulk load builds each HG index once from the column's values and row
-ids (``HgIndex.build``); an append extends the stored index with
-``add_rows``.  Both must leave byte-identical ``to_bytes()``, including
-when equal values recur in several partitions, whose row ids are not
-consecutive across the partition boundary.
+ids (``HgIndex.build``); an append extends the stored index with the new
+rows (``HgIndex.extend``).  Both must leave the ``to_bytes()`` that
+adding the rows one at a time (``tests/reference_columnar.py``) leaves,
+including when equal values recur in several partitions, whose row ids
+are not consecutive across the partition boundary.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.columnar.hgindex import HgIndex
 from repro.columnar.schema import make_row_id
+from tests.reference_columnar import add_rows
 
 partitions = st.lists(
     st.lists(st.integers(0, 6), max_size=40), min_size=1, max_size=4
@@ -24,8 +27,8 @@ def _both_ways(parts, page):
     values, row_ids = [], []
     for partition, part in enumerate(parts):
         for start in range(0, len(part), page):
-            incremental.add_rows(part[start:start + page],
-                                 make_row_id(partition, start))
+            add_rows(incremental, part[start:start + page],
+                     make_row_id(partition, start))
         values.extend(part)
         row_ids.extend(make_row_id(partition, i) for i in range(len(part)))
     return incremental, values, np.array(row_ids, dtype=np.int64)
@@ -63,14 +66,54 @@ def test_a_value_in_every_partition_keeps_one_range_per_partition():
 
 
 def test_rows_that_run_across_a_boundary_merge_into_one_range():
-    """``add`` merges any consecutive row ids; so does the bulk build."""
+    """``add`` merges any consecutive row ids; so do build and extend."""
     values = np.array([5, 5, 5, 5])
     row_ids = np.array([7, 8, 9, 10])
     incremental = HgIndex()
-    incremental.add_rows([5, 5], 7)
-    incremental.add_rows([5, 5], 9)
-    assert HgIndex.build(values, row_ids).row_ranges(5) == [(7, 10)]
-    assert HgIndex.build(values, row_ids).to_bytes() == incremental.to_bytes()
+    add_rows(incremental, [5, 5], 7)
+    add_rows(incremental, [5, 5], 9)
+    extended = HgIndex.build(values[:2], row_ids[:2])
+    extended.extend(values[2:], row_ids[2:])
+    for index in (HgIndex.build(values, row_ids), extended):
+        assert index.row_ranges(5) == [(7, 10)]
+        assert index.to_bytes() == incremental.to_bytes()
+
+
+def _column(values, as_objects):
+    if not as_objects:
+        return np.array(values, dtype=np.int64)
+    column = np.empty(len(values), dtype=object)
+    column[:] = values
+    return column
+
+
+@settings(max_examples=150, deadline=None)
+@given(partitions, st.lists(partitions, max_size=3), st.booleans(),
+       st.integers(1, 16))
+def test_extend_equals_incremental_adds(base, appends, as_text, page):
+    """Each append grows every partition past its last row id; ``extend``
+    of all its rows leaves what adding them one at a time leaves."""
+    width = max([len(base)] + [len(batch) for batch in appends])
+    if as_text:
+        base = [[f"v{value}" for value in part] for part in base]
+        appends = [[[f"v{value}" for value in part] for part in batch]
+                   for batch in appends]
+    incremental, values, row_ids = _both_ways(base, page)
+    extended = HgIndex.build(_column(values, True), row_ids)
+    rows = [len(part) for part in base] + [0] * (width - len(base))
+    for batch in appends:
+        values, ids = [], []
+        for partition, part in enumerate(batch):
+            first = make_row_id(partition, rows[partition])
+            add_rows(incremental, part, first)
+            values.extend(part)
+            ids.extend(range(first, first + len(part)))
+            rows[partition] += len(part)
+        if ids:
+            extended.extend(_column(values, as_text),
+                            np.array(ids, dtype=np.int64))
+        assert extended.to_bytes() == incremental.to_bytes()
+        assert extended.distinct_count == incremental.distinct_count
 
 
 def test_empty_build():

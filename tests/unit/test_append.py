@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
+from repro.columnar.encoding import EncodingError
+from repro.core.buffer import BufferError
 from repro.tpch.dates import d
 from tests.conftest import make_db
 
@@ -150,3 +152,43 @@ def test_append_routes_a_key_equal_to_a_bound_right(loaded):
     state = store.append("events", make_new_rows(bound, 1))
     assert state.partition_rows == [before.partition_rows[0],
                                     before.partition_rows[1] + 1]
+
+
+# --------------------------------------------------------------------- #
+# a refused write rolls back the transaction it opened
+# --------------------------------------------------------------------- #
+
+def test_oversized_append_leaves_no_transaction_and_no_lock(loaded):
+    db, store, base_rows = loaded
+    wide = [(i, d(1995, 1, 1), "x" * 400 + str(i), 0.0)
+            for i in range(501, 629)]
+    with pytest.raises(BufferError, match="exceeds page size"):
+        store.append("events", wide)
+    assert db.txn_manager.active_transactions() == []
+    assert store.append("events", make_new_rows(501, 10)).total_rows == 510
+    assert store.load("events", base_rows).total_rows == 500
+
+
+def test_refused_load_leaves_no_transaction_and_gc_runs(loaded):
+    db, store, __ = loaded
+    store.create_table(TableSchema(
+        "wide", (ColumnSchema("v", "int"),), rows_per_page=8))
+    with pytest.raises(EncodingError):
+        store.load("wide", [(1 << 63,)])
+    assert db.txn_manager.active_transactions() == []
+    for value in range(5):
+        store.load("wide", [(value,)])
+    # Nothing holds back the GC horizon: every replaced page is freed.
+    assert db.txn_manager.chain_length() == 0
+    with QueryContext(db) as ctx:
+        assert ctx.read("wide", ["v"])["v"].tolist() == [4]
+
+
+def test_refused_delete_leaves_no_transaction(loaded):
+    db, store, __ = loaded
+    with pytest.raises(ValueError):
+        store.delete_rows("events", ["not a row id"])
+    assert db.txn_manager.active_transactions() == []
+    with QueryContext(db) as ctx:
+        row_ids = ctx.read("events", ["id"], with_rowids=True)["__rowid"]
+    assert store.delete_rows("events", row_ids[:3]) == 3

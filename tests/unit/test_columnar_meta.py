@@ -1,5 +1,6 @@
 """Unit tests for schemas, zone maps, HG indexes and blob storage."""
 
+import numpy as np
 import pytest
 
 from repro.columnar.blob import read_blob, write_blob
@@ -81,69 +82,79 @@ class TestSchema:
 class TestZoneMaps:
     def test_prune_by_range(self):
         maps = ZoneMaps()
-        maps.add_page("c", 0, 0, 9, 10)
-        maps.add_page("c", 0, 10, 19, 10)
-        maps.add_page("c", 0, 20, 29, 10)
+        maps.set_page("c", 0, 0, 0, 9, 10)
+        maps.set_page("c", 0, 1, 10, 19, 10)
+        maps.set_page("c", 0, 2, 20, 29, 10)
         assert maps.prune("c", 0, 12, 15) == [1]
         assert maps.prune("c", 0, 5, 25) == [0, 1, 2]
         assert maps.prune("c", 0, 100, 200) == []
 
     def test_open_bounds(self):
         maps = ZoneMaps()
-        maps.add_page("c", 0, 0, 9, 10)
-        maps.add_page("c", 0, 10, 19, 10)
+        maps.set_page("c", 0, 0, 0, 9, 10)
+        maps.set_page("c", 0, 1, 10, 19, 10)
         assert maps.prune("c", 0, None, 9) == [0]
         assert maps.prune("c", 0, 10, None) == [1]
         assert maps.prune("c", 0, None, None) == [0, 1]
 
     def test_string_zones(self):
         maps = ZoneMaps()
-        maps.add_page("s", 0, "apple", "mango", 5)
-        maps.add_page("s", 0, "nectarine", "zucchini", 5)
+        maps.set_page("s", 0, 0, "apple", "mango", 5)
+        maps.set_page("s", 0, 1, "nectarine", "zucchini", 5)
         assert maps.prune("s", 0, "banana", "cherry") == [0]
 
     def test_partitions_independent(self):
         maps = ZoneMaps()
-        maps.add_page("c", 0, 0, 9, 10)
-        maps.add_page("c", 1, 100, 109, 10)
+        maps.set_page("c", 0, 0, 0, 9, 10)
+        maps.set_page("c", 1, 0, 100, 109, 10)
         assert maps.prune("c", 1, 105, 106) == [0]
 
     def test_serialization_roundtrip(self):
         maps = ZoneMaps()
-        maps.add_page("c", 0, 1, 2, 3)
-        maps.add_page("s", 1, "a", "b", 4)
+        maps.set_page("c", 0, 0, 1, 2, 3)
+        maps.set_page("s", 1, 0, "a", "b", 4)
         restored = ZoneMaps.from_bytes(maps.to_bytes())
         assert restored.pages("c", 0) == [(1, 2, 3)]
         assert restored.pages("s", 1) == [("a", "b", 4)]
 
+    def test_set_page_replaces_a_stored_page_or_adds_the_next(self):
+        maps = ZoneMaps()
+        maps.set_page("c", 0, 0, 0, 9, 10)
+        maps.set_page("c", 0, 1, 10, 14, 5)
+        maps.set_page("c", 0, 1, 10, 19, 10)
+        assert maps.pages("c", 0) == [(0, 9, 10), (10, 19, 10)]
+        with pytest.raises(IndexError):
+            maps.set_page("c", 0, 3, 30, 39, 10)
+
+
+def build(values, first_row_id):
+    """The HG index of consecutive rows starting at ``first_row_id``."""
+    return HgIndex.build(np.array(values),
+                         first_row_id + np.arange(len(values)))
+
 
 class TestHgIndex:
     def test_point_lookup(self):
-        index = HgIndex()
-        index.add_rows([5, 7, 5, 9, 5], first_row_id=100)
+        index = build([5, 7, 5, 9, 5], first_row_id=100)
         assert index.lookup(5) == [100, 102, 104]
         assert index.lookup(999) == []
 
     def test_range_compression_of_consecutive_rows(self):
-        index = HgIndex()
-        index.add_rows([1] * 100, first_row_id=0)
+        index = build([1] * 100, first_row_id=0)
         assert index.row_ranges(1) == [(0, 99)]
 
     def test_range_lookup(self):
-        index = HgIndex()
-        index.add_rows([10, 20, 30, 40], first_row_id=0)
+        index = build([10, 20, 30, 40], first_row_id=0)
         assert index.lookup_range(15, 35) == [1, 2]
         assert index.lookup_range(None, 10) == [0]
         assert index.lookup_range(40, None) == [3]
 
     def test_distinct_count(self):
-        index = HgIndex()
-        index.add_rows([1, 2, 1, 3], first_row_id=0)
+        index = build([1, 2, 1, 3], first_row_id=0)
         assert index.distinct_count == 3
 
     def test_serialization_roundtrip(self):
-        index = HgIndex()
-        index.add_rows(["x", "y", "x"], first_row_id=10)
+        index = build(["x", "y", "x"], first_row_id=10)
         restored = HgIndex.from_bytes(index.to_bytes())
         assert restored.lookup("x") == [10, 12]
         assert restored.lookup_range("x", "y") == [10, 11, 12]

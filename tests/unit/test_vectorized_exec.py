@@ -20,13 +20,13 @@ from repro.columnar import query, vec
 from repro.columnar.deletes import RowIdSet
 from repro.columnar.encoding import (
     _unpack_nbit,
-    decode_values,
     decode_values_np,
     encode_values,
 )
 from repro.sim.clock import VirtualClock
 from repro.sim.cpu import CpuModel
 from tests import scalar_kernel as oracle
+from tests.reference_columnar import decode_values
 from tests.conftest import lists
 
 
