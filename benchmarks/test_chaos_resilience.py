@@ -62,8 +62,11 @@ def test_breaker_cycles_at_scripted_boundaries(storm):
     assert snap["breaker_opened"] == len(opens)
     assert snap["breaker_closed"] == len(closes)
     assert snap["breaker_fast_failures"] > 0
-    # The run ends recovered: the last recorded state is closed.
-    assert transitions[-1][1] == CLOSED
+    # The run ends recovered: the breaker's final state is closed.  (The
+    # series is sorted by time, and a windowed request notes its outcome
+    # at its own completion, so its last sample need not be the final
+    # transition.)
+    assert snap["breaker_state"] == CLOSED
 
 
 def test_degraded_ocm_served_cached_reads_during_outage(storm):

@@ -61,15 +61,25 @@ def test_tpch_under_bitrot_storm_returns_correct_results(
     bytes reach the executor.
     """
     db = _tpch_db(
-        fault_schedule=bitrot_schedule(start=2.0, duration=60.0,
+        fault_schedule=bitrot_schedule(start=0.0, duration=60.0,
                                        probability=0.3, flips=2),
         replication=ReplicationConfig(regions=REGIONS,
                                       mean_lag_seconds=0.1,
                                       staleness_horizon=2.0),
         verify_reads=True,
     )
+    store = db.object_store
+    damaged = sorted(name for name in store.all_keys()
+                     if store.verify_at_rest(name) is False)
+    assert damaged, "the storm left no damage at rest"
     assert _results(db) == fault_free_results
 
+    # Which objects the storm damaged depends on how the load's requests
+    # were batched, so the two queries may read none of them.  Read one
+    # back through the verified client: the damage is caught and the
+    # primary repaired from a replica, whatever the queries touched.
+    db.object_client.get(damaged[0])
+    assert store.verify_at_rest(damaged[0]) is True
     client = db.object_client.metrics.snapshot()
     assert client["checksum_mismatches"] > 0, \
         "the storm never actually corrupted a served payload"

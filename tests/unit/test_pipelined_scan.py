@@ -4,6 +4,7 @@ import math
 
 from repro.columnar import ColumnSchema, ColumnStore, QueryContext, TableSchema
 from repro.columnar.schema import make_row_id
+from repro.core.recovery import fence_in_flight_writes
 from repro.engine import PARALLEL_WINDOW
 from repro.sim.rng import DeterministicRng
 from repro.sim.tracing import Tracer
@@ -148,6 +149,10 @@ def test_row_lookup_fetches_every_page_in_one_batch():
         partition_column="key", partition_count=2, rows_per_page=64,
     ))
     store.load("items", [(i, i * 0.5, i % 7) for i in range(1, 6001)])
+    # Let every object the load wrote become visible first: a lookup
+    # timed while the last ones are still settling waits on not-found
+    # retries, which measure the load's end, not the batch.
+    fence_in_flight_writes(db.user_dbspace)
     db.node.invalidate_caches()
     db.ocm.invalidate_all()
     columns = ["key", "a", "b"]
