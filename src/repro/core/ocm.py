@@ -139,6 +139,9 @@ class ObjectCacheManager(ObjectIO):
         self._entries: "OrderedDict[str, _CacheEntry]" = OrderedDict()
         self._policy = make_policy(config.policy, config.capacity_bytes)
         self._used = 0
+        # Bytes of the entries eviction may take (see ``_evictable``): at
+        # zero, an insert into a full cache has nothing to walk for.
+        self._evictable_bytes = 0
         # Mirror the client's verified-reads knob: fills record a CRC and
         # cache hits re-verify (the client already verified the fetch).
         self._verify = bool(getattr(client, "verify_reads", False))
@@ -212,16 +215,25 @@ class ObjectCacheManager(ObjectIO):
             self._anonymous_pending
         )
 
+    def _evictable(self, entry: _CacheEntry) -> bool:
+        """Whether :meth:`_evict_if_needed` may take the entry."""
+        return entry.in_lru and (entry.uploaded
+                                 or self.config.lru_insert_before_upload)
+
     def _insert(self, name: str, data: bytes, uploaded: bool, in_lru: bool,
                 scan_hint: bool = False) -> None:
         old = self._entries.pop(name, None)
         if old is not None:
             self._used -= old.size
+            if self._evictable(old):
+                self._evictable_bytes -= old.size
         payload = bytes(data)
         crc = crc32c(payload) if self._verify else None
         entry = _CacheEntry(name, payload, uploaded, in_lru, crc=crc)
         self._entries[name] = entry
         self._used += entry.size
+        if self._evictable(entry):
+            self._evictable_bytes += entry.size
         self._policy.on_insert(name, entry.size, scan_hint)
         self._evict_if_needed()
 
@@ -242,6 +254,8 @@ class ObjectCacheManager(ObjectIO):
         entry = self._entries.pop(name, None)
         if entry is not None:
             self._used -= entry.size
+            if self._evictable(entry):
+                self._evictable_bytes -= entry.size
             self._policy.on_remove(name, evicted)
         return entry
 
@@ -253,9 +267,11 @@ class ObjectCacheManager(ObjectIO):
         not-yet-uploaded listed residents are also eligible, but evicting
         one forces its upload synchronously first (the data must not be
         lost) — the cost the paper's insert-after-upload rule avoids
-        paying for pages of doomed transactions.
+        paying for pages of doomed transactions.  While every entry is a
+        pending write-back, nothing is eligible and the walk is skipped.
         """
-        if self._used <= self.config.capacity_bytes:
+        if (self._used <= self.config.capacity_bytes
+                or not self._evictable_bytes):
             return
         victims: List[str] = []
         projected = self._used
@@ -558,6 +574,8 @@ class ObjectCacheManager(ObjectIO):
         for job in batch:
             entry = self._entries.get(job.name)
             if entry is not None:
+                if not self._evictable(entry):
+                    self._evictable_bytes += entry.size
                 entry.uploaded = True
                 entry.in_lru = True
 
@@ -669,6 +687,7 @@ class ObjectCacheManager(ObjectIO):
         self._anonymous_pending.clear()
         self._upload_inflight.clear()
         self._used = 0
+        self._evictable_bytes = 0
         self._was_degraded = False
         self.metrics.gauge("degraded_queue_depth").set(0.0)
 

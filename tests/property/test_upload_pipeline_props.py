@@ -158,6 +158,11 @@ class PipelineDriver:
                 )
         # 4. The fixed window bounds the uploads in flight.
         assert len(self.ocm._upload_inflight) <= UPLOAD_WINDOW
+        # 5. The running count eviction checks first is the bytes of the
+        #    entries eviction may take.
+        assert self.ocm._evictable_bytes == sum(
+            entry.size for entry in self.ocm._entries.values()
+            if self.ocm._evictable(entry))
 
     def check_durability(self) -> None:
         # 3. Everything ever committed reads back from the store itself.

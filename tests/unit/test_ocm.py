@@ -351,3 +351,23 @@ class TestInvalidateAllResetsUploadWindow:
         ocm.invalidate_all()
         assert ocm._was_degraded is False
         assert ocm.metrics.snapshot()["degraded_queue_depth"] == 0.0
+
+
+def test_a_full_cache_of_pending_write_backs_skips_the_eviction_walk():
+    """Only uploaded, listed entries can be evicted: while every entry is
+    a pending write-back there is nothing to walk, and an insert into
+    the full cache leaves the policy's victim order unread."""
+    ocm, __, __ = make_ocm(capacity=4096)
+    for i in range(4):
+        ocm.put(f"a/{i}", b"x" * 2048, txn_id=1, commit_mode=False)
+    assert ocm.used_bytes > 4096
+    walks = []
+    order = ocm._policy.eviction_order
+    ocm._policy.eviction_order = lambda: walks.append(1) or order()
+    ocm.put("a/4", b"x" * 2048, txn_id=1, commit_mode=False)
+    assert walks == []
+    assert ocm.entry_count() == 5
+    # Once the uploads land the entries are eligible, and the walk runs.
+    ocm.flush_for_commit(1)
+    assert walks
+    assert ocm.used_bytes <= 4096
