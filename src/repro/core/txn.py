@@ -44,7 +44,7 @@ from repro.core.log import (
 from repro.sim.crashpoints import crash_point, register_crash_point
 from repro.sim.tracing import NULL_TRACER
 from repro.storage.blockmap import Blockmap
-from repro.storage.dbspace import PageStore
+from repro.storage.dbspace import PageStore, WriteBatch
 from repro.storage.identity import USER_DBSPACE, Catalog, IdentityObject
 
 CP_COMMIT_BEFORE_FLUSH = register_crash_point(
@@ -57,11 +57,12 @@ CP_COMMIT_AFTER_FLUSH_FOR_COMMIT = register_crash_point(
 )
 CP_COMMIT_AFTER_PAGE_FLUSH = register_crash_point(
     "txn.commit.after_page_flush",
-    "all data pages uploaded, no identity published, no commit logged",
+    "the commit's one write (data pages and blockmap nodes) landed, "
+    "no identity published, no commit logged",
 )
 CP_COMMIT_BEFORE_PUBLISH = register_crash_point(
     "txn.commit.before_publish",
-    "blockmap flushed for one handle, its identity not yet published",
+    "the commit's write landed, one handle's identity not yet published",
 )
 CP_COMMIT_AFTER_PUBLISH = register_crash_point(
     "txn.commit.after_publish",
@@ -140,6 +141,8 @@ class Transaction:
         self.local_garbage: List[int] = []
         self.write_handles: Dict[int, ObjectHandle] = {}
         self.read_handles: Dict[int, ObjectHandle] = {}
+        # Set when commit's write-through fails: only rollback is left.
+        self.write_failed = False
 
     @property
     def node_id(self) -> str:
@@ -357,6 +360,11 @@ class TransactionManager:
     def commit(self, txn: Transaction) -> None:
         """Flush, version, log and enter the commit chain."""
         self._check_active(txn)
+        if txn.write_failed:
+            raise TransactionError(
+                f"transaction {txn.txn_id} failed its commit write; "
+                "roll it back"
+            )
         node = txn.node
         crash_point(CP_COMMIT_BEFORE_FLUSH)
         # 1. FlushForCommit: promote this transaction's queued write-back
@@ -370,18 +378,30 @@ class TransactionManager:
                 node.dbspace.flush_for_commit(txn.txn_id)
                 self.stats["flush_promotions"] += 1
         crash_point(CP_COMMIT_AFTER_FLUSH_FOR_COMMIT)
-        # 2. Flush remaining dirty pages write-through; durability before
-        #    commit because the log carries metadata only.
-        node.buffer.flush_txn(txn.txn_id, commit_mode=True)
+        # 2. Write through the remaining dirty pages and every handle's
+        #    blockmap cascade, bottom-up, as ONE batch: each page or node
+        #    gets its fresh locator when staged (a node's bytes hold its
+        #    children's), so adjacent keys share ranged PUTs and the roots
+        #    ride the last.  Durability before commit: the log carries
+        #    metadata only, and nothing is published before the write.
+        batch: WriteBatch = []
+        handles = sorted(txn.write_handles.items())
+        try:
+            node.buffer.flush_txn(txn.txn_id, batch=batch)
+            roots = [handle.blockmap.flush(txn, batch)
+                     for __, handle in handles]
+            node.dbspace.write_batch(batch, txn.txn_id)
+        except Exception:
+            # The working blockmaps already hold the staged keys, so a
+            # second commit would publish objects that never landed.
+            txn.write_failed = True
+            raise
         crash_point(CP_COMMIT_AFTER_PAGE_FLUSH)
-        # 3. Cascade blockmap versioning and publish new identities.
+        # 3. Publish the new identities.
         new_versions: Dict[int, int] = {}
         superseded: List[Tuple[int, int]] = []
         identities: List[IdentityObject] = []
-        for object_id, handle in sorted(txn.write_handles.items()):
-            new_root = handle.blockmap.flush(
-                txn, txn_id=txn.txn_id, commit_mode=True
-            )
+        for (object_id, handle), new_root in zip(handles, roots):
             crash_point(CP_COMMIT_BEFORE_PUBLISH)
             new_version = handle.version + 1
             identity = IdentityObject(

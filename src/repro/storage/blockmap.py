@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from typing import Dict, Iterator, List, Optional, Protocol, Tuple
 
-from repro.storage.dbspace import PageStore
+from repro.storage.dbspace import PageStore, WriteBatch
 from repro.storage.locator import NULL_LOCATOR
 
 _HEADER = struct.Struct(">2sBQI")
@@ -268,13 +268,15 @@ class Blockmap:
     # persistence
     # ------------------------------------------------------------------ #
 
-    def flush(self, sink: "Optional[GcSink]" = None,
-              txn_id: "Optional[int]" = None,
-              commit_mode: bool = False) -> int:
-        """Persist dirty nodes bottom-up; return the new root locator.
+    def flush(self, sink: "Optional[GcSink]", batch: "WriteBatch") -> int:
+        """Stage dirty nodes bottom-up into ``batch``; return the new root
+        locator.
 
         Every flushed node gets a fresh locator (the Figure 2 cascade);
-        replaced locators are reported to ``sink``.
+        replaced locators are reported to ``sink``.  A node's bytes hold
+        its children's locators, and the store hands a locator out when
+        it stages the bytes, so the nodes join ``batch`` — a commit's one
+        write-through (:meth:`PageStore.write_batch`) — the root last.
         """
         gc = sink or NullGcSink()
         for level in range(0, self.height):
@@ -285,9 +287,8 @@ class Blockmap:
             for node in dirty_here:
                 old_locator = node.locator
                 was_fresh = node.fresh
-                new_locator = self.store.write_page(
-                    node.to_bytes(), txn_id=txn_id, commit_mode=commit_mode,
-                )
+                new_locator = self.store.write_pages(
+                    [node.to_bytes()], batch=batch)[0]
                 node.dirty = False
                 node.locator = new_locator
                 node.fresh = True

@@ -34,14 +34,18 @@ if TYPE_CHECKING:  # the client imports storage.keys: no import at run time
 # A blocking reader's wait: ``clock.advance_to`` (returns the time after).
 Wait = Callable[[float], float]
 
+# One commit's write-through: the ``(object name, bytes)`` pairs a cloud
+# dbspace staged for one ``put_many``, filled by ``write_pages(batch=)``.
+WriteBatch = List[Tuple[str, bytes]]
+
 CP_WRITE_PAGE_BEFORE_PUT = register_crash_point(
     "dbspace.write_page.before_put",
     "object keys consumed but no PUT left the node",
 )
 CP_WRITE_PAGE_AFTER_PUT = register_crash_point(
     "dbspace.write_page.after_put",
-    "objects uploaded but their locators never reached the caller "
-    "(orphans covered by the keygen active set)",
+    "objects uploaded but nothing published or logged references them "
+    "yet (orphans covered by the keygen active set)",
 )
 CP_FREE_PAGE_BEFORE_DELETE = register_crash_point(
     "dbspace.free_page.before_delete",
@@ -200,18 +204,26 @@ class PageStore(ABC):
         payloads: "Sequence[bytes]",
         txn_id: "Optional[int]" = None,
         commit_mode: bool = False,
+        batch: "Optional[WriteBatch]" = None,
     ) -> "List[int]":
         """Persist (compressed) page images, windowed-parallel; return
         their locators in payload order.
 
         Every page gets a locator it never had before: a fresh object key
         on a cloud dbspace (never-write-twice), a freshly allocated run on
-        a block dbspace.
+        a block dbspace.  With ``batch`` a cloud dbspace only hands out
+        the keys and stages the objects there, for :meth:`write_batch`; a
+        block dbspace has no multi-object request and writes at once.
         """
 
     def write_page(self, payload: bytes, txn_id: "Optional[int]" = None,
                    commit_mode: bool = False) -> int:
         return self.write_pages([payload], txn_id, commit_mode)[0]
+
+    def write_batch(self, batch: "WriteBatch",
+                    txn_id: "Optional[int]" = None) -> None:
+        """Write what :meth:`write_pages` staged, write-through, as one
+        request batch (nothing is staged on a block dbspace)."""
 
     @abstractmethod
     def free_pages(self, locators: "Sequence[int]") -> None:
@@ -258,6 +270,7 @@ class BlockDbspace(PageStore):
         payloads: "Sequence[bytes]",
         txn_id: "Optional[int]" = None,
         commit_mode: bool = False,
+        batch: "Optional[WriteBatch]" = None,
     ) -> "List[int]":
         locators: "List[int]" = []
         try:
@@ -324,16 +337,29 @@ class CloudDbspace(PageStore):
         payloads: "Sequence[bytes]",
         txn_id: "Optional[int]" = None,
         commit_mode: bool = False,
+        batch: "Optional[WriteBatch]" = None,
     ) -> "List[int]":
         keys = [self.key_source.next_key() for __ in payloads]
-        crash_point(CP_WRITE_PAGE_BEFORE_PUT)
         items = [
             (self.object_name(key), payload)
             for key, payload in zip(keys, payloads)
         ]
+        if batch is not None:
+            batch.extend(items)
+        else:
+            self._put(items, txn_id, commit_mode)
+        return keys
+
+    def write_batch(self, batch: "WriteBatch",
+                    txn_id: "Optional[int]" = None) -> None:
+        if batch:
+            self._put(batch, txn_id, commit_mode=True)
+
+    def _put(self, items: "WriteBatch", txn_id: "Optional[int]",
+             commit_mode: bool) -> None:
+        crash_point(CP_WRITE_PAGE_BEFORE_PUT)
         self.io.put_many(items, txn_id=txn_id, commit_mode=commit_mode)
         crash_point(CP_WRITE_PAGE_AFTER_PUT)
-        return keys
 
     def free_pages(self, locators: "Sequence[int]") -> None:
         if locators:

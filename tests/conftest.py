@@ -27,6 +27,15 @@ def lists(rel) -> dict:
     return {column: vec.to_list(values) for column, values in rel.items()}
 
 
+def flush_blockmap(blockmap, sink=None) -> int:
+    """Flush a blockmap as a commit does: stage its dirty nodes, write
+    them as one batch; returns the new root locator."""
+    batch: list = []
+    root = blockmap.flush(sink, batch)
+    blockmap.store.write_batch(batch)
+    return root
+
+
 def make_db(**overrides) -> Database:
     """A small, fast engine for tests (cloud user dbspace, OCM enabled)."""
     config = DatabaseConfig(

@@ -129,9 +129,9 @@ CLOUD = {
     ),
     "snapshot2": (
         "fa8087013b5ed39a4c61b9c4535a70b6eebf62c5cd5ae26818773f1d6d7e5524",
-        "5680c872f9f550b084acf71d08040808f9525bdb184febd2e6ad81575d1d5d7e",
+        "004c62df25583f04e08ed811bdf8ebd87b52c3cc0bd54b7d6b7a17a4197a4115",
     ),
-    "fifo": "21a89dc7fb4f3620d1042116f0f5a15afb62ef889b649ae6f23f8749f912409a",
+    "fifo": "cacb1429dae855f74d41d07b2f45464f8f46ed8d1e7788448d414ff619e22d64",
 }
 
 BLOCK = {

@@ -70,7 +70,7 @@ def test_engine_restart_gc_polls_the_user_bucket():
     assert spent(before, requests(db)) == (60, 60)
     assert polled(db) == 60
     assert objects(db) == 4
-    assert db.clock.now() == 1.7894452395388722
+    assert db.clock.now() == 1.7705221444546455
 
 
 def test_multiplex_restart_gc_polls_the_user_bucket():
@@ -86,7 +86,7 @@ def test_multiplex_restart_gc_polls_the_user_bucket():
     assert spent(before, requests(coordinator)) == (60, 60)
     assert polled(coordinator) == 60
     assert objects(coordinator) == 4
-    assert coordinator.clock.now() == 1.7393996919091783
+    assert coordinator.clock.now() == 1.7204765968249514
 
 
 def test_retire_secondary_reclaims_through_restart_gc():
@@ -100,7 +100,7 @@ def test_retire_secondary_reclaims_through_restart_gc():
     assert spent(before, requests(coordinator)) == (61, 61)
     assert polled(coordinator) == 61
     assert objects(coordinator) == 3
-    assert coordinator.clock.now() == 1.7020049044209966
+    assert coordinator.clock.now() == 1.6847007983250424
 
 
 def test_restore_snapshot_polls_the_user_bucket():
@@ -113,7 +113,7 @@ def test_restore_snapshot_polls_the_user_bucket():
     db.restore_snapshot(snapshot.snapshot_id)
     assert spent(before, requests(db)) == (60, 60)
     assert objects(db) == 4
-    assert db.clock.now() == 1.8016112789684176
+    assert db.clock.now() == 1.743480037351615
 
 
 # ---------------------------------------------------------------------- #

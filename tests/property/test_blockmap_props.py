@@ -9,6 +9,7 @@ from repro.sim.clock import VirtualClock
 from repro.storage.blockmap import Blockmap
 from repro.storage.dbspace import BlockDbspace
 from repro.storage.locator import NULL_LOCATOR, OBJECT_KEY_BASE
+from tests.conftest import flush_blockmap
 
 
 def mapped(blockmap):
@@ -49,7 +50,7 @@ def test_lookup_always_sees_latest_set(script, fanout):
             blockmap.set(page, locator)
             model[page] = locator
         else:
-            blockmap.flush()
+            flush_blockmap(blockmap)
     for page, locator in model.items():
         assert blockmap.lookup(page) == locator
     # Unmapped pages stay unmapped.
@@ -70,8 +71,8 @@ def test_flush_reload_preserves_mappings(script, fanout):
             blockmap.set(page, locator)
             model[page] = locator
         else:
-            blockmap.flush()
-    root = blockmap.flush()
+            flush_blockmap(blockmap)
+    root = flush_blockmap(blockmap)
     if root == NULL_LOCATOR:
         assert not model
         return
@@ -91,14 +92,14 @@ def test_fork_isolation(base_mappings, fork_mappings):
     base = Blockmap(store, fanout=4)
     for page, value in base_mappings.items():
         base.set(page, OBJECT_KEY_BASE + value)
-    base.flush()
+    flush_blockmap(base)
     base.mark_committed()
     snapshot = mapped(base)
 
     fork = base.fork()
     for page, value in fork_mappings.items():
         fork.set(page, OBJECT_KEY_BASE + value)
-    fork.flush()
+    flush_blockmap(fork)
 
     assert mapped(base) == snapshot
     expected_fork = dict(snapshot)

@@ -122,7 +122,7 @@ DB_CONSTRUCTION_CLOCK = 0.05711955453712423
 DB_CHECKPOINT_WRITE_BYTES = 22371282.0
 DB_CHECKPOINT_CLOCK = 0.1141750733985777
 MX_RECOVERY_WRITE_BYTES = 22374574.0
-MX_RECOVERY_CLOCK = 1.7605351321713665
+MX_RECOVERY_CLOCK = 1.7169923862573049
 
 
 def test_database_checkpoint_charges_are_pinned():

@@ -11,6 +11,7 @@ from repro.sim.clock import VirtualClock
 from repro.storage.blockmap import Blockmap, BlockmapError
 from repro.storage.dbspace import BlockDbspace, CloudDbspace, DirectObjectIO
 from repro.storage.locator import NULL_LOCATOR, OBJECT_KEY_BASE, is_object_key
+from tests.conftest import flush_blockmap
 
 
 class CounterKeys:
@@ -83,7 +84,7 @@ def test_flush_and_reload(cloud_store):
         locator = cloud_store.write_page(b"page-%d" % page)
         blockmap.set(page, locator)
         mappings[page] = locator
-    root = blockmap.flush()
+    root = flush_blockmap(blockmap)
     reloaded = Blockmap(cloud_store, fanout=4, root_locator=root,
                         height=blockmap.height)
     for page, locator in mappings.items():
@@ -95,12 +96,12 @@ def test_flush_cascade_versions_every_level(cloud_store):
     blockmap = Blockmap(cloud_store, fanout=2)
     for page in range(8):
         blockmap.set(page, OBJECT_KEY_BASE + 100 + page)
-    root_v1 = blockmap.flush()
+    root_v1 = flush_blockmap(blockmap)
     blockmap.mark_committed()
 
     sink = RecordingSink()
     blockmap.set(7, OBJECT_KEY_BASE + 999)
-    root_v2 = blockmap.flush(sink)
+    root_v2 = flush_blockmap(blockmap, sink)
     assert root_v2 != root_v1
     # Height-3 tree of fanout 2 over 8 pages: leaf, inner, root re-versioned.
     assert len(sink.allocated) == blockmap.height
@@ -112,9 +113,9 @@ def test_flush_within_txn_reports_fresh_garbage(cloud_store):
     blockmap = Blockmap(cloud_store, fanout=2)
     sink = RecordingSink()
     blockmap.set(0, OBJECT_KEY_BASE + 1)
-    blockmap.flush(sink)
+    flush_blockmap(blockmap, sink)
     blockmap.set(1, OBJECT_KEY_BASE + 2)
-    blockmap.flush(sink)
+    flush_blockmap(blockmap, sink)
     # The second flush supersedes nodes written by the *same* transaction.
     assert any(fresh for __, fresh in sink.replaced)
 
@@ -123,14 +124,14 @@ def test_fork_copy_on_write(cloud_store):
     base = Blockmap(cloud_store, fanout=4)
     for page in range(10):
         base.set(page, OBJECT_KEY_BASE + page + 1)
-    base.flush()
+    flush_blockmap(base)
     base.mark_committed()
 
     fork = base.fork()
     fork.set(5, OBJECT_KEY_BASE + 777)
     assert fork.lookup(5) == OBJECT_KEY_BASE + 777
     assert base.lookup(5) == OBJECT_KEY_BASE + 6  # base untouched
-    fork.flush()
+    flush_blockmap(fork)
     assert base.lookup(5) == OBJECT_KEY_BASE + 6
 
 
@@ -145,7 +146,7 @@ def test_fork_of_empty_blockmap_allowed(cloud_store):
     empty = Blockmap(cloud_store, fanout=4)
     fork = empty.fork()
     fork.set(0, OBJECT_KEY_BASE + 1)
-    root = fork.flush()
+    root = flush_blockmap(fork)
     assert root != NULL_LOCATOR
 
 
@@ -153,7 +154,7 @@ def test_live_locators_walk(cloud_store):
     blockmap = Blockmap(cloud_store, fanout=2)
     for page in range(6):
         blockmap.set(page, OBJECT_KEY_BASE + 10 + page)
-    blockmap.flush()
+    flush_blockmap(blockmap)
     live = set(blockmap.live_locators())
     for page in range(6):
         assert OBJECT_KEY_BASE + 10 + page in live
@@ -165,7 +166,7 @@ def test_mapped_pages(cloud_store):
     blockmap = Blockmap(cloud_store, fanout=4)
     blockmap.set(2, OBJECT_KEY_BASE + 5)
     blockmap.set(9, OBJECT_KEY_BASE + 6)
-    blockmap.flush()
+    flush_blockmap(blockmap)
     mapped = {page: blockmap.lookup(page) for page in range(blockmap.capacity)}
     assert {page: locator for page, locator in mapped.items()
             if locator != NULL_LOCATOR} == {
@@ -181,10 +182,10 @@ def test_block_store_reflush_allocates_fresh_runs(block_store):
     blockmap = Blockmap(block_store, fanout=4)
     sink = RecordingSink()
     blockmap.set(0, block_store.write_page(b"data"))
-    blockmap.flush(sink)
+    flush_blockmap(blockmap, sink)
     first = list(sink.allocated)
     blockmap.set(1, block_store.write_page(b"data2"))
-    blockmap.flush(sink)
+    flush_blockmap(blockmap, sink)
     second = sink.allocated[len(first):]
     assert len(second) == len(first) and not set(first) & set(second)
     assert sink.replaced == [(locator, True) for locator in first]
